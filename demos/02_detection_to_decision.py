@@ -41,7 +41,7 @@ print(f"camera frame: ({cam_pt.Xc:+.3f}, {cam_pt.Yc:+.3f}, {cam_pt.Zc:+.3f}) m")
 arm_pt = camera_to_arm(cam_pt, cfg.ext)
 print(f"arm frame:    ({arm_pt.x:+.3f}, {arm_pt.y:+.3f}, {arm_pt.z:+.3f}) m")
 
-fv = extract_features(arm_pt, patch, 110, 110, (cfg.cam.rgb_width, cfg.cam.rgb_height))
+fv = extract_features(arm_pt, patch, Z, 110, 110, (cfg.cam.rgb_width, cfg.cam.rgb_height))
 print("features:")
 for name, value in zip(FEATURE_NAMES, fv.as_array()):
     print(f"  {name:8s} {value:+.4f}")

@@ -2,18 +2,15 @@
 
 Builds a labeled benchmark, fits the forest, reports the headline metrics
 including the fraction of IK calls the classifier would eliminate, and
-shows that serialization round-trips the model bit for bit.
+shows that retraining with the same seed reproduces the model exactly.
 """
-
-import os
-import tempfile
 
 import numpy as np
 
 from reach_al.config import default_config
 from reach_al.dataset import SceneConfig, generate_scene, label_with_oracle
 from reach_al.features import features_matrix, labels_array
-from reach_al.forest import TrainConfig, fit_arrays, load_model, predict_proba_matrix, save_model
+from reach_al.forest import TrainConfig, fit_arrays, predict_proba_matrix
 from reach_al.metrics import evaluate, ik_call_reduction
 
 cfg = default_config()
@@ -43,15 +40,8 @@ print(f"  f1        {m.f1:.4f}")
 print(f"  auc       {m.auc:.4f}")
 print(f"  IK calls filtered: {ik_call_reduction(preds):.1%} of test candidates")
 
-with tempfile.TemporaryDirectory() as tmp:
-    p1 = os.path.join(tmp, "model_a.txt")
-    p2 = os.path.join(tmp, "model_b.txt")
-    save_model(p1, model)
-    save_model(p2, fit_arrays(X[train_idx], y[train_idx], TrainConfig(seed=0)))
-    identical = open(p1, "rb").read() == open(p2, "rb").read()
-    print(f"retrained model serializes byte-identically: {identical}")
-    reloaded = load_model(p1)
-    same = np.array_equal(
-        predict_proba_matrix(reloaded, X[test_idx]), predict_proba_matrix(model, X[test_idx])
-    )
-    print(f"reloaded model reproduces probabilities exactly: {same}")
+retrained = fit_arrays(X[train_idx], y[train_idx], TrainConfig(seed=0))
+same = np.array_equal(
+    predict_proba_matrix(retrained, X[test_idx]), predict_proba_matrix(model, X[test_idx])
+)
+print(f"retrained model reproduces probabilities exactly: {same}")

@@ -3,6 +3,8 @@
 Runs the pool-based loop for each strategy from the same initial labeled
 set and prints the test-accuracy trajectory against labels acquired, the
 table-style comparison the experiment harness aggregates over seeds.
+On this binary problem least_confidence, margin and entropy share one
+scorer, so their columns agree.
 """
 
 from dataclasses import replace
@@ -10,7 +12,6 @@ from dataclasses import replace
 from reach_al.active import STRATEGIES, ALConfig, run_loop
 from reach_al.config import default_config
 from reach_al.dataset import make_splits
-from reach_al.metrics import efficiency_curve
 from reach_al.report import ExperimentGrid, build_benchmark
 
 cfg = default_config()
@@ -26,7 +27,7 @@ curves = {}
 for strategy in STRATEGIES:
     al = replace(cfg.al, strategy=strategy, init_size=30, n_queries=50, seed=0)
     logs = run_loop(pools, al, cfg.train)
-    curves[strategy] = efficiency_curve(logs)
+    curves[strategy] = [(log.n_labeled, log.metrics.accuracy) for log in logs]
 
 sizes = [n for n, _ in curves["random"]]
 header = "labels  " + "".join(f"{s:>18s}" for s in STRATEGIES)

@@ -10,10 +10,8 @@ from .active import (
     ALConfig,
     RoundLog,
     run_loop,
-    score_entropy,
-    score_least_confidence,
-    score_margin,
     score_qbc,
+    score_uncertainty,
     select_batch,
 )
 from .config import AppConfig, default_config, load_config
@@ -35,17 +33,7 @@ from .errors import (
     ReachALError,
 )
 from .features import FeatureVector, extract_features
-from .forest import (
-    ForestModel,
-    TrainConfig,
-    fit,
-    fit_arrays,
-    load_model,
-    predict,
-    predict_proba,
-    predict_proba_matrix,
-    save_model,
-)
+from .forest import ForestModel, TrainConfig, fit_arrays, predict_proba_matrix
 from .kinematics import (
     ArmPoint,
     BruteForceOracle,
@@ -59,7 +47,6 @@ from .kinematics import (
 from .metrics import (
     MetricSet,
     confusion_and_rates,
-    efficiency_curve,
     evaluate,
     ik_call_reduction,
     roc_auc,

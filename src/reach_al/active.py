@@ -8,7 +8,7 @@ from the run seed, so a (strategy, seed) cell is fully reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -16,7 +16,7 @@ import numpy as np
 from .dataset import PoolSplit
 from .features import features_matrix, labels_array
 from .forest import TrainConfig, fit_arrays, predict_proba_matrix
-from .metrics import MetricSet, evaluate
+from .metrics import MetricSet, evaluate, ik_call_reduction
 
 STRATEGIES = ("random", "least_confidence", "margin", "entropy", "qbc")
 
@@ -59,22 +59,19 @@ def _entropy_bits(p: np.ndarray) -> np.ndarray:
     return -terms.sum(axis=-1)
 
 
-def score_least_confidence(probs) -> np.ndarray:
-    """1 - max(p); largest when the top class is least certain."""
-    p = np.atleast_2d(np.asarray(probs, dtype=float))
-    return 1.0 - p.max(axis=1)
+def score_uncertainty(probs) -> np.ndarray:
+    """Negated gap between the two class probabilities; larger is less certain.
 
-
-def score_margin(probs) -> np.ndarray:
-    """Negated top-two gap; ranks smaller margins as more informative."""
+    This one scorer serves ``least_confidence``, ``margin`` and ``entropy``.
+    On a binary problem all three are strictly decreasing in |p1 - 0.5|
+    (Settles, *Active Learning Literature Survey*, 2009, sec. 3.1), so they
+    rank candidates alike.  The forest's default leaves are pure
+    (``min_samples_leaf = 1``), so each tree votes 0 or 1 and p1 = k/T; on
+    that grid the three formulas also order candidates identically in
+    floating point, ties included.
+    """
     p = np.atleast_2d(np.asarray(probs, dtype=float))
     return -np.abs(p[:, 1] - p[:, 0])
-
-
-def score_entropy(probs) -> np.ndarray:
-    """Shannon entropy of the predictive distribution, in bits."""
-    p = np.atleast_2d(np.asarray(probs, dtype=float))
-    return _entropy_bits(p)
 
 
 def score_qbc(committee_probs) -> np.ndarray:
@@ -103,8 +100,7 @@ def select_batch(scores, b: int) -> list[int]:
 def _evaluate_model(model, X_test, y_test):
     scores = predict_proba_matrix(model, X_test)[:, 1]
     m = evaluate(scores, y_test)
-    preds = (scores > 0.5).astype(np.int64)
-    return m, float(np.mean(preds == 0))
+    return m, ik_call_reduction(scores > 0.5)
 
 
 def run_loop(
@@ -178,13 +174,7 @@ def run_loop(
                 committee.append(predict_proba_matrix(member, X_cand))
             scores = score_qbc(np.stack(committee))
         else:
-            probs = predict_proba_matrix(model, X_cand)
-            if cfg.strategy == "least_confidence":
-                scores = score_least_confidence(probs)
-            elif cfg.strategy == "margin":
-                scores = score_margin(probs)
-            else:
-                scores = score_entropy(probs)
+            scores = score_uncertainty(predict_proba_matrix(model, X_cand))
 
         picked = select_batch(scores, b)
         batch = [int(pool_rows[i]) for i in picked]

@@ -36,7 +36,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="experiment config file (key = value lines)")
     parser.add_argument("--seed", type=int, help="override the subcommand's primary seed")
     parser.add_argument("--out", help="output directory (default: $REACH_AL_OUT or ./out)")
-    parser.add_argument("--strict", action="store_true", help="fail on per-cell errors")
+    parser.add_argument("--strict", action="store_true", help="exit 1 if any cell fails")
     parser.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
 
 
@@ -172,9 +172,7 @@ def _cmd_run(args) -> int:
         report_mod.write_summary(os.path.join(out_dir, "summary.csv"), summary)
         errors = []
     else:
-        results_path, _, errors = run_grid(
-            grid, out_dir, jobs=args.jobs, strict=args.strict
-        )
+        results_path, _, errors = run_grid(grid, out_dir, jobs=args.jobs)
     rows = report_mod.read_results(results_path)
     final = max((r for r in rows if r.round >= 0), key=lambda r: r.round, default=None)
     if final is not None:
@@ -193,9 +191,7 @@ def _cmd_sweep(args) -> int:
     cfg = _load(args)
     out_dir = resolve_out_dir(args.out)
     grid = ExperimentGrid.from_config(cfg)
-    results_path, summary_path, errors = run_grid(
-        grid, out_dir, jobs=args.jobs, strict=args.strict
-    )
+    results_path, summary_path, errors = run_grid(grid, out_dir, jobs=args.jobs)
     print(f"results -> {results_path}")
     print(f"summary -> {summary_path}")
     if errors:

@@ -39,7 +39,6 @@ class DataConfig:
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    density_window: int = 11
     density_band: float = 0.05
 
 
@@ -61,14 +60,6 @@ class GridConfig:
                 raise ValueError(f"unknown strategy {s!r}")
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Brute-force grid oracle resolution used for validation sweeps."""
-
-    steps_per_joint: int = 40
-    tol: float = 0.02
-
-
 @dataclass
 class AppConfig:
     arm: ManipulatorParams = field(default_factory=ManipulatorParams)
@@ -80,7 +71,6 @@ class AppConfig:
     data: DataConfig = field(default_factory=DataConfig)
     features: FeatureConfig = field(default_factory=FeatureConfig)
     grid: GridConfig = field(default_factory=GridConfig)
-    oracle: OracleConfig = field(default_factory=OracleConfig)
 
     def __post_init__(self):
         if self.ext is None:
@@ -176,7 +166,6 @@ def apply_overrides(cfg: AppConfig, kv: dict[str, str]) -> AppConfig:
     data: dict = {}
     feats: dict = {}
     grid: dict = {}
-    oracle: dict = {}
 
     def rng_pair(value, lo_key, hi_key, current):
         lo, hi = current
@@ -277,8 +266,6 @@ def apply_overrides(cfg: AppConfig, kv: dict[str, str]) -> AppConfig:
                 data["pool_size"] = int(value)
             elif key == "data.test_frac":
                 data["test_frac"] = float(value)
-            elif key == "features.density_window":
-                feats["density_window"] = int(value)
             elif key == "features.density_band":
                 feats["density_band"] = float(value)
             elif key == "grid.strategies":
@@ -289,10 +276,6 @@ def apply_overrides(cfg: AppConfig, kv: dict[str, str]) -> AppConfig:
                 grid["budgets"] = _int_list(value)
             elif key == "grid.seeds":
                 grid["seeds"] = _int_list(value)
-            elif key == "oracle.steps_per_joint":
-                oracle["steps_per_joint"] = int(value)
-            elif key == "oracle.tol":
-                oracle["tol"] = float(value)
             else:
                 raise ConfigError(f"unknown configuration key {key!r}")
     except ConfigError:
@@ -311,7 +294,6 @@ def apply_overrides(cfg: AppConfig, kv: dict[str, str]) -> AppConfig:
             data=replace(cfg.data, **data),
             features=replace(cfg.features, **feats),
             grid=replace(cfg.grid, **grid),
-            oracle=replace(cfg.oracle, **oracle),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

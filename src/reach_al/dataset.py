@@ -23,14 +23,12 @@ from .kinematics import ArmPoint, ManipulatorParams, is_reachable
 from .perception import (
     MAX_VALID_DEPTH,
     CameraIntrinsics,
-    CameraPoint,
     DepthPatch,
     Extrinsics,
     back_project,
     camera_to_arm,
     default_extrinsics,
     map_rgb_to_depth_pixel,
-    project_to_pixel,
     robust_depth,
 )
 
@@ -347,6 +345,7 @@ def label_with_oracle(
         fv = extract_features(
             arm,
             rec.patch,
+            depth,
             rec.bbox_w,
             rec.bbox_h,
             (intr.rgb_width, intr.rgb_height),

@@ -14,9 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .kinematics import ArmPoint
-from .perception import DepthPatch, robust_depth
+from .perception import DepthPatch
 
-DENSITY_WINDOW = 11
 DENSITY_BAND = 0.05
 
 FEATURE_NAMES = (
@@ -60,15 +59,11 @@ class FeatureVector:
             dtype=float,
         )
 
-    @classmethod
-    def from_array(cls, a) -> "FeatureVector":
-        a = np.asarray(a, dtype=float).reshape(9)
-        return cls(*(float(v) for v in a))
-
 
 def extract_features(
     p: ArmPoint,
     patch: DepthPatch,
+    depth: float,
     bbox_w: float,
     bbox_h: float,
     image_dims: tuple[int, int],
@@ -77,17 +72,17 @@ def extract_features(
 ) -> FeatureVector:
     """Compute the classifier features for one detection.
 
-    ``neighborhood`` is an optional square depth window around the detection
-    (11x11 in synthetic scenes).  When absent the 5x5 patch itself supplies
-    the density neighborhood.  Requires a valid patch depth.
+    ``depth`` is the patch's robust depth, which the caller has already
+    computed to back-project the detection.  ``neighborhood`` is an optional
+    square depth window around the detection (11x11 in synthetic scenes).
+    When absent the 5x5 patch itself supplies the density neighborhood.
     """
-    med = robust_depth(patch)
     vals = patch.valid_values
     depth_var = float(np.var(vals)) if vals.size > 0 else 0.0
 
     window = np.asarray(neighborhood if neighborhood is not None else patch.values)
     wvalid = np.isfinite(window) & (window != 0.0)
-    in_band = wvalid & (np.abs(window - med) <= density_band)
+    in_band = wvalid & (np.abs(window - depth) <= density_band)
     local_density = float(np.count_nonzero(in_band)) / window.size
 
     img_w, img_h = image_dims

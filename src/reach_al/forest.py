@@ -9,8 +9,8 @@ order can never change a model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -70,7 +70,6 @@ class DecisionTree:
 class ForestModel:
     trees: list
     config: TrainConfig
-    feature_dim: int = FEATURE_DIM
 
     def __post_init__(self):
         if len(self.trees) != self.config.n_trees:
@@ -197,115 +196,12 @@ def fit_arrays(X, y, cfg: TrainConfig) -> ForestModel:
     return ForestModel(trees=trees, config=cfg)
 
 
-def fit(samples: Sequence, cfg: TrainConfig) -> ForestModel:
-    """Train from ``(FeatureVector, label)`` pairs."""
-    if len(samples) == 0:
-        raise ValueError("cannot train on an empty sample set")
-    X = np.stack([fv.as_array() for fv, _ in samples])
-    y = np.array([label for _, label in samples], dtype=np.int64)
-    return fit_arrays(X, y, cfg)
-
-
 def predict_proba_matrix(model: ForestModel, X) -> np.ndarray:
     """(n, 2) array of (p_unreachable, p_reachable) vote averages."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.feature_dim:
-        raise ValueError(f"feature matrix must be (n, {model.feature_dim})")
+    if X.ndim != 2 or X.shape[1] != FEATURE_DIM:
+        raise ValueError(f"feature matrix must be (n, {FEATURE_DIM})")
     acc = np.zeros((len(X), 2), dtype=float)
     for tree in model.trees:
         acc += tree.leaf_proba(X)
     return acc / len(model.trees)
-
-
-def predict_proba(model: ForestModel, x) -> tuple[float, float]:
-    """Probability pair for one feature vector."""
-    arr = x.as_array() if hasattr(x, "as_array") else np.asarray(x, dtype=float)
-    p = predict_proba_matrix(model, arr.reshape(1, -1))[0]
-    return float(p[0]), float(p[1])
-
-
-def predict_matrix(model: ForestModel, X) -> np.ndarray:
-    """Hard labels; an exact tie counts as unreachable."""
-    return (predict_proba_matrix(model, X)[:, 1] > 0.5).astype(np.int64)
-
-
-def predict(model: ForestModel, x) -> int:
-    return int(predict_proba(model, x)[1] > 0.5)
-
-
-def save_model(path, model: ForestModel) -> None:
-    """Versioned text dump of the tree arrays; stable across runs."""
-    cfg = model.config
-    with open(path, "w") as fh:
-        fh.write("reach-al-forest v1\n")
-        fh.write(
-            "n_trees=%d max_depth=%s min_samples_leaf=%d features_per_split=%d "
-            "bootstrap=%d seed=%d feature_dim=%d\n"
-            % (
-                cfg.n_trees,
-                "none" if cfg.max_depth is None else cfg.max_depth,
-                cfg.min_samples_leaf,
-                cfg.features_per_split,
-                int(cfg.bootstrap),
-                cfg.seed,
-                model.feature_dim,
-            )
-        )
-        for t, tree in enumerate(model.trees):
-            fh.write("tree %d nodes=%d\n" % (t, len(tree.feature)))
-            for i in range(len(tree.feature)):
-                fh.write(
-                    "%d %s %d %d %d %d\n"
-                    % (
-                        tree.feature[i],
-                        repr(float(tree.threshold[i])),
-                        tree.left[i],
-                        tree.right[i],
-                        tree.counts[i, 0],
-                        tree.counts[i, 1],
-                    )
-                )
-
-
-def load_model(path) -> ForestModel:
-    with open(path, "r") as fh:
-        magic = fh.readline().strip()
-        if magic != "reach-al-forest v1":
-            raise ValueError(f"unrecognized model file header: {magic!r}")
-        fields = dict(kv.split("=") for kv in fh.readline().split())
-        cfg = TrainConfig(
-            n_trees=int(fields["n_trees"]),
-            max_depth=None if fields["max_depth"] == "none" else int(fields["max_depth"]),
-            min_samples_leaf=int(fields["min_samples_leaf"]),
-            features_per_split=int(fields["features_per_split"]),
-            bootstrap=bool(int(fields["bootstrap"])),
-            seed=int(fields["seed"]),
-        )
-        feature_dim = int(fields["feature_dim"])
-        trees = []
-        for _ in range(cfg.n_trees):
-            head = fh.readline().split()
-            n_nodes = int(head[2].split("=")[1])
-            feature = np.empty(n_nodes, dtype=np.int64)
-            threshold = np.empty(n_nodes, dtype=float)
-            left = np.empty(n_nodes, dtype=np.int64)
-            right = np.empty(n_nodes, dtype=np.int64)
-            counts = np.empty((n_nodes, 2), dtype=np.int64)
-            for i in range(n_nodes):
-                parts = fh.readline().split()
-                feature[i] = int(parts[0])
-                threshold[i] = float(parts[1])
-                left[i] = int(parts[2])
-                right[i] = int(parts[3])
-                counts[i, 0] = int(parts[4])
-                counts[i, 1] = int(parts[5])
-            trees.append(
-                DecisionTree(
-                    feature=feature,
-                    threshold=threshold,
-                    left=left,
-                    right=right,
-                    counts=counts,
-                )
-            )
-    return ForestModel(trees=trees, config=cfg, feature_dim=feature_dim)

@@ -208,15 +208,6 @@ def is_reachable(
     return True, witness
 
 
-def label_points(points: np.ndarray, params: ManipulatorParams) -> np.ndarray:
-    """Reachability decisions (1 reachable, 0 not) for an (n, 3) array."""
-    pts = np.asarray(points, dtype=float)
-    out = np.empty(len(pts), dtype=np.int64)
-    for i, (x, y, z) in enumerate(pts):
-        out[i] = 1 if is_reachable(ArmPoint(x, y, z), params)[0] else 0
-    return out
-
-
 class BruteForceOracle:
     """Grid-search reachability check, independent of the analytic test.
 
@@ -335,12 +326,6 @@ def sample_envelope(params: ManipulatorParams, steps_per_joint: int) -> np.ndarr
     keys = np.round(pts / 0.01).astype(np.int64)
     _, first = np.unique(keys, axis=0, return_index=True)
     return pts[np.sort(first)]
-
-
-def envelope_bounding_box(params: ManipulatorParams) -> tuple[np.ndarray, np.ndarray]:
-    """Axis-aligned (lo, hi) corners enclosing the reachable envelope."""
-    pts = sample_envelope(params, steps_per_joint=15)
-    return pts.min(axis=0), pts.max(axis=0)
 
 
 def write_envelope(path, points: np.ndarray) -> None:

@@ -8,8 +8,8 @@ aggregation cannot be biased by degenerate rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -102,25 +102,11 @@ def roc_auc_pairwise(scores, truths) -> Optional[float]:
     return (float(wins) + 0.5 * float(ties)) / (len(pos) * len(neg))
 
 
-def with_auc(m: MetricSet, auc: Optional[float]) -> MetricSet:
-    return MetricSet(
-        accuracy=m.accuracy,
-        precision=m.precision,
-        recall=m.recall,
-        f1=m.f1,
-        auc=auc,
-        tp=m.tp,
-        fp=m.fp,
-        tn=m.tn,
-        fn=m.fn,
-    )
-
-
 def evaluate(scores, truths, threshold: float = 0.5) -> MetricSet:
     """Metric set from reachability scores: threshold for labels, rank for AUC."""
     scores = np.asarray(scores, dtype=float)
     preds = (scores > threshold).astype(np.int64)
-    return with_auc(confusion_and_rates(preds, truths), roc_auc(scores, truths))
+    return replace(confusion_and_rates(preds, truths), auc=roc_auc(scores, truths))
 
 
 def ik_call_reduction(preds) -> float:
@@ -130,9 +116,3 @@ def ik_call_reduction(preds) -> float:
         raise ValueError("need at least one prediction")
     return float(np.mean(preds == 0))
 
-
-def efficiency_curve(logs: Sequence) -> list[tuple[int, float]]:
-    """(labels acquired, test accuracy) pairs straight from the round logs."""
-    if len(logs) == 0:
-        raise ValueError("need at least one round log")
-    return [(log.n_labeled, log.metrics.accuracy) for log in logs]

@@ -14,20 +14,14 @@ import csv
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .active import ALConfig, RoundLog, run_loop
-from .config import AppConfig, DataConfig, GridConfig, default_config
-from .dataset import (
-    LabelingResult,
-    SceneConfig,
-    generate_scene,
-    label_with_oracle,
-    make_splits,
-)
+from .config import AppConfig, DataConfig
+from .dataset import SceneConfig, generate_scene, label_with_oracle, make_splits
 from .errors import ConfigError
 from .forest import TrainConfig
 from .kinematics import ManipulatorParams
@@ -211,11 +205,10 @@ def _init_worker(samples, candidates, grid):
 
 def _run_cell_worker(cell):
     samples, candidates, grid = _WORKER_STATE["args"]
-    strategy, init_size, budget, seed = cell
     try:
-        return run_cell(samples, candidates, grid, strategy, init_size, budget, seed), None
+        return run_cell(samples, candidates, grid, *cell), None
     except Exception as exc:  # isolated so one bad cell cannot sink a sweep
-        return [], f"{strategy}/{init_size}/{budget}/{seed}: {exc}"
+        return [], str(exc)
 
 
 def write_results(path, rows: list[ResultRow]) -> None:
@@ -322,10 +315,13 @@ def run_grid(
     grid: ExperimentGrid,
     out_dir,
     jobs: int = 1,
-    strict: bool = False,
     results_name: str = "results.csv",
-) -> tuple[str, str, list[str]]:
-    """Run every grid cell; returns (results_path, summary_path, cell_errors)."""
+) -> tuple[str, str, list[tuple[tuple, str]]]:
+    """Run every grid cell; returns (results_path, summary_path, cell_errors).
+
+    Each cell error is a ``((strategy, init_size, budget, seed), message)``
+    pair, and every failed cell gets one ``round = -1`` row in the results.
+    """
     os.makedirs(out_dir, exist_ok=True)
     samples, candidates = build_benchmark(grid)
     cells = [
@@ -337,33 +333,33 @@ def run_grid(
     ]
 
     rows: list[ResultRow] = []
-    errors: list[str] = []
+    errors: list[tuple[tuple, str]] = []
     if jobs > 1:
         with ProcessPoolExecutor(
             max_workers=jobs,
             initializer=_init_worker,
             initargs=(samples, candidates, grid),
         ) as pool:
-            for cell_rows, err in pool.map(_run_cell_worker, cells, chunksize=1):
+            outcomes = zip(cells, pool.map(_run_cell_worker, cells, chunksize=1))
+            for cell, (cell_rows, err) in outcomes:
                 rows.extend(cell_rows)
-                if err:
-                    errors.append(err)
+                if err is not None:
+                    errors.append((cell, err))
     else:
         for cell in cells:
             try:
                 rows.extend(run_cell(samples, candidates, grid, *cell))
             except Exception as exc:
-                errors.append(f"{cell[0]}/{cell[1]}/{cell[2]}/{cell[3]}: {exc}")
+                errors.append((cell, str(exc)))
 
-    for err in errors:
-        logger.error("cell failed: %s", err)
-        strategy, init_size, budget, seed = err.split(":", 1)[0].split("/")
+    for (strategy, init_size, budget, seed), err in errors:
+        logger.error("cell %s/%d/%d/%d failed: %s", strategy, init_size, budget, seed, err)
         rows.append(
             ResultRow(
                 strategy=strategy,
-                seed=int(seed),
-                init_size=int(init_size),
-                budget=int(budget),
+                seed=seed,
+                init_size=init_size,
+                budget=budget,
                 round=-1,
                 n_labeled=0,
                 accuracy=None,
@@ -374,8 +370,6 @@ def run_grid(
                 ik_reduction=None,
             )
         )
-        if strict:
-            break
 
     results_path = os.path.join(out_dir, results_name)
     summary_path = os.path.join(out_dir, "summary.csv")

@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from reach_al.active import (
-    ALConfig,
-    run_loop,
-    score_entropy,
-    score_least_confidence,
-    score_margin,
-    score_qbc,
-    select_batch,
-)
+from reach_al.active import ALConfig, run_loop, score_qbc, score_uncertainty, select_batch
 from reach_al.dataset import LabeledSample, PoolSplit
 from reach_al.features import FeatureVector
 from reach_al.forest import TrainConfig
@@ -21,7 +15,7 @@ def make_sample(rng, label=None):
     if label is None:
         label = int(arr[0] + 0.3 * arr[3] > 0)
     return LabeledSample(
-        features=FeatureVector.from_array(arr),
+        features=FeatureVector(*arr),
         label=label,
         arm_point=ArmPoint(*arr[:3]),
     )
@@ -38,28 +32,49 @@ def make_pools(rng, n_labeled=10, n_pool=300, n_test=100):
 SMALL_TRAIN = TrainConfig(n_trees=15, seed=0)
 
 
+# Textbook uncertainty scores (Settles 2009, sec. 3.1), written out as the
+# references that the single scorer must rank like.
+def least_confidence(probs):
+    return 1.0 - np.max(probs, axis=1)
+
+
+def margin(probs):
+    top_two = np.sort(probs, axis=1)[:, -2:]
+    return -(top_two[:, 1] - top_two[:, 0])
+
+
+def entropy(probs):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(probs > 0.0, probs * np.log2(probs), 0.0)
+    return -terms.sum(axis=1)
+
+
+REFERENCES = (least_confidence, margin, entropy)
+
+
 class TestScores:
     def test_least_confidence_examples(self):
-        np.testing.assert_allclose(score_least_confidence([(0.5, 0.5)]), [0.5])
-        np.testing.assert_allclose(score_least_confidence([(1.0, 0.0)]), [0.0])
-        np.testing.assert_allclose(score_least_confidence([(0.3, 0.7)]), [0.3])
+        np.testing.assert_allclose(least_confidence(np.array([(0.5, 0.5)])), [0.5])
+        np.testing.assert_allclose(least_confidence(np.array([(1.0, 0.0)])), [0.0])
+        np.testing.assert_allclose(least_confidence(np.array([(0.3, 0.7)])), [0.3])
 
     def test_margin_examples(self):
-        np.testing.assert_allclose(score_margin([(0.5, 0.5)]), [0.0])
-        np.testing.assert_allclose(score_margin([(0.9, 0.1)]), [-0.8])
+        for score in (margin, score_uncertainty):
+            np.testing.assert_allclose(score(np.array([(0.5, 0.5)])), [0.0])
+            np.testing.assert_allclose(score(np.array([(0.9, 0.1)])), [-0.8])
 
     def test_entropy_examples(self):
-        np.testing.assert_allclose(score_entropy([(0.5, 0.5)]), [1.0])
-        np.testing.assert_allclose(score_entropy([(1.0, 0.0)]), [0.0])
-        np.testing.assert_allclose(score_entropy([(0.25, 0.75)]), [0.8113], atol=1e-4)
+        np.testing.assert_allclose(entropy(np.array([(0.5, 0.5)])), [1.0])
+        np.testing.assert_allclose(entropy(np.array([(1.0, 0.0)])), [0.0])
+        np.testing.assert_allclose(entropy(np.array([(0.25, 0.75)])), [0.8113], atol=1e-4)
 
     def test_margin_matches_least_confidence_order_on_grid(self):
         # Exhaustive check over the 0.01 probability grid: the two scores
         # never order a pair in opposite directions.
         ps = np.arange(0.0, 1.0001, 0.01)
         probs = np.column_stack([1 - ps, ps])
-        lc = score_least_confidence(probs)
-        mg = score_margin(probs)
+        lc = least_confidence(probs)
+        mg = score_uncertainty(probs)
         d_lc = np.sign(lc[:, None] - lc[None, :])
         d_mg = np.sign(mg[:, None] - mg[None, :])
         assert not ((d_lc * d_mg) < 0).any()
@@ -120,15 +135,23 @@ class TestUncertaintyFamilyEquivalence:
             b = int(rng.integers(1, n + 1))
             p1 = rng.random(n)
             probs = np.column_stack([1 - p1, p1])
-            batches = {
-                name: select_batch(fn(probs), b)
-                for name, fn in (
-                    ("lc", score_least_confidence),
-                    ("margin", score_margin),
-                    ("entropy", score_entropy),
-                )
-            }
-            assert batches["lc"] == batches["margin"] == batches["entropy"]
+            expected = select_batch(score_uncertainty(probs), b)
+            for reference in REFERENCES:
+                assert select_batch(reference(probs), b) == expected, reference.__name__
+
+    @given(st.data())
+    def test_forest_vote_pools_select_like_every_reference(self, data):
+        # A forest of T pure-leaf trees yields p1 = k/T, with p0 = (T - k)/T
+        # accumulated separately, as predict_proba_matrix does.
+        n_trees = data.draw(st.integers(1, 200), label="trees")
+        votes = np.array(
+            data.draw(st.lists(st.integers(0, n_trees), min_size=1, max_size=300), label="votes")
+        )
+        b = data.draw(st.integers(1, len(votes)), label="batch")
+        probs = np.column_stack([(n_trees - votes) / n_trees, votes / n_trees])
+        expected = select_batch(score_uncertainty(probs), b)
+        for reference in REFERENCES:
+            assert select_batch(reference(probs), b) == expected, reference.__name__
 
 
 class TestRunLoop:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from reach_al.cli import main
+from reach_al.report import read_results
 
 CFG_TEXT = """
 scene.n_images = 120
@@ -88,6 +89,27 @@ class TestRunAndSweep:
         monkeypatch.setenv("REACH_AL_OUT", env_dir)
         assert run_cli("gen-scene", "--config", cfg_file) == 0
         assert os.path.exists(os.path.join(env_dir, "detections.csv"))
+
+
+class TestFailedCells:
+    def test_every_failed_cell_gets_an_error_row(self, tmp_path):
+        # init_size 500 exceeds the 240 samples left after the test split,
+        # so both strategies fail at that size.
+        cfg = tmp_path / "failing.cfg"
+        cfg.write_text(
+            CFG_TEXT.replace("grid.init_sizes = 10", "grid.init_sizes = 10, 500").replace(
+                "grid.seeds = 0, 1", "grid.seeds = 0"
+            )
+        )
+        for flags, code in (((), 0), (("--strict",), 1)):
+            out = str(tmp_path / ("strict" if flags else "lenient"))
+            assert run_cli("sweep", "--config", str(cfg), "--out", out, *flags) == code
+            failed = sorted(
+                (r.strategy, r.init_size)
+                for r in read_results(os.path.join(out, "results.csv"))
+                if r.round == -1
+            )
+            assert failed == [("entropy", 500), ("random", 500)]
 
 
 class TestEnvelopeAndPlots:

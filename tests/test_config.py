@@ -30,8 +30,15 @@ class TestParser:
 
 class TestOverrides:
     def test_unknown_key_fatal(self):
-        with pytest.raises(ConfigError, match="unknown configuration key"):
-            apply_overrides(default_config(), {"arm.L2": "0.5"})
+        # A typo, and the removed keys that no stage ever read.
+        for key, value in (
+            ("arm.L2", "0.5"),
+            ("features.density_window", "11"),
+            ("oracle.steps_per_joint", "40"),
+            ("oracle.tol", "-5"),
+        ):
+            with pytest.raises(ConfigError, match=f"unknown configuration key '{key}'"):
+                apply_overrides(default_config(), {key: value})
 
     def test_arm_and_camera_overrides(self):
         cfg = apply_overrides(

@@ -4,7 +4,7 @@ import numpy as np
 
 from reach_al.features import extract_features
 from reach_al.kinematics import ArmPoint
-from reach_al.perception import DepthPatch
+from reach_al.perception import DepthPatch, robust_depth
 
 IMAGE_DIMS = (1920, 1080)
 
@@ -13,16 +13,21 @@ def uniform_patch(value=1.5):
     return DepthPatch(np.full(25, value))
 
 
+def features_of(p, patch, *args, **kwargs):
+    """Features with the patch depth computed as the labeling pass does."""
+    return extract_features(p, patch, robust_depth(patch), *args, **kwargs)
+
+
 class TestExamples:
     def test_on_axis_point(self):
-        fv = extract_features(ArmPoint(1, 0, 0), uniform_patch(), 40, 40, IMAGE_DIMS)
+        fv = features_of(ArmPoint(1, 0, 0), uniform_patch(), 40, 40, IMAGE_DIMS)
         assert fv.range == 1.0
         assert fv.azimuth == 0.0
         assert fv.elevation == 0.0
 
     def test_uniform_scene(self):
         window = np.full((11, 11), 1.5)
-        fv = extract_features(
+        fv = features_of(
             ArmPoint(1, 0, 0), uniform_patch(1.5), 40, 40, IMAGE_DIMS, neighborhood=window
         )
         assert fv.depth_var == 0.0
@@ -30,7 +35,7 @@ class TestExamples:
 
     def test_hand_computed_vector(self):
         vals = np.array([1.0] * 13 + [2.0] * 12)
-        fv = extract_features(
+        fv = features_of(
             ArmPoint(0.3, 0.4, 0.0), DepthPatch(vals), 40, 40, IMAGE_DIMS
         )
         np.testing.assert_allclose(fv.range, 0.5, atol=1e-12)
@@ -50,8 +55,8 @@ class TestProperties:
             c, s = math.cos(delta), math.sin(delta)
             p0 = ArmPoint(x, y, z)
             p1 = ArmPoint(c * x - s * y, s * x + c * y, z)
-            f0 = extract_features(p0, uniform_patch(), 30, 30, IMAGE_DIMS)
-            f1 = extract_features(p1, uniform_patch(), 30, 30, IMAGE_DIMS)
+            f0 = features_of(p0, uniform_patch(), 30, 30, IMAGE_DIMS)
+            f1 = features_of(p1, uniform_patch(), 30, 30, IMAGE_DIMS)
             daz = (f1.azimuth - f0.azimuth - delta) % (2 * math.pi)
             assert min(daz, 2 * math.pi - daz) <= 1e-9
             np.testing.assert_allclose(f1.range, f0.range, atol=1e-9)
@@ -65,8 +70,8 @@ class TestProperties:
         for _ in range(500):
             x, y, z = rng.uniform(-2, 2, size=3)
             k = rng.uniform(0.1, 5.0)
-            f0 = extract_features(ArmPoint(x, y, z), uniform_patch(), 30, 30, IMAGE_DIMS)
-            f1 = extract_features(
+            f0 = features_of(ArmPoint(x, y, z), uniform_patch(), 30, 30, IMAGE_DIMS)
+            f1 = features_of(
                 ArmPoint(k * x, k * y, k * z), uniform_patch(), 30, 30, IMAGE_DIMS
             )
             np.testing.assert_allclose(
@@ -80,8 +85,8 @@ class TestProperties:
     def test_depth_var_shift_invariant(self):
         rng = np.random.default_rng(22)
         vals = rng.uniform(1.0, 3.0, size=25)
-        f0 = extract_features(ArmPoint(1, 0, 0), DepthPatch(vals), 30, 30, IMAGE_DIMS)
-        f1 = extract_features(ArmPoint(1, 0, 0), DepthPatch(vals + 4.0), 30, 30, IMAGE_DIMS)
+        f0 = features_of(ArmPoint(1, 0, 0), DepthPatch(vals), 30, 30, IMAGE_DIMS)
+        f1 = features_of(ArmPoint(1, 0, 0), DepthPatch(vals + 4.0), 30, 30, IMAGE_DIMS)
         np.testing.assert_allclose(f1.depth_var, f0.depth_var, atol=1e-9)
 
     def test_all_outputs_finite(self):
@@ -91,7 +96,7 @@ class TestProperties:
             vals[rng.random(25) < 0.4] = 0.0
             if not (vals != 0).any():
                 vals[0] = 1.0
-            fv = extract_features(
+            fv = features_of(
                 ArmPoint(*rng.uniform(-3, 3, size=3)),
                 DepthPatch(vals),
                 rng.uniform(1, 500),
@@ -103,5 +108,5 @@ class TestProperties:
     def test_density_window_fallback_uses_patch(self):
         vals = np.full(25, 1.0)
         vals[:5] = 2.0  # out of band
-        fv = extract_features(ArmPoint(1, 0, 0), DepthPatch(vals), 30, 30, IMAGE_DIMS)
+        fv = features_of(ArmPoint(1, 0, 0), DepthPatch(vals), 30, 30, IMAGE_DIMS)
         assert fv.local_density == 20 / 25

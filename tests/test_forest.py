@@ -1,18 +1,8 @@
 import numpy as np
 import pytest
 
-from reach_al.features import FeatureVector
-from reach_al.forest import (
-    TrainConfig,
-    fit,
-    fit_arrays,
-    load_model,
-    predict,
-    predict_matrix,
-    predict_proba,
-    predict_proba_matrix,
-    save_model,
-)
+from reach_al.forest import TrainConfig, fit_arrays, predict_proba_matrix
+from reach_al.metrics import confusion_and_rates, evaluate
 
 
 def range_labeled_data(n, rng, threshold=1.0):
@@ -34,7 +24,7 @@ class TestFit:
         rng = np.random.default_rng(30)
         X, y = range_labeled_data(20, rng)
         model = fit_arrays(X, y, TrainConfig(seed=1))
-        assert (predict_matrix(model, X) == y).all()
+        assert evaluate(predict_proba_matrix(model, X)[:, 1], y).accuracy == 1.0
 
     def test_single_class_input(self):
         X = np.random.default_rng(31).normal(size=(15, 9))
@@ -46,23 +36,15 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_arrays(np.zeros((0, 9)), np.zeros(0, dtype=int), TrainConfig())
 
-    def test_fit_accepts_feature_vector_pairs(self):
-        rng = np.random.default_rng(32)
-        pairs = []
-        for _ in range(30):
-            arr = rng.normal(size=9)
-            pairs.append((FeatureVector.from_array(arr), int(arr[0] > 0)))
-        model = fit(pairs, TrainConfig(seed=3))
-        assert predict(model, pairs[0][0]) in (0, 1)
-
-    def test_deterministic_serialization(self, tmp_path):
+    def test_deterministic_serialization(self):
         rng = np.random.default_rng(33)
         X, y = random_data(60, rng)
-        a = tmp_path / "a.txt"
-        b = tmp_path / "b.txt"
-        save_model(a, fit_arrays(X, y, TrainConfig(seed=4)))
-        save_model(b, fit_arrays(X, y, TrainConfig(seed=4)))
-        assert a.read_bytes() == b.read_bytes()
+        a = fit_arrays(X, y, TrainConfig(seed=4))
+        b = fit_arrays(X, y, TrainConfig(seed=4))
+        assert len(a.trees) == len(b.trees)
+        for ta, tb in zip(a.trees, b.trees):
+            for name in ("feature", "threshold", "left", "right", "counts"):
+                np.testing.assert_array_equal(getattr(ta, name), getattr(tb, name))
 
     def test_sample_order_invariance(self):
         rng = np.random.default_rng(34)
@@ -83,7 +65,7 @@ class TestFit:
             if len(set(y)) < 2:
                 continue
             model = fit_arrays(X, y, TrainConfig(seed=seed, bootstrap=False))
-            assert (predict_matrix(model, X) == y).all()
+            assert evaluate(predict_proba_matrix(model, X)[:, 1], y).accuracy == 1.0
 
     def test_monotone_feature_transform_keeps_tree_structure(self):
         # Split selection depends only on value order, so any strictly
@@ -145,23 +127,20 @@ class TestPredictProba:
         q[0, 0] = 1.0
         np.testing.assert_allclose(predict_proba_matrix(model, q)[0], [0.0, 1.0])
 
-    def test_single_vector_api(self):
-        rng = np.random.default_rng(39)
-        X, y = random_data(30, rng)
-        model = fit_arrays(X, y, TrainConfig(seed=9))
-        p0, p1 = predict_proba(model, X[0])
-        np.testing.assert_allclose(p0 + p1, 1.0, atol=1e-12)
-
 
 class TestPredict:
+    """The hard decision is made in ``metrics.evaluate``: reachable iff p1 > 0.5."""
+
     def test_threshold_and_tie_rule(self):
         rng = np.random.default_rng(40)
         X, y = random_data(60, rng)
         model = fit_arrays(X, y, TrainConfig(seed=10))
         Xq = rng.normal(size=(400, 9))
-        probs = predict_proba_matrix(model, Xq)
-        preds = predict_matrix(model, Xq)
-        np.testing.assert_array_equal(preds, (probs[:, 1] > 0.5).astype(int))
+        p1 = predict_proba_matrix(model, Xq)[:, 1]
+        truths = rng.integers(0, 2, size=len(Xq))
+        m = evaluate(p1, truths)
+        expected = confusion_and_rates((p1 > 0.5).astype(int), truths)
+        assert (m.tp, m.fp, m.tn, m.fn) == (expected.tp, expected.fp, expected.tn, expected.fn)
 
     def test_exact_tie_is_unreachable(self):
         # Two identical feature rows with opposite labels force 50/50 leaves.
@@ -170,28 +149,8 @@ class TestPredict:
         model = fit_arrays(X, y, TrainConfig(seed=11, bootstrap=False))
         p = predict_proba_matrix(model, X[:1])[0]
         np.testing.assert_allclose(p, [0.5, 0.5])
-        assert predict_matrix(model, X[:1])[0] == 0
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(41)
-        X, y = random_data(50, rng)
-        model = fit_arrays(X, y, TrainConfig(seed=12, n_trees=20))
-        path = tmp_path / "model.txt"
-        save_model(path, model)
-        loaded = load_model(path)
-        Xq = rng.normal(size=(200, 9))
-        np.testing.assert_array_equal(
-            predict_proba_matrix(model, Xq), predict_proba_matrix(loaded, Xq)
-        )
-        assert loaded.config == model.config
-
-    def test_rejects_unknown_header(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("not-a-model\n")
-        with pytest.raises(ValueError):
-            load_model(path)
+        m = evaluate([p[1]], [1])
+        assert (m.tp, m.fn) == (0, 1)
 
 
 class TestValidation:

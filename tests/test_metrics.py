@@ -3,7 +3,6 @@ import pytest
 
 from reach_al.metrics import (
     confusion_and_rates,
-    efficiency_curve,
     evaluate,
     ik_call_reduction,
     roc_auc,
@@ -106,24 +105,6 @@ class TestIkCallReduction:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ik_call_reduction([])
-
-
-class TestEfficiencyCurve:
-    def test_single_log(self):
-        class Log:
-            def __init__(self, n, acc):
-                self.n_labeled = n
-
-                class M:
-                    accuracy = acc
-
-                self.metrics = M()
-
-        assert efficiency_curve([Log(60, 0.93)]) == [(60, 0.93)]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            efficiency_curve([])
 
 
 class TestEvaluate:
