@@ -124,7 +124,7 @@ def run_loop(
     y_lab = labels_array(pools.labeled)
 
     rng_random = np.random.default_rng([cfg.seed, 0x5EED])
-    remaining = list(range(len(pools.unlabeled)))
+    unlabeled = np.ones(len(pools.unlabeled), dtype=bool)
 
     model = fit_arrays(X_lab, y_lab, train_cfg)
     m, ik_red = _evaluate_model(model, X_test, y_test)
@@ -140,8 +140,9 @@ def run_loop(
 
     acquired = 0
     round_index = 0
-    while acquired < cfg.n_queries and remaining:
+    while acquired < cfg.n_queries and unlabeled.any():
         round_index += 1
+        remaining = np.flatnonzero(unlabeled)
         b = min(cfg.batch_size, cfg.n_queries - acquired, len(remaining))
         truncated = b < min(cfg.batch_size, cfg.n_queries - acquired)
 
@@ -150,9 +151,9 @@ def run_loop(
                 len(remaining), size=cfg.score_cap, replace=False
             )
             scored_positions.sort()
+            pool_rows = remaining[scored_positions]
         else:
-            scored_positions = np.arange(len(remaining))
-        pool_rows = np.array([remaining[i] for i in scored_positions])
+            pool_rows = remaining
         X_cand = X_pool[pool_rows]
 
         if cfg.strategy == "random":
@@ -182,8 +183,7 @@ def run_loop(
         new_labels = np.array([pools.reveal(i) for i in batch], dtype=np.int64)
         X_lab = np.vstack([X_lab, X_pool[batch]])
         y_lab = np.concatenate([y_lab, new_labels])
-        batch_set = set(batch)
-        remaining = [i for i in remaining if i not in batch_set]
+        unlabeled[batch] = False
         acquired += b
 
         model = fit_arrays(X_lab, y_lab, train_cfg)
@@ -195,7 +195,7 @@ def run_loop(
                 metrics=m,
                 queried_indices=batch,
                 ik_reduction=ik_red,
-                truncated=truncated or (acquired < cfg.n_queries and not remaining),
+                truncated=truncated or (acquired < cfg.n_queries and not unlabeled.any()),
             )
         )
     return logs

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: gen-scene, label, run, sweep, envelope, plot, report.
-Shared flags: --config, --seed, --out, --strict, --jobs.  The default
-output directory comes from $REACH_AL_OUT, falling back to ./out.
+Shared flags: --config, --seed, --out; run and sweep also take --strict and
+--jobs.  The default output directory comes from $REACH_AL_OUT, falling
+back to ./out.
 """
 
 from __future__ import annotations
@@ -36,8 +37,23 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="experiment config file (key = value lines)")
     parser.add_argument("--seed", type=int, help="override the subcommand's primary seed")
     parser.add_argument("--out", help="output directory (default: $REACH_AL_OUT or ./out)")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--strict", action="store_true", help="exit 1 if any cell fails")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
+    parser.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        help="parallel workers, at most the CPU count and the number of cells",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one active-learning cell")
     _add_common(p)
+    _add_grid_flags(p)
     p.add_argument("--strategy", help="override al.strategy")
     p.add_argument("--init-size", type=int, help="override al.init_size")
     p.add_argument("--budget", type=int, help="override al.n_queries")
@@ -66,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run the full experiment grid")
     _add_common(p)
+    _add_grid_flags(p)
 
     p = sub.add_parser("envelope", help="sample the reachable envelope to a text file")
     _add_common(p)

@@ -429,48 +429,65 @@ def write_labeled_cache(path, result: LabelingResult) -> None:
             )
 
 
+def _parse_labeled_row(row) -> tuple[DetectionRecord, LabeledSample]:
+    """One labeled-cache row; raises ValueError when it is malformed."""
+    if len(row) != len(LABELED_COLUMNS):
+        raise ValueError(f"expected {len(LABELED_COLUMNS)} columns, got {len(row)}")
+    rec = DetectionRecord(
+        image_id=row[0],
+        u=float(row[1]),
+        v=float(row[2]),
+        bbox_w=float(row[3]),
+        bbox_h=float(row[4]),
+        confidence=float(row[5]),
+        patch=DepthPatch([float(c) for c in row[6:31]]),
+    )
+    x, y, z = float(row[31]), float(row[32]), float(row[33])
+    label = int(row[34])
+    if label not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {label}")
+    rng_, az, el, svar, abox, dloc = (float(v) for v in row[35:41])
+    fv = FeatureVector(
+        x=x,
+        y=y,
+        z=z,
+        range=rng_,
+        azimuth=az,
+        elevation=el,
+        depth_var=svar,
+        bbox_area=abox,
+        local_density=dloc,
+    )
+    return rec, LabeledSample(features=fv, label=label, arm_point=ArmPoint(x, y, z))
+
+
 def read_labeled_cache(path) -> LabelingResult:
-    """Reload a labeled cache; features are taken from the file, not recomputed."""
+    """Reload a labeled cache; features are taken from the file, not recomputed.
+
+    A malformed row raises ``IngestionError`` naming the file and line.
+    """
     try:
         fh = open(path, "r", newline="")
     except OSError as exc:
         raise IngestionError(f"cannot open labeled cache {path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"labeled cache {path} is empty")
-        if tuple(header) != LABELED_COLUMNS:
-            raise IngestionError(f"unexpected labeled-cache header in {path}")
         records = []
         samples = []
-        for row in reader:
-            rec = DetectionRecord(
-                image_id=row[0],
-                u=float(row[1]),
-                v=float(row[2]),
-                bbox_w=float(row[3]),
-                bbox_h=float(row[4]),
-                confidence=float(row[5]),
-                patch=DepthPatch([float(c) for c in row[6:31]]),
-            )
-            x, y, z = float(row[31]), float(row[32]), float(row[33])
-            label = int(row[34])
-            rng_, az, el, svar, abox, dloc = (float(v) for v in row[35:41])
-            fv = FeatureVector(
-                x=x,
-                y=y,
-                z=z,
-                range=rng_,
-                azimuth=az,
-                elevation=el,
-                depth_var=svar,
-                bbox_area=abox,
-                local_density=dloc,
-            )
-            records.append(rec)
-            samples.append(LabeledSample(features=fv, label=label, arm_point=ArmPoint(x, y, z)))
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise IngestionError(f"labeled cache {path} is empty")
+            if tuple(header) != LABELED_COLUMNS:
+                raise IngestionError(f"unexpected labeled-cache header in {path}")
+            for row in reader:
+                rec, sample = _parse_labeled_row(row)
+                records.append(rec)
+                samples.append(sample)
+        except (csv.Error, ValueError) as exc:
+            raise IngestionError(
+                f"malformed labeled cache {path}, line {reader.line_num}: {exc}"
+            ) from exc
     return LabelingResult(
         samples=samples,
         records=records,

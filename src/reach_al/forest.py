@@ -5,11 +5,28 @@ averaging leaf class frequencies, which yields the smooth probabilities the
 query strategies score.  Training is deterministic for a given seed: the
 samples are canonically sorted before any random draw, so pool insertion
 order can never change a model.
+
+All trees grow in lockstep.  Each tree keeps its own random stream, its
+bootstrap draw, a depth-first stack and its node lists.  At every step each
+unfinished tree pops nodes until one can split, draws that node's features
+from its own stream, and then one batched search scores every popped node of
+every tree at once: the (node, feature) segments are sorted together by one
+integer key on per-feature dense ranks, and a segmented cumulative sum of
+the labels gives the Gini impurity at each distinct-value boundary.  The
+trees are the same, bit for bit, as when grown one after another: each
+stream sees the same calls in the same order, nodes are numbered in the same
+depth-first order, label counts are exact integers that ties within a run of
+equal values cannot change, the impurity is the same elementwise formula,
+and thresholds are the same midpoints.  Ties prefer the lowest impurity,
+then the lowest feature index, then the lowest threshold.  The one exception
+is a midpoint that rounds onto the upper value (adjacent floats) or
+overflows (+inf): the lower value is the threshold then, so a split always
+sends left exactly the rows its impurity counted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -50,20 +67,28 @@ class DecisionTree:
     left: np.ndarray
     right: np.ndarray
     counts: np.ndarray  # class counts of the training samples at each node
+    proba: np.ndarray = field(init=False, repr=False)  # counts / node total
 
-    def leaf_proba(self, X: np.ndarray) -> np.ndarray:
-        """Class frequencies of the leaf each row lands in, shape (n, 2)."""
-        idx = np.zeros(len(X), dtype=np.int64)
+    def __post_init__(self):
+        c = self.counts.astype(float)
+        self.proba = c / c.sum(axis=1, keepdims=True)
+
+    def leaf_proba(self, XT: np.ndarray) -> np.ndarray:
+        """Class frequencies of the leaf each column of ``XT`` lands in, shape (n, 2).
+
+        ``XT`` is the transposed (9, n) feature matrix, so each split reads
+        one contiguous feature row.
+        """
+        idx = np.zeros(XT.shape[1], dtype=np.int64)
         while True:
             internal = self.feature[idx] >= 0
             if not internal.any():
                 break
             rows = np.nonzero(internal)[0]
             node = idx[rows]
-            go_left = X[rows, self.feature[node]] <= self.threshold[node]
+            go_left = XT[self.feature[node], rows] <= self.threshold[node]
             idx[rows] = np.where(go_left, self.left[node], self.right[node])
-        c = self.counts[idx].astype(float)
-        return c / c.sum(axis=1, keepdims=True)
+        return self.proba[idx]
 
 
 @dataclass
@@ -76,100 +101,139 @@ class ForestModel:
             raise ValueError("tree count must match the configuration")
 
 
-def _best_split(X, y, idx, feats, min_leaf):
-    """Lowest-impurity (feature, threshold) over midpoint candidates.
+class _GrowingTree:
+    """One tree's random stream, depth-first stack and node lists."""
 
-    Ties prefer the lowest feature index, then the lowest threshold.
-    Returns None when no split reduces impurity.
-    """
-    n = len(idx)
-    counts = np.bincount(y[idx], minlength=2)
-    p = counts / n
-    parent_gini = 1.0 - p[0] * p[0] - p[1] * p[1]
+    def __init__(self, rng, sample_idx, counts):
+        self.rng = rng
+        self.feature = [_LEAF]
+        self.threshold = [0.0]
+        self.left = [_LEAF]
+        self.right = [_LEAF]
+        self.counts = [counts]
+        self.stack = [(0, sample_idx, 0)]
 
-    best = None  # (weighted_gini, feature, threshold)
-    for f in sorted(feats):
-        v = X[idx, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        ys = y[idx][order]
-        distinct = vs[:-1] < vs[1:]
-        if min_leaf > 1:
-            k = np.arange(1, n)
-            distinct = distinct & (k >= min_leaf) & (n - k >= min_leaf)
-        if not distinct.any():
-            continue
-        pos = np.cumsum(ys)[:-1]
-        n_left = np.arange(1, n, dtype=float)
-        n_right = n - n_left
-        p1l = pos / n_left
-        p1r = (counts[1] - pos) / n_right
-        gini_l = 1.0 - p1l * p1l - (1.0 - p1l) ** 2
-        gini_r = 1.0 - p1r * p1r - (1.0 - p1r) ** 2
-        weighted = (n_left * gini_l + n_right * gini_r) / n
+    def pop_splittable(self, max_depth, min_leaf):
+        """Pop nodes until one may split; the others stay leaves."""
+        while self.stack:
+            node, idx, depth = self.stack.pop()
+            c0, c1 = self.counts[node]
+            if c0 == 0 or c1 == 0 or depth >= max_depth or len(idx) < 2 * min_leaf:
+                continue
+            return node, idx, depth
+        return None
 
-        cand = np.nonzero(distinct)[0]
-        w = weighted[cand]
-        thr = 0.5 * (vs[cand] + vs[cand + 1])
-        j = np.lexsort((thr, w))[0]
-        if w[j] < parent_gini - _MIN_GAIN and (best is None or w[j] < best[0]):
-            best = (w[j], f, thr[j])
-    return best
-
-
-def _grow_tree(X, y, rng, cfg: TrainConfig) -> DecisionTree:
-    n = len(y)
-    if cfg.bootstrap:
-        sample_idx = rng.integers(0, n, size=n)
-    else:
-        sample_idx = np.arange(n)
-
-    feature, threshold, left, right, counts = [], [], [], [], []
-
-    def new_node():
-        feature.append(_LEAF)
-        threshold.append(0.0)
-        left.append(_LEAF)
-        right.append(_LEAF)
-        counts.append((0, 0))
-        return len(feature) - 1
-
-    stack = [(new_node(), sample_idx, 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        c = np.bincount(y[idx], minlength=2)
-        counts[node] = (int(c[0]), int(c[1]))
-        if (
-            c[0] == 0
-            or c[1] == 0
-            or (cfg.max_depth is not None and depth >= cfg.max_depth)
-            or len(idx) < 2 * cfg.min_samples_leaf
-        ):
-            continue
-        feats = rng.choice(FEATURE_DIM, size=cfg.features_per_split, replace=False)
-        split = _best_split(X, y, idx, feats, cfg.min_samples_leaf)
-        if split is None:
-            continue
-        _, f, thr = split
-        mask = X[idx, f] <= thr
-        feature[node] = int(f)
-        threshold[node] = float(thr)
-        node_l = new_node()
-        node_r = new_node()
-        left[node] = node_l
-        right[node] = node_r
+    def split(self, node, depth, f, thr, rows, k, pos_l):
+        """Send the first ``k`` of ``rows``, ``pos_l`` of them labeled 1, left."""
+        c0, c1 = self.counts[node]
+        node_l = len(self.feature)
+        self.feature[node] = f
+        self.threshold[node] = thr
+        self.left[node] = node_l
+        self.right[node] = node_l + 1
+        self.feature += [_LEAF, _LEAF]
+        self.threshold += [0.0, 0.0]
+        self.left += [_LEAF, _LEAF]
+        self.right += [_LEAF, _LEAF]
+        self.counts += [(k - pos_l, pos_l), (c0 - k + pos_l, c1 - pos_l)]
         # Right child pushed first so the left subtree occupies the next index,
         # keeping node numbering deterministic.
-        stack.append((node_r, idx[~mask], depth + 1))
-        stack.append((node_l, idx[mask], depth + 1))
+        self.stack.append((node_l + 1, rows[k:], depth + 1))
+        self.stack.append((node_l, rows[:k], depth + 1))
 
-    return DecisionTree(
-        feature=np.array(feature, dtype=np.int64),
-        threshold=np.array(threshold, dtype=float),
-        left=np.array(left, dtype=np.int64),
-        right=np.array(right, dtype=np.int64),
-        counts=np.array(counts, dtype=np.int64),
+    def to_tree(self) -> DecisionTree:
+        return DecisionTree(
+            feature=np.array(self.feature, dtype=np.int64),
+            threshold=np.array(self.threshold, dtype=float),
+            left=np.array(self.left, dtype=np.int64),
+            right=np.array(self.right, dtype=np.int64),
+            counts=np.array(self.counts, dtype=np.int64),
+        )
+
+
+def _best_splits(X, y, rank, idxs, feats, pos, min_leaf):
+    """Lowest-impurity (feature, threshold) of many nodes in one batched search.
+
+    ``idxs[j]`` holds node j's sample rows (repeats allowed), ``feats[j]``
+    its drawn features and ``pos[j]`` its count of label 1.  Returns the
+    rows of every node sorted by each drawn feature, plus, for each node
+    that has an impurity-reducing split, a tuple (node, feature, threshold,
+    left size, left label-1 count, start of the node's segment in the
+    sorted rows).
+    """
+    n_nodes, m = feats.shape
+    sizes = np.array([len(i) for i in idxs], dtype=np.int64)
+    rows = np.concatenate(idxs)
+    node = np.repeat(np.arange(n_nodes), sizes)
+
+    # One segment per (node, drawn feature), ordered by feature rank within it.
+    stride = len(X) + 1
+    seg = node[:, None] * m + np.arange(m)
+    key = (seg * stride + rank[rows[:, None], feats[node]]).ravel()
+    order = np.argsort(key)
+    key = key[order]
+    rows_sorted = rows[order // m]
+
+    seg_len = np.repeat(sizes, m)
+    seg_end = np.cumsum(seg_len)
+    seg_start = seg_end - seg_len
+    boundary = key[:-1] < key[1:]
+    boundary[seg_end[:-1] - 1] = False  # the last entry of a segment
+    cand = np.flatnonzero(boundary)
+    seg_c = key[cand] // stride
+    node_c = seg_c // m
+    f_c = feats[node_c, seg_c % m]
+    k = cand - seg_start[seg_c] + 1  # rows left of the boundary
+    lo = X[rows_sorted[cand], f_c]
+    hi = X[rows_sorted[cand + 1], f_c]
+    # Ranks differ across a boundary; lo < hi also drops NaN neighbours.
+    keep = (lo < hi) & (k >= min_leaf) & (sizes[node_c] - k >= min_leaf)
+    cand, seg_c, node_c, f_c, k, lo, hi = (
+        a[keep] for a in (cand, seg_c, node_c, f_c, k, lo, hi)
     )
+    n_c = sizes[node_c]
+
+    csum = np.concatenate(([0], np.cumsum(y[rows_sorted])))
+    pos_l = csum[cand + 1] - csum[seg_start[seg_c]]
+    # The operations and their order match a one-node search, so the
+    # impurities, and with them the chosen splits, match bit for bit.
+    n_left = k.astype(float)
+    n_right = n_c - n_left
+    p1l = pos_l / n_left
+    p1r = (pos[node_c] - pos_l) / n_right
+    gini_l = 1.0 - p1l * p1l - (1.0 - p1l) ** 2
+    gini_r = 1.0 - p1r * p1r - (1.0 - p1r) ** 2
+    weighted = (n_left * gini_l + n_right * gini_r) / n_c
+
+    p1 = pos / sizes
+    p0 = (sizes - pos) / sizes
+    parent_gini = 1.0 - p0 * p0 - p1 * p1
+    # Candidates come grouped by node.  A node splits at its lowest impurity
+    # if that beats its parent's; ties go to the lowest feature, then the
+    # lowest threshold.
+    new_group = np.diff(node_c, prepend=-1) != 0
+    starts = np.flatnonzero(new_group)
+    w_min = np.minimum.reduceat(weighted, starts)
+    ok = w_min < (parent_gini - _MIN_GAIN)[node_c[starts]]
+    group = np.cumsum(new_group) - 1
+    tie = np.flatnonzero(ok[group] & (weighted == w_min[group]))
+    lo, hi = lo[tie], hi[tie]
+    thr = 0.5 * (lo + hi)
+    # A midpoint that rounds onto ``hi`` (adjacent floats) or overflows would
+    # send other rows left than the k counted; ``lo`` separates them exactly.
+    thr = np.where((lo <= thr) & (thr < hi), thr, lo)
+    best = np.lexsort((thr, f_c[tie], node_c[tie]))
+    best = best[np.diff(node_c[tie][best], prepend=-1) != 0]
+    chosen = tie[best]
+    splits = zip(
+        node_c[chosen].tolist(),
+        f_c[chosen].tolist(),
+        thr[best].tolist(),
+        k[chosen].tolist(),
+        pos_l[chosen].tolist(),
+        seg_start[seg_c[chosen]].tolist(),
+    )
+    return rows_sorted, splits
 
 
 def _canonical_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -190,10 +254,43 @@ def fit_arrays(X, y, cfg: TrainConfig) -> ForestModel:
     order = _canonical_order(X, y)
     X = np.ascontiguousarray(X[order])
     y = y[order]
+    n = len(y)
+    rank = np.empty(X.shape, dtype=np.int64)
+    for f in range(FEATURE_DIM):
+        rank[:, f] = np.unique(X[:, f], return_inverse=True)[1]
+    # A split leaves both children smaller, so no node gets deeper than n - 1.
+    max_depth = n if cfg.max_depth is None else cfg.max_depth
+    min_leaf = cfg.min_samples_leaf
 
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
-    trees = [_grow_tree(X, y, np.random.default_rng(s), cfg) for s in streams]
-    return ForestModel(trees=trees, config=cfg)
+    trees = []
+    for stream in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees):
+        rng = np.random.default_rng(stream)
+        idx = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
+        c1 = int(y[idx].sum())
+        trees.append(_GrowingTree(rng, idx, (n - c1, c1)))
+
+    growing = trees
+    while growing:
+        popped, feats = [], []
+        for tree in growing:
+            nxt = tree.pop_splittable(max_depth, min_leaf)
+            if nxt is not None:
+                popped.append((tree,) + nxt)
+                feats.append(
+                    tree.rng.choice(FEATURE_DIM, size=cfg.features_per_split, replace=False)
+                )
+        if not popped:
+            break
+        pos = np.array([tree.counts[node][1] for tree, node, _, _ in popped], dtype=np.int64)
+        rows_sorted, splits = _best_splits(
+            X, y, rank, [idx for _, _, idx, _ in popped], np.array(feats), pos, min_leaf
+        )
+        for j, f, thr, k, pos_l, start in splits:
+            tree, node, idx, depth = popped[j]
+            tree.split(node, depth, f, thr, rows_sorted[start : start + len(idx)], k, pos_l)
+        growing = [p[0] for p in popped]
+
+    return ForestModel(trees=[t.to_tree() for t in trees], config=cfg)
 
 
 def predict_proba_matrix(model: ForestModel, X) -> np.ndarray:
@@ -201,7 +298,8 @@ def predict_proba_matrix(model: ForestModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != FEATURE_DIM:
         raise ValueError(f"feature matrix must be (n, {FEATURE_DIM})")
+    XT = np.ascontiguousarray(X.T)
     acc = np.zeros((len(X), 2), dtype=float)
     for tree in model.trees:
-        acc += tree.leaf_proba(X)
+        acc += tree.leaf_proba(XT)
     return acc / len(model.trees)

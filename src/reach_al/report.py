@@ -311,6 +311,11 @@ def write_summary(path, summary: list[dict]) -> None:
             writer.writerow([_fmt_value(s[c]) for c in SUMMARY_COLUMNS])
 
 
+def _worker_count(jobs: int, n_cells: int) -> int:
+    """Pool size for ``jobs`` requested workers: no more than the CPUs or the cells."""
+    return min(jobs, os.cpu_count() or 1, n_cells)
+
+
 def run_grid(
     grid: ExperimentGrid,
     out_dir,
@@ -334,9 +339,10 @@ def run_grid(
 
     rows: list[ResultRow] = []
     errors: list[tuple[tuple, str]] = []
-    if jobs > 1:
+    workers = _worker_count(jobs, len(cells))
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=jobs,
+            max_workers=workers,
             initializer=_init_worker,
             initargs=(samples, candidates, grid),
         ) as pool:

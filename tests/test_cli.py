@@ -3,7 +3,9 @@ import os
 import numpy as np
 import pytest
 
+from reach_al import report
 from reach_al.cli import main
+from reach_al.dataset import LABELED_COLUMNS
 from reach_al.report import read_results
 
 CFG_TEXT = """
@@ -150,3 +152,35 @@ class TestFatalErrors:
             "label", "--detections", str(tmp_path / "missing.csv"), "--out", str(tmp_path)
         )
         assert code == 2
+
+    def test_malformed_labeled_cache_fatal(self, tmp_path, capsys):
+        for name, row in (("cells", "x," * 40 + "x"), ("short", "img,1.0,2.0")):
+            bad = tmp_path / f"{name}.csv"
+            bad.write_text(",".join(LABELED_COLUMNS) + "\n" + row + "\n")
+            assert run_cli("run", "--data", str(bad), "--out", str(tmp_path)) == 2
+            assert f"{name}.csv, line 2" in capsys.readouterr().err
+
+
+class TestGridFlags:
+    def test_strict_and_jobs_only_where_they_take_effect(self, tmp_path):
+        for flag in (("--strict",), ("--jobs", "2")):
+            for command in (("gen-scene",), ("envelope",), ("report", "--results", "r.csv")):
+                with pytest.raises(SystemExit) as exc:
+                    run_cli(*command, "--out", str(tmp_path), *flag)
+                assert exc.value.code == 2
+
+    def test_jobs_below_one_rejected(self, tmp_path, cfg_file, capsys):
+        for jobs in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("sweep", "--config", cfg_file, "--out", str(tmp_path), "--jobs", jobs)
+            assert exc.value.code == 2
+            assert "--jobs" in capsys.readouterr().err
+
+    def test_worker_count_clamped_to_cpus_and_cells(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert report._worker_count(9, 30) == 4
+        assert report._worker_count(9, 3) == 3
+        assert report._worker_count(2, 30) == 2
+        assert report._worker_count(1, 30) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert report._worker_count(8, 30) == 1

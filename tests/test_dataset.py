@@ -1,7 +1,12 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reach_al.dataset import (
+    LABELED_COLUMNS,
     DetectionRecord,
     SceneConfig,
     generate_scene,
@@ -12,7 +17,7 @@ from reach_al.dataset import (
     write_detections,
     write_labeled_cache,
 )
-from reach_al.errors import ConfigError, IngestionError
+from reach_al.errors import ConfigError, IngestionError, ReachALError
 from reach_al.kinematics import ManipulatorParams
 from reach_al.perception import CameraIntrinsics, DepthPatch, Extrinsics
 
@@ -23,6 +28,26 @@ SMALL_SCENE = SceneConfig(n_images=40, seed=7)
 @pytest.fixture(scope="module")
 def small_records():
     return generate_scene(SMALL_SCENE)
+
+
+VALID_CACHE_ROW = (
+    ["img0", "100.0", "120.0", "30.0", "28.0", "0.9"]
+    + ["1.2"] * 25
+    + ["0.5", "0.1", "0.2", "1"]
+    + ["0.55", "0.2", "0.36", "0.0", "0.01", "0.4"]
+)
+CACHE_CELLS = st.one_of(
+    st.text(max_size=8),
+    st.floats().map(repr),
+    st.integers(-3, 3).map(str),
+)
+
+
+def write_cache_rows(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(LABELED_COLUMNS)
+        writer.writerows(rows)
 
 
 class TestGenerateScene:
@@ -221,6 +246,41 @@ class TestLabeledCache:
         loaded = read_labeled_cache(path)
         assert loaded.records == result.records
         assert loaded.samples == result.samples
+
+    def test_malformed_rows_name_file_and_line(self, tmp_path):
+        for name, row in (
+            ("cells", ["x"] * len(LABELED_COLUMNS)),
+            ("short", VALID_CACHE_ROW[:12]),
+            ("label", VALID_CACHE_ROW[:34] + ["2"] + VALID_CACHE_ROW[35:]),
+        ):
+            path = tmp_path / f"{name}.csv"
+            write_cache_rows(path, [VALID_CACHE_ROW, row])
+            with pytest.raises(IngestionError, match=rf"{name}\.csv, line 3"):
+                read_labeled_cache(path)
+
+    def test_valid_row_loads(self, tmp_path):
+        path = tmp_path / "one.csv"
+        write_cache_rows(path, [VALID_CACHE_ROW])
+        assert [s.label for s in read_labeled_cache(path).samples] == [1]
+
+    @given(
+        edits=st.lists(st.tuples(st.integers(0, 60), CACHE_CELLS), max_size=6),
+        keep=st.integers(0, len(LABELED_COLUMNS) + 3),
+        raw=st.text(max_size=60),
+    )
+    def test_fuzzed_rows_raise_only_package_errors(self, tmp_path_factory, edits, keep, raw):
+        row = (VALID_CACHE_ROW + ["1.0"] * 3)[:keep]
+        for i, cell in edits:
+            if row:
+                row[i % len(row)] = cell
+        path = tmp_path_factory.mktemp("fuzz") / "cache.csv"
+        write_cache_rows(path, [row])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(raw)
+        try:
+            read_labeled_cache(path)
+        except ReachALError:
+            pass
 
     def test_class_balance_of_default_scene(self):
         from reach_al.config import default_config
