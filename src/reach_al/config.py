@@ -2,19 +2,21 @@
 
 Every tunable of the pipeline lives behind a dotted key; unknown keys are
 fatal so that a typo cannot silently fall back to a default.  Lists are
-comma separated.  Angles are radians, lengths meters.
+comma or space separated.  Angles are radians, lengths meters.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .active import STRATEGIES, ALConfig
 from .dataset import SceneConfig
 from .errors import ConfigError
+from .features import DENSITY_BAND
 from .forest import TrainConfig
 from .kinematics import ManipulatorParams
 from .perception import CameraIntrinsics, Extrinsics
@@ -39,7 +41,7 @@ class DataConfig:
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    density_band: float = 0.05
+    density_band: float = DENSITY_BAND
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,19 @@ class AppConfig:
             self.ext = benchmark_extrinsics()
 
 
+# Key prefix -> ``AppConfig`` attribute; every field of that dataclass is a key.
+_SECTIONS = {
+    "arm": "arm",
+    "cam": "cam",
+    "scene": "scene",
+    "forest": "train",
+    "al": "al",
+    "data": "data",
+    "features": "features",
+    "grid": "grid",
+}
+
+
 def benchmark_extrinsics() -> Extrinsics:
     return Extrinsics(np.eye(3), [0.9, 0.0, 0.1])
 
@@ -97,23 +112,28 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {text!r}")
+    return x
+
+
 def _parse_floats(text: str, n: int) -> list[float]:
-    parts = [p for p in text.replace(",", " ").split() if p]
+    parts = text.replace(",", " ").split()
     if len(parts) != n:
         raise ValueError(f"expected {n} numbers, got {len(parts)}")
-    return [float(p) for p in parts]
+    return [_parse_float(p) for p in parts]
 
 
-def _float_list(text: str) -> tuple:
-    return tuple(float(p) for p in text.replace(",", " ").split() if p)
-
-
-def _int_list(text: str) -> tuple:
-    return tuple(int(p) for p in text.replace(",", " ").split() if p)
-
-
-def _str_list(text: str) -> tuple:
-    return tuple(p for p in text.replace(",", " ").split() if p)
+def _parser(current):
+    """The text parser for a field that now holds ``current``."""
+    if isinstance(current, bool):  # before int: bool is a subclass of int
+        return _parse_bool
+    if isinstance(current, tuple):
+        item = _parser(current[0])
+        return lambda text: tuple(item(p) for p in text.replace(",", " ").split())
+    return {int: int, float: _parse_float, str: str}[type(current)]
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -137,164 +157,43 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def apply_overrides(cfg: AppConfig, kv: dict[str, str]) -> AppConfig:
-    """Apply parsed key/value overrides; unknown keys are fatal."""
-    arm = dict(
-        L1=cfg.arm.L1,
-        Le=cfg.arm.Le,
-        h0=cfg.arm.h0,
-        d1_range=cfg.arm.d1_range,
-        d2_range=cfg.arm.d2_range,
-        theta1_range=cfg.arm.theta1_range,
-        theta2_range=cfg.arm.theta2_range,
-        collision_margin=cfg.arm.collision_margin,
-    )
-    cam = dict(
-        fx=cfg.cam.fx,
-        fy=cfg.cam.fy,
-        cx=cfg.cam.cx,
-        cy=cfg.cam.cy,
-        rgb_width=cfg.cam.rgb_width,
-        rgb_height=cfg.cam.rgb_height,
-        depth_width=cfg.cam.depth_width,
-        depth_height=cfg.cam.depth_height,
-    )
-    R = cfg.ext.R
-    t = cfg.ext.t
-    scene: dict = {}
-    train: dict = {}
-    al: dict = {}
-    data: dict = {}
-    feats: dict = {}
-    grid: dict = {}
+    """Apply parsed key/value overrides; unknown keys are fatal.
 
-    def rng_pair(value, lo_key, hi_key, current):
-        lo, hi = current
-        if lo_key:
-            lo = float(value)
-        else:
-            hi = float(value)
-        return (lo, hi)
-
+    Every field of a section dataclass is a ``section.field`` key, parsed
+    by the type of the value it holds.  Three keys are special: a
+    ``<name>_range`` pair is set by its ``<name>_min`` / ``<name>_max``
+    halves, ``forest.max_depth = 0`` means no depth limit, and ``cam.R`` /
+    ``cam.t`` set the camera-to-arm ``Extrinsics``.
+    """
+    changes: dict[str, dict] = {attr: {} for attr in _SECTIONS.values()}
+    ext = {"R": cfg.ext.R, "t": cfg.ext.t}
     try:
         for key, value in kv.items():
-            if key == "arm.L1":
-                arm["L1"] = float(value)
-            elif key == "arm.Le":
-                arm["Le"] = float(value)
-            elif key == "arm.h0":
-                arm["h0"] = float(value)
-            elif key == "arm.d1_min":
-                arm["d1_range"] = rng_pair(value, True, False, arm["d1_range"])
-            elif key == "arm.d1_max":
-                arm["d1_range"] = rng_pair(value, False, True, arm["d1_range"])
-            elif key == "arm.d2_min":
-                arm["d2_range"] = rng_pair(value, True, False, arm["d2_range"])
-            elif key == "arm.d2_max":
-                arm["d2_range"] = rng_pair(value, False, True, arm["d2_range"])
-            elif key == "arm.theta1_min":
-                arm["theta1_range"] = rng_pair(value, True, False, arm["theta1_range"])
-            elif key == "arm.theta1_max":
-                arm["theta1_range"] = rng_pair(value, False, True, arm["theta1_range"])
-            elif key == "arm.theta2_min":
-                arm["theta2_range"] = rng_pair(value, True, False, arm["theta2_range"])
-            elif key == "arm.theta2_max":
-                arm["theta2_range"] = rng_pair(value, False, True, arm["theta2_range"])
-            elif key == "arm.collision_margin":
-                arm["collision_margin"] = float(value)
-            elif key in ("cam.fx", "cam.fy", "cam.cx", "cam.cy"):
-                cam[key.split(".")[1]] = float(value)
-            elif key in (
-                "cam.rgb_width",
-                "cam.rgb_height",
-                "cam.depth_width",
-                "cam.depth_height",
-            ):
-                cam[key.split(".")[1]] = int(value)
-            elif key == "cam.R":
-                R = np.array(_parse_floats(value, 9)).reshape(3, 3)
-            elif key == "cam.t":
-                t = np.array(_parse_floats(value, 3))
-            elif key == "scene.n_images":
-                scene["n_images"] = int(value)
-            elif key == "scene.apples_per_image":
-                scene["apples_per_image"] = float(value)
-            elif key == "scene.wall_distance":
-                scene["wall_distance"] = float(value)
-            elif key == "scene.wall_depth_jitter":
-                scene["wall_depth_jitter"] = float(value)
-            elif key == "scene.lateral_spread":
-                scene["lateral_spread"] = float(value)
-            elif key == "scene.depth_noise_std":
-                scene["depth_noise_std"] = float(value)
-            elif key == "scene.dropout_prob":
-                scene["dropout_prob"] = float(value)
-            elif key == "scene.cluster_prob":
-                scene["cluster_prob"] = float(value)
-            elif key == "scene.seed":
-                scene["seed"] = int(value)
-            elif key == "forest.n_trees":
-                train["n_trees"] = int(value)
+            prefix, _, name = key.partition(".")
+            attr = _SECTIONS.get(prefix)
+            section = getattr(cfg, attr) if attr else None
+            names = {f.name for f in fields(section)} if attr else ()
+            stem, _, end = name.rpartition("_")
+            if key in ("cam.R", "cam.t"):
+                ext[name] = _parse_floats(value, ext[name].size)
+            elif end in ("min", "max") and f"{stem}_range" in names:
+                name = f"{stem}_range"
+                bounds = list(changes[attr].get(name, getattr(section, name)))
+                half = int(end == "max")
+                bounds[half] = _parser(bounds[half])(value)
+                changes[attr][name] = tuple(bounds)
             elif key == "forest.max_depth":
-                train["max_depth"] = None if int(value) == 0 else int(value)
-            elif key == "forest.min_samples_leaf":
-                train["min_samples_leaf"] = int(value)
-            elif key == "forest.features_per_split":
-                train["features_per_split"] = int(value)
-            elif key == "forest.bootstrap":
-                train["bootstrap"] = _parse_bool(value)
-            elif key == "forest.seed":
-                train["seed"] = int(value)
-            elif key == "al.strategy":
-                al["strategy"] = value
-            elif key == "al.init_size":
-                al["init_size"] = int(value)
-            elif key == "al.batch_size":
-                al["batch_size"] = int(value)
-            elif key == "al.n_queries":
-                al["n_queries"] = int(value)
-            elif key == "al.committee_size":
-                al["committee_size"] = int(value)
-            elif key == "al.committee_trees":
-                al["committee_trees"] = int(value)
-            elif key == "al.score_cap":
-                al["score_cap"] = int(value)
-            elif key == "al.seed":
-                al["seed"] = int(value)
-            elif key == "data.n_samples":
-                data["n_samples"] = int(value)
-            elif key == "data.pool_size":
-                data["pool_size"] = int(value)
-            elif key == "data.test_frac":
-                data["test_frac"] = float(value)
-            elif key == "features.density_band":
-                feats["density_band"] = float(value)
-            elif key == "grid.strategies":
-                grid["strategies"] = _str_list(value)
-            elif key == "grid.init_sizes":
-                grid["init_sizes"] = _int_list(value)
-            elif key == "grid.budgets":
-                grid["budgets"] = _int_list(value)
-            elif key == "grid.seeds":
-                grid["seeds"] = _int_list(value)
+                changes[attr][name] = int(value) or None
+            elif name in names and not name.endswith("_range"):
+                changes[attr][name] = _parser(getattr(section, name))(value)
             else:
                 raise ConfigError(f"unknown configuration key {key!r}")
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from exc
 
     try:
-        return AppConfig(
-            arm=ManipulatorParams(**arm),
-            cam=CameraIntrinsics(**cam),
-            ext=Extrinsics(R, t),
-            scene=replace(cfg.scene, **scene),
-            train=replace(cfg.train, **train),
-            al=replace(cfg.al, **al),
-            data=replace(cfg.data, **data),
-            features=replace(cfg.features, **feats),
-            grid=replace(cfg.grid, **grid),
-        )
+        sections = {a: replace(getattr(cfg, a), **changes[a]) for a in _SECTIONS.values()}
+        return replace(cfg, ext=Extrinsics(ext["R"], ext["t"]), **sections)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

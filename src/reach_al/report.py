@@ -100,7 +100,7 @@ class ExperimentGrid:
     ext: Extrinsics
     al: ALConfig
     data: DataConfig
-    density_band: float = 0.05
+    density_band: float
 
     @classmethod
     def from_config(cls, cfg: AppConfig) -> "ExperimentGrid":

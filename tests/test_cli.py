@@ -147,6 +147,21 @@ class TestFatalErrors:
         assert run_cli("gen-scene", "--config", str(bad), "--out", str(tmp_path)) == 2
         assert "unknown configuration key" in capsys.readouterr().err
 
+    def test_non_finite_config_number_fatal(self, tmp_path, cfg_file, capsys):
+        out = str(tmp_path / "o")
+        assert run_cli("gen-scene", "--config", cfg_file, "--out", out) == 0
+        det = os.path.join(out, "detections.csv")
+        for line, commands in (
+            ("scene.apples_per_image = nan", [["gen-scene"]]),
+            ("cam.fx = nan", [["gen-scene"], ["label", "--detections", det]]),
+        ):
+            bad = tmp_path / "bad.cfg"
+            bad.write_text(line + "\n")
+            for command in commands:
+                capsys.readouterr()
+                assert run_cli(*command, "--config", str(bad), "--out", out) == 2
+                assert "not a finite number" in capsys.readouterr().err
+
     def test_label_missing_detections_fatal(self, tmp_path, capsys):
         code = run_cli(
             "label", "--detections", str(tmp_path / "missing.csv"), "--out", str(tmp_path)

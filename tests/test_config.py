@@ -1,7 +1,12 @@
 import math
+import pathlib
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reach_al.config import (
     AppConfig,
@@ -12,6 +17,88 @@ from reach_al.config import (
     resolve_out_dir,
 )
 from reach_al.errors import ConfigError
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+# Every accepted configuration key.
+KEYS = [
+    "arm.L1", "arm.Le", "arm.h0", "arm.d1_min", "arm.d1_max", "arm.d2_min", "arm.d2_max",
+    "arm.theta1_min", "arm.theta1_max", "arm.theta2_min", "arm.theta2_max",
+    "arm.collision_margin",
+    "cam.fx", "cam.fy", "cam.cx", "cam.cy", "cam.rgb_width", "cam.rgb_height",
+    "cam.depth_width", "cam.depth_height", "cam.R", "cam.t",
+    "scene.n_images", "scene.apples_per_image", "scene.wall_distance",
+    "scene.wall_depth_jitter", "scene.lateral_spread", "scene.depth_noise_std",
+    "scene.dropout_prob", "scene.cluster_prob", "scene.seed",
+    "forest.n_trees", "forest.max_depth", "forest.min_samples_leaf",
+    "forest.features_per_split", "forest.bootstrap", "forest.seed",
+    "al.strategy", "al.init_size", "al.batch_size", "al.n_queries", "al.committee_size",
+    "al.committee_trees", "al.score_cap", "al.seed",
+    "data.n_samples", "data.pool_size", "data.test_frac",
+    "features.density_band",
+    "grid.strategies", "grid.init_sizes", "grid.budgets", "grid.seeds",
+]
+
+SECTIONS = {
+    "arm": "arm",
+    "cam": "cam",
+    "scene": "scene",
+    "forest": "train",
+    "al": "al",
+    "data": "data",
+    "features": "features",
+    "grid": "grid",
+}
+
+
+def default_value(key: str):
+    cfg = default_config()
+    prefix, name = key.split(".")
+    if prefix == "cam" and name in ("R", "t"):
+        return tuple(getattr(cfg.ext, name).ravel().tolist())
+    section = getattr(cfg, SECTIONS[prefix])
+    if name.endswith(("_min", "_max")):
+        return getattr(section, name[:-4] + "_range")[name.endswith("_max")]
+    return getattr(section, name)
+
+
+def default_text(key: str) -> str:
+    """The default value of ``key`` written as config text."""
+    value = default_value(key)
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return "0" if value is None else str(value)
+
+
+def holds_floats(key: str) -> bool:
+    value = default_value(key)
+    return isinstance(value[0] if isinstance(value, tuple) else value, float)
+
+
+def floats_in(cfg: AppConfig) -> list[float]:
+    out = [*cfg.ext.R.ravel().tolist(), *cfg.ext.t.tolist()]
+    for attr in SECTIONS.values():
+        section = getattr(cfg, attr)
+        for f in fields(section):
+            value = getattr(section, f.name)
+            items = value if isinstance(value, tuple) else (value,)
+            out.extend(x for x in items if isinstance(x, float))
+    return out
+
+
+NUMBER_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.sampled_from(["nan", "-inf", "inf", "1e400", "-1e400", "NaN", "0", "1"]),
+)
+VALUE_TEXT = st.one_of(
+    st.text(max_size=20),
+    NUMBER_TEXT,
+    st.lists(NUMBER_TEXT, max_size=10).map(", ".join),
+    st.sampled_from(["true", "off", "random", "qbc", "entropy, margin"]),
+)
 
 
 class TestParser:
@@ -87,6 +174,65 @@ class TestOverrides:
         assert cfg.train.max_depth is None
         cfg = apply_overrides(default_config(), {"forest.max_depth": "7"})
         assert cfg.train.max_depth == 7
+
+
+class TestKeys:
+    def test_accepted_keys_are_exactly_these(self):
+        cfg = default_config()
+        candidates = set(KEYS) | {"cam.ext", "ext.R", "ext.t", "train.n_trees", "arm.L1_min"}
+        for prefix, attr in SECTIONS.items():
+            candidates |= {f"{prefix}.{f.name}" for f in fields(getattr(cfg, attr))}
+        accepted = set()
+        for key in candidates:
+            try:
+                apply_overrides(cfg, {key: "1"})
+            except ConfigError as exc:
+                if "unknown configuration key" in str(exc):
+                    continue
+            accepted.add(key)
+        assert sorted(accepted) == sorted(KEYS)
+        assert len(KEYS) == 53
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_default_value_round_trips(self, key):
+        assert apply_overrides(default_config(), {key: default_text(key)}) == default_config()
+
+    @pytest.mark.parametrize("key", [k for k in KEYS if holds_floats(k)])
+    def test_non_finite_number_fatal(self, key):
+        for bad in ("nan", "inf", "-inf", "1e400"):
+            value = ",".join([bad, *default_text(key).split(",")[1:]])
+            with pytest.raises(ConfigError, match=f"bad value for '{key}': not a finite number"):
+                apply_overrides(default_config(), {key: value})
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text(max_size=200))
+    def test_arbitrary_text(self, text):
+        try:
+            cfg = apply_overrides(default_config(), parse_config_text(text))
+        except ConfigError:
+            return
+        assert all(math.isfinite(x) for x in floats_in(cfg))
+
+    @settings(max_examples=400, deadline=None)
+    @given(kv=st.dictionaries(st.sampled_from(KEYS), VALUE_TEXT, max_size=4))
+    def test_arbitrary_values_for_every_key(self, kv):
+        try:
+            cfg = apply_overrides(default_config(), kv)
+        except ConfigError:
+            return
+        assert all(math.isfinite(x) for x in floats_in(cfg))
+
+
+class TestReadme:
+    def test_config_block_is_valid_and_shows_defaults(self):
+        text = README.read_text()
+        block = re.search(r"Configuration is flat.*?```\n(.*?)```", text, re.S).group(1)
+        kv = parse_config_text(block)
+        assert len(kv) >= 10
+        assert set(kv) <= set(KEYS)
+        assert apply_overrides(default_config(), kv) == default_config()
 
 
 class TestLoadConfig:
