@@ -90,7 +90,7 @@ class ArmPoint:
     z: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
             raise ValueError("ArmPoint components must be finite")
 
     def as_array(self) -> np.ndarray:
@@ -206,6 +206,81 @@ def is_reachable(
         theta3=0.0,
     )
     return True, witness
+
+
+def _libm(fn, *arrays: np.ndarray) -> np.ndarray:
+    """``fn`` from ``math`` applied elementwise.  numpy's vectorized
+    transcendentals can differ from the C library in the last bit, and a
+    batched label must equal the scalar one on every point."""
+    return np.array(list(map(fn, *(a.tolist() for a in arrays))), dtype=float)
+
+
+def _candidate_yaw_matrix(x, y, rho, params: ManipulatorParams) -> np.ndarray:
+    """``_candidate_yaws`` for many points: one row each, NaN where a point
+    has fewer candidates than the row holds."""
+    t_lo, t_hi = params.theta1_range
+    bases = [np.zeros_like(x)]
+    for d2_bound in params.d2_range:
+        c = (x - d2_bound) / rho
+        a = np.full_like(c, np.nan)
+        hit = np.abs(c) <= 1.0 + 1e-9
+        a[hit] = _libm(math.acos, np.clip(c[hit], -1.0, 1.0))
+        bases += [a, -a]
+    for d1_bound in params.d1_range:
+        s = (y - d1_bound) / rho
+        a = np.full_like(s, np.nan)
+        hit = np.abs(s) <= 1.0 + 1e-9
+        a[hit] = _libm(math.asin, np.clip(s[hit], -1.0, 1.0))
+        b = math.pi - a
+        b[b > math.pi] -= TWO_PI
+        bases += [a, b]
+    shifts = np.array([-TWO_PI, 0.0, TWO_PI])
+    shifted = (np.column_stack(bases)[:, :, None] + shifts).reshape(len(x), 3 * len(bases))
+    shifted[~((t_lo - 1e-12 <= shifted) & (shifted <= t_hi + 1e-12))] = np.nan
+    ends = np.broadcast_to([t_lo, t_hi], (len(x), 2))
+    return np.hstack([ends, np.clip(shifted, t_lo, t_hi)])
+
+
+def reachable_mask(x, y, z, params: ManipulatorParams) -> np.ndarray:
+    """``is_reachable(ArmPoint(x, y, z), params)[0]`` for parallel arrays of
+    coordinates, without witnesses.
+
+    Every step of the scalar test runs on arrays in the same order, so the
+    mask equals the scalar decision on every point, boundary cases included.
+    """
+    x, y, z = (np.asarray(a, dtype=float) for a in (x, y, z))
+    s = (z - params.h0) / params.L1
+    ok = np.abs(s) <= 1.0
+    theta2 = np.full_like(s, np.nan)
+    theta2[ok] = _libm(math.asin, s[ok])
+    t2_lo, t2_hi = params.theta2_range
+    ok &= (t2_lo <= theta2) & (theta2 <= t2_hi)
+    rho = np.full_like(s, np.nan)
+    rho[ok] = params.L1 * _libm(math.cos, theta2[ok]) + params.Le
+    ok &= rho >= params.collision_margin
+
+    d1_lo, d1_hi = params.d1_range
+    d2_lo, d2_hi = params.d2_range
+    out = np.zeros(ok.shape, dtype=bool)
+    # Degenerate reach: the tool sits on the carriage column itself.
+    flat = ok & (rho == 0.0)
+    out[flat] = (d2_lo <= x[flat]) & (x[flat] <= d2_hi) & (d1_lo <= y[flat]) & (y[flat] <= d1_hi)
+
+    live = np.flatnonzero(ok & (rho != 0.0))
+    xs, ys, rs = x[live], y[live], rho[live]
+    yaws = _candidate_yaw_matrix(xs, ys, rs, params)
+    point, col = np.nonzero(~np.isnan(yaws))
+    t1 = yaws[point, col]
+    d2 = xs[point] - rs[point] * _libm(math.cos, t1)
+    d1 = ys[point] - rs[point] * _libm(math.sin, t1)
+    inside = (
+        (d2_lo - _RECT_SLACK <= d2)
+        & (d2 <= d2_hi + _RECT_SLACK)
+        & (d1_lo - _RECT_SLACK <= d1)
+        & (d1 <= d1_hi + _RECT_SLACK)
+    )
+    out[live[point[inside]]] = True
+    return out
 
 
 class BruteForceOracle:

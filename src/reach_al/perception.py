@@ -128,38 +128,87 @@ class CameraPoint:
         return np.array([self.Xc, self.Yc, self.Zc], dtype=float)
 
 
+def _depth_pixels(u: np.ndarray, v: np.ndarray, intr: CameraIntrinsics):
+    """Depth-image pixels of RGB pixels, and the mask of those inside the RGB frame."""
+    inside = (0 <= u) & (u < intr.rgb_width) & (0 <= v) & (v < intr.rgb_height)
+    ud = np.clip(np.floor(u * intr.depth_width / intr.rgb_width + 0.5), 0, intr.depth_width - 1)
+    vd = np.clip(np.floor(v * intr.depth_height / intr.rgb_height + 0.5), 0, intr.depth_height - 1)
+    return ud, vd, inside
+
+
+def _robust_depths(patches: np.ndarray) -> np.ndarray:
+    """Median of the valid cells of each (n, 25) row; +inf for a row with none.
+
+    Invalid cells sort last as +inf, so the median of ``k`` valid cells is
+    the mean of sorted cells ``(k - 1) // 2`` and ``k // 2``: the same two
+    numbers, added and halved, that ``np.median`` uses.
+    """
+    valid = np.isfinite(patches) & (patches != 0.0)
+    k = np.count_nonzero(valid, axis=1)
+    cells = np.sort(np.where(valid, patches, np.inf), axis=1)
+    rows = np.arange(len(patches))
+    return (cells[rows, (k - 1) // 2] + cells[rows, k // 2]) / 2
+
+
+def _back_project(ud: np.ndarray, vd: np.ndarray, Z: np.ndarray, intr: CameraIntrinsics):
+    return (ud - intr.cx) * Z / intr.fx, (vd - intr.cy) * Z / intr.fy
+
+
+def _camera_to_arm(X: np.ndarray, Y: np.ndarray, Z: np.ndarray, ext: Extrinsics):
+    # Written out: a matrix product leaves the summation order and any fused
+    # multiply-adds to the BLAS kernel, which can change with the number of
+    # points, and one point must round as it does in a batch.
+    R, t = ext.R, ext.t
+    return tuple(R[i, 0] * X + R[i, 1] * Y + R[i, 2] * Z + t[i] for i in range(3))
+
+
+def locate_detections(
+    u: np.ndarray, v: np.ndarray, patches: np.ndarray, intr: CameraIntrinsics, ext: Extrinsics
+):
+    """Arm-frame points of many detections at once.
+
+    ``u`` and ``v`` are RGB pixels and ``patches`` holds one row of 25
+    ``DepthPatch`` cells per detection.  Returns ``(keep, depth, x, y, z)``:
+    the indices of the detections that survive (pixel inside the RGB frame,
+    at least one valid depth cell) and, for those, the robust depth and the
+    arm-frame coordinates.  Row for row this is the chain
+    ``map_rgb_to_depth_pixel`` → ``robust_depth`` → ``back_project`` →
+    ``camera_to_arm``, bit for bit.
+    """
+    ud, vd, inside = _depth_pixels(u, v, intr)
+    depth = _robust_depths(patches)
+    keep = np.flatnonzero(inside & np.isfinite(depth))
+    Z = depth[keep]
+    X, Y = _back_project(ud[keep], vd[keep], Z, intr)
+    return (keep, Z) + _camera_to_arm(X, Y, Z, ext)
+
+
 def map_rgb_to_depth_pixel(u: float, v: float, intr: CameraIntrinsics) -> tuple[int, int]:
     """Map an RGB pixel to the depth image with per-axis scale factors.
 
     Raises BoundaryError when the pixel lies outside the RGB frame, which
     callers treat as a discarded detection.
     """
-    if not (0 <= u < intr.rgb_width and 0 <= v < intr.rgb_height):
+    ud, vd, inside = _depth_pixels(np.array([u], dtype=float), np.array([v], dtype=float), intr)
+    if not inside[0]:
         raise BoundaryError(f"pixel ({u}, {v}) outside RGB image")
-    ud = math.floor(u * intr.depth_width / intr.rgb_width + 0.5)
-    vd = math.floor(v * intr.depth_height / intr.rgb_height + 0.5)
-    ud = min(max(ud, 0), intr.depth_width - 1)
-    vd = min(max(vd, 0), intr.depth_height - 1)
-    return ud, vd
+    return int(ud[0]), int(vd[0])
 
 
 def robust_depth(patch: DepthPatch) -> float:
     """Median of the valid patch cells; raises NoDepthError when none exist."""
-    vals = patch.valid_values
-    if vals.size == 0:
+    depth = float(_robust_depths(patch.values.reshape(1, -1))[0])
+    if depth == math.inf:
         raise NoDepthError("depth patch has no valid cells")
-    return float(np.median(vals))
+    return depth
 
 
 def back_project(u: float, v: float, Z: float, intr: CameraIntrinsics) -> CameraPoint:
     """Lift a depth-image pixel with measured depth ``Z`` to the camera frame."""
     if Z <= 0:
         raise NoDepthError(f"non-positive depth {Z}")
-    return CameraPoint(
-        Xc=(u - intr.cx) * Z / intr.fx,
-        Yc=(v - intr.cy) * Z / intr.fy,
-        Zc=Z,
-    )
+    X, Y = _back_project(np.array([u], dtype=float), np.array([v], dtype=float), Z, intr)
+    return CameraPoint(Xc=float(X[0]), Yc=float(Y[0]), Zc=Z)
 
 
 def project_to_pixel(p: CameraPoint, intr: CameraIntrinsics) -> tuple[float, float]:
@@ -171,5 +220,5 @@ def project_to_pixel(p: CameraPoint, intr: CameraIntrinsics) -> tuple[float, flo
 
 def camera_to_arm(p: CameraPoint, ext: Extrinsics) -> ArmPoint:
     """Apply the rigid camera-to-arm transform."""
-    v = ext.R @ p.as_array() + ext.t
-    return ArmPoint(x=float(v[0]), y=float(v[1]), z=float(v[2]))
+    x, y, z = _camera_to_arm(np.array([p.Xc]), np.array([p.Yc]), np.array([p.Zc]), ext)
+    return ArmPoint(x=float(x[0]), y=float(y[0]), z=float(z[0]))

@@ -5,7 +5,7 @@ import pytest
 
 from reach_al import report
 from reach_al.cli import main
-from reach_al.dataset import LABELED_COLUMNS
+from reach_al.dataset import DETECTION_COLUMNS, LABELED_COLUMNS
 from reach_al.report import read_results
 
 CFG_TEXT = """
@@ -167,6 +167,13 @@ class TestFatalErrors:
             "label", "--detections", str(tmp_path / "missing.csv"), "--out", str(tmp_path)
         )
         assert code == 2
+        header = ",".join(DETECTION_COLUMNS).encode() + b"\n"
+        for name, row in (("bytes", b"img,\xff\xfe"), ("field", b"img," + b"1" * 200_000)):
+            bad = tmp_path / f"{name}.csv"
+            bad.write_bytes(header + row + b"\n")
+            capsys.readouterr()
+            assert run_cli("label", "--detections", str(bad), "--out", str(tmp_path)) == 2
+            assert f"{name}.csv, line 2" in capsys.readouterr().err
 
     def test_malformed_labeled_cache_fatal(self, tmp_path, capsys):
         for name, row in (("cells", "x," * 40 + "x"), ("short", "img,1.0,2.0")):

@@ -1,4 +1,6 @@
 import csv
+import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reach_al.dataset import (
+    DETECTION_COLUMNS,
     LABELED_COLUMNS,
     DetectionRecord,
     SceneConfig,
@@ -41,6 +44,9 @@ CACHE_CELLS = st.one_of(
     st.floats().map(repr),
     st.integers(-3, 3).map(str),
 )
+
+
+VALID_DETECTION_ROW = ["img0", "100.0", "120.0", "30.0", "28.0", "0.9"] + ["1.2"] * 25
 
 
 def write_cache_rows(path, rows):
@@ -114,14 +120,64 @@ class TestDetectionFiles:
         with pytest.raises(IngestionError):
             ingest_detections(path, INTR)
 
-    def test_bad_rows_skipped(self, tmp_path, small_records):
+    def test_bad_rows_skipped(self, tmp_path, small_records, caplog):
         path = tmp_path / "detections.csv"
         write_detections(path, small_records[:3])
         with open(path, "a") as fh:
             fh.write("x," + ",".join(["oops"] * 30) + "\n")
             fh.write("y,5000,10,5,5,0.9," + ",".join(["1.0"] * 25) + "\n")
-        loaded = ingest_detections(path, INTR)
+            fh.write("z,100,100,nan,nan,0.9," + ",".join(["1.0"] * 25) + "\n")
+            fh.write("w,100,100,inf,5,0.9," + ",".join(["1.0"] * 25) + "\n")
+        with caplog.at_level(logging.WARNING):
+            loaded = ingest_detections(path, INTR)
         assert loaded == small_records[:3]
+        assert "skipped 4 malformed or boundary rows" in caplog.text
+
+    def test_undecodable_or_oversized_file_names_file_and_line(self, tmp_path):
+        header = ",".join(DETECTION_COLUMNS).encode() + b"\n"
+        row = ",".join(VALID_DETECTION_ROW).encode() + b"\n"
+        for name, data, line in (
+            ("bytes", header + row + b"img1,\xff\xfe,1\n" + row, 3),
+            ("field", header + row + b"img1," + b"9" * 200_000 + b"\n", 3),
+            ("header", b"\xff" + header, 1),
+        ):
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(data)
+            with pytest.raises(IngestionError, match=rf"{name}\.csv, line {line}:"):
+                ingest_detections(path, INTR)
+
+    @given(
+        edits=st.lists(st.tuples(st.integers(0, 40), CACHE_CELLS), max_size=6),
+        keep=st.integers(0, len(DETECTION_COLUMNS) + 3),
+        raw=st.one_of(st.text(max_size=60), st.binary(max_size=60)),
+    )
+    def test_fuzzed_rows_raise_only_package_errors(self, tmp_path_factory, edits, keep, raw):
+        row = (VALID_DETECTION_ROW + ["1.0"] * 3)[:keep]
+        for i, cell in edits:
+            if row:
+                row[i % len(row)] = cell
+        path = tmp_path_factory.mktemp("fuzz") / "detections.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(DETECTION_COLUMNS)
+            writer.writerows([VALID_DETECTION_ROW, row])
+        with open(path, "ab") as fh:
+            fh.write(raw if isinstance(raw, bytes) else raw.encode("utf-8"))
+        try:
+            records = ingest_detections(path, INTR)
+        except ReachALError:
+            return
+        assert 1 <= len(records) <= 3
+        for rec in records:
+            assert 0 <= rec.u < INTR.rgb_width and 0 <= rec.v < INTR.rgb_height
+            assert np.isfinite([rec.bbox_w, rec.bbox_h]).all()
+
+    def test_non_finite_pixel_or_box_rejected(self):
+        rec = DetectionRecord("img", 100.0, 100.0, 30.0, 30.0, 0.8, DepthPatch(np.ones(25)))
+        for name in ("u", "v", "bbox_w", "bbox_h"):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ValueError, match="finite"):
+                    replace(rec, **{name: value})
 
     def test_zero_patch_row_retained(self, tmp_path):
         rec = DetectionRecord(
@@ -252,6 +308,7 @@ class TestLabeledCache:
             ("cells", ["x"] * len(LABELED_COLUMNS)),
             ("short", VALID_CACHE_ROW[:12]),
             ("label", VALID_CACHE_ROW[:34] + ["2"] + VALID_CACHE_ROW[35:]),
+            ("bbox", VALID_CACHE_ROW[:3] + ["nan", "nan"] + VALID_CACHE_ROW[5:]),
         ):
             path = tmp_path / f"{name}.csv"
             write_cache_rows(path, [VALID_CACHE_ROW, row])

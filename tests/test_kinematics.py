@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reach_al.kinematics import (
     ArmPoint,
@@ -11,10 +13,52 @@ from reach_al.kinematics import (
     forward_kinematics,
     is_reachable,
     is_reachable_bruteforce,
+    reachable_mask,
     sample_envelope,
 )
 
 PARAMS = ManipulatorParams()
+# The default arm; a yaw range past pi, whose candidate yaws are shifted by
+# 2*pi, with no carriage margin; a zero wrist offset with a narrow rail; and
+# a margin equal to the level reach, L1 + Le, met exactly at theta2 = 0.
+PARAM_SETS = (
+    PARAMS,
+    ManipulatorParams(theta1_range=(2.0, 4.5), collision_margin=0.0),
+    ManipulatorParams(Le=0.0, d1_range=(-0.2, 0.3), theta1_range=(-math.pi, math.pi)),
+    ManipulatorParams(collision_margin=0.7 + 0.25),
+)
+
+
+def special_joint_values(lo, hi):
+    """The limits, the midpoint, and zero clamped into the range."""
+    return [lo, hi, 0.5 * (lo + hi), min(max(0.0, lo), hi)]
+
+
+def joint_values(lo, hi):
+    return st.one_of(st.sampled_from(special_joint_values(lo, hi)), st.floats(lo, hi))
+
+
+@st.composite
+def targets(draw, params):
+    """Tool points of in-limit poses, some nudged off by a few ulps or more,
+    and arbitrary points around the envelope."""
+    if draw(st.booleans()):
+        return ArmPoint(*(draw(st.floats(-2.0, 2.0)) for _ in range(3)))
+    q = JointConfig(
+        d1=draw(joint_values(*params.d1_range)),
+        d2=draw(joint_values(*params.d2_range)),
+        theta1=draw(joint_values(*params.theta1_range)),
+        theta2=draw(joint_values(*params.theta2_range)),
+    )
+    p = forward_kinematics(q, params).as_array()
+    p[draw(st.integers(0, 2))] += draw(st.sampled_from([0.0, 1e-15, -1e-15, 1e-10, -1e-10, 0.01]))
+    return ArmPoint(*p)
+
+
+@st.composite
+def params_and_targets(draw):
+    params = draw(st.sampled_from(PARAM_SETS))
+    return params, draw(st.lists(targets(params), min_size=1, max_size=20))
 
 
 def envelope_box():
@@ -142,6 +186,44 @@ class TestIsReachable:
             ManipulatorParams(d1_range=(0.5, -0.5))
         with pytest.raises(ValueError):
             ManipulatorParams(theta2_range=(-2.0, 0.5))
+
+
+class TestReferenceProperties:
+    @given(case=params_and_targets())
+    def test_witness_reproduces_every_accepted_target(self, case):
+        params, points = case
+        for p in points:
+            ok, witness = is_reachable(p, params)
+            if ok:
+                assert witness.within_limits(params)
+                fk = forward_kinematics(witness, params)
+                assert np.linalg.norm(fk.as_array() - p.as_array()) <= 1e-9
+
+    @given(case=params_and_targets())
+    def test_reachable_mask_equals_scalar_decision(self, case):
+        params, points = case
+        xyz = np.array([p.as_array() for p in points])
+        mask = reachable_mask(xyz[:, 0], xyz[:, 1], xyz[:, 2], params)
+        assert mask.tolist() == [is_reachable(p, params)[0] for p in points]
+
+    def test_reachable_mask_on_travel_bounds_and_joint_limits(self):
+        """Poses on a grid that includes every joint limit and zero, and
+        their tool points moved 1e-7 m along each axis."""
+        steps = np.array([[0, 0, 0]] + [list(v) for v in 1e-7 * np.vstack([np.eye(3), -np.eye(3)])])
+        for params in PARAM_SETS:
+            axes = [
+                np.union1d(np.linspace(lo, hi, 5), special_joint_values(lo, hi))
+                for lo, hi in (params.d1_range, params.d2_range, params.theta1_range, params.theta2_range)
+            ]
+            poses = np.array(np.meshgrid(*axes)).reshape(4, -1).T
+            tips = np.array([forward_kinematics(JointConfig(*q), params).as_array() for q in poses])
+            xyz = (tips[:, None, :] + steps).reshape(-1, 3)
+            mask = reachable_mask(xyz[:, 0], xyz[:, 1], xyz[:, 2], params)
+            assert mask.tolist() == [is_reachable(ArmPoint(*p), params)[0] for p in xyz]
+            assert mask.any() and not mask.all()
+
+    def test_reachable_mask_of_no_points(self):
+        assert reachable_mask(np.zeros(0), np.zeros(0), np.zeros(0), PARAMS).shape == (0,)
 
 
 class TestBruteForceOracle:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from reach_al.errors import BoundaryError, NoDepthError
 from reach_al.perception import (
@@ -18,6 +20,23 @@ from reach_al.perception import (
 )
 
 INTR = CameraIntrinsics()
+# Round trips run a handful of float64 operations; allow 64 ulps of the
+# largest magnitude involved.
+ROUND_TRIP_TOL = 64 * np.finfo(float).eps
+
+
+@st.composite
+def extrinsics(draw):
+    """A rotation from a random unit quaternion, and an offset."""
+    q = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)))
+    assume(np.linalg.norm(q) > 0.1)
+    w, x, y, z = q / np.linalg.norm(q)
+    R = [
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ]
+    return Extrinsics(R, draw(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3)))
 
 
 class TestPixelMapping:
@@ -113,6 +132,16 @@ class TestBackProjection:
             u2, v2 = project_to_pixel(p, INTR)
             assert abs(u2 - u) <= 1e-9 and abs(v2 - v) <= 1e-9
 
+    @given(
+        u=st.floats(0.0, INTR.depth_width - 1.0),
+        v=st.floats(0.0, INTR.depth_height - 1.0),
+        z=st.floats(0.01, 19.99),
+    )
+    def test_round_trip_within_float_tolerance(self, u, v, z):
+        u2, v2 = project_to_pixel(back_project(u, v, z, INTR), INTR)
+        scale = max(INTR.depth_width, INTR.depth_height)
+        assert abs(u2 - u) <= ROUND_TRIP_TOL * scale and abs(v2 - v) <= ROUND_TRIP_TOL * scale
+
 
 class TestCameraToArm:
     def test_field_calibration_offset(self):
@@ -150,6 +179,13 @@ class TestCameraToArm:
                 camera_to_arm(a, ext).as_array() - camera_to_arm(b, ext).as_array()
             )
             assert abs(d0 - d1) <= 1e-9
+
+    @given(ext=extrinsics(), p=st.lists(st.floats(-20.0, 20.0), min_size=3, max_size=3))
+    def test_camera_arm_camera_round_trip(self, ext, p):
+        arm = camera_to_arm(CameraPoint(*p), ext)
+        back = ext.R.T @ (arm.as_array() - ext.t)
+        scale = 1.0 + np.abs(p).max() + np.abs(ext.t).max()
+        assert np.abs(back - p).max() <= ROUND_TRIP_TOL * scale
 
     def test_rejects_non_rotation(self):
         with pytest.raises(ValueError):
