@@ -32,8 +32,8 @@ write_envelope(xyz_path, pts)
 print(f"wrote {xyz_path}")
 
 print("labeling a small synthetic scene for the fruit overlay ...")
-records = generate_scene(SceneConfig(n_images=60, seed=1), cfg.cam)
-result = label_with_oracle(records, cfg.cam, cfg.ext, cfg.arm)
+detections = generate_scene(SceneConfig(n_images=60, seed=1), cfg.cam)
+result = label_with_oracle(detections, cfg.cam, cfg.ext, cfg.arm)
 fruit = np.array([s.arm_point.as_array() for s in result.samples])
 labels = np.array([s.label for s in result.samples])
 print(f"  {len(fruit)} fruit points, {labels.mean():.0%} reachable")

@@ -16,8 +16,8 @@ from reach_al.metrics import evaluate, ik_call_reduction
 cfg = default_config()
 
 print("generating and labeling a synthetic benchmark ...")
-records = generate_scene(SceneConfig(n_images=150, seed=2), cfg.cam)
-result = label_with_oracle(records, cfg.cam, cfg.ext, cfg.arm)
+detections = generate_scene(SceneConfig(n_images=150, seed=2), cfg.cam)
+result = label_with_oracle(detections, cfg.cam, cfg.ext, cfg.arm)
 X = features_matrix(result.samples)
 y = labels_array(result.samples)
 print(f"  {len(y)} samples, {y.mean():.0%} reachable")

@@ -16,7 +16,7 @@ from .active import (
 )
 from .config import AppConfig, default_config, load_config
 from .dataset import (
-    DetectionRecord,
+    Detections,
     LabeledSample,
     PoolSplit,
     SceneConfig,

@@ -35,12 +35,16 @@ class ALConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.init_size < 1:
+            raise ValueError("init_size must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.n_queries < 0:
             raise ValueError("n_queries must be nonnegative")
         if self.strategy == "qbc" and self.committee_size < 2:
             raise ValueError("qbc needs a committee of at least 2")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass

@@ -17,6 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import report as report_mod
+from .active import STRATEGIES
 from .config import default_config, load_config, resolve_out_dir
 from .dataset import (
     generate_scene,
@@ -26,7 +27,7 @@ from .dataset import (
     write_detections,
     write_labeled_cache,
 )
-from .errors import ReachALError
+from .errors import ConfigError, ReachALError
 from .kinematics import sample_envelope, write_envelope, read_envelope
 from .report import ExperimentGrid, run_grid
 
@@ -35,8 +36,15 @@ logger = logging.getLogger(__name__)
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="experiment config file (key = value lines)")
-    parser.add_argument("--seed", type=int, help="override the subcommand's primary seed")
+    parser.add_argument("--seed", type=_nonnegative_int, help="override the subcommand's primary seed")
     parser.add_argument("--out", help="output directory (default: $REACH_AL_OUT or ./out)")
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -75,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one active-learning cell")
     _add_common(p)
     _add_grid_flags(p)
-    p.add_argument("--strategy", help="override al.strategy")
+    p.add_argument("--strategy", choices=STRATEGIES, help="override al.strategy")
     p.add_argument("--init-size", type=int, help="override al.init_size")
     p.add_argument("--budget", type=int, help="override al.n_queries")
     p.add_argument("--data", help="labeled cache for the sample set (default: synthetic)")
@@ -116,10 +124,14 @@ def _cmd_gen_scene(args) -> int:
     cfg = _load(args)
     out_dir = resolve_out_dir(args.out)
     os.makedirs(out_dir, exist_ok=True)
-    records = generate_scene(cfg.scene, cfg.cam)
+    detections = generate_scene(cfg.scene, cfg.cam)
+    if cfg.scene.n_images > 0 and len(detections) == 0:
+        raise ConfigError(
+            f"a scene of {cfg.scene.n_images} images yielded no detection; check scene.* and cam.*"
+        )
     path = os.path.join(out_dir, args.detections)
-    write_detections(path, records)
-    print(f"wrote {len(records)} detections to {path}")
+    write_detections(path, detections)
+    print(f"wrote {len(detections)} detections to {path}")
     return 0
 
 
@@ -127,9 +139,9 @@ def _cmd_label(args) -> int:
     cfg = _load(args)
     out_dir = resolve_out_dir(args.out)
     os.makedirs(out_dir, exist_ok=True)
-    records = ingest_detections(args.detections, cfg.cam)
+    detections = ingest_detections(args.detections, cfg.cam)
     result = label_with_oracle(
-        records, cfg.cam, cfg.ext, cfg.arm, density_band=cfg.features.density_band
+        detections, cfg.cam, cfg.ext, cfg.arm, density_band=cfg.features.density_band
     )
     path = os.path.join(out_dir, args.labeled)
     write_labeled_cache(path, result)
@@ -152,13 +164,11 @@ def _cmd_run(args) -> int:
     cfg = _load(args)
     out_dir = resolve_out_dir(args.out)
     os.makedirs(out_dir, exist_ok=True)
-    al = cfg.al
-    if args.strategy:
-        al = replace(al, strategy=args.strategy)
-    if args.init_size is not None:
-        al = replace(al, init_size=args.init_size)
-    if args.budget is not None:
-        al = replace(al, n_queries=args.budget)
+    overrides = {"strategy": args.strategy, "init_size": args.init_size, "n_queries": args.budget}
+    try:
+        al = replace(cfg.al, **{k: v for k, v in overrides.items() if v is not None})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     cfg.al = al
 
     grid = ExperimentGrid.from_config(cfg)

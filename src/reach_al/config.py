@@ -60,6 +60,10 @@ class GridConfig:
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise ValueError(f"unknown strategy {s!r}")
+        if min(self.init_sizes) < 1 or min(self.budgets) < 0:
+            raise ValueError("grid.init_sizes must be at least 1 and grid.budgets nonnegative")
+        if min(self.seeds) < 0:
+            raise ValueError("grid.seeds must be nonnegative")
 
 
 @dataclass

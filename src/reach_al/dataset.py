@@ -4,16 +4,22 @@ The synthetic generator stands in for the field detector.  It scatters
 apples on a jittered fruit wall in front of the camera, including plenty of
 targets the arm cannot reach (too high or low for the shoulder pitch, too
 far, or too close to the carriage rail), projects them to pixel detections,
-and fabricates noisy depth patches.  Labeling runs every record through the
-perception pipeline and asks the kinematic feasibility test for its class.
+and fabricates noisy depth patches.  Labeling runs every detection through
+the perception pipeline and asks the kinematic feasibility test for its
+class.
+
+Detections are held as columns (:class:`Detections`) from generation or
+ingestion through labeling to the labeled cache; no step builds an object
+per detection.  One mask (``_bad_rows``) holds the rules every detection
+must meet.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,8 +30,8 @@ from .kinematics import ArmPoint, ManipulatorParams, reachable_mask
 from .perception import (
     MAX_VALID_DEPTH,
     CameraIntrinsics,
-    DepthPatch,
     Extrinsics,
+    bad_depth_rows,
     default_extrinsics,
     locate_detections,
 )
@@ -34,10 +40,11 @@ logger = logging.getLogger(__name__)
 
 APPLE_DIAMETER = 0.08
 _WINDOW = 11
-# Records per array pass of label_with_oracle, which holds one chunk's
+# Rows per array pass of label_with_oracle, which holds one chunk's
 # intermediate arrays at a time.  Labeling 25.6k ingested records in a
 # single pass raised peak RSS from 107 to 128 MB; 512-record chunks add
 # under 2 MB there and when building the default benchmark (1,024: 2.4 MB).
+# The writers format rows in chunks of the same size.
 _CHUNK = 512
 _PATCH_OFFSET = (_WINDOW - 5) // 2
 
@@ -45,6 +52,9 @@ _PATCH_OFFSET = (_WINDOW - 5) // 2
 # fruiting wall, the rest on the next row behind it.
 BACKGROUND_FRAC = 0.28
 BACKGROUND_OFFSET = 0.65
+# Scene size bounds: far above any experiment, far below numpy's limits.
+_MAX_IMAGES = 1_000_000
+_MAX_APPLES = 1_000.0
 
 DETECTION_COLUMNS = ("image_id", "u", "v", "bbox_w", "bbox_h", "confidence") + tuple(
     f"d{i:02d}" for i in range(25)
@@ -54,28 +64,34 @@ LABELED_COLUMNS = DETECTION_COLUMNS + ("x", "y", "z", "label") + tuple(
 )
 
 
-@dataclass(frozen=True)
-class DetectionRecord:
-    """One detected fruit: RGB bbox center, size, confidence, depth patch."""
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """Detected fruit as parallel columns, one row per detection.
 
-    image_id: str
-    u: float
-    v: float
-    bbox_w: float
-    bbox_h: float
-    confidence: float
-    patch: DepthPatch
-    # Synthetic scenes carry an 11x11 depth window for the density feature;
-    # ingested files do not, so it is excluded from equality.
-    neighborhood: Optional[np.ndarray] = field(default=None, compare=False)
+    ``image_id`` holds strings; ``u`` and ``v`` (the RGB bounding-box
+    center, pixels), ``bbox_w``, ``bbox_h`` and ``confidence`` are float64.
+    ``patches`` is (n, 25): each 5x5 depth patch in meters, row-major, with
+    0 or a non-finite cell marking an invalid reading.  ``windows`` is
+    (n, 121), the 11x11 depth window around each detection that synthetic
+    scenes carry for the density feature, or ``None`` for ingested files.
+    """
 
-    def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError("confidence must lie in [0, 1]")
-        if not all(map(math.isfinite, (self.u, self.v, self.bbox_w, self.bbox_h))):
-            raise ValueError("pixel and bounding box must be finite")
-        if self.bbox_w <= 0 or self.bbox_h <= 0:
-            raise ValueError("bounding box must have positive size")
+    image_id: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    bbox_w: np.ndarray
+    bbox_h: np.ndarray
+    confidence: np.ndarray
+    patches: np.ndarray
+    windows: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self.u)
+
+    def take(self, idx) -> "Detections":
+        """The rows at ``idx``, an index array or a boolean mask."""
+        cols = (getattr(self, f.name) for f in fields(self))
+        return Detections(*(None if col is None else col[idx] for col in cols))
 
 
 @dataclass(frozen=True)
@@ -110,12 +126,17 @@ class SceneConfig:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
         for name in ("wall_depth_jitter", "lateral_spread", "depth_noise_std"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.wall_distance <= 0:
-            raise ValueError("wall_distance must be positive")
-        if self.n_images < 0 or self.apples_per_image < 0:
-            raise ValueError("scene counts must be nonnegative")
+            if not 0.0 <= getattr(self, name) <= MAX_VALID_DEPTH:
+                raise ValueError(f"{name} must lie in [0, {MAX_VALID_DEPTH:g}] meters")
+        if not 0.0 < self.wall_distance <= MAX_VALID_DEPTH:
+            raise ValueError(f"wall_distance must lie in (0, {MAX_VALID_DEPTH:g}] meters")
+        if not (0 <= self.n_images <= _MAX_IMAGES and 0.0 <= self.apples_per_image <= _MAX_APPLES):
+            raise ValueError(
+                f"n_images must lie in [0, {_MAX_IMAGES}] and "
+                f"apples_per_image in [0, {_MAX_APPLES:g}]"
+            )
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass
@@ -137,10 +158,10 @@ class PoolSplit:
 
 @dataclass
 class LabelingResult:
-    """Labeled samples aligned with the records that survived the pipeline."""
+    """Labeled samples aligned with the detections that survived the pipeline."""
 
     samples: list
-    records: list
+    records: Detections
     n_dropped: int
     n_input: int
     patch_density_fallback: bool
@@ -194,9 +215,7 @@ def _fill_window(rng, cfg: SceneConfig, depth: float, occluder_depth=None):
     return win
 
 
-def generate_scene(
-    cfg: SceneConfig, intr: Optional[CameraIntrinsics] = None
-) -> list[DetectionRecord]:
+def generate_scene(cfg: SceneConfig, intr: Optional[CameraIntrinsics] = None) -> Detections:
     """Deterministic synthetic detections for ``cfg.n_images`` images."""
     intr = intr or CameraIntrinsics()
     rng = np.random.default_rng(cfg.seed)
@@ -205,7 +224,10 @@ def generate_scene(
     fx_rgb = intr.fx * rgb_sx
     fy_rgb = intr.fy * rgb_sy
 
-    records: list[DetectionRecord] = []
+    image_ids, cells = [], array("d")  # u, v, bbox_w, bbox_h, confidence per row
+    # 11x11 cells per row, grown in place and then viewed, not copied, as
+    # the (n, 121) column: the windows are never held twice.
+    windows = array("d")
     for img in range(cfg.n_images):
         image_id = f"synth-{img:05d}"
         n_apples = int(rng.poisson(cfg.apples_per_image))
@@ -234,42 +256,37 @@ def generate_scene(
                 occluder = None
                 if len(cluster) > 1 and k > 0:
                     occluder = max(0.05, Zc - rng.uniform(0.04, 0.09))
-                window = _fill_window(rng, cfg, Zc, occluder)
-                patch = DepthPatch(
-                    window[
-                        _PATCH_OFFSET : _PATCH_OFFSET + 5,
-                        _PATCH_OFFSET : _PATCH_OFFSET + 5,
-                    ]
-                )
+                windows.frombytes(_fill_window(rng, cfg, Zc, occluder).tobytes())
                 jitter = rng.uniform(0.9, 1.1)
                 bbox_w = APPLE_DIAMETER * fx_rgb / Zc * jitter
                 bbox_h = APPLE_DIAMETER * fy_rgb / Zc * jitter
-                window.setflags(write=False)
-                records.append(
-                    DetectionRecord(
-                        image_id=image_id,
-                        u=ud * rgb_sx,
-                        v=vd * rgb_sy,
-                        bbox_w=bbox_w,
-                        bbox_h=bbox_h,
-                        confidence=float(rng.uniform(0.5, 1.0)),
-                        patch=patch,
-                        neighborhood=window,
-                    )
-                )
-    return records
+                image_ids.append(image_id)
+                cells.extend((ud * rgb_sx, vd * rgb_sy, bbox_w, bbox_h, rng.uniform(0.5, 1.0)))
+    n = len(image_ids)
+    windows = np.frombuffer(windows, dtype=float).reshape(n, _WINDOW * _WINDOW)
+    lo, hi = _PATCH_OFFSET, _PATCH_OFFSET + 5
+    patches = windows.reshape(n, _WINDOW, _WINDOW)[:, lo:hi, lo:hi].reshape(n, 25)
+    columns = np.array(cells, dtype=float).reshape(n, 5).T
+    return Detections(np.array(image_ids, dtype=object), *columns, patches=patches, windows=windows)
 
 
-def write_detections(path, records: Sequence[DetectionRecord]) -> None:
-    """Serialize records in the detection-file format (depth cells in meters)."""
+def _detection_cells(det: Detections):
+    """Each row's cells in ``DETECTION_COLUMNS`` order, formatted a chunk of
+    rows at a time."""
+    for start in range(0, len(det), _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        cols = (det.u, det.v, det.bbox_w, det.bbox_h, det.confidence, det.patches)
+        nums = np.column_stack([col[rows] for col in cols])
+        for image_id, cells in zip(det.image_id[rows].tolist(), nums.tolist()):
+            yield [image_id, *map(repr, cells)]
+
+
+def write_detections(path, det: Detections) -> None:
+    """Serialize detections in the detection-file format (depth cells in meters)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(DETECTION_COLUMNS)
-        writer.writerows(
-            [r.image_id, repr(r.u), repr(r.v), repr(r.bbox_w), repr(r.bbox_h), repr(r.confidence)]
-            + list(map(repr, r.patch.flat().tolist()))
-            for r in records
-        )
+        writer.writerows(_detection_cells(det))
 
 
 def _error_line(path, reader, exc: Exception) -> int:
@@ -289,13 +306,33 @@ def _error_line(path, reader, exc: Exception) -> int:
     return reader.line_num
 
 
-def ingest_detections(
-    path, intr: Optional[CameraIntrinsics] = None
-) -> list[DetectionRecord]:
+def _from_cells(image_ids: list, cells: array) -> Detections:
+    """Detections from image ids and the numeric cells of each row
+    (``DETECTION_COLUMNS[1:]``, row after row)."""
+    nums = np.array(cells, dtype=float).reshape(len(image_ids), len(DETECTION_COLUMNS) - 1)
+    return Detections(np.array(image_ids, dtype=object), *nums[:, :5].T, patches=nums[:, 5:])
+
+
+def _bad_rows(det: Detections, intr: Optional[CameraIntrinsics] = None) -> np.ndarray:
+    """Rows that break a detection rule: a confidence outside [0, 1], a
+    non-finite pixel, a non-finite box or one without positive size, or a
+    valid depth cell outside (0, 20) m.  Given ``intr``, a pixel outside its
+    RGB frame breaks one too."""
+    ok = (0.0 <= det.confidence) & (det.confidence <= 1.0)
+    ok &= np.isfinite(det.u) & np.isfinite(det.v)
+    ok &= np.isfinite(det.bbox_w) & (det.bbox_w > 0) & np.isfinite(det.bbox_h) & (det.bbox_h > 0)
+    if intr is not None:
+        ok &= (0 <= det.u) & (det.u < intr.rgb_width) & (0 <= det.v) & (det.v < intr.rgb_height)
+    return ~ok | bad_depth_rows(det.patches)
+
+
+def ingest_detections(path, intr: Optional[CameraIntrinsics] = None) -> Detections:
     """Read a detection file, skipping malformed or boundary rows with a warning.
 
-    A file that cannot be decoded or split into CSV rows raises
-    ``IngestionError`` naming the file and line.
+    A row is skipped when it has the wrong number of cells, a cell that is
+    not a number, or breaks a detection rule (:func:`_bad_rows`, with the
+    RGB frame of ``intr``).  A file that cannot be decoded or split into CSV
+    rows raises ``IngestionError`` naming the file and line.
     """
     intr = intr or CameraIntrinsics()
     try:
@@ -304,7 +341,7 @@ def ingest_detections(
         raise IngestionError(f"cannot open detection file {path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
-        records = []
+        image_ids, cells = [], array("d")
         skipped = 0
         try:
             header = next(reader, None)
@@ -316,94 +353,76 @@ def ingest_detections(
                 try:
                     if len(row) != len(DETECTION_COLUMNS):
                         raise ValueError("wrong column count")
-                    u, v = float(row[1]), float(row[2])
-                    if not (0 <= u < intr.rgb_width and 0 <= v < intr.rgb_height):
-                        raise ValueError("boundary pixel")
-                    records.append(
-                        DetectionRecord(
-                            image_id=row[0],
-                            u=u,
-                            v=v,
-                            bbox_w=float(row[3]),
-                            bbox_h=float(row[4]),
-                            confidence=float(row[5]),
-                            patch=DepthPatch([float(c) for c in row[6:31]]),
-                        )
-                    )
+                    row_cells = list(map(float, row[1:]))
                 except ValueError:
                     skipped += 1
+                    continue
+                image_ids.append(row[0])
+                cells.extend(row_cells)
         except (csv.Error, UnicodeDecodeError) as exc:
             raise IngestionError(
                 f"malformed detection file {path}, line {_error_line(path, reader, exc)}: {exc}"
             ) from exc
+    det = _from_cells(image_ids, cells)
+    bad = _bad_rows(det, intr)
+    skipped += int(np.count_nonzero(bad))
     if skipped:
         logger.warning("skipped %d malformed or boundary rows in %s", skipped, path)
-    return records
+    return det.take(~bad)
 
 
 def label_with_oracle(
-    records: Sequence[DetectionRecord],
+    det: Detections,
     intr: Optional[CameraIntrinsics] = None,
     ext: Optional[Extrinsics] = None,
     params: Optional[ManipulatorParams] = None,
     density_band: float = DENSITY_BAND,
 ) -> LabelingResult:
-    """Run the perception pipeline on every record and label via the IK oracle.
+    """Run the perception pipeline on every detection and label via the IK oracle.
 
-    Records are processed in chunks of ``_CHUNK`` as arrays: pixel mapping,
-    robust depth, back-projection and the rigid transform
-    (``perception.locate_detections``), the features
-    (``features.feature_rows``) and a batched feasibility test
-    (``kinematics.reachable_mask``).  Elementwise arithmetic rounds the same
-    in numpy as in ``math``, and every ``asin``, ``acos``, ``cos``, ``sin``,
-    ``atan2`` and ``hypot`` goes through ``math``, so each sample equals the
-    one the per-record functions give, bit for bit.  Records with no valid
-    depth or out-of-frame pixels are dropped, not errors; the drop count is
-    reported in the result.
+    The columns of ``det`` are sliced ``_CHUNK`` rows at a time and run as
+    arrays: pixel mapping, robust depth, back-projection and the rigid
+    transform (``perception.locate_detections``), the features
+    (``features.feature_rows``, with density from the 11x11 windows, or
+    from the patches when ``det.windows`` is ``None``) and a batched
+    feasibility test (``kinematics.reachable_mask``).  Elementwise
+    arithmetic rounds the same in numpy as in ``math``, and every ``asin``,
+    ``acos``, ``cos``, ``sin``, ``atan2`` and ``hypot`` goes through
+    ``math``, so each sample equals the one the per-record functions give,
+    bit for bit.  Detections with no valid depth or out-of-frame pixels are
+    dropped, not errors; the kept rows are the result's ``records`` and the
+    drop count is reported.
     """
     intr = intr or CameraIntrinsics()
     ext = ext or default_extrinsics()
     params = params or ManipulatorParams()
 
+    windows = det.patches if det.windows is None else det.windows
+    kept = np.zeros(len(det), dtype=bool)
     samples: list[LabeledSample] = []
-    kept: list[DetectionRecord] = []
-    fallback = False
-    for start in range(0, len(records), _CHUNK):
-        chunk = records[start : start + _CHUNK]
-        patches = np.array([r.patch.values for r in chunk]).reshape(len(chunk), -1)
-        keep, depth, x, y, z = locate_detections(
-            np.array([r.u for r in chunk], dtype=float),
-            np.array([r.v for r in chunk], dtype=float),
-            patches,
-            intr,
-            ext,
-        )
-        chunk = [chunk[i] for i in keep.tolist()]
-        fallback = fallback or any(r.neighborhood is None for r in chunk)
-        rows = feature_rows(
-            x,
-            y,
-            z,
-            patches[keep],
-            depth,
-            np.array([r.bbox_w for r in chunk], dtype=float),
-            np.array([r.bbox_h for r in chunk], dtype=float),
-            (intr.rgb_width, intr.rgb_height),
-            [r.neighborhood for r in chunk],
-            density_band,
+    for start in range(0, len(det), _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        patches = det.patches[rows]
+        keep, depth, x, y, z = locate_detections(det.u[rows], det.v[rows], patches, intr, ext)
+        bbox_w, bbox_h = det.bbox_w[rows][keep], det.bbox_h[rows][keep]
+        dims = (intr.rgb_width, intr.rgb_height)
+        features = feature_rows(
+            x, y, z, patches[keep], depth, bbox_w, bbox_h, dims, windows[rows][keep], density_band
         ).tolist()
         labels = reachable_mask(x, y, z, params).astype(int).tolist()
         samples += [
             LabeledSample(FeatureVector(*row), label, ArmPoint(row[0], row[1], row[2]))
-            for row, label in zip(rows, labels)
+            for row, label in zip(features, labels)
         ]
-        kept += chunk
+        kept[start + keep] = True
+    # Keeping every row copies none: a second copy of the windows would
+    # raise peak RSS by their whole size.
     return LabelingResult(
         samples=samples,
-        records=kept,
-        n_dropped=len(records) - len(kept),
-        n_input=len(records),
-        patch_density_fallback=fallback,
+        records=det if kept.all() else det.take(kept),
+        n_dropped=len(det) - len(samples),
+        n_input=len(det),
+        patch_density_fallback=det.windows is None and len(samples) > 0,
     )
 
 
@@ -417,6 +436,8 @@ def make_splits(
     """Shuffle, hold out the test fraction, seed L (stratified), pool the rest."""
     if not 0.0 < test_frac < 1.0:
         raise ConfigError("test_frac must lie strictly between 0 and 1")
+    if init_size < 1:
+        raise ConfigError(f"init_size must be at least 1, got {init_size}")
     n = len(samples)
     n_test = int(round(test_frac * n))
     n_rest = n - n_test
@@ -456,8 +477,7 @@ def write_labeled_cache(path, result: LabelingResult) -> None:
         writer = csv.writer(fh)
         writer.writerow(LABELED_COLUMNS)
         writer.writerows(
-            [rec.image_id, repr(rec.u), repr(rec.v), repr(rec.bbox_w), repr(rec.bbox_h), repr(rec.confidence)]
-            + list(map(repr, rec.patch.flat().tolist()))
+            cells
             + [repr(s.arm_point.x), repr(s.arm_point.y), repr(s.arm_point.z), str(s.label)]
             + [
                 repr(s.features.range),
@@ -467,54 +487,39 @@ def write_labeled_cache(path, result: LabelingResult) -> None:
                 repr(s.features.bbox_area),
                 repr(s.features.local_density),
             ]
-            for rec, s in zip(result.records, result.samples)
+            for cells, s in zip(_detection_cells(result.records), result.samples)
         )
 
 
-def _parse_labeled_row(row) -> tuple[DetectionRecord, LabeledSample]:
-    """One labeled-cache row; raises ValueError when it is malformed."""
+def _parse_labeled_row(row) -> tuple[list, LabeledSample]:
+    """Detection cells and sample of one labeled-cache row; raises ValueError
+    when it is malformed."""
     if len(row) != len(LABELED_COLUMNS):
         raise ValueError(f"expected {len(LABELED_COLUMNS)} columns, got {len(row)}")
-    rec = DetectionRecord(
-        image_id=row[0],
-        u=float(row[1]),
-        v=float(row[2]),
-        bbox_w=float(row[3]),
-        bbox_h=float(row[4]),
-        confidence=float(row[5]),
-        patch=DepthPatch([float(c) for c in row[6:31]]),
-    )
+    cells = list(map(float, row[1 : len(DETECTION_COLUMNS)]))
     x, y, z = float(row[31]), float(row[32]), float(row[33])
     label = int(row[34])
     if label not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {label}")
-    rng_, az, el, svar, abox, dloc = (float(v) for v in row[35:41])
-    fv = FeatureVector(
-        x=x,
-        y=y,
-        z=z,
-        range=rng_,
-        azimuth=az,
-        elevation=el,
-        depth_var=svar,
-        bbox_area=abox,
-        local_density=dloc,
-    )
-    return rec, LabeledSample(features=fv, label=label, arm_point=ArmPoint(x, y, z))
+    fv = FeatureVector(x, y, z, *(float(v) for v in row[35:41]))
+    return cells, LabeledSample(features=fv, label=label, arm_point=ArmPoint(x, y, z))
 
 
 def read_labeled_cache(path) -> LabelingResult:
     """Reload a labeled cache; features are taken from the file, not recomputed.
 
-    A malformed row raises ``IngestionError`` naming the file and line.
+    A malformed row, or one that breaks a detection rule (:func:`_bad_rows`),
+    raises ``IngestionError`` naming the file and the line of the first such
+    row.
     """
     try:
         fh = open(path, "r", newline="")
     except OSError as exc:
         raise IngestionError(f"cannot open labeled cache {path}: {exc}") from exc
+    error = None
     with fh:
         reader = csv.reader(fh)
-        records = []
+        image_ids, cells, lines = [], array("d"), array("q")
         samples = []
         try:
             header = next(reader, None)
@@ -523,13 +528,23 @@ def read_labeled_cache(path) -> LabelingResult:
             if tuple(header) != LABELED_COLUMNS:
                 raise IngestionError(f"unexpected labeled-cache header in {path}")
             for row in reader:
-                rec, sample = _parse_labeled_row(row)
-                records.append(rec)
+                row_cells, sample = _parse_labeled_row(row)
+                image_ids.append(row[0])
+                cells.extend(row_cells)
                 samples.append(sample)
+                lines.append(reader.line_num)
         except (csv.Error, ValueError) as exc:
-            raise IngestionError(
-                f"malformed labeled cache {path}, line {_error_line(path, reader, exc)}: {exc}"
-            ) from exc
+            error, error_line = exc, _error_line(path, reader, exc)
+    # A rule broken in a row before the malformed one is reported first.
+    records = _from_cells(image_ids, cells)
+    bad = np.flatnonzero(_bad_rows(records))
+    if bad.size:
+        raise IngestionError(
+            f"malformed labeled cache {path}, line {lines[bad[0]]}: confidence, pixel, "
+            "bounding box or depth cell out of range"
+        )
+    if error is not None:
+        raise IngestionError(f"malformed labeled cache {path}, line {error_line}: {error}") from error
     return LabelingResult(
         samples=samples,
         records=records,

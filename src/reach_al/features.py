@@ -77,19 +77,12 @@ def _depth_variances(patches: np.ndarray) -> np.ndarray:
     return out
 
 
-def _local_densities(windows: list, depth: np.ndarray, density_band: float) -> np.ndarray:
+def _local_densities(windows: np.ndarray, depth: np.ndarray, density_band: float) -> np.ndarray:
     """Share of each window's cells that are valid and within the band of its depth."""
-    groups: dict = {}
-    for i, w in enumerate(windows):
-        groups.setdefault(w.shape, []).append(i)
-    out = np.empty(len(windows))
-    for rows in groups.values():
-        cells = np.array([windows[i] for i in rows], dtype=float).reshape(len(rows), -1)
-        valid = np.isfinite(cells) & (cells != 0.0)
-        cells -= depth[rows, None]
-        in_band = valid & (np.abs(cells, out=cells) <= density_band)
-        out[rows] = np.count_nonzero(in_band, axis=1) / cells.shape[1]
-    return out
+    valid = np.isfinite(windows) & (windows != 0.0)
+    cells = windows - depth[:, None]
+    in_band = valid & (np.abs(cells, out=cells) <= density_band)
+    return np.count_nonzero(in_band, axis=1) / windows.shape[1]
 
 
 def feature_rows(
@@ -101,19 +94,20 @@ def feature_rows(
     bbox_w: np.ndarray,
     bbox_h: np.ndarray,
     image_dims: tuple[int, int],
-    neighborhoods: list,
+    windows: np.ndarray,
     density_band: float = DENSITY_BAND,
 ) -> np.ndarray:
     """Features of many detections at once, one row per detection in
     ``FEATURE_NAMES`` order.
 
     ``patches`` holds the 25 ``DepthPatch`` cells of each detection and
-    ``neighborhoods`` its density window or ``None``; arm-frame points,
-    robust depths and bounding boxes are parallel arrays.  Arithmetic runs
-    in numpy, but ``atan2`` and ``hypot`` go through ``math``: numpy's
-    versions can differ from the C library in the last bit.
+    ``windows`` the (n, k) cells its density is taken over: the 11x11
+    windows of a synthetic scene, or the patches themselves.  Arm-frame
+    points, robust depths and bounding boxes are parallel arrays.
+    Arithmetic runs in numpy, but ``atan2`` and ``hypot`` go through
+    ``math``: numpy's versions can differ from the C library in the last
+    bit.
     """
-    windows = [w if w is not None else patches[i] for i, w in enumerate(neighborhoods)]
     img_w, img_h = image_dims
     xs, ys, zs = x.tolist(), y.tolist(), z.tolist()
     az = np.array(list(map(math.atan2, ys, xs)), dtype=float)
@@ -160,7 +154,7 @@ def extract_features(
         np.array([bbox_w], dtype=float),
         np.array([bbox_h], dtype=float),
         image_dims,
-        [None if neighborhood is None else np.asarray(neighborhood)],
+        np.asarray(patch.values if neighborhood is None else neighborhood, dtype=float).reshape(1, -1),
         density_band,
     )
     return FeatureVector(*row[0].tolist())

@@ -56,6 +56,8 @@ class TrainConfig:
             raise ValueError("max_depth must be positive or None")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass

@@ -72,14 +72,6 @@ class JointConfig:
     theta2: float
     theta3: float = 0.0
 
-    def within_limits(self, params: ManipulatorParams) -> bool:
-        return (
-            params.d1_range[0] <= self.d1 <= params.d1_range[1]
-            and params.d2_range[0] <= self.d2 <= params.d2_range[1]
-            and params.theta1_range[0] <= self.theta1 <= params.theta1_range[1]
-            and params.theta2_range[0] <= self.theta2 <= params.theta2_range[1]
-        )
-
 
 @dataclass(frozen=True)
 class ArmPoint:
@@ -283,6 +275,16 @@ def reachable_mask(x, y, z, params: ManipulatorParams) -> np.ndarray:
     return out
 
 
+def _joint_grid(params: ManipulatorParams, steps_per_joint: int):
+    """``d1``, ``d2``, ``theta1`` and ``theta2`` of every configuration of an
+    evenly spaced grid over the joint ranges, as flat arrays in grid order."""
+    axes = [
+        np.linspace(lo, hi, steps_per_joint)
+        for lo, hi in (params.d1_range, params.d2_range, params.theta1_range, params.theta2_range)
+    ]
+    return tuple(a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
+
+
 class BruteForceOracle:
     """Grid-search reachability check, independent of the analytic test.
 
@@ -306,16 +308,7 @@ class BruteForceOracle:
         self.steps_per_joint = steps_per_joint
         self.tol = tol
 
-        axes = [
-            np.linspace(lo, hi, steps_per_joint)
-            for lo, hi in (
-                params.d1_range,
-                params.d2_range,
-                params.theta1_range,
-                params.theta2_range,
-            )
-        ]
-        d1g, d2g, t1g, t2g = (a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
+        d1g, d2g, t1g, t2g = _joint_grid(params, steps_per_joint)
         x, y, z = _fk_arrays(d1g, d2g, t1g, t2g, params)
         self.points = np.column_stack([x, y, z])
         self._carriage_xy = np.column_stack([d2g, d1g])
@@ -386,17 +379,7 @@ def sample_envelope(params: ManipulatorParams, steps_per_joint: int) -> np.ndarr
     """
     if steps_per_joint < 2:
         raise ValueError("steps_per_joint must be at least 2")
-    axes = [
-        np.linspace(lo, hi, steps_per_joint)
-        for lo, hi in (
-            params.d1_range,
-            params.d2_range,
-            params.theta1_range,
-            params.theta2_range,
-        )
-    ]
-    d1g, d2g, t1g, t2g = (a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
-    x, y, z = _fk_arrays(d1g, d2g, t1g, t2g, params)
+    x, y, z = _fk_arrays(*_joint_grid(params, steps_per_joint), params)
     pts = np.column_stack([x, y, z])
     keys = np.round(pts / 0.01).astype(np.int64)
     _, first = np.unique(keys, axis=0, return_index=True)

@@ -18,6 +18,8 @@ from .kinematics import ArmPoint
 
 # Depth readings at or beyond this range are sensor artifacts.
 MAX_VALID_DEPTH = 20.0
+# Bound on focal lengths and image sizes, in pixels.
+_MAX_PIXELS = 100_000
 
 
 @dataclass(frozen=True)
@@ -34,13 +36,13 @@ class CameraIntrinsics:
     depth_height: int = 424
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        if not (1.0 <= self.fx <= _MAX_PIXELS and 1.0 <= self.fy <= _MAX_PIXELS):
+            raise ValueError(f"focal lengths must lie in [1, {_MAX_PIXELS}] pixels")
         if not (0 <= self.cx < self.depth_width and 0 <= self.cy < self.depth_height):
             raise ValueError("principal point must lie inside the depth image")
         for name in ("rgb_width", "rgb_height", "depth_width", "depth_height"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 1 <= getattr(self, name) <= _MAX_PIXELS:
+                raise ValueError(f"{name} must lie in [1, {_MAX_PIXELS}] pixels")
 
 
 class Extrinsics:
@@ -74,19 +76,24 @@ def default_extrinsics() -> Extrinsics:
     return Extrinsics(np.eye(3), [0.76, 0.44, 0.485])
 
 
-class DepthPatch:
-    """A 5x5 grid of depth readings in meters.
+def bad_depth_rows(cells: np.ndarray) -> np.ndarray:
+    """Rows of an (n, k) array of depth cells that hold a valid cell outside
+    (0, ``MAX_VALID_DEPTH``) meters.  A cell equal to 0 or non-finite is an
+    invalid reading, not an error."""
+    valid = np.isfinite(cells) & (cells != 0.0)
+    return np.any(valid & ((cells <= 0.0) | (cells >= MAX_VALID_DEPTH)), axis=1)
 
-    A cell equal to 0 or non-finite is an invalid reading.  Valid cells must
-    be positive and below ``MAX_VALID_DEPTH``.
-    """
+
+class DepthPatch:
+    """A 5x5 grid of depth readings in meters: one detection's cells for
+    ``robust_depth`` and ``extract_features``.  Cells follow the rule of
+    :func:`bad_depth_rows`."""
 
     SIZE = 5
 
     def __init__(self, values):
         vals = np.array(values, dtype=float).reshape(self.SIZE, self.SIZE)
-        valid = np.isfinite(vals) & (vals != 0.0)
-        if np.any(vals[valid] <= 0) or np.any(vals[valid] >= MAX_VALID_DEPTH):
+        if bad_depth_rows(vals.reshape(1, -1))[0]:
             raise ValueError("valid depth cells must lie in (0, 20) meters")
         vals.setflags(write=False)
         self.values = vals
@@ -94,22 +101,6 @@ class DepthPatch:
     @property
     def valid_mask(self) -> np.ndarray:
         return np.isfinite(self.values) & (self.values != 0.0)
-
-    @property
-    def valid_values(self) -> np.ndarray:
-        return self.values[self.valid_mask]
-
-    def flat(self) -> np.ndarray:
-        """Row-major cell order, as serialized in detection files."""
-        return self.values.ravel()
-
-    def __eq__(self, other):
-        return isinstance(other, DepthPatch) and np.array_equal(
-            self.values, other.values, equal_nan=True
-        )
-
-    def __repr__(self):
-        return f"DepthPatch({self.values.tolist()})"
 
 
 @dataclass(frozen=True)
@@ -209,13 +200,6 @@ def back_project(u: float, v: float, Z: float, intr: CameraIntrinsics) -> Camera
         raise NoDepthError(f"non-positive depth {Z}")
     X, Y = _back_project(np.array([u], dtype=float), np.array([v], dtype=float), Z, intr)
     return CameraPoint(Xc=float(X[0]), Yc=float(Y[0]), Zc=Z)
-
-
-def project_to_pixel(p: CameraPoint, intr: CameraIntrinsics) -> tuple[float, float]:
-    """Inverse of back_project for ``Zc > 0``; returns fractional pixels."""
-    if p.Zc <= 0:
-        raise NoDepthError(f"non-positive depth {p.Zc}")
-    return (p.Xc * intr.fx / p.Zc + intr.cx, p.Yc * intr.fy / p.Zc + intr.cy)
 
 
 def camera_to_arm(p: CameraPoint, ext: Extrinsics) -> ArmPoint:

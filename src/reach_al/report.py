@@ -122,9 +122,9 @@ class ExperimentGrid:
 
 def build_benchmark(grid: ExperimentGrid) -> tuple[list, list]:
     """Generate and label the shared benchmark; returns (samples, candidates)."""
-    records = generate_scene(grid.scene, grid.cam)
+    detections = generate_scene(grid.scene, grid.cam)
     result = label_with_oracle(
-        records, grid.cam, grid.ext, grid.arm, density_band=grid.density_band
+        detections, grid.cam, grid.ext, grid.arm, density_band=grid.density_band
     )
     needed = grid.data.n_samples + grid.data.pool_size
     if len(result.samples) < needed:
@@ -203,12 +203,16 @@ def _init_worker(samples, candidates, grid):
     _WORKER_STATE["args"] = (samples, candidates, grid)
 
 
-def _run_cell_worker(cell):
-    samples, candidates, grid = _WORKER_STATE["args"]
+def _run_cell_caught(samples, candidates, grid, cell) -> tuple[list, Optional[str]]:
+    """``(rows, None)`` for a cell that runs, ``([], message)`` for one that fails."""
     try:
         return run_cell(samples, candidates, grid, *cell), None
     except Exception as exc:  # isolated so one bad cell cannot sink a sweep
         return [], str(exc)
+
+
+def _run_cell_worker(cell):
+    return _run_cell_caught(*_WORKER_STATE["args"], cell)
 
 
 def write_results(path, rows: list[ResultRow]) -> None:
@@ -337,8 +341,6 @@ def run_grid(
         for seed in grid.seeds
     ]
 
-    rows: list[ResultRow] = []
-    errors: list[tuple[tuple, str]] = []
     workers = _worker_count(jobs, len(cells))
     if workers > 1:
         with ProcessPoolExecutor(
@@ -346,17 +348,16 @@ def run_grid(
             initializer=_init_worker,
             initargs=(samples, candidates, grid),
         ) as pool:
-            outcomes = zip(cells, pool.map(_run_cell_worker, cells, chunksize=1))
-            for cell, (cell_rows, err) in outcomes:
-                rows.extend(cell_rows)
-                if err is not None:
-                    errors.append((cell, err))
+            outcomes = list(pool.map(_run_cell_worker, cells, chunksize=1))
     else:
-        for cell in cells:
-            try:
-                rows.extend(run_cell(samples, candidates, grid, *cell))
-            except Exception as exc:
-                errors.append((cell, str(exc)))
+        outcomes = [_run_cell_caught(samples, candidates, grid, cell) for cell in cells]
+
+    rows: list[ResultRow] = []
+    errors: list[tuple[tuple, str]] = []
+    for cell, (cell_rows, err) in zip(cells, outcomes):
+        rows.extend(cell_rows)
+        if err is not None:
+            errors.append((cell, err))
 
     for (strategy, init_size, budget, seed), err in errors:
         logger.error("cell %s/%d/%d/%d failed: %s", strategy, init_size, budget, seed, err)

@@ -103,8 +103,8 @@ class TestFailedCells:
                 "grid.seeds = 0, 1", "grid.seeds = 0"
             )
         )
-        for flags, code in (((), 0), (("--strict",), 1)):
-            out = str(tmp_path / ("strict" if flags else "lenient"))
+        for flags, code in (((), 0), (("--strict",), 1), (("--jobs", "2"), 0)):
+            out = str(tmp_path / "-".join(("out",) + flags))
             assert run_cli("sweep", "--config", str(cfg), "--out", out, *flags) == code
             failed = sorted(
                 (r.strategy, r.init_size)
@@ -162,6 +162,45 @@ class TestFatalErrors:
                 assert run_cli(*command, "--config", str(bad), "--out", out) == 2
                 assert "not a finite number" in capsys.readouterr().err
 
+    def test_extreme_finite_config_or_empty_scene_fatal(self, tmp_path, capsys):
+        for text, message in (
+            ("scene.apples_per_image = 1e300", "apples_per_image"),
+            ("cam.fx = 1e-300\ncam.cx = 1e-300", "focal lengths"),
+            ("scene.apples_per_image = 0", "no detection"),
+        ):
+            bad = tmp_path / "bad.cfg"
+            bad.write_text(f"scene.n_images = 2\n{text}\n")
+            capsys.readouterr()
+            assert run_cli("gen-scene", "--config", str(bad), "--out", str(tmp_path)) == 2
+            assert message in capsys.readouterr().err
+
+    def test_bad_run_sizes_and_strategy_fatal(self, tmp_path, cfg_file, capsys):
+        out = str(tmp_path / "o")
+        for flags, message in (
+            (("--init-size", "-5", "--budget", "5"), "init_size must be at least 1"),
+            (("--init-size", "0"), "init_size must be at least 1"),
+            (("--budget", "-1"), "n_queries must be nonnegative"),
+        ):
+            capsys.readouterr()
+            assert run_cli("run", "--config", cfg_file, "--out", out, *flags) == 2
+            assert message in capsys.readouterr().err
+        for line, message in (
+            ("al.init_size = -5", "init_size must be at least 1"),
+            ("grid.init_sizes = -5", "grid.init_sizes must be at least 1"),
+            ("grid.budgets = 50, -1", "grid.budgets nonnegative"),
+        ):
+            bad = tmp_path / "bad.cfg"
+            bad.write_text(line + "\n")
+            for command in ("run", "sweep"):
+                capsys.readouterr()
+                assert run_cli(command, "--config", str(bad), "--out", out) == 2
+                assert message in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--config", cfg_file, "--out", out, "--strategy", "bogus")
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "results.csv"))
+
     def test_label_missing_detections_fatal(self, tmp_path, capsys):
         code = run_cli(
             "label", "--detections", str(tmp_path / "missing.csv"), "--out", str(tmp_path)
@@ -197,6 +236,12 @@ class TestGridFlags:
                 run_cli("sweep", "--config", cfg_file, "--out", str(tmp_path), "--jobs", jobs)
             assert exc.value.code == 2
             assert "--jobs" in capsys.readouterr().err
+
+    def test_negative_seed_flag_rejected(self, tmp_path, cfg_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("gen-scene", "--config", cfg_file, "--out", str(tmp_path), "--seed", "-1")
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_worker_count_clamped_to_cpus_and_cells(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)

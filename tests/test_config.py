@@ -5,9 +5,10 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reach_al.cli import main
 from reach_al.config import (
     AppConfig,
     apply_overrides,
@@ -38,6 +39,7 @@ KEYS = [
     "features.density_band",
     "grid.strategies", "grid.init_sizes", "grid.budgets", "grid.seeds",
 ]
+SCENE_KEYS = [k for k in KEYS if k.startswith(("scene.", "cam.")) and k not in ("cam.R", "cam.t")]
 
 SECTIONS = {
     "arm": "arm",
@@ -98,6 +100,12 @@ VALUE_TEXT = st.one_of(
     NUMBER_TEXT,
     st.lists(NUMBER_TEXT, max_size=10).map(", ".join),
     st.sampled_from(["true", "off", "random", "qbc", "entropy, margin"]),
+)
+
+# Finite numbers, with magnitudes at the edges of float64.
+EXTREME_TEXT = st.one_of(
+    NUMBER_TEXT,
+    st.sampled_from(["1e300", "-1e300", "1e-300", "5e-324", "1e6", "0.5", "2"]),
 )
 
 
@@ -169,6 +177,12 @@ class TestOverrides:
         with pytest.raises(ConfigError):
             apply_overrides(default_config(), {"arm.L1": "-2"})
 
+    def test_negative_seed_fatal(self):
+        bad = {"scene.seed": "-1", "al.seed": "-1", "forest.seed": "-1", "grid.seeds": "0, -1"}
+        for key, value in bad.items():
+            with pytest.raises(ConfigError, match="seeds? must be nonnegative"):
+                apply_overrides(default_config(), {key: value})
+
     def test_forest_unlimited_depth(self):
         cfg = apply_overrides(default_config(), {"forest.max_depth": "0"})
         assert cfg.train.max_depth is None
@@ -223,6 +237,24 @@ class TestFuzz:
         except ConfigError:
             return
         assert all(math.isfinite(x) for x in floats_in(cfg))
+
+    @settings(max_examples=100, deadline=None)
+    @given(kv=st.dictionaries(st.sampled_from(SCENE_KEYS), EXTREME_TEXT, max_size=3))
+    @example(kv={"scene.apples_per_image": "1e300"})
+    @example(kv={"cam.fx": "1e-300", "cam.cx": "1e-300"})
+    @example(kv={"scene.seed": "-1"})
+    def test_accepted_scene_and_camera_run_two_images(self, tmp_path_factory, kv):
+        """``gen-scene`` on two images exits 0 having written detections, or
+        exits 2, and so does ``label`` on what it wrote; nothing escapes."""
+        out = tmp_path_factory.mktemp("scene")
+        path = out / "exp.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in dict(kv, **{"scene.n_images": "2"}).items()))
+        code = main(["gen-scene", "--config", str(path), "--out", str(out)])
+        assert code in (0, 2)
+        if code == 0:
+            detections = out / "detections.csv"
+            assert len(detections.read_text().splitlines()) > 1
+            assert main(["label", "--config", str(path), "--detections", str(detections), "--out", str(out)]) in (0, 2)
 
 
 class TestReadme:

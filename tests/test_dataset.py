@@ -1,6 +1,5 @@
 import csv
 import logging
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from reach_al.dataset import (
     DETECTION_COLUMNS,
     LABELED_COLUMNS,
-    DetectionRecord,
+    Detections,
     SceneConfig,
     generate_scene,
     ingest_detections,
@@ -22,10 +21,30 @@ from reach_al.dataset import (
 )
 from reach_al.errors import ConfigError, IngestionError, ReachALError
 from reach_al.kinematics import ManipulatorParams
-from reach_al.perception import CameraIntrinsics, DepthPatch, Extrinsics
+from reach_al.perception import CameraIntrinsics, Extrinsics
 
 INTR = CameraIntrinsics()
 SMALL_SCENE = SceneConfig(n_images=40, seed=7)
+NUMERIC_COLUMNS = ("u", "v", "bbox_w", "bbox_h", "confidence", "patches")
+
+
+def one_detection(u=100.0, v=100.0, bbox_w=30.0, bbox_h=30.0, confidence=0.8, patch=np.ones(25)):
+    return Detections(
+        np.array(["img"], dtype=object),
+        np.array([u]),
+        np.array([v]),
+        np.array([bbox_w]),
+        np.array([bbox_h]),
+        np.array([confidence]),
+        patches=np.reshape(patch, (1, 25)).astype(float),
+    )
+
+
+def same_rows(a, b):
+    """Equal image ids and numeric columns; windows are not compared."""
+    return a.image_id.tolist() == b.image_id.tolist() and all(
+        np.array_equal(getattr(a, n), getattr(b, n), equal_nan=True) for n in NUMERIC_COLUMNS
+    )
 
 
 @pytest.fixture(scope="module")
@@ -64,10 +83,9 @@ class TestGenerateScene:
         assert 400 <= len(records) <= 1600
 
     def test_full_dropout_invalidates_every_patch(self):
-        records = generate_scene(SceneConfig(n_images=10, dropout_prob=1.0, seed=2))
-        assert records
-        for rec in records:
-            assert not rec.patch.valid_mask.any()
+        det = generate_scene(SceneConfig(n_images=10, dropout_prob=1.0, seed=2))
+        assert len(det) > 0
+        assert not (np.isfinite(det.patches) & (det.patches != 0.0)).any()
 
     def test_deterministic_output(self, tmp_path):
         a = generate_scene(SceneConfig(n_images=15, seed=3))
@@ -78,14 +96,15 @@ class TestGenerateScene:
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_pixels_inside_rgb_frame(self, small_records):
-        for rec in small_records:
-            assert 0 <= rec.u < INTR.rgb_width
-            assert 0 <= rec.v < INTR.rgb_height
+        assert ((0 <= small_records.u) & (small_records.u < INTR.rgb_width)).all()
+        assert ((0 <= small_records.v) & (small_records.v < INTR.rgb_height)).all()
 
     def test_windows_materialized(self, small_records):
-        for rec in small_records:
-            assert rec.neighborhood is not None
-            assert rec.neighborhood.shape == (11, 11)
+        n = len(small_records)
+        assert small_records.windows.shape == (n, 121)
+        # The patch is the center of the window.
+        centers = small_records.windows.reshape(n, 11, 11)[:, 3:8, 3:8].reshape(n, 25)
+        assert np.array_equal(centers, small_records.patches)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -99,7 +118,7 @@ class TestDetectionFiles:
         path = tmp_path / "detections.csv"
         write_detections(path, small_records)
         loaded = ingest_detections(path, INTR)
-        assert loaded == small_records
+        assert same_rows(loaded, small_records) and loaded.windows is None
 
     def test_empty_file_with_header(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -108,7 +127,7 @@ class TestDetectionFiles:
             + ",".join(f"d{i:02d}" for i in range(25))
             + "\n"
         )
-        assert ingest_detections(path, INTR) == []
+        assert len(ingest_detections(path, INTR)) == 0
 
     def test_missing_file_fatal(self, tmp_path):
         with pytest.raises(IngestionError):
@@ -122,7 +141,7 @@ class TestDetectionFiles:
 
     def test_bad_rows_skipped(self, tmp_path, small_records, caplog):
         path = tmp_path / "detections.csv"
-        write_detections(path, small_records[:3])
+        write_detections(path, small_records.take(np.arange(3)))
         with open(path, "a") as fh:
             fh.write("x," + ",".join(["oops"] * 30) + "\n")
             fh.write("y,5000,10,5,5,0.9," + ",".join(["1.0"] * 25) + "\n")
@@ -130,7 +149,7 @@ class TestDetectionFiles:
             fh.write("w,100,100,inf,5,0.9," + ",".join(["1.0"] * 25) + "\n")
         with caplog.at_level(logging.WARNING):
             loaded = ingest_detections(path, INTR)
-        assert loaded == small_records[:3]
+        assert same_rows(loaded, small_records.take(np.arange(3)))
         assert "skipped 4 malformed or boundary rows" in caplog.text
 
     def test_undecodable_or_oversized_file_names_file_and_line(self, tmp_path):
@@ -164,35 +183,33 @@ class TestDetectionFiles:
         with open(path, "ab") as fh:
             fh.write(raw if isinstance(raw, bytes) else raw.encode("utf-8"))
         try:
-            records = ingest_detections(path, INTR)
+            det = ingest_detections(path, INTR)
         except ReachALError:
             return
-        assert 1 <= len(records) <= 3
-        for rec in records:
-            assert 0 <= rec.u < INTR.rgb_width and 0 <= rec.v < INTR.rgb_height
-            assert np.isfinite([rec.bbox_w, rec.bbox_h]).all()
+        assert 1 <= len(det) <= 3
+        assert ((0 <= det.u) & (det.u < INTR.rgb_width) & (0 <= det.v) & (det.v < INTR.rgb_height)).all()
+        assert np.isfinite(det.bbox_w).all() and np.isfinite(det.bbox_h).all()
 
-    def test_non_finite_pixel_or_box_rejected(self):
-        rec = DetectionRecord("img", 100.0, 100.0, 30.0, 30.0, 0.8, DepthPatch(np.ones(25)))
-        for name in ("u", "v", "bbox_w", "bbox_h"):
-            for value in (float("nan"), float("inf"), float("-inf")):
-                with pytest.raises(ValueError, match="finite"):
-                    replace(rec, **{name: value})
+    def test_non_finite_pixel_or_box_rejected(self, tmp_path):
+        for i, name in enumerate(("u", "v", "bbox_w", "bbox_h")):
+            for value in ("nan", "inf", "-inf"):
+                row = list(VALID_DETECTION_ROW)
+                row[1 + i] = value
+                path = tmp_path / "detections.csv"
+                with open(path, "w", newline="") as fh:
+                    csv.writer(fh).writerows([DETECTION_COLUMNS, VALID_DETECTION_ROW, row])
+                assert len(ingest_detections(path, INTR)) == 1, (name, value)
+                path = tmp_path / "cache.csv"
+                write_cache_rows(path, [VALID_CACHE_ROW, row + VALID_CACHE_ROW[len(row) :]])
+                with pytest.raises(IngestionError, match="cache.csv, line 3"):
+                    read_labeled_cache(path)
 
     def test_zero_patch_row_retained(self, tmp_path):
-        rec = DetectionRecord(
-            image_id="img",
-            u=100.0,
-            v=100.0,
-            bbox_w=30.0,
-            bbox_h=30.0,
-            confidence=0.8,
-            patch=DepthPatch(np.zeros(25)),
-        )
+        det = one_detection(patch=np.zeros(25))
         path = tmp_path / "zero.csv"
-        write_detections(path, [rec])
+        write_detections(path, det)
         loaded = ingest_detections(path, INTR)
-        assert loaded == [rec]
+        assert same_rows(loaded, det)
         result = label_with_oracle(loaded, INTR)
         assert result.samples == [] and result.n_dropped == 1
 
@@ -203,17 +220,9 @@ class TestLabelWithOracle:
         # on the forward-kinematics image of the zero configuration.
         u = INTR.cx * INTR.rgb_width / INTR.depth_width
         v = INTR.cy * INTR.rgb_height / INTR.depth_height
-        rec = DetectionRecord(
-            image_id="img",
-            u=u,
-            v=v,
-            bbox_w=40.0,
-            bbox_h=40.0,
-            confidence=0.9,
-            patch=DepthPatch(np.full(25, 0.2)),
-        )
+        det = one_detection(u, v, 40.0, 40.0, 0.9, np.full(25, 0.2))
         ext = Extrinsics(np.eye(3), [0.95, 0.0, 0.3])
-        result = label_with_oracle([rec], INTR, ext, ManipulatorParams())
+        result = label_with_oracle(det, INTR, ext, ManipulatorParams())
         assert len(result.samples) == 1
         s = result.samples[0]
         np.testing.assert_allclose(s.arm_point.as_array(), [0.95, 0.0, 0.5], atol=1e-12)
@@ -224,18 +233,19 @@ class TestLabelWithOracle:
         assert result.n_dropped + len(result.samples) == len(small_records)
 
     def test_labels_are_function_of_arm_point(self, small_records):
-        result = label_with_oracle(small_records[:200], INTR)
-        rev = label_with_oracle(list(reversed(small_records[:200])), INTR)
+        result = label_with_oracle(small_records.take(np.arange(200)), INTR)
+        rev = label_with_oracle(small_records.take(np.arange(199, -1, -1)), INTR)
         assert [s.label for s in rev.samples] == [
             s.label for s in reversed(result.samples)
         ]
 
     def test_density_fallback_flagged_for_ingested_data(self, tmp_path, small_records):
         path = tmp_path / "d.csv"
-        write_detections(path, small_records[:20])
+        first = small_records.take(np.arange(20))
+        write_detections(path, first)
         loaded = ingest_detections(path, INTR)
         assert label_with_oracle(loaded, INTR).patch_density_fallback
-        assert not label_with_oracle(small_records[:20], INTR).patch_density_fallback
+        assert not label_with_oracle(first, INTR).patch_density_fallback
 
 
 class TestMakeSplits:
@@ -300,7 +310,7 @@ class TestLabeledCache:
         path = tmp_path / "labeled.csv"
         write_labeled_cache(path, result)
         loaded = read_labeled_cache(path)
-        assert loaded.records == result.records
+        assert same_rows(loaded.records, result.records)
         assert loaded.samples == result.samples
 
     def test_malformed_rows_name_file_and_line(self, tmp_path):

@@ -18,6 +18,16 @@ from reach_al.kinematics import (
 )
 
 PARAMS = ManipulatorParams()
+
+
+def within_limits(q: JointConfig, params: ManipulatorParams) -> bool:
+    return (
+        params.d1_range[0] <= q.d1 <= params.d1_range[1]
+        and params.d2_range[0] <= q.d2 <= params.d2_range[1]
+        and params.theta1_range[0] <= q.theta1 <= params.theta1_range[1]
+        and params.theta2_range[0] <= q.theta2 <= params.theta2_range[1]
+    )
+
 # The default arm; a yaw range past pi, whose candidate yaws are shifted by
 # 2*pi, with no carriage margin; a zero wrist offset with a narrow rail; and
 # a margin equal to the level reach, L1 + Le, met exactly at theta2 = 0.
@@ -156,7 +166,7 @@ class TestIsReachable:
             if not ok:
                 continue
             checked += 1
-            assert witness.within_limits(PARAMS)
+            assert within_limits(witness, PARAMS)
             fk = forward_kinematics(witness, PARAMS)
             assert (
                 np.linalg.norm(fk.as_array() - p.as_array()) <= 1e-9
@@ -195,7 +205,7 @@ class TestReferenceProperties:
         for p in points:
             ok, witness = is_reachable(p, params)
             if ok:
-                assert witness.within_limits(params)
+                assert within_limits(witness, params)
                 fk = forward_kinematics(witness, params)
                 assert np.linalg.norm(fk.as_array() - p.as_array()) <= 1e-9
 

@@ -15,7 +15,6 @@ from reach_al.perception import (
     camera_to_arm,
     default_extrinsics,
     map_rgb_to_depth_pixel,
-    project_to_pixel,
     robust_depth,
 )
 
@@ -23,6 +22,11 @@ INTR = CameraIntrinsics()
 # Round trips run a handful of float64 operations; allow 64 ulps of the
 # largest magnitude involved.
 ROUND_TRIP_TOL = 64 * np.finfo(float).eps
+
+
+def project_to_pixel(p: CameraPoint, intr: CameraIntrinsics) -> tuple[float, float]:
+    """Inverse of back_project for ``Zc > 0``; returns fractional pixels."""
+    return (p.Xc * intr.fx / p.Zc + intr.cx, p.Yc * intr.fy / p.Zc + intr.cy)
 
 
 @st.composite
