@@ -12,6 +12,7 @@ from dataclasses import replace
 from reach_al.active import STRATEGIES, ALConfig, run_loop
 from reach_al.config import default_config
 from reach_al.dataset import make_splits
+from reach_al.features import features_matrix, labels_array
 from reach_al.report import ExperimentGrid, build_benchmark
 
 cfg = default_config()
@@ -20,13 +21,16 @@ grid = ExperimentGrid.from_config(cfg)
 print("building the shared benchmark (1000 samples + 5000-candidate pool) ...")
 samples, candidates = build_benchmark(grid)
 
-pools = make_splits(samples, candidates, cfg.data.test_frac, init_size=30, seed=0)
+# One stacked (X, y), samples first; the split holds row indices into it.
+X = features_matrix(samples + candidates)
+y = labels_array(samples + candidates)
+pools = make_splits(y, len(samples), cfg.data.test_frac, init_size=30, seed=0)
 print(f"L={len(pools.labeled)}  U={len(pools.unlabeled)}  test={len(pools.test)}")
 
 curves = {}
 for strategy in STRATEGIES:
     al = replace(cfg.al, strategy=strategy, init_size=30, n_queries=50, seed=0)
-    logs = run_loop(pools, al, cfg.train)
+    logs = run_loop(X, y, pools, al, cfg.train)
     curves[strategy] = [(log.n_labeled, log.metrics.accuracy) for log in logs]
 
 sizes = [n for n, _ in curves["random"]]

@@ -11,6 +11,7 @@ import os
 from reach_al.config import apply_overrides, default_config
 from reach_al.report import (
     ExperimentGrid,
+    build_benchmark,
     emit_curve_plots,
     format_summary_table,
     read_results,
@@ -33,7 +34,7 @@ grid = ExperimentGrid.from_config(cfg)
 
 n_cells = len(grid.strategies) * len(grid.init_sizes) * len(grid.budgets) * len(grid.seeds)
 print(f"running {n_cells} cells ...")
-results_path, summary_path, errors = run_grid(grid, OUT)
+results_path, summary_path, errors = run_grid(*build_benchmark(grid), grid, OUT)
 assert not errors, errors
 print(f"results -> {results_path}")
 print(f"summary -> {summary_path}")

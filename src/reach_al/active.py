@@ -8,13 +8,12 @@ from the run seed, so a (strategy, seed) cell is fully reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .dataset import PoolSplit
-from .features import features_matrix, labels_array
 from .forest import TrainConfig, fit_arrays, predict_proba_matrix
 from .metrics import MetricSet, evaluate, ik_call_reduction
 
@@ -29,7 +28,6 @@ class ALConfig:
     n_queries: int = 50
     committee_size: int = 5
     committee_trees: int = 25
-    score_cap: int = 0  # 0 scores the entire pool each round
     seed: int = 0
 
     def __post_init__(self):
@@ -108,27 +106,29 @@ def _evaluate_model(model, X_test, y_test):
 
 
 def run_loop(
+    X: np.ndarray,
+    y: np.ndarray,
     pools: PoolSplit,
     cfg: ALConfig,
     train_cfg: Optional[TrainConfig] = None,
 ) -> list[RoundLog]:
     """Run the query loop until ``n_queries`` labels have been acquired.
 
+    ``X`` (n, 9) and ``y`` (n,) are the stacked benchmark that ``pools``
+    indexes; a pool label is read from ``y`` only when it is queried.
     Round 0 logs the model trained on the initial labeled set alone; each
-    later round appends one batch.  Pool exhaustion truncates the final
-    round and flags it rather than failing.
+    later round appends one batch, whose ``queried_indices`` are positions
+    in ``pools.unlabeled``.  Pool exhaustion truncates the final round and
+    flags it rather than failing.
     """
     train_cfg = train_cfg or TrainConfig()
 
-    X_pool = features_matrix(pools.unlabeled)
-    X_test = features_matrix(pools.test)
-    y_test = labels_array(pools.test)
-
-    X_lab = features_matrix(pools.labeled)
-    y_lab = labels_array(pools.labeled)
+    X_pool, y_pool = X[pools.unlabeled], y[pools.unlabeled]
+    X_test, y_test = X[pools.test], y[pools.test]
+    X_lab, y_lab = X[pools.labeled], y[pools.labeled]
 
     rng_random = np.random.default_rng([cfg.seed, 0x5EED])
-    unlabeled = np.ones(len(pools.unlabeled), dtype=bool)
+    unlabeled = np.ones(len(y_pool), dtype=bool)
 
     model = fit_arrays(X_lab, y_lab, train_cfg)
     m, ik_red = _evaluate_model(model, X_test, y_test)
@@ -150,30 +150,17 @@ def run_loop(
         b = min(cfg.batch_size, cfg.n_queries - acquired, len(remaining))
         truncated = b < min(cfg.batch_size, cfg.n_queries - acquired)
 
-        if cfg.score_cap and cfg.score_cap < len(remaining):
-            scored_positions = rng_random.choice(
-                len(remaining), size=cfg.score_cap, replace=False
-            )
-            scored_positions.sort()
-            pool_rows = remaining[scored_positions]
-        else:
-            pool_rows = remaining
-        X_cand = X_pool[pool_rows]
+        X_cand = X_pool[remaining]
 
         if cfg.strategy == "random":
-            scores = rng_random.uniform(size=len(pool_rows))
+            scores = rng_random.uniform(size=len(remaining))
         elif cfg.strategy == "qbc":
             committee = []
             for k in range(cfg.committee_size):
                 rng_member = np.random.default_rng([cfg.seed, 0xC0, round_index, k])
                 resample = rng_member.integers(0, len(y_lab), size=len(y_lab))
-                member_cfg = TrainConfig(
-                    n_trees=cfg.committee_trees,
-                    max_depth=train_cfg.max_depth,
-                    min_samples_leaf=train_cfg.min_samples_leaf,
-                    features_per_split=train_cfg.features_per_split,
-                    bootstrap=train_cfg.bootstrap,
-                    seed=train_cfg.seed + 1 + k,
+                member_cfg = replace(
+                    train_cfg, n_trees=cfg.committee_trees, seed=train_cfg.seed + 1 + k
                 )
                 member = fit_arrays(X_lab[resample], y_lab[resample], member_cfg)
                 committee.append(predict_proba_matrix(member, X_cand))
@@ -182,11 +169,10 @@ def run_loop(
             scores = score_uncertainty(predict_proba_matrix(model, X_cand))
 
         picked = select_batch(scores, b)
-        batch = [int(pool_rows[i]) for i in picked]
+        batch = [int(remaining[i]) for i in picked]
 
-        new_labels = np.array([pools.reveal(i) for i in batch], dtype=np.int64)
         X_lab = np.vstack([X_lab, X_pool[batch]])
-        y_lab = np.concatenate([y_lab, new_labels])
+        y_lab = np.concatenate([y_lab, y_pool[batch]])
         unlabeled[batch] = False
         acquired += b
 

@@ -27,9 +27,9 @@ from .dataset import (
     write_detections,
     write_labeled_cache,
 )
-from .errors import ConfigError, ReachALError
+from .errors import ConfigError, IngestionError, ReachALError
 from .kinematics import sample_envelope, write_envelope, read_envelope
-from .report import ExperimentGrid, run_grid
+from .report import ExperimentGrid, build_benchmark, run_grid
 
 logger = logging.getLogger(__name__)
 
@@ -143,6 +143,11 @@ def _cmd_label(args) -> int:
     result = label_with_oracle(
         detections, cfg.cam, cfg.ext, cfg.arm, density_band=cfg.features.density_band
     )
+    if not result.samples:
+        raise IngestionError(
+            f"no record of {args.detections} could be labeled "
+            f"({result.n_input} read, {result.n_dropped} dropped); no cache written"
+        )
     path = os.path.join(out_dir, args.labeled)
     write_labeled_cache(path, result)
     meta_path = path + ".meta"
@@ -160,10 +165,21 @@ def _cmd_label(args) -> int:
     return 0
 
 
+def _cached_benchmark(data_path, pool_path, n_samples: int) -> tuple[list, list]:
+    """(samples, candidates) from labeled caches: the first ``n_samples``
+    rows of ``data_path``, and the pool file or else the rest of ``data_path``."""
+    samples = read_labeled_cache(data_path).samples
+    if len(samples) < n_samples:
+        logger.warning(
+            "labeled cache has %d samples, fewer than data.n_samples=%d", len(samples), n_samples
+        )
+    candidates = read_labeled_cache(pool_path).samples if pool_path else samples[n_samples:]
+    return samples[:n_samples], candidates
+
+
 def _cmd_run(args) -> int:
     cfg = _load(args)
     out_dir = resolve_out_dir(args.out)
-    os.makedirs(out_dir, exist_ok=True)
     overrides = {"strategy": args.strategy, "init_size": args.init_size, "n_queries": args.budget}
     try:
         al = replace(cfg.al, **{k: v for k, v in overrides.items() if v is not None})
@@ -178,29 +194,12 @@ def _cmd_run(args) -> int:
     grid.seeds = (al.seed,)
 
     if args.data:
-        samples = read_labeled_cache(args.data).samples
-        if len(samples) < cfg.data.n_samples:
-            logger.warning(
-                "labeled cache has %d samples, fewer than data.n_samples=%d",
-                len(samples),
-                cfg.data.n_samples,
-            )
-        sample_set = samples[: cfg.data.n_samples]
-        candidates = (
-            read_labeled_cache(args.pool).samples
-            if args.pool
-            else samples[cfg.data.n_samples :]
-        )
-        rows = report_mod.run_cell(
-            sample_set, candidates, grid, al.strategy, al.init_size, al.n_queries, al.seed
-        )
-        results_path = os.path.join(out_dir, "results.csv")
-        report_mod.write_results(results_path, rows)
-        summary = report_mod.summarize(rows)
-        report_mod.write_summary(os.path.join(out_dir, "summary.csv"), summary)
-        errors = []
+        samples, candidates = _cached_benchmark(args.data, args.pool, cfg.data.n_samples)
+    elif args.pool:
+        raise ConfigError("--pool needs --data")
     else:
-        results_path, _, errors = run_grid(grid, out_dir, jobs=args.jobs)
+        samples, candidates = build_benchmark(grid)
+    results_path, _, errors = run_grid(samples, candidates, grid, out_dir, jobs=args.jobs)
     rows = report_mod.read_results(results_path)
     final = max((r for r in rows if r.round >= 0), key=lambda r: r.round, default=None)
     if final is not None:
@@ -219,7 +218,8 @@ def _cmd_sweep(args) -> int:
     cfg = _load(args)
     out_dir = resolve_out_dir(args.out)
     grid = ExperimentGrid.from_config(cfg)
-    results_path, summary_path, errors = run_grid(grid, out_dir, jobs=args.jobs)
+    samples, candidates = build_benchmark(grid)
+    results_path, summary_path, errors = run_grid(samples, candidates, grid, out_dir, jobs=args.jobs)
     print(f"results -> {results_path}")
     print(f"summary -> {summary_path}")
     if errors:

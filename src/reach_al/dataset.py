@@ -20,11 +20,11 @@ import csv
 import logging
 from array import array
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, IngestionError
+from .errors import ConfigError, IngestionError, csv_error_line
 from .features import DENSITY_BAND, FEATURE_NAMES, FeatureVector, feature_rows
 from .kinematics import ArmPoint, ManipulatorParams, reachable_mask
 from .perception import (
@@ -139,21 +139,15 @@ class SceneConfig:
             raise ValueError("seed must be nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PoolSplit:
-    """Initial labeled set L, unlabeled pool U (labels hidden), and test set.
+    """Row indices (int64) of the initial labeled set L, the unlabeled pool U
+    and the test set.  They index the rows of the stacked benchmark, samples
+    first and candidates after; pool labels are read only when queried."""
 
-    Pool labels are precomputed by the kinematic oracle but must only be
-    read through :meth:`reveal`, which emulates querying the oracle.
-    """
-
-    labeled: list
-    unlabeled: list
-    test: list
-
-    def reveal(self, index: int) -> int:
-        """Oracle query for one pool candidate."""
-        return self.unlabeled[index].label
+    labeled: np.ndarray
+    unlabeled: np.ndarray
+    test: np.ndarray
 
 
 @dataclass
@@ -289,23 +283,6 @@ def write_detections(path, det: Detections) -> None:
         writer.writerows(_detection_cells(det))
 
 
-def _error_line(path, reader, exc: Exception) -> int:
-    """Line of a read error in a CSV file.
-
-    The reader's count is right for CSV and row errors.  Undecodable bytes
-    are found a whole block ahead of the reader, so their line is counted
-    in the raw file instead.
-    """
-    if isinstance(exc, UnicodeDecodeError):
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            data.decode(exc.encoding)
-        except UnicodeDecodeError as first:
-            return data.count(b"\n", 0, first.start) + 1
-    return reader.line_num
-
-
 def _from_cells(image_ids: list, cells: array) -> Detections:
     """Detections from image ids and the numeric cells of each row
     (``DETECTION_COLUMNS[1:]``, row after row)."""
@@ -361,7 +338,7 @@ def ingest_detections(path, intr: Optional[CameraIntrinsics] = None) -> Detectio
                 cells.extend(row_cells)
         except (csv.Error, UnicodeDecodeError) as exc:
             raise IngestionError(
-                f"malformed detection file {path}, line {_error_line(path, reader, exc)}: {exc}"
+                f"malformed detection file {path}, line {csv_error_line(path, reader, exc)}: {exc}"
             ) from exc
     det = _from_cells(image_ids, cells)
     bad = _bad_rows(det, intr)
@@ -427,48 +404,40 @@ def label_with_oracle(
 
 
 def make_splits(
-    samples: Sequence[LabeledSample],
-    candidates: Sequence[LabeledSample],
-    test_frac: float,
-    init_size: int,
-    seed: int,
+    y: np.ndarray, n_samples: int, test_frac: float, init_size: int, seed: int
 ) -> PoolSplit:
-    """Shuffle, hold out the test fraction, seed L (stratified), pool the rest."""
+    """Shuffle the first ``n_samples`` rows of ``y``, hold out the test
+    fraction, seed L (stratified) and pool the rest with every later row."""
     if not 0.0 < test_frac < 1.0:
         raise ConfigError("test_frac must lie strictly between 0 and 1")
     if init_size < 1:
         raise ConfigError(f"init_size must be at least 1, got {init_size}")
-    n = len(samples)
-    n_test = int(round(test_frac * n))
-    n_rest = n - n_test
+    n_test = int(round(test_frac * n_samples))
+    n_rest = n_samples - n_test
     if init_size > n_rest:
         raise ConfigError(
             f"init_size {init_size} exceeds the {n_rest} samples left after the test split"
         )
 
     rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    shuffled = [samples[i] for i in order]
-    test = shuffled[:n_test]
-    rest = shuffled[n_test:]
+    order = rng.permutation(n_samples)
+    test = order[:n_test]
+    rest = order[n_test:]
 
     # Probability-based strategies degenerate on a single-class seed, so
     # guarantee one sample of each class in L whenever the pool has both.
-    init_labels = {s.label for s in rest[:init_size]}
-    if init_size >= 2 and len(init_labels) == 1:
-        missing = 1 - next(iter(init_labels))
-        for j in range(init_size, len(rest)):
-            if rest[j].label == missing:
-                rest[init_size - 1], rest[j] = rest[j], rest[init_size - 1]
-                break
+    init_labels = y[rest[:init_size]]
+    if init_size >= 2 and (init_labels == init_labels[0]).all():
+        hits = np.flatnonzero(y[rest[init_size:]] != init_labels[0])
+        if hits.size:
+            j = init_size + hits[0]
+            rest[[init_size - 1, j]] = rest[[j, init_size - 1]]
 
-    labeled = rest[:init_size]
-    unlabeled = rest[init_size:] + list(candidates)
+    unlabeled = np.concatenate([rest[init_size:], np.arange(n_samples, len(y))])
     # Shuffle the combined pool so score ties never resolve to a run of
     # records from one generated image or cluster.
-    pool_order = rng.permutation(len(unlabeled))
-    unlabeled = [unlabeled[i] for i in pool_order]
-    return PoolSplit(labeled=labeled, unlabeled=unlabeled, test=test)
+    unlabeled = unlabeled[rng.permutation(len(unlabeled))]
+    return PoolSplit(labeled=rest[:init_size], unlabeled=unlabeled, test=test)
 
 
 def write_labeled_cache(path, result: LabelingResult) -> None:
@@ -534,7 +503,7 @@ def read_labeled_cache(path) -> LabelingResult:
                 samples.append(sample)
                 lines.append(reader.line_num)
         except (csv.Error, ValueError) as exc:
-            error, error_line = exc, _error_line(path, reader, exc)
+            error, error_line = exc, csv_error_line(path, reader, exc)
     # A rule broken in a row before the malformed one is reported first.
     records = _from_cells(image_ids, cells)
     bad = np.flatnonzero(_bad_rows(records))

@@ -1,11 +1,12 @@
 """Experiment harness: benchmark construction, sweeps, results files, plots.
 
 A sweep runs every (strategy, init_size, budget, seed) cell of the grid on
-one shared synthetic benchmark, appends one row per query round to a CSV
-results file, and writes a per-cell summary (mean and standard deviation of
-final-round metrics across seeds).  Everything downstream of the seeds is
-deterministic, and rows are written in a canonical order, so repeated runs
-produce byte-identical files regardless of worker count.
+one shared benchmark (synthetic, or labeled caches for ``run --data``),
+appends one row per query round to a CSV results file, and writes a
+per-cell summary (mean and standard deviation of final-round metrics
+across seeds).  Everything downstream of the seeds is deterministic, and
+rows are written in a canonical order, so repeated runs produce
+byte-identical files regardless of worker count.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import csv
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -22,28 +23,14 @@ import numpy as np
 from .active import ALConfig, RoundLog, run_loop
 from .config import AppConfig, DataConfig
 from .dataset import SceneConfig, generate_scene, label_with_oracle, make_splits
-from .errors import ConfigError
+from .errors import ConfigError, IngestionError, csv_error_line
+from .features import features_matrix, labels_array
 from .forest import TrainConfig
 from .kinematics import ManipulatorParams
 from .perception import CameraIntrinsics, Extrinsics
 from .svgplot import SvgPlot
 
 logger = logging.getLogger(__name__)
-
-RESULT_COLUMNS = (
-    "strategy",
-    "seed",
-    "init_size",
-    "budget",
-    "round",
-    "n_labeled",
-    "accuracy",
-    "precision",
-    "recall",
-    "f1",
-    "auc",
-    "ik_reduction",
-)
 
 SUMMARY_COLUMNS = (
     "strategy",
@@ -83,6 +70,9 @@ class ResultRow:
 
     def key(self):
         return (self.strategy, self.init_size, self.budget, self.seed, self.round)
+
+
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 @dataclass
@@ -150,6 +140,11 @@ def _parse_optional(text: str) -> Optional[float]:
     return None if np.isnan(v) else v
 
 
+_FIELD_PARSERS = tuple(
+    {"str": str, "int": int, "Optional[float]": _parse_optional}[f.type] for f in fields(ResultRow)
+)
+
+
 def rows_from_logs(
     strategy: str, seed: int, init_size: int, budget: int, logs: list[RoundLog]
 ) -> list[ResultRow]:
@@ -184,7 +179,9 @@ def run_cell(
     budget: int,
     seed: int,
 ) -> list[ResultRow]:
-    pools = make_splits(samples, candidates, grid.data.test_frac, init_size, seed)
+    both = list(samples) + list(candidates)
+    X, y = features_matrix(both), labels_array(both)
+    pools = make_splits(y, len(samples), grid.data.test_frac, init_size, seed)
     al_cfg = replace(
         grid.al,
         strategy=strategy,
@@ -192,7 +189,7 @@ def run_cell(
         n_queries=budget,
         seed=seed,
     )
-    logs = run_loop(pools, al_cfg, grid.train)
+    logs = run_loop(X, y, pools, al_cfg, grid.train)
     return rows_from_logs(strategy, seed, init_size, budget, logs)
 
 
@@ -219,49 +216,31 @@ def write_results(path, rows: list[ResultRow]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
-        for r in sorted(rows, key=ResultRow.key):
-            writer.writerow(
-                [
-                    r.strategy,
-                    r.seed,
-                    r.init_size,
-                    r.budget,
-                    r.round,
-                    r.n_labeled,
-                    _fmt_value(r.accuracy),
-                    _fmt_value(r.precision),
-                    _fmt_value(r.recall),
-                    _fmt_value(r.f1),
-                    _fmt_value(r.auc),
-                    _fmt_value(r.ik_reduction),
-                ]
-            )
+        writer.writerows(
+            [_fmt_value(v) for v in astuple(r)] for r in sorted(rows, key=ResultRow.key)
+        )
 
 
 def read_results(path) -> list[ResultRow]:
-    with open(path, "r", newline="") as fh:
+    """Parse a results file; raises ``IngestionError`` naming the file, and
+    the line of the first malformed row."""
+    try:
+        fh = open(path, "r", newline="")
+    except OSError as exc:
+        raise IngestionError(f"cannot open results file {path}: {exc}") from exc
+    with fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != RESULT_COLUMNS:
-            raise ConfigError(f"unexpected results header in {path}")
         rows = []
-        for row in reader:
-            rows.append(
-                ResultRow(
-                    strategy=row[0],
-                    seed=int(row[1]),
-                    init_size=int(row[2]),
-                    budget=int(row[3]),
-                    round=int(row[4]),
-                    n_labeled=int(row[5]),
-                    accuracy=_parse_optional(row[6]),
-                    precision=_parse_optional(row[7]),
-                    recall=_parse_optional(row[8]),
-                    f1=_parse_optional(row[9]),
-                    auc=_parse_optional(row[10]),
-                    ik_reduction=_parse_optional(row[11]),
-                )
-            )
+        try:
+            if tuple(next(reader, ())) != RESULT_COLUMNS:
+                raise IngestionError(f"unexpected results header in {path}")
+            for row in reader:
+                if len(row) != len(RESULT_COLUMNS):
+                    raise ValueError(f"expected {len(RESULT_COLUMNS)} columns, got {len(row)}")
+                rows.append(ResultRow(*(parse(c) for parse, c in zip(_FIELD_PARSERS, row))))
+        except (csv.Error, ValueError) as exc:
+            line = csv_error_line(path, reader, exc)
+            raise IngestionError(f"malformed results file {path}, line {line}: {exc}") from exc
     return rows
 
 
@@ -321,18 +300,15 @@ def _worker_count(jobs: int, n_cells: int) -> int:
 
 
 def run_grid(
-    grid: ExperimentGrid,
-    out_dir,
-    jobs: int = 1,
-    results_name: str = "results.csv",
+    samples, candidates, grid: ExperimentGrid, out_dir, jobs: int = 1
 ) -> tuple[str, str, list[tuple[tuple, str]]]:
-    """Run every grid cell; returns (results_path, summary_path, cell_errors).
+    """Run every grid cell on the benchmark ``samples`` and pool
+    ``candidates``; returns (results_path, summary_path, cell_errors).
 
     Each cell error is a ``((strategy, init_size, budget, seed), message)``
     pair, and every failed cell gets one ``round = -1`` row in the results.
     """
     os.makedirs(out_dir, exist_ok=True)
-    samples, candidates = build_benchmark(grid)
     cells = [
         (strategy, init_size, budget, seed)
         for strategy in grid.strategies
@@ -378,7 +354,7 @@ def run_grid(
             )
         )
 
-    results_path = os.path.join(out_dir, results_name)
+    results_path = os.path.join(out_dir, "results.csv")
     summary_path = os.path.join(out_dir, "summary.csv")
     write_results(results_path, rows)
     write_summary(summary_path, summarize(rows))

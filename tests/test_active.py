@@ -4,29 +4,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reach_al.active import ALConfig, run_loop, score_qbc, score_uncertainty, select_batch
-from reach_al.dataset import LabeledSample, PoolSplit
-from reach_al.features import FeatureVector
+from reach_al.dataset import PoolSplit
 from reach_al.forest import TrainConfig
-from reach_al.kinematics import ArmPoint
-
-
-def make_sample(rng, label=None):
-    arr = rng.normal(size=9)
-    if label is None:
-        label = int(arr[0] + 0.3 * arr[3] > 0)
-    return LabeledSample(
-        features=FeatureVector(*arr),
-        label=label,
-        arm_point=ArmPoint(*arr[:3]),
-    )
 
 
 def make_pools(rng, n_labeled=10, n_pool=300, n_test=100):
-    return PoolSplit(
-        labeled=[make_sample(rng) for _ in range(n_labeled)],
-        unlabeled=[make_sample(rng) for _ in range(n_pool)],
-        test=[make_sample(rng) for _ in range(n_test)],
+    """A stacked (X, y), labeled rows first, then the pool, then the test
+    rows, with the split that indexes it."""
+    n = n_labeled + n_pool + n_test
+    X = rng.normal(size=(n, 9))
+    y = (X[:, 0] + 0.3 * X[:, 3] > 0).astype(np.int64)
+    rows = np.arange(n)
+    split = PoolSplit(
+        labeled=rows[:n_labeled],
+        unlabeled=rows[n_labeled : n_labeled + n_pool],
+        test=rows[n_labeled + n_pool :],
     )
+    return X, y, split
 
 
 SMALL_TRAIN = TrainConfig(n_trees=15, seed=0)
@@ -159,7 +153,7 @@ class TestRunLoop:
         rng = np.random.default_rng(62)
         pools = make_pools(rng, n_labeled=10, n_pool=120)
         cfg = ALConfig(strategy="entropy", init_size=10, batch_size=50, n_queries=50, seed=0)
-        logs = run_loop(pools, cfg, SMALL_TRAIN)
+        logs = run_loop(*pools, cfg, SMALL_TRAIN)
         assert [log.n_labeled for log in logs] == [10, 60]
         assert logs[-1].round_index == 1
         assert not logs[-1].truncated
@@ -168,14 +162,14 @@ class TestRunLoop:
         rng = np.random.default_rng(63)
         pools = make_pools(rng, n_labeled=50, n_pool=250)
         cfg = ALConfig(strategy="margin", init_size=50, batch_size=50, n_queries=100, seed=0)
-        logs = run_loop(pools, cfg, SMALL_TRAIN)
+        logs = run_loop(*pools, cfg, SMALL_TRAIN)
         assert [log.n_labeled for log in logs] == [50, 100, 150]
 
     def test_partial_final_batch(self):
         rng = np.random.default_rng(64)
         pools = make_pools(rng, n_labeled=10, n_pool=100)
         cfg = ALConfig(strategy="random", init_size=10, batch_size=20, n_queries=50, seed=0)
-        logs = run_loop(pools, cfg, SMALL_TRAIN)
+        logs = run_loop(*pools, cfg, SMALL_TRAIN)
         assert [log.n_labeled for log in logs] == [10, 30, 50, 60]
         assert not logs[-1].truncated
 
@@ -183,7 +177,7 @@ class TestRunLoop:
         rng = np.random.default_rng(65)
         pools = make_pools(rng, n_labeled=10, n_pool=30)
         cfg = ALConfig(strategy="random", init_size=10, batch_size=20, n_queries=50, seed=0)
-        logs = run_loop(pools, cfg, SMALL_TRAIN)
+        logs = run_loop(*pools, cfg, SMALL_TRAIN)
         assert logs[-1].n_labeled == 40
         assert logs[-1].truncated
 
@@ -193,8 +187,8 @@ class TestRunLoop:
         cfg = ALConfig(strategy="random", init_size=10, batch_size=10, n_queries=30, seed=5)
         rng2 = np.random.default_rng(66)
         pools2 = make_pools(rng2)
-        logs_a = run_loop(pools, cfg, SMALL_TRAIN)
-        logs_b = run_loop(pools2, cfg, SMALL_TRAIN)
+        logs_a = run_loop(*pools, cfg, SMALL_TRAIN)
+        logs_b = run_loop(*pools2, cfg, SMALL_TRAIN)
         for a, b in zip(logs_a, logs_b):
             assert a.queried_indices == b.queried_indices
             assert a.metrics == b.metrics
@@ -206,34 +200,31 @@ class TestRunLoop:
             cfg = ALConfig(
                 strategy=strategy, init_size=10, batch_size=15, n_queries=60, seed=1
             )
-            logs = run_loop(pools, cfg, SMALL_TRAIN)
+            logs = run_loop(*pools, cfg, SMALL_TRAIN)
             seen = [i for log in logs for i in log.queried_indices]
             assert len(seen) == len(set(seen)) == 60
 
     def test_constant_labels_drive_accuracy_to_majority_rate(self):
         rng = np.random.default_rng(68)
-        pools = make_pools(rng, n_labeled=10, n_pool=200, n_test=150)
-        pools.labeled = [
-            LabeledSample(s.features, 1, s.arm_point) for s in pools.labeled
-        ]
-        pools.unlabeled = [
-            LabeledSample(s.features, 1, s.arm_point) for s in pools.unlabeled
-        ]
+        X, y, split = make_pools(rng, n_labeled=10, n_pool=200, n_test=150)
+        y[split.labeled] = 1
+        y[split.unlabeled] = 1
         cfg = ALConfig(strategy="random", init_size=10, batch_size=20, n_queries=40, seed=2)
-        logs = run_loop(pools, cfg, SMALL_TRAIN)
-        majority = np.mean([s.label == 1 for s in pools.test])
+        logs = run_loop(X, y, split, cfg, SMALL_TRAIN)
+        majority = np.mean(y[split.test] == 1)
         assert logs[-1].metrics.accuracy == pytest.approx(majority, abs=1e-9)
 
-    def test_score_cap_limits_scored_pool(self):
-        rng = np.random.default_rng(69)
-        pools = make_pools(rng, n_pool=200)
-        cfg = ALConfig(
-            strategy="entropy",
-            init_size=10,
-            batch_size=10,
-            n_queries=20,
-            score_cap=30,
-            seed=3,
-        )
-        logs = run_loop(pools, cfg, SMALL_TRAIN)
-        assert logs[-1].n_labeled == 30
+    def test_pool_labels_read_only_when_queried(self):
+        # Flipping the label of every pool row that no round queries must
+        # leave every round unchanged.
+        for strategy in ("random", "entropy", "qbc"):
+            X, y, split = make_pools(np.random.default_rng(69), n_pool=200)
+            cfg = ALConfig(strategy=strategy, init_size=10, batch_size=10, n_queries=30, seed=3)
+            logs = run_loop(X, y, split, cfg, SMALL_TRAIN)
+            queried = [i for log in logs for i in log.queried_indices]
+            hidden = np.delete(split.unlabeled, queried)
+            y[hidden] = 1 - y[hidden]
+            flipped = run_loop(X, y, split, cfg, SMALL_TRAIN)
+            assert [(log.queried_indices, log.metrics) for log in flipped] == [
+                (log.queried_indices, log.metrics) for log in logs
+            ]

@@ -114,6 +114,21 @@ class TestFailedCells:
             assert failed == [("entropy", 500), ("random", 500)]
 
 
+    def test_failed_data_cell_gets_an_error_row(self, tmp_path, cfg_file):
+        out = str(tmp_path / "o")
+        assert run_cli("gen-scene", "--config", cfg_file, "--out", out) == 0
+        det = os.path.join(out, "detections.csv")
+        assert run_cli("label", "--config", cfg_file, "--detections", det, "--out", out) == 0
+        data = os.path.join(out, "labeled.csv")
+        # 500 exceeds the 240 samples left after the test split.
+        for flags, code in (((), 0), (("--strict",), 1)):
+            run_out = str(tmp_path / "-".join(("run",) + flags))
+            argv = ["run", "--config", cfg_file, "--data", data, "--init-size", "500", "--out", run_out]
+            assert run_cli(*argv, *flags) == code
+            rows = read_results(os.path.join(run_out, "results.csv"))
+            assert [(r.strategy, r.init_size, r.round) for r in rows] == [("entropy", 500, -1)]
+
+
 class TestEnvelopeAndPlots:
     def test_envelope_then_plot(self, tmp_path, cfg_file):
         out = str(tmp_path / "o")
@@ -180,6 +195,7 @@ class TestFatalErrors:
             (("--init-size", "-5", "--budget", "5"), "init_size must be at least 1"),
             (("--init-size", "0"), "init_size must be at least 1"),
             (("--budget", "-1"), "n_queries must be nonnegative"),
+            (("--pool", "pool.csv"), "--pool needs --data"),
         ):
             capsys.readouterr()
             assert run_cli("run", "--config", cfg_file, "--out", out, *flags) == 2
@@ -213,6 +229,35 @@ class TestFatalErrors:
             capsys.readouterr()
             assert run_cli("label", "--detections", str(bad), "--out", str(tmp_path)) == 2
             assert f"{name}.csv, line 2" in capsys.readouterr().err
+
+    def test_label_without_labeled_record_fatal(self, tmp_path, capsys):
+        # One row whose patch has no valid depth (dropped when labeling) and
+        # one out-of-frame pixel (skipped on ingestion).
+        det = tmp_path / "none.csv"
+        rows = [["img", "100", "100", "30", "30", "0.8"] + ["0"] * 25,
+                ["img", "5000", "100", "30", "30", "0.8"] + ["1.0"] * 25]
+        det.write_text("\n".join(",".join(r) for r in [list(DETECTION_COLUMNS)] + rows) + "\n")
+        out = tmp_path / "o"
+        assert run_cli("label", "--detections", str(det), "--out", str(out)) == 2
+        assert "no record of" in capsys.readouterr().err
+        assert not os.path.exists(out / "labeled.csv")
+        assert not os.path.exists(out / "labeled.csv.meta")
+
+    def test_malformed_results_fatal(self, tmp_path, capsys):
+        good = "random,0,10,20,0,10,0.5,0.5,0.5,0.5,0.5,0.5"
+        header = ",".join(report.RESULT_COLUMNS)
+        letter = tmp_path / "letter.csv"
+        letter.write_text(f"{header}\n{good}\nrandom,x,10,20,1,20,0.5,0.5,0.5,0.5,0.5,0.5\n")
+        short = tmp_path / "short.csv"
+        short.write_text(f"{header}\n{good}\nrandom,0,10\n")
+        for argv, message in (
+            (("report", "--results", str(tmp_path / "missing.csv")), "missing.csv"),
+            (("report", "--results", str(letter)), "letter.csv, line 3"),
+            (("plot", "--kind", "curves", "--results", str(short)), "short.csv, line 3"),
+        ):
+            capsys.readouterr()
+            assert run_cli(*argv, "--out", str(tmp_path)) == 2
+            assert message in capsys.readouterr().err
 
     def test_malformed_labeled_cache_fatal(self, tmp_path, capsys):
         for name, row in (("cells", "x," * 40 + "x"), ("short", "img,1.0,2.0")):

@@ -34,7 +34,7 @@ KEYS = [
     "forest.n_trees", "forest.max_depth", "forest.min_samples_leaf",
     "forest.features_per_split", "forest.bootstrap", "forest.seed",
     "al.strategy", "al.init_size", "al.batch_size", "al.n_queries", "al.committee_size",
-    "al.committee_trees", "al.score_cap", "al.seed",
+    "al.committee_trees", "al.seed",
     "data.n_samples", "data.pool_size", "data.test_frac",
     "features.density_band",
     "grid.strategies", "grid.init_sizes", "grid.budgets", "grid.seeds",
@@ -205,7 +205,7 @@ class TestKeys:
                     continue
             accepted.add(key)
         assert sorted(accepted) == sorted(KEYS)
-        assert len(KEYS) == 53
+        assert len(KEYS) == 52
 
     @pytest.mark.parametrize("key", KEYS)
     def test_default_value_round_trips(self, key):

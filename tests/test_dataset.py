@@ -3,7 +3,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reach_al.dataset import (
@@ -20,6 +20,7 @@ from reach_al.dataset import (
     write_labeled_cache,
 )
 from reach_al.errors import ConfigError, IngestionError, ReachALError
+from reach_al.features import labels_array
 from reach_al.kinematics import ManipulatorParams
 from reach_al.perception import CameraIntrinsics, Extrinsics
 
@@ -248,60 +249,115 @@ class TestLabelWithOracle:
         assert not label_with_oracle(first, INTR).patch_density_fallback
 
 
+def reference_make_splits(samples, candidates, test_frac, init_size, seed):
+    """The list-based split that ``make_splits`` replaced, kept as its
+    reference: (labeled, unlabeled, test) lists of the given objects."""
+    n = len(samples)
+    n_test = int(round(test_frac * n))
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    shuffled = [samples[i] for i in order]
+    test = shuffled[:n_test]
+    rest = shuffled[n_test:]
+    init_labels = {s.label for s in rest[:init_size]}
+    if init_size >= 2 and len(init_labels) == 1:
+        missing = 1 - next(iter(init_labels))
+        for j in range(init_size, len(rest)):
+            if rest[j].label == missing:
+                rest[init_size - 1], rest[j] = rest[j], rest[init_size - 1]
+                break
+    labeled = rest[:init_size]
+    unlabeled = rest[init_size:] + list(candidates)
+    pool_order = rng.permutation(len(unlabeled))
+    unlabeled = [unlabeled[i] for i in pool_order]
+    return labeled, unlabeled, test
+
+
+class Row:
+    def __init__(self, index, label):
+        self.index, self.label = index, label
+
+
+@st.composite
+def split_inputs(draw):
+    """Labels of samples then candidates, the sample count, init_size, test_frac."""
+    n = draw(st.integers(1, 60), label="n_samples")
+    kind = draw(st.sampled_from(["bits", "one class", "minority"]), label="kind")
+    if kind == "bits":
+        y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="labels")
+    else:
+        # One class throughout, or a few rows of the other class, so the
+        # initial set is often single-class and the stratifying swap runs.
+        major = draw(st.integers(0, 1), label="major")
+        y = [major] * n
+        if kind == "minority":
+            for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3), label="minority"):
+                y[i] = 1 - major
+    y += draw(st.lists(st.integers(0, 1), max_size=20), label="candidates")
+    test_frac = draw(st.sampled_from([0.1, 0.2, 0.5, 0.9]), label="test_frac")
+    n_rest = n - int(round(test_frac * n))
+    if n_rest < 1:
+        test_frac = 0.1
+        n_rest = n - int(round(test_frac * n))
+    init_size = draw(st.integers(1, max(1, n_rest)), label="init_size")
+    return np.array(y, dtype=np.int64), n, test_frac, init_size
+
+
 class TestMakeSplits:
-    def _samples(self, n=1000, seed=80):
-        rng = np.random.default_rng(seed)
+    def _labels(self, n=1000, seed=80):
         recs = generate_scene(SceneConfig(n_images=200, seed=seed))
         result = label_with_oracle(recs, INTR)
         assert len(result.samples) >= n
-        return result.samples[:n]
+        return labels_array(result.samples[:n])
 
     def test_split_sizes(self):
-        samples = self._samples()
-        split = make_splits(samples, [], test_frac=0.2, init_size=10, seed=0)
+        split = make_splits(self._labels(), 1000, test_frac=0.2, init_size=10, seed=0)
         assert len(split.test) == 200
         assert len(split.labeled) == 10
         assert len(split.unlabeled) == 790
+        assert all(a.dtype == np.int64 for a in (split.labeled, split.unlabeled, split.test))
 
     def test_candidates_join_pool(self):
-        samples = self._samples()
-        split = make_splits(samples[:500], samples[500:], 0.2, 30, seed=1)
+        split = make_splits(self._labels(), 500, 0.2, 30, seed=1)
         assert len(split.test) == 100
         assert len(split.labeled) == 30
         assert len(split.unlabeled) == 370 + 500
+        assert set(range(500, 1000)) <= set(split.unlabeled.tolist())
+        assert (split.labeled < 500).all() and (split.test < 500).all()
 
     def test_deterministic(self):
-        samples = self._samples()
-        a = make_splits(samples, [], 0.2, 50, seed=3)
-        b = make_splits(samples, [], 0.2, 50, seed=3)
-        assert a.labeled == b.labeled
-        assert a.unlabeled == b.unlabeled
-        assert a.test == b.test
+        y = self._labels()
+        a = make_splits(y, 1000, 0.2, 50, seed=3)
+        b = make_splits(y, 1000, 0.2, 50, seed=3)
+        for part in ("labeled", "unlabeled", "test"):
+            np.testing.assert_array_equal(getattr(a, part), getattr(b, part))
 
     def test_partition_is_disjoint_and_complete(self):
-        samples = self._samples(400)
-        split = make_splits(samples, [], 0.25, 20, seed=4)
-        ids = lambda group: {id(s) for s in group}
-        all_ids = ids(split.labeled) | ids(split.unlabeled) | ids(split.test)
-        assert len(all_ids) == 400
-        assert all_ids == ids(samples)
+        split = make_splits(self._labels(400), 400, 0.25, 20, seed=4)
+        rows = np.concatenate([split.labeled, split.unlabeled, split.test])
+        np.testing.assert_array_equal(np.sort(rows), np.arange(400))
 
     def test_stratified_seed(self):
-        samples = self._samples()
+        y = self._labels()
         for seed in range(20):
-            split = make_splits(samples, [], 0.2, 10, seed=seed)
-            labels = {s.label for s in split.labeled}
-            assert labels == {0, 1}
+            split = make_splits(y, 1000, 0.2, 10, seed=seed)
+            assert set(y[split.labeled].tolist()) == {0, 1}
 
     def test_init_size_too_large(self):
-        samples = self._samples(100)
         with pytest.raises(ConfigError):
-            make_splits(samples, [], 0.2, 81, seed=0)
+            make_splits(self._labels(100), 100, 0.2, 81, seed=0)
 
-    def test_reveal_reads_hidden_label(self):
-        samples = self._samples(100)
-        split = make_splits(samples, [], 0.2, 10, seed=0)
-        assert split.reveal(3) == split.unlabeled[3].label
+    @given(inputs=split_inputs(), seed=st.integers(0, 2**32 - 1))
+    # Seed 0 draws a single-class initial set here, so the swap runs.
+    @example(inputs=(np.array([0] * 9 + [1, 0, 1]), 10, 0.2, 4), seed=0)
+    def test_selects_the_reference_rows_in_order(self, inputs, seed):
+        y, n, test_frac, init_size = inputs
+        rows = [Row(i, int(label)) for i, label in enumerate(y)]
+        labeled, unlabeled, test = reference_make_splits(rows[:n], rows[n:], test_frac, init_size, seed)
+        split = make_splits(y, n, test_frac, init_size, seed)
+        assert split.labeled.tolist() == [r.index for r in labeled]
+        assert split.unlabeled.tolist() == [r.index for r in unlabeled]
+        assert split.test.tolist() == [r.index for r in test]
 
 
 class TestLabeledCache:

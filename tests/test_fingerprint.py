@@ -1,0 +1,65 @@
+"""Output fingerprints of a tiny grid: a refactor that moves one byte fails.
+
+The hashes pin ``results.csv`` and ``summary.csv`` of a five-strategy,
+two-seed sweep whose last query batch is short (4 + 4 + 2), at one and at
+two workers, and of one ``run --data`` cell on a labeled cache.  A change
+that alters results on purpose updates them and says so in CHANGES.md.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from reach_al.cli import main
+
+CFG_TEXT = """
+scene.n_images = 120
+data.n_samples = 300
+data.pool_size = 300
+forest.n_trees = 15
+al.batch_size = 4
+al.committee_trees = 5
+grid.strategies = random, least_confidence, margin, entropy, qbc
+grid.init_sizes = 10
+grid.budgets = 10
+grid.seeds = 0, 1
+"""
+
+SWEEP_RESULTS = "975a58e7893104f6ed6d2028f439ffb30e2d13b63d4e90d88d2e9afc9d9b7b98"
+SWEEP_SUMMARY = "abdd39ecccf603a29bfc59920677f9d0783578a579f3ff72a43d248bddaff72c"
+DATA_RESULTS = "0f57b27eb866f6b73facffce94824fa0c9b46cacc96a580c3234ffd1c724091f"
+DATA_SUMMARY = "209a42335d555b10c13583c7697dccebebcd4203b0985d50d2f8f07318079c50"
+
+
+def sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def cfg_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cfg") / "tiny.cfg"
+    path.write_text(CFG_TEXT)
+    return str(path)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_fingerprint(tmp_path, cfg_file, jobs):
+    out = str(tmp_path)
+    assert main(["sweep", "--config", cfg_file, "--jobs", jobs, "--out", out]) == 0
+    assert sha256(os.path.join(out, "results.csv")) == SWEEP_RESULTS
+    assert sha256(os.path.join(out, "summary.csv")) == SWEEP_SUMMARY
+
+
+def test_run_data_fingerprint(tmp_path, cfg_file):
+    out = str(tmp_path)
+    assert main(["gen-scene", "--config", cfg_file, "--out", out]) == 0
+    det = os.path.join(out, "detections.csv")
+    assert main(["label", "--config", cfg_file, "--detections", det, "--out", out]) == 0
+    data = os.path.join(out, "labeled.csv")
+    argv = ["run", "--config", cfg_file, "--data", data, "--strategy", "qbc",
+            "--init-size", "10", "--budget", "10", "--out", out]
+    assert main(argv) == 0
+    assert sha256(os.path.join(out, "results.csv")) == DATA_RESULTS
+    assert sha256(os.path.join(out, "summary.csv")) == DATA_SUMMARY

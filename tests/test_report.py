@@ -1,10 +1,17 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reach_al.config import apply_overrides, default_config
+from reach_al.errors import IngestionError, ReachALError
 from reach_al.report import (
+    RESULT_COLUMNS,
     ExperimentGrid,
     ResultRow,
+    build_benchmark,
     emit_curve_plots,
     emit_envelope_plots,
     format_summary_table,
@@ -34,9 +41,14 @@ def tiny_grid():
 
 
 @pytest.fixture(scope="module")
-def tiny_results(tiny_grid, tmp_path_factory):
+def tiny_benchmark(tiny_grid):
+    return build_benchmark(tiny_grid)
+
+
+@pytest.fixture(scope="module")
+def tiny_results(tiny_grid, tiny_benchmark, tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("sweep")
-    results_path, summary_path, errors = run_grid(tiny_grid, out_dir)
+    results_path, summary_path, errors = run_grid(*tiny_benchmark, tiny_grid, out_dir)
     assert errors == []
     return results_path, summary_path
 
@@ -50,14 +62,14 @@ class TestRunGrid:
     def test_deterministic_files(self, tiny_grid, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
-        pa, sa, _ = run_grid(tiny_grid, a)
-        pb, sb, _ = run_grid(tiny_grid, b)
+        pa, sa, _ = run_grid(*build_benchmark(tiny_grid), tiny_grid, a)
+        pb, sb, _ = run_grid(*build_benchmark(tiny_grid), tiny_grid, b)
         assert open(pa, "rb").read() == open(pb, "rb").read()
         assert open(sa, "rb").read() == open(sb, "rb").read()
 
-    def test_parallel_matches_serial(self, tiny_grid, tiny_results, tmp_path):
+    def test_parallel_matches_serial(self, tiny_grid, tiny_benchmark, tiny_results, tmp_path):
         out = tmp_path / "par"
-        path, _, errors = run_grid(tiny_grid, out, jobs=2)
+        path, _, errors = run_grid(*tiny_benchmark, tiny_grid, out, jobs=2)
         assert errors == []
         assert open(path, "rb").read() == open(tiny_results[0], "rb").read()
 
@@ -71,6 +83,62 @@ class TestRunGrid:
         path = tmp_path / "copy.csv"
         write_results(path, rows)
         assert open(path, "rb").read() == open(tiny_results[0], "rb").read()
+
+
+VALID_RESULT_ROW = ["random", "0", "10", "20", "1", "20", "0.5", "0.25", "nan", "0.75", "0.5", "0.125"]
+RESULT_CELLS = st.one_of(
+    st.sampled_from(["", "x", "nan", "inf", "-1", "1e3", "1.5", "0", "random", '"']),
+    st.text(max_size=8),
+)
+
+
+def write_result_rows(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RESULT_COLUMNS)
+        writer.writerows(rows)
+
+
+class TestReadResults:
+    def test_errors_name_file_and_line(self, tmp_path):
+        with pytest.raises(IngestionError, match=r"cannot open results file .*missing\.csv"):
+            read_results(tmp_path / "missing.csv")
+        for name, row in (
+            ("letter", ["random", "x"] + VALID_RESULT_ROW[2:]),
+            ("short", VALID_RESULT_ROW[:-1]),
+            ("long", VALID_RESULT_ROW + ["1"]),
+            ("float", VALID_RESULT_ROW[:6] + ["high"] + VALID_RESULT_ROW[7:]),
+        ):
+            path = tmp_path / f"{name}.csv"
+            write_result_rows(path, [VALID_RESULT_ROW, row])
+            with pytest.raises(IngestionError, match=rf"{name}\.csv, line 3:"):
+                read_results(path)
+        for name, data in (("empty", b""), ("header", b"strategy,seed\n"), ("bytes", b"\xff\xfe\n")):
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(data)
+            with pytest.raises(IngestionError, match=rf"{name}\.csv"):
+                read_results(path)
+
+    @given(
+        edits=st.lists(st.tuples(st.integers(0, 20), RESULT_CELLS), max_size=4),
+        keep=st.integers(0, len(RESULT_COLUMNS) + 2),
+        raw=st.one_of(st.text(max_size=60), st.binary(max_size=60)),
+    )
+    def test_fuzzed_rows_raise_only_package_errors(self, tmp_path_factory, edits, keep, raw):
+        row = (VALID_RESULT_ROW + ["1.0"] * 2)[:keep]
+        for i, cell in edits:
+            if row:
+                row[i % len(row)] = cell
+        path = tmp_path_factory.mktemp("fuzz") / "results.csv"
+        write_result_rows(path, [VALID_RESULT_ROW, row])
+        with open(path, "ab") as fh:
+            fh.write(raw if isinstance(raw, bytes) else raw.encode("utf-8"))
+        try:
+            rows = read_results(path)
+        except ReachALError:
+            return
+        assert all(isinstance(r, ResultRow) for r in rows)
+        summarize(rows)
 
 
 class TestSummary:
