@@ -8,10 +8,9 @@ labeled synthetic fruit overlaid.
 
 import os
 
-import numpy as np
-
 from reach_al.config import default_config
 from reach_al.dataset import SceneConfig, generate_scene, label_with_oracle
+from reach_al.features import features_matrix, labels_array
 from reach_al.kinematics import sample_envelope, write_envelope
 from reach_al.report import emit_envelope_plots
 
@@ -34,8 +33,8 @@ print(f"wrote {xyz_path}")
 print("labeling a small synthetic scene for the fruit overlay ...")
 detections = generate_scene(SceneConfig(n_images=60, seed=1), cfg.cam)
 result = label_with_oracle(detections, cfg.cam, cfg.ext, cfg.arm)
-fruit = np.array([s.arm_point.as_array() for s in result.samples])
-labels = np.array([s.label for s in result.samples])
+fruit = features_matrix(result.samples)[:, :3]
+labels = labels_array(result.samples)
 print(f"  {len(fruit)} fruit points, {labels.mean():.0%} reachable")
 
 for path in emit_envelope_plots(pts, OUT, fruit, labels):

@@ -10,7 +10,7 @@ import numpy as np
 
 from reach_al.config import default_config
 from reach_al.features import FEATURE_NAMES, extract_features
-from reach_al.kinematics import forward_kinematics, is_reachable, is_reachable_bruteforce
+from reach_al.kinematics import BruteForceOracle, forward_kinematics, is_reachable
 from reach_al.perception import (
     DepthPatch,
     back_project,
@@ -43,7 +43,7 @@ print(f"arm frame:    ({arm_pt.x:+.3f}, {arm_pt.y:+.3f}, {arm_pt.z:+.3f}) m")
 
 fv = extract_features(arm_pt, patch, Z, 110, 110, (cfg.cam.rgb_width, cfg.cam.rgb_height))
 print("features:")
-for name, value in zip(FEATURE_NAMES, fv.as_array()):
+for name, value in zip(FEATURE_NAMES, fv):
     print(f"  {name:8s} {value:+.4f}")
 
 reachable, witness = is_reachable(arm_pt, cfg.arm)
@@ -57,5 +57,5 @@ if witness is not None:
     err = np.linalg.norm(fk.as_array() - arm_pt.as_array())
     print(f"  forward kinematics of witness lands {err:.2e} m from the target")
 
-brute = is_reachable_bruteforce(arm_pt, cfg.arm, steps_per_joint=25, tol=0.03)
+brute = BruteForceOracle(cfg.arm, steps_per_joint=25, tol=0.03).is_reachable(arm_pt)
 print(f"brute-force grid check: {'reachable' if brute else 'unreachable'}")

@@ -32,7 +32,7 @@ from .errors import (
     NoDepthError,
     ReachALError,
 )
-from .features import FeatureVector, extract_features
+from .features import extract_features
 from .forest import ForestModel, TrainConfig, fit_arrays, predict_proba_matrix
 from .kinematics import (
     ArmPoint,
@@ -41,7 +41,6 @@ from .kinematics import (
     ManipulatorParams,
     forward_kinematics,
     is_reachable,
-    is_reachable_bruteforce,
     sample_envelope,
 )
 from .metrics import (

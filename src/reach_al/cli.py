@@ -14,8 +14,6 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import report as report_mod
 from .active import STRATEGIES
 from .config import default_config, load_config, resolve_out_dir
@@ -28,10 +26,15 @@ from .dataset import (
     write_labeled_cache,
 )
 from .errors import ConfigError, IngestionError, ReachALError
-from .kinematics import sample_envelope, write_envelope, read_envelope
+from .features import features_matrix, labels_array
+from .kinematics import read_envelope, sample_envelope, write_envelope
 from .report import ExperimentGrid, build_benchmark, run_grid
 
 logger = logging.getLogger(__name__)
+
+# The finest joint grid the package builds (the BruteForceOracle default).
+# The envelope grid holds steps**4 configurations: 40 steps take about 0.4 GB.
+MAX_ENVELOPE_STEPS = 40
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -51,6 +54,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _envelope_steps(text: str) -> int:
+    value = int(text)
+    if not 2 <= value <= MAX_ENVELOPE_STEPS:
+        raise argparse.ArgumentTypeError(f"must lie in [2, {MAX_ENVELOPE_STEPS}], got {value}")
     return value
 
 
@@ -95,7 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("envelope", help="sample the reachable envelope to a text file")
     _add_common(p)
-    p.add_argument("--steps", type=int, default=20, help="grid steps per joint")
+    p.add_argument(
+        "--steps",
+        type=_envelope_steps,
+        default=20,
+        help=f"grid steps per joint, 2 to {MAX_ENVELOPE_STEPS}",
+    )
     p.add_argument("--envelope", default="envelope.xyz", help="output file name")
 
     p = sub.add_parser("plot", help="emit SVG plots from results or envelope data")
@@ -252,9 +267,8 @@ def _cmd_plot(args) -> int:
         env = read_envelope(args.envelope)
         fruit = labels = None
         if args.labeled:
-            cache = read_labeled_cache(args.labeled)
-            fruit = np.array([s.arm_point.as_array() for s in cache.samples])
-            labels = np.array([s.label for s in cache.samples])
+            samples = read_labeled_cache(args.labeled).samples
+            fruit, labels = features_matrix(samples)[:, :3], labels_array(samples)
         written = report_mod.emit_envelope_plots(env, out_dir, fruit, labels)
     for path in written:
         print(f"wrote {path}")

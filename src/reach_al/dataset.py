@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from array import array
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -25,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, IngestionError, csv_error_line
-from .features import DENSITY_BAND, FEATURE_NAMES, FeatureVector, feature_rows
+from .features import DENSITY_BAND, FEATURE_NAMES, feature_rows
 from .kinematics import ArmPoint, ManipulatorParams, reachable_mask
 from .perception import (
     MAX_VALID_DEPTH,
@@ -59,9 +60,8 @@ _MAX_APPLES = 1_000.0
 DETECTION_COLUMNS = ("image_id", "u", "v", "bbox_w", "bbox_h", "confidence") + tuple(
     f"d{i:02d}" for i in range(25)
 )
-LABELED_COLUMNS = DETECTION_COLUMNS + ("x", "y", "z", "label") + tuple(
-    n for n in FEATURE_NAMES if n not in ("x", "y", "z")
-)
+LABELED_COLUMNS = DETECTION_COLUMNS + FEATURE_NAMES[:3] + ("label",) + FEATURE_NAMES[3:]
+_LABEL = LABELED_COLUMNS.index("label")
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,15 +96,20 @@ class Detections:
 
 @dataclass(frozen=True)
 class LabeledSample:
-    """Feature vector with its oracle label and the arm point it came from."""
+    """One row of features (Python floats in ``FEATURE_NAMES`` order) with
+    its oracle label."""
 
-    features: FeatureVector
+    features: tuple[float, ...]
     label: int
-    arm_point: ArmPoint
 
     def __post_init__(self):
         if self.label not in (0, 1):
             raise ValueError("label must be 0 or 1")
+
+    @property
+    def arm_point(self) -> ArmPoint:
+        """The arm-frame point the features start with."""
+        return ArmPoint(*self.features[:3])
 
 
 @dataclass(frozen=True)
@@ -387,10 +392,7 @@ def label_with_oracle(
             x, y, z, patches[keep], depth, bbox_w, bbox_h, dims, windows[rows][keep], density_band
         ).tolist()
         labels = reachable_mask(x, y, z, params).astype(int).tolist()
-        samples += [
-            LabeledSample(FeatureVector(*row), label, ArmPoint(row[0], row[1], row[2]))
-            for row, label in zip(features, labels)
-        ]
+        samples += map(LabeledSample, map(tuple, features), labels)
         kept[start + keep] = True
     # Keeping every row copies none: a second copy of the windows would
     # raise peak RSS by their whole size.
@@ -440,38 +442,37 @@ def make_splits(
     return PoolSplit(labeled=rest[:init_size], unlabeled=unlabeled, test=test)
 
 
+def _labeled_cells(result: LabelingResult):
+    """Each row's cells in ``LABELED_COLUMNS`` order."""
+    for cells, s in zip(_detection_cells(result.records), result.samples):
+        cells += map(repr, s.features)
+        cells.insert(_LABEL, str(s.label))
+        yield cells
+
+
 def write_labeled_cache(path, result: LabelingResult) -> None:
-    """Write retained records with their arm point, label, and features."""
+    """Write retained records with their features and label."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(LABELED_COLUMNS)
-        writer.writerows(
-            cells
-            + [repr(s.arm_point.x), repr(s.arm_point.y), repr(s.arm_point.z), str(s.label)]
-            + [
-                repr(s.features.range),
-                repr(s.features.azimuth),
-                repr(s.features.elevation),
-                repr(s.features.depth_var),
-                repr(s.features.bbox_area),
-                repr(s.features.local_density),
-            ]
-            for cells, s in zip(_detection_cells(result.records), result.samples)
-        )
+        writer.writerows(_labeled_cells(result))
 
 
 def _parse_labeled_row(row) -> tuple[list, LabeledSample]:
     """Detection cells and sample of one labeled-cache row; raises ValueError
-    when it is malformed."""
+    when it is malformed or a feature cell is not finite."""
     if len(row) != len(LABELED_COLUMNS):
         raise ValueError(f"expected {len(LABELED_COLUMNS)} columns, got {len(row)}")
-    cells = list(map(float, row[1 : len(DETECTION_COLUMNS)]))
-    x, y, z = float(row[31]), float(row[32]), float(row[33])
-    label = int(row[34])
+    nums = list(map(float, row[1:_LABEL] + row[_LABEL + 1 :]))
+    label = int(row[_LABEL])
     if label not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {label}")
-    fv = FeatureVector(x, y, z, *(float(v) for v in row[35:41]))
-    return cells, LabeledSample(features=fv, label=label, arm_point=ArmPoint(x, y, z))
+    n_cells = len(DETECTION_COLUMNS) - 1
+    features = tuple(nums[n_cells:])
+    for name, value in zip(FEATURE_NAMES, features):
+        if not math.isfinite(value):
+            raise ValueError(f"feature {name} is not finite: {value}")
+    return nums[:n_cells], LabeledSample(features, label)
 
 
 def read_labeled_cache(path) -> LabelingResult:

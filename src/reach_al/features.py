@@ -3,12 +3,12 @@
 Combines the arm-frame position with spherical-coordinate views of it and
 three perception cues: depth variance inside the 5x5 patch, normalized
 bounding-box area, and a local same-depth density around the detection.
+A detection's features are one row in ``FEATURE_NAMES`` order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,35 +29,6 @@ FEATURE_NAMES = (
     "a_bbox",
     "d_local",
 )
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    x: float
-    y: float
-    z: float
-    range: float
-    azimuth: float
-    elevation: float
-    depth_var: float
-    bbox_area: float
-    local_density: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.x,
-                self.y,
-                self.z,
-                self.range,
-                self.azimuth,
-                self.elevation,
-                self.depth_var,
-                self.bbox_area,
-                self.local_density,
-            ],
-            dtype=float,
-        )
 
 
 def _depth_variances(patches: np.ndarray) -> np.ndarray:
@@ -137,8 +108,9 @@ def extract_features(
     image_dims: tuple[int, int],
     neighborhood: Optional[np.ndarray] = None,
     density_band: float = DENSITY_BAND,
-) -> FeatureVector:
-    """Compute the classifier features for one detection.
+) -> tuple[float, ...]:
+    """Compute the classifier features for one detection, as a tuple of
+    Python floats in ``FEATURE_NAMES`` order.
 
     ``depth`` is the patch's robust depth, which the caller has already
     computed to back-project the detection.  ``neighborhood`` is an optional
@@ -157,14 +129,13 @@ def extract_features(
         np.asarray(patch.values if neighborhood is None else neighborhood, dtype=float).reshape(1, -1),
         density_band,
     )
-    return FeatureVector(*row[0].tolist())
+    return tuple(row[0].tolist())
 
 
 def features_matrix(samples) -> np.ndarray:
     """Stack ``.features`` of labeled samples into an (n, 9) array."""
-    if len(samples) == 0:
-        return np.zeros((0, 9), dtype=float)
-    return np.stack([s.features.as_array() for s in samples])
+    n = len(samples)
+    return np.array([s.features for s in samples], dtype=float).reshape(n, len(FEATURE_NAMES))
 
 
 def labels_array(samples) -> np.ndarray:

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from .errors import IngestionError
 
 TWO_PI = 2.0 * math.pi
 
@@ -315,15 +316,7 @@ class BruteForceOracle:
         self._tree = cKDTree(self.points)
 
     def is_reachable(self, p: ArmPoint) -> bool:
-        idx = self._tree.query_ball_point(p.as_array(), r=self.tol)
-        if not idx:
-            return False
-        margin = self.params.collision_margin
-        if margin <= 0.0:
-            return True
-        dx = p.x - self._carriage_xy[idx, 0]
-        dy = p.y - self._carriage_xy[idx, 1]
-        return bool(np.any(dx * dx + dy * dy >= margin * margin))
+        return bool(self.label_many(p.as_array()[None])[0])
 
     def label_many(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -355,23 +348,6 @@ class BruteForceOracle:
         )
 
 
-@lru_cache(maxsize=4)
-def _cached_oracle(
-    params: ManipulatorParams, steps_per_joint: int, tol: float
-) -> BruteForceOracle:
-    return BruteForceOracle(params, steps_per_joint, tol)
-
-
-def is_reachable_bruteforce(
-    p: ArmPoint,
-    params: ManipulatorParams,
-    steps_per_joint: int = 40,
-    tol: float = 0.02,
-) -> bool:
-    """Single-point brute-force decision; the grid is built once and cached."""
-    return _cached_oracle(params, steps_per_joint, tol).is_reachable(p)
-
-
 def sample_envelope(params: ManipulatorParams, steps_per_joint: int) -> np.ndarray:
     """Forward-kinematics image of the full joint grid, one point per 1 cm voxel.
 
@@ -392,7 +368,35 @@ def write_envelope(path, points: np.ndarray) -> None:
 
 
 def read_envelope(path) -> np.ndarray:
-    pts = np.loadtxt(path, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(1, -1)
-    return pts
+    """Read ``x y z`` text as an (n, 3) array.
+
+    Blank lines and ``#`` comments are skipped; every other line must hold
+    exactly three finite numbers, and at least one such line must exist.
+    Anything else raises ``IngestionError`` naming the file and line.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8")
+    except OSError as exc:
+        raise IngestionError(f"cannot open envelope file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise IngestionError(f"malformed envelope file {path}, line {line}: {exc}") from exc
+    rows = []
+    for line, content in enumerate(text.split("\n"), 1):
+        cells = content.split("#", 1)[0].split()
+        if not cells:
+            continue
+        try:
+            row = [float(c) for c in cells]
+        except ValueError:
+            row = []
+        if len(row) != 3 or not all(map(math.isfinite, row)):
+            raise IngestionError(
+                f"malformed envelope file {path}, line {line}: expected three finite numbers"
+            )
+        rows.append(row)
+    if not rows:
+        raise IngestionError(f"envelope file {path} holds no point")
+    return np.array(rows, dtype=float)

@@ -63,7 +63,7 @@ def roc_auc(scores, truths) -> Optional[float]:
     """Probability that a random positive outscores a random negative.
 
     Ties credit 0.5, matching the trapezoidal ROC area.  Returns None when
-    only one class is present.
+    only one class is present.  NaN scores rank as one tied group.
     """
     scores = np.asarray(scores, dtype=float)
     truths = np.asarray(truths, dtype=np.int64)
@@ -74,17 +74,12 @@ def roc_auc(scores, truths) -> Optional[float]:
     if n_pos == 0 or n_neg == 0:
         return None
 
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    # Average ranks over tied scores (1-based midranks).
-    ranks = np.empty(len(scores), dtype=float)
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # Average ranks over tied scores (1-based midranks): each group of
+    # equal scores spans the sorted positions [start, end).
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    end = np.cumsum(counts)
+    start = end - counts
+    ranks = (0.5 * (start + end - 1) + 1.0)[group]
     pos_rank_sum = float(ranks[truths == 1].sum())
     return (pos_rank_sum - 0.5 * n_pos * (n_pos + 1)) / (n_pos * n_neg)
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from reach_al import report
-from reach_al.cli import main
-from reach_al.dataset import DETECTION_COLUMNS, LABELED_COLUMNS
+from reach_al.cli import MAX_ENVELOPE_STEPS, build_parser, main
+from reach_al.dataset import DETECTION_COLUMNS, LABELED_COLUMNS, read_labeled_cache
+from reach_al.kinematics import read_envelope
 from reach_al.report import read_results
 
 CFG_TEXT = """
@@ -140,6 +141,32 @@ class TestEnvelopeAndPlots:
         for view in ("top", "side", "front"):
             assert os.path.exists(os.path.join(out, f"envelope_{view}.svg"))
 
+    def test_plot_envelope_with_labeled_overlay(self, tmp_path, cfg_file):
+        out = str(tmp_path / "o")
+        assert run_cli("envelope", "--config", cfg_file, "--steps", "6", "--out", out) == 0
+        assert run_cli("gen-scene", "--config", cfg_file, "--out", out) == 0
+        det = os.path.join(out, "detections.csv")
+        assert run_cli("label", "--config", cfg_file, "--detections", det, "--out", out) == 0
+        plain, overlaid = str(tmp_path / "plain"), str(tmp_path / "overlaid")
+        env_path = os.path.join(out, "envelope.xyz")
+        assert run_cli("plot", "--kind", "envelope", "--envelope", env_path, "--out", plain) == 0
+        labeled = os.path.join(out, "labeled.csv")
+        argv = ("plot", "--kind", "envelope", "--envelope", env_path, "--labeled", labeled)
+        assert run_cli(*argv, "--out", overlaid) == 0
+        # Reference: the overlay drawn from each sample's arm point.
+        samples = read_labeled_cache(labeled).samples
+        fruit = np.array([s.arm_point.as_array() for s in samples])
+        labels = np.array([s.label for s in samples])
+        expected = str(tmp_path / "expected")
+        report.emit_envelope_plots(read_envelope(env_path), expected, fruit, labels)
+        for view in ("top", "side", "front"):
+            a = open(os.path.join(plain, f"envelope_{view}.svg")).read()
+            b = open(os.path.join(overlaid, f"envelope_{view}.svg")).read()
+            assert b.count("<circle") > a.count("<circle")
+            # A plain flag: pytest's diff of two large SVGs would take minutes.
+            same = b == open(os.path.join(expected, f"envelope_{view}.svg")).read()
+            assert same, view
+
     def test_plot_curves(self, tmp_path, cfg_file):
         out = str(tmp_path / "o")
         run_cli("sweep", "--config", cfg_file, "--out", out)
@@ -259,6 +286,21 @@ class TestFatalErrors:
             assert run_cli(*argv, "--out", str(tmp_path)) == 2
             assert message in capsys.readouterr().err
 
+    def test_malformed_envelope_fatal(self, tmp_path, capsys):
+        four = tmp_path / "four.xyz"
+        four.write_text("0 0 0\n1 1 1 1\n")
+        ragged = tmp_path / "ragged.xyz"
+        ragged.write_text("0 0 0\n0 0 0\n1 1\n")
+        for path, message in (
+            (tmp_path / "missing.xyz", "missing.xyz"),
+            (four, "four.xyz, line 2"),
+            (ragged, "ragged.xyz, line 3"),
+        ):
+            capsys.readouterr()
+            argv = ("plot", "--kind", "envelope", "--envelope", str(path), "--out", str(tmp_path))
+            assert run_cli(*argv) == 2
+            assert message in capsys.readouterr().err
+
     def test_malformed_labeled_cache_fatal(self, tmp_path, capsys):
         for name, row in (("cells", "x," * 40 + "x"), ("short", "img,1.0,2.0")):
             bad = tmp_path / f"{name}.csv"
@@ -281,6 +323,18 @@ class TestGridFlags:
                 run_cli("sweep", "--config", cfg_file, "--out", str(tmp_path), "--jobs", jobs)
             assert exc.value.code == 2
             assert "--jobs" in capsys.readouterr().err
+
+    def test_envelope_steps_outside_range_rejected(self, capsys):
+        # Only parsed, never run: a parser that let a large value through
+        # must not build its steps**4 joint grid here.
+        parser = build_parser()
+        for steps in ("0", "1", str(MAX_ENVELOPE_STEPS + 1), "1000", "-2", "2.5", "x"):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(["envelope", "--steps", steps])
+            assert exc.value.code == 2
+            assert "--steps" in capsys.readouterr().err
+        for steps in (2, MAX_ENVELOPE_STEPS):
+            assert parser.parse_args(["envelope", "--steps", str(steps)]).steps == steps
 
     def test_negative_seed_flag_rejected(self, tmp_path, cfg_file, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -69,6 +69,14 @@ CACHE_CELLS = st.one_of(
 VALID_DETECTION_ROW = ["img0", "100.0", "120.0", "30.0", "28.0", "0.9"] + ["1.2"] * 25
 
 
+def with_cells(row, **cells):
+    """``row`` with the cells of the named ``LABELED_COLUMNS`` replaced."""
+    row = list(row)
+    for name, cell in cells.items():
+        row[LABELED_COLUMNS.index(name)] = cell
+    return row
+
+
 def write_cache_rows(path, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -368,6 +376,8 @@ class TestLabeledCache:
         loaded = read_labeled_cache(path)
         assert same_rows(loaded.records, result.records)
         assert loaded.samples == result.samples
+        write_labeled_cache(tmp_path / "again.csv", loaded)
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
     def test_malformed_rows_name_file_and_line(self, tmp_path):
         for name, row in (
@@ -375,6 +385,8 @@ class TestLabeledCache:
             ("short", VALID_CACHE_ROW[:12]),
             ("label", VALID_CACHE_ROW[:34] + ["2"] + VALID_CACHE_ROW[35:]),
             ("bbox", VALID_CACHE_ROW[:3] + ["nan", "nan"] + VALID_CACHE_ROW[5:]),
+            ("features", with_cells(VALID_CACHE_ROW, range="nan", d_local="inf")),
+            ("z", with_cells(VALID_CACHE_ROW, z="-inf")),
         ):
             path = tmp_path / f"{name}.csv"
             write_cache_rows(path, [VALID_CACHE_ROW, row])

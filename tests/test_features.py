@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from reach_al.features import extract_features
+from reach_al.features import FEATURE_NAMES, extract_features
 from reach_al.kinematics import ArmPoint
 from reach_al.perception import DepthPatch, robust_depth
 
@@ -14,36 +14,44 @@ def uniform_patch(value=1.5):
 
 
 def features_of(p, patch, *args, **kwargs):
-    """Features with the patch depth computed as the labeling pass does."""
-    return extract_features(p, patch, robust_depth(patch), *args, **kwargs)
+    """Features by ``FEATURE_NAMES`` name, with the patch depth computed as
+    the labeling pass does."""
+    row = extract_features(p, patch, robust_depth(patch), *args, **kwargs)
+    return dict(zip(FEATURE_NAMES, row))
 
 
 class TestExamples:
     def test_on_axis_point(self):
         fv = features_of(ArmPoint(1, 0, 0), uniform_patch(), 40, 40, IMAGE_DIMS)
-        assert fv.range == 1.0
-        assert fv.azimuth == 0.0
-        assert fv.elevation == 0.0
+        assert fv["range"] == 1.0
+        assert fv["az"] == 0.0
+        assert fv["el"] == 0.0
 
     def test_uniform_scene(self):
         window = np.full((11, 11), 1.5)
         fv = features_of(
             ArmPoint(1, 0, 0), uniform_patch(1.5), 40, 40, IMAGE_DIMS, neighborhood=window
         )
-        assert fv.depth_var == 0.0
-        assert fv.local_density == 1.0
+        assert fv["sigma_z"] == 0.0
+        assert fv["d_local"] == 1.0
 
     def test_hand_computed_vector(self):
         vals = np.array([1.0] * 13 + [2.0] * 12)
         fv = features_of(
             ArmPoint(0.3, 0.4, 0.0), DepthPatch(vals), 40, 40, IMAGE_DIMS
         )
-        np.testing.assert_allclose(fv.range, 0.5, atol=1e-12)
-        np.testing.assert_allclose(fv.azimuth, math.atan2(0.4, 0.3), atol=1e-12)
-        np.testing.assert_allclose(fv.azimuth, 0.9273, atol=1e-4)
-        assert fv.elevation == 0.0
-        np.testing.assert_allclose(fv.depth_var, 0.2496, atol=1e-12)
-        np.testing.assert_allclose(fv.bbox_area, 1600 / 2073600, atol=1e-12)
+        np.testing.assert_allclose(fv["range"], 0.5, atol=1e-12)
+        np.testing.assert_allclose(fv["az"], math.atan2(0.4, 0.3), atol=1e-12)
+        np.testing.assert_allclose(fv["az"], 0.9273, atol=1e-4)
+        assert fv["el"] == 0.0
+        np.testing.assert_allclose(fv["sigma_z"], 0.2496, atol=1e-12)
+        np.testing.assert_allclose(fv["a_bbox"], 1600 / 2073600, atol=1e-12)
+
+    def test_row_is_nine_python_floats(self):
+        row = extract_features(ArmPoint(0.3, 0.4, 0.1), uniform_patch(), 1.5, 40, 40, IMAGE_DIMS)
+        assert len(row) == len(FEATURE_NAMES) == 9
+        assert all(type(v) is float for v in row)
+        assert row[:3] == (0.3, 0.4, 0.1)
 
 
 class TestProperties:
@@ -57,13 +65,13 @@ class TestProperties:
             p1 = ArmPoint(c * x - s * y, s * x + c * y, z)
             f0 = features_of(p0, uniform_patch(), 30, 30, IMAGE_DIMS)
             f1 = features_of(p1, uniform_patch(), 30, 30, IMAGE_DIMS)
-            daz = (f1.azimuth - f0.azimuth - delta) % (2 * math.pi)
+            daz = (f1["az"] - f0["az"] - delta) % (2 * math.pi)
             assert min(daz, 2 * math.pi - daz) <= 1e-9
-            np.testing.assert_allclose(f1.range, f0.range, atol=1e-9)
-            np.testing.assert_allclose(f1.elevation, f0.elevation, atol=1e-9)
-            assert f1.depth_var == f0.depth_var
-            assert f1.bbox_area == f0.bbox_area
-            assert f1.local_density == f0.local_density
+            np.testing.assert_allclose(f1["range"], f0["range"], atol=1e-9)
+            np.testing.assert_allclose(f1["el"], f0["el"], atol=1e-9)
+            assert f1["sigma_z"] == f0["sigma_z"]
+            assert f1["a_bbox"] == f0["a_bbox"]
+            assert f1["d_local"] == f0["d_local"]
 
     def test_scaling(self):
         rng = np.random.default_rng(21)
@@ -75,19 +83,19 @@ class TestProperties:
                 ArmPoint(k * x, k * y, k * z), uniform_patch(), 30, 30, IMAGE_DIMS
             )
             np.testing.assert_allclose(
-                [f1.x, f1.y, f1.z, f1.range],
-                [k * f0.x, k * f0.y, k * f0.z, k * f0.range],
+                [f1["x"], f1["y"], f1["z"], f1["range"]],
+                [k * f0["x"], k * f0["y"], k * f0["z"], k * f0["range"]],
                 atol=1e-9,
             )
-            np.testing.assert_allclose(f1.azimuth, f0.azimuth, atol=1e-9)
-            np.testing.assert_allclose(f1.elevation, f0.elevation, atol=1e-9)
+            np.testing.assert_allclose(f1["az"], f0["az"], atol=1e-9)
+            np.testing.assert_allclose(f1["el"], f0["el"], atol=1e-9)
 
     def test_depth_var_shift_invariant(self):
         rng = np.random.default_rng(22)
         vals = rng.uniform(1.0, 3.0, size=25)
         f0 = features_of(ArmPoint(1, 0, 0), DepthPatch(vals), 30, 30, IMAGE_DIMS)
         f1 = features_of(ArmPoint(1, 0, 0), DepthPatch(vals + 4.0), 30, 30, IMAGE_DIMS)
-        np.testing.assert_allclose(f1.depth_var, f0.depth_var, atol=1e-9)
+        np.testing.assert_allclose(f1["sigma_z"], f0["sigma_z"], atol=1e-9)
 
     def test_all_outputs_finite(self):
         rng = np.random.default_rng(23)
@@ -103,10 +111,10 @@ class TestProperties:
                 rng.uniform(1, 500),
                 IMAGE_DIMS,
             )
-            assert np.isfinite(fv.as_array()).all()
+            assert np.isfinite(list(fv.values())).all()
 
     def test_density_window_fallback_uses_patch(self):
         vals = np.full(25, 1.0)
         vals[:5] = 2.0  # out of band
         fv = features_of(ArmPoint(1, 0, 0), DepthPatch(vals), 30, 30, IMAGE_DIMS)
-        assert fv.local_density == 20 / 25
+        assert fv["d_local"] == 20 / 25

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reach_al.errors import IngestionError, ReachALError
 from reach_al.kinematics import (
     ArmPoint,
     BruteForceOracle,
@@ -12,9 +13,10 @@ from reach_al.kinematics import (
     ManipulatorParams,
     forward_kinematics,
     is_reachable,
-    is_reachable_bruteforce,
     reachable_mask,
+    read_envelope,
     sample_envelope,
+    write_envelope,
 )
 
 PARAMS = ManipulatorParams()
@@ -245,10 +247,10 @@ class TestBruteForceOracle:
             theta2=0.5 * sum(PARAMS.theta2_range),
         )
         p = forward_kinematics(q, PARAMS)
-        assert is_reachable_bruteforce(p, PARAMS, steps_per_joint=15, tol=0.05)
+        assert BruteForceOracle(PARAMS, steps_per_joint=15, tol=0.05).is_reachable(p)
 
     def test_far_point_unreachable(self):
-        assert not is_reachable_bruteforce(ArmPoint(10, 10, 10), PARAMS, 15, 0.05)
+        assert not BruteForceOracle(PARAMS, 15, 0.05).is_reachable(ArmPoint(10, 10, 10))
 
     def test_agreement_with_analytic_outside_boundary_band(self):
         oracle = BruteForceOracle(PARAMS, steps_per_joint=25, tol=0.035)
@@ -257,6 +259,7 @@ class TestBruteForceOracle:
         pts = rng.uniform(lo, hi, size=(1500, 3))
         analytic = np.array([int(is_reachable(ArmPoint(*p), PARAMS)[0]) for p in pts])
         brute = oracle.label_many(pts)
+        assert [oracle.is_reachable(ArmPoint(*p)) for p in pts] == brute.astype(bool).tolist()
         band = oracle.workspace_step()
         disagreements = np.nonzero(analytic != brute)[0]
         uncertified = 0
@@ -316,3 +319,61 @@ class TestSampleEnvelope:
         pts = sample_envelope(PARAMS, steps_per_joint=10)
         keys = np.round(pts / 0.01).astype(np.int64)
         assert len(np.unique(keys, axis=0)) == len(pts)
+
+
+ENVELOPE_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["", "#", "x", "1e999", "-0.5", "1,2"]),
+    st.text(max_size=6),
+)
+
+
+class TestReadEnvelope:
+    def test_round_trip(self, tmp_path):
+        pts = sample_envelope(PARAMS, steps_per_joint=4)
+        path = tmp_path / "env.xyz"
+        write_envelope(path, pts)
+        np.testing.assert_allclose(read_envelope(path), pts, rtol=0, atol=5e-7)
+
+    def test_blank_lines_and_comments_skipped(self, tmp_path):
+        path = tmp_path / "env.xyz"
+        path.write_text("# x y z\n\n0.1 0.2 0.3  # first\n  \n1 2 3\n")
+        assert read_envelope(path).tolist() == [[0.1, 0.2, 0.3], [1.0, 2.0, 3.0]]
+
+    def test_malformed_files_name_file_and_line(self, tmp_path):
+        for name, text in (
+            ("ragged", "0 0 0\n1 1\n"),
+            ("four", "0 0 0\n1 1 1 1\n"),
+            ("nan", "0 0 0\n1 nan 1\n"),
+            ("inf", "0 0 0\n1 1 -inf\n"),
+            ("word", "0 0 0\n1 one 1\n"),
+        ):
+            path = tmp_path / f"{name}.xyz"
+            path.write_text(text)
+            with pytest.raises(IngestionError, match=rf"{name}\.xyz, line 2"):
+                read_envelope(path)
+        path = tmp_path / "bytes.xyz"
+        path.write_bytes(b"0 0 0\n1 \xff 1\n")
+        with pytest.raises(IngestionError, match=r"bytes\.xyz, line 2"):
+            read_envelope(path)
+        for name, text in (("empty", ""), ("comments", "# nothing\n\n")):
+            path = tmp_path / f"{name}.xyz"
+            path.write_text(text)
+            with pytest.raises(IngestionError, match=rf"{name}\.xyz holds no point"):
+                read_envelope(path)
+        with pytest.raises(IngestionError, match="missing.xyz"):
+            read_envelope(tmp_path / "missing.xyz")
+
+    @given(
+        rows=st.lists(st.lists(ENVELOPE_CELLS, max_size=5), max_size=6),
+        raw=st.binary(max_size=20),
+    )
+    def test_fuzzed_files_raise_only_package_errors(self, tmp_path_factory, rows, raw):
+        path = tmp_path_factory.mktemp("env") / "env.xyz"
+        path.write_bytes("\n".join(" ".join(r) for r in rows).encode("utf-8", "surrogatepass") + raw)
+        try:
+            pts = read_envelope(path)
+        except ReachALError:
+            return
+        assert pts.ndim == 2 and pts.shape[1] == 3 and len(pts) > 0
+        assert np.isfinite(pts).all()

@@ -38,7 +38,6 @@ from reach_al.dataset import (
 from reach_al.errors import BoundaryError, IngestionError, NoDepthError
 from reach_al.features import (
     DENSITY_BAND,
-    FeatureVector,
     extract_features,
     feature_rows,
     features_matrix,
@@ -148,6 +147,7 @@ def ref_camera_to_arm(p, ext):
 
 
 def ref_features(p, patch, depth, bbox_w, bbox_h, image_dims, neighborhood, density_band):
+    """One detection's features in ``FEATURE_NAMES`` order."""
     vals = valid_values(patch)
     depth_var = float(np.var(vals)) if vals.size > 0 else 0.0
     window = np.asarray(neighborhood if neighborhood is not None else patch)
@@ -159,16 +159,16 @@ def ref_features(p, patch, depth, bbox_w, bbox_h, image_dims, neighborhood, dens
     az = math.atan2(p.y, p.x)
     if az <= -math.pi:
         az += 2.0 * math.pi
-    return FeatureVector(
-        x=p.x,
-        y=p.y,
-        z=p.z,
-        range=math.sqrt(p.x * p.x + p.y * p.y + p.z * p.z),
-        azimuth=az,
-        elevation=math.atan2(p.z, math.hypot(p.x, p.y)),
-        depth_var=depth_var,
-        bbox_area=bbox_area,
-        local_density=local_density,
+    return (
+        p.x,
+        p.y,
+        p.z,
+        math.sqrt(p.x * p.x + p.y * p.y + p.z * p.z),
+        az,
+        math.atan2(p.z, math.hypot(p.x, p.y)),
+        depth_var,
+        bbox_area,
+        local_density,
     )
 
 
@@ -194,7 +194,7 @@ def reference_label_with_oracle(det, intr, ext, params, density_band=DENSITY_BAN
             rec.neighborhood,
             density_band,
         )
-        samples.append(LabeledSample(fv, int(is_reachable(arm, params)[0]), arm))
+        samples.append(LabeledSample(fv, int(is_reachable(arm, params)[0])))
         kept.append(i)
     return samples, kept, fallback
 
@@ -325,7 +325,7 @@ def test_patch_statistics_match_numpy_per_row(rows, depth_noise):
     )
     for i in range(n):
         fv = ref_features(ArmPoint(1.0, 0.0, 0.0), values[i], band_depth[i], 30.0, 30.0, (1920, 1080), None, DENSITY_BAND)
-        assert features[i].tobytes() == fv.as_array().tobytes()
+        assert features[i].tobytes() == np.array(fv).tobytes()
 
 
 # Values that break one rule, with the valid values at each rule's edge.
