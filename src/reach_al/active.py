@@ -17,7 +17,14 @@ from .dataset import PoolSplit
 from .forest import TrainConfig, fit_arrays, predict_proba_matrix
 from .metrics import MetricSet, evaluate, ik_call_reduction
 
-STRATEGIES = ("random", "least_confidence", "margin", "entropy", "qbc")
+# The scorer behind each strategy name.  ``run_loop`` sends the uncertainty
+# names down one branch, so a sweep runs each distinct scorer once.
+SCORERS = {
+    "random": "random",
+    **dict.fromkeys(("least_confidence", "margin", "entropy"), "uncertainty"),
+    "qbc": "qbc",
+}
+STRATEGIES = tuple(SCORERS)
 
 
 @dataclass(frozen=True)

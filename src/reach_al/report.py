@@ -14,13 +14,14 @@ from __future__ import annotations
 import csv
 import logging
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from .active import ALConfig, RoundLog, run_loop
+from .active import SCORERS, ALConfig, RoundLog, run_loop
 from .config import AppConfig, DataConfig
 from .dataset import SceneConfig, generate_scene, label_with_oracle, make_splits
 from .errors import ConfigError, IngestionError, csv_error_line
@@ -299,12 +300,24 @@ def _worker_count(jobs: int, n_cells: int) -> int:
     return min(jobs, os.cpu_count() or 1, n_cells)
 
 
+def _logged_progress(outcomes, total: int) -> list:
+    """Collect ``outcomes`` in order, logging progress about ten times."""
+    start, step, done = time.perf_counter(), -(-total // 10), []
+    for outcome in outcomes:
+        done.append(outcome)
+        if len(done) % step == 0 or len(done) == total:
+            logger.info("runs done %d/%d, %.1f s", len(done), total, time.perf_counter() - start)
+    return done
+
+
 def run_grid(
     samples, candidates, grid: ExperimentGrid, out_dir, jobs: int = 1
 ) -> tuple[str, str, list[tuple[tuple, str]]]:
     """Run every grid cell on the benchmark ``samples`` and pool
     ``candidates``; returns (results_path, summary_path, cell_errors).
 
+    Strategy names that share a scorer (``active.SCORERS``) share one run
+    per (init_size, budget, seed), whose rows are written under each name.
     Each cell error is a ``((strategy, init_size, budget, seed), message)``
     pair, and every failed cell gets one ``round = -1`` row in the results.
     """
@@ -316,22 +329,30 @@ def run_grid(
         for budget in grid.budgets
         for seed in grid.seeds
     ]
+    keys = [(SCORERS[cell[0]],) + cell[1:] for cell in cells]  # (scorer, init, budget, seed)
+    runs: dict = {}  # key -> the first cell that needs it
+    for key, cell in zip(keys, cells):
+        runs.setdefault(key, cell)
 
-    workers = _worker_count(jobs, len(cells))
+    workers = _worker_count(jobs, len(runs))
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
             initargs=(samples, candidates, grid),
         ) as pool:
-            outcomes = list(pool.map(_run_cell_worker, cells, chunksize=1))
+            done = _logged_progress(pool.map(_run_cell_worker, runs.values(), chunksize=1), len(runs))
     else:
-        outcomes = [_run_cell_caught(samples, candidates, grid, cell) for cell in cells]
+        done = _logged_progress(
+            (_run_cell_caught(samples, candidates, grid, cell) for cell in runs.values()), len(runs)
+        )
+    outcomes = dict(zip(runs, done))
 
     rows: list[ResultRow] = []
     errors: list[tuple[tuple, str]] = []
-    for cell, (cell_rows, err) in zip(cells, outcomes):
-        rows.extend(cell_rows)
+    for key, cell in zip(keys, cells):
+        cell_rows, err = outcomes[key]
+        rows.extend(replace(r, strategy=cell[0]) for r in cell_rows)
         if err is not None:
             errors.append((cell, err))
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reach_al.active import ALConfig, run_loop, score_qbc, score_uncertainty, select_batch
+from reach_al.active import SCORERS, ALConfig, run_loop, score_qbc, score_uncertainty, select_batch
 from reach_al.dataset import PoolSplit
 from reach_al.forest import TrainConfig
 
@@ -192,6 +192,20 @@ class TestRunLoop:
         for a, b in zip(logs_a, logs_b):
             assert a.queried_indices == b.queried_indices
             assert a.metrics == b.metrics
+
+    def test_names_sharing_a_scorer_log_alike(self):
+        # A sweep runs each scorer in SCORERS once and writes its rows
+        # under every name that maps to it.
+        pools = make_pools(np.random.default_rng(68))
+        by_scorer = {}
+        for strategy, scorer in SCORERS.items():
+            cfg = ALConfig(strategy=strategy, init_size=10, batch_size=10, n_queries=30, seed=3)
+            logs = run_loop(*pools, cfg, SMALL_TRAIN)
+            by_scorer.setdefault(scorer, set()).add(
+                tuple((tuple(log.queried_indices), log.metrics, log.ik_reduction) for log in logs)
+            )
+        assert sorted(by_scorer) == ["qbc", "random", "uncertainty"]
+        assert all(len(runs) == 1 for runs in by_scorer.values())
 
     def test_queried_indices_never_repeat(self):
         rng = np.random.default_rng(67)

@@ -1,10 +1,14 @@
 import csv
+import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reach_al import report
+from reach_al.active import STRATEGIES
 from reach_al.config import apply_overrides, default_config
 from reach_al.errors import IngestionError, ReachALError
 from reach_al.report import (
@@ -83,6 +87,71 @@ class TestRunGrid:
         path = tmp_path / "copy.csv"
         write_results(path, rows)
         assert open(path, "rb").read() == open(tiny_results[0], "rb").read()
+
+
+UNCERTAINTY = ("least_confidence", "margin", "entropy")
+
+
+class TestScorerFanOut:
+    """Names that share a scorer share one run per (init, budget, seed)."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = []
+        real = report.run_cell
+
+        def counted(*args):
+            calls.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(report, "run_cell", counted)
+        return calls
+
+    def test_five_names_run_three_scorers(self, tiny_grid, tiny_benchmark, calls, tmp_path):
+        grid = replace(tiny_grid, strategies=STRATEGIES)
+        path, _, errors = run_grid(*tiny_benchmark, grid, tmp_path)
+        assert errors == []
+        assert sorted(calls) == sorted(["random", "least_confidence", "qbc"] * 2)
+        by_name = {}
+        for r in read_results(path):
+            by_name.setdefault(r.strategy, []).append(replace(r, strategy=""))
+        assert sorted(by_name) == sorted(STRATEGIES)
+        assert len(by_name["margin"]) == 2 * 3
+        assert by_name["least_confidence"] == by_name["margin"] == by_name["entropy"]
+
+    def test_one_name_keeps_its_name(self, tiny_grid, tiny_benchmark, calls, tmp_path):
+        grid = replace(tiny_grid, strategies=("margin",), seeds=(0,))
+        path, _, _ = run_grid(*tiny_benchmark, grid, tmp_path)
+        assert calls == ["margin"]
+        assert {r.strategy for r in read_results(path)} == {"margin"}
+
+    def test_one_shared_run_starts_no_pool(self, tiny_grid, tiny_benchmark, calls, tmp_path):
+        # Three cells but one distinct run: a pool worker's call would not
+        # be counted in this process.
+        grid = replace(tiny_grid, strategies=UNCERTAINTY, seeds=(0,))
+        run_grid(*tiny_benchmark, grid, tmp_path, jobs=2)
+        assert calls == ["least_confidence"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_shared_run_fails_every_name(self, tiny_grid, tiny_benchmark, tmp_path, jobs):
+        # init_size 500 exceeds the samples left after the test split.
+        grid = replace(tiny_grid, strategies=UNCERTAINTY, init_sizes=(500,))
+        path, _, errors = run_grid(*tiny_benchmark, grid, tmp_path, jobs=jobs)
+        cells = [(s, 500, 20, seed) for s in UNCERTAINTY for seed in (0, 1)]
+        assert [cell for cell, _ in errors] == cells
+        messages = dict(errors)
+        assert all(messages[cell] == messages[("entropy",) + cell[1:]] for cell in cells)
+        failed = [(r.strategy, r.seed) for r in read_results(path) if r.round == -1]
+        assert failed == [(s, seed) for s, _, _, seed in sorted(cells)]
+
+    def test_progress_logged_about_ten_times(self, tiny_grid, monkeypatch, caplog, tmp_path):
+        monkeypatch.setattr(report, "run_cell", lambda *args: [])
+        grid = replace(tiny_grid, strategies=("random",) + UNCERTAINTY, seeds=tuple(range(11)))
+        caplog.set_level(logging.INFO, logger=report.__name__)
+        run_grid([], [], grid, tmp_path)
+        done = [r.getMessage() for r in caplog.records if r.getMessage().startswith("runs done")]
+        # 22 distinct runs: every third one, and the last.
+        assert [m.split(",")[0] for m in done] == [f"runs done {i}/22" for i in (3, 6, 9, 12, 15, 18, 21, 22)]
 
 
 VALID_RESULT_ROW = ["random", "0", "10", "20", "1", "20", "0.5", "0.25", "nan", "0.75", "0.5", "0.125"]
