@@ -165,13 +165,6 @@ def _cmd_label(args) -> int:
         )
     path = os.path.join(out_dir, args.labeled)
     write_labeled_cache(path, result)
-    meta_path = path + ".meta"
-    with open(meta_path, "w") as fh:
-        fh.write(f"n_input = {result.n_input}\n")
-        fh.write(f"n_dropped = {result.n_dropped}\n")
-        fh.write(f"n_labeled = {len(result.samples)}\n")
-        density_source = "patch5x5" if result.patch_density_fallback else "window11x11"
-        fh.write(f"density_source = {density_source}\n")
     reachable = sum(s.label for s in result.samples)
     print(
         f"labeled {len(result.samples)} records ({reachable} reachable, "
@@ -182,14 +175,23 @@ def _cmd_label(args) -> int:
 
 def _cached_benchmark(data_path, pool_path, n_samples: int) -> tuple[list, list]:
     """(samples, candidates) from labeled caches: the first ``n_samples``
-    rows of ``data_path``, and the pool file or else the rest of ``data_path``."""
-    samples = read_labeled_cache(data_path).samples
+    rows of ``data_path``, and the pool file or else the rest of ``data_path``.
+    Caches whose ``d_local`` comes from different sources are not mixed."""
+    data = read_labeled_cache(data_path)
+    samples = data.samples
     if len(samples) < n_samples:
         logger.warning(
             "labeled cache has %d samples, fewer than data.n_samples=%d", len(samples), n_samples
         )
-    candidates = read_labeled_cache(pool_path).samples if pool_path else samples[n_samples:]
-    return samples[:n_samples], candidates
+    if not pool_path:
+        return samples[:n_samples], samples[n_samples:]
+    pool = read_labeled_cache(pool_path)
+    if pool.density_source != data.density_source:
+        raise ConfigError(
+            f"--data {data_path} has d_local from {data.density_source} but --pool "
+            f"{pool_path} from {pool.density_source}; the feature values are not comparable"
+        )
+    return samples[:n_samples], pool.samples
 
 
 def _cmd_run(args) -> int:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import os
 from array import array
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -164,6 +165,11 @@ class LabelingResult:
     n_dropped: int
     n_input: int
     patch_density_fallback: bool
+
+    @property
+    def density_source(self) -> str:
+        """Where ``d_local`` came from: the 5x5 patch or the 11x11 window."""
+        return "patch5x5" if self.patch_density_fallback else "window11x11"
 
 
 def _draw_apple_position(rng, cfg: SceneConfig, intr: CameraIntrinsics, base=None):
@@ -451,11 +457,58 @@ def _labeled_cells(result: LabelingResult):
 
 
 def write_labeled_cache(path, result: LabelingResult) -> None:
-    """Write retained records with their features and label."""
+    """Write retained records with their features and label, and the
+    ``.meta`` sidecar that :func:`read_labeled_cache` reads back."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(LABELED_COLUMNS)
         writer.writerows(_labeled_cells(result))
+    with open(f"{os.fspath(path)}.meta", "w") as fh:
+        fh.write(f"n_input = {result.n_input}\n")
+        fh.write(f"n_dropped = {result.n_dropped}\n")
+        fh.write(f"n_labeled = {len(result.samples)}\n")
+        fh.write(f"density_source = {result.density_source}\n")
+
+
+_META_KEYS = ("n_input", "n_dropped", "n_labeled", "density_source")
+
+
+def _read_meta(path, n_labeled: int) -> Optional[tuple[int, bool]]:
+    """``(n_dropped, patch_density_fallback)`` from a labeled cache's sidecar,
+    or None when it has none.  A sidecar that is malformed or counts other
+    rows than the cache holds raises ``IngestionError``."""
+    meta_path = f"{os.fspath(path)}.meta"
+    try:
+        with open(meta_path, "r") as fh:
+            lines = fh.read().splitlines()
+    except FileNotFoundError:
+        return None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestionError(f"cannot read labeled-cache sidecar {meta_path}: {exc}") from exc
+    pairs = [[part.strip() for part in line.split("=")] for line in lines]
+    meta = dict(pair for pair in pairs if len(pair) == 2)
+    if len(meta) != len(lines) or sorted(meta) != sorted(_META_KEYS):
+        raise IngestionError(
+            f"malformed labeled-cache sidecar {meta_path}: expected one 'key = value' "
+            f"line for each of {', '.join(_META_KEYS)}"
+        )
+    try:
+        n_input, n_dropped, n_meta = (int(meta[k]) for k in _META_KEYS[:3])
+    except ValueError as exc:
+        raise IngestionError(f"malformed labeled-cache sidecar {meta_path}: {exc}") from exc
+    source = meta["density_source"]
+    if min(n_input, n_dropped, n_meta) < 0 or source not in ("patch5x5", "window11x11"):
+        raise IngestionError(
+            f"malformed labeled-cache sidecar {meta_path}: counts must be nonnegative "
+            "and density_source patch5x5 or window11x11"
+        )
+    if n_meta != n_labeled or n_input != n_meta + n_dropped:
+        raise IngestionError(
+            f"labeled-cache sidecar {meta_path} does not match its cache: it counts "
+            f"{n_meta} labeled and {n_dropped} dropped of {n_input} read, and the cache "
+            f"holds {n_labeled} rows"
+        )
+    return n_dropped, source == "patch5x5"
 
 
 def _parse_labeled_row(row) -> tuple[list, LabeledSample]:
@@ -515,10 +568,13 @@ def read_labeled_cache(path) -> LabelingResult:
         )
     if error is not None:
         raise IngestionError(f"malformed labeled cache {path}, line {error_line}: {error}") from error
+    # Without a sidecar, d_local is taken to come from the 5x5 patch, as in
+    # every cache that ``reach-al label`` writes from a detection file.
+    n_dropped, fallback = _read_meta(path, len(samples)) or (0, True)
     return LabelingResult(
         samples=samples,
         records=records,
-        n_dropped=0,
-        n_input=len(records),
-        patch_density_fallback=True,
+        n_dropped=n_dropped,
+        n_input=len(records) + n_dropped,
+        patch_density_fallback=fallback,
     )

@@ -22,6 +22,25 @@ then the lowest feature index, then the lowest threshold.  The one exception
 is a midpoint that rounds onto the upper value (adjacent floats) or
 overflows (+inf): the lower value is the threshold then, so a split always
 sends left exactly the rows its impurity counted.
+
+Prediction evaluates every tree at once as path-matrix products (the GEMM
+strategy of Hummingbird, Nakandala et al., OSDI 2020).  A forest is compiled
+once, when the model is built, into arrays padded to its largest tree: each
+internal node's feature and threshold, a path matrix whose entry for (leaf,
+node) is +1 if the leaf lies in the node's left subtree and -1 if in its
+right one, each leaf's count of left turns, and each leaf's class
+frequencies.  For a chunk of rows, ``C = x[feature] <= threshold`` holds the
+decision at every node (a NaN compares false and goes right, as in a
+node-by-node walk).  A leaf's row of the path matrix times ``C`` adds one
+for each left turn on its path that the row takes and subtracts one for
+each right turn it does not take, so it equals the leaf's left-turn count
+only for the one leaf the row reaches.  The entries are small integers, so
+the float32 products are exact, and the frequencies times the 0/1 match
+matrix add a single nonzero term per tree.  The trees' votes are
+then summed along the tree axis in tree order, so the probabilities equal,
+bit for bit, those of adding one tree's leaf frequencies after another.
+Rows go in chunks whose size keeps the intermediates near ``_CHUNK_ELEMENTS``
+elements.
 """
 
 from __future__ import annotations
@@ -34,6 +53,10 @@ import numpy as np
 FEATURE_DIM = 9
 _LEAF = -1
 _MIN_GAIN = 1e-12
+# Rows per predict chunk times trees times max(internal nodes, leaves) per
+# tree.  On the default benchmark 2**17 (about 3 MB of intermediates) was the
+# fastest; 2**19 was 40-60% slower and peaked at 11 MB.
+_CHUNK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -69,38 +92,79 @@ class DecisionTree:
     left: np.ndarray
     right: np.ndarray
     counts: np.ndarray  # class counts of the training samples at each node
-    proba: np.ndarray = field(init=False, repr=False)  # counts / node total
-
-    def __post_init__(self):
-        c = self.counts.astype(float)
-        self.proba = c / c.sum(axis=1, keepdims=True)
-
-    def leaf_proba(self, XT: np.ndarray) -> np.ndarray:
-        """Class frequencies of the leaf each column of ``XT`` lands in, shape (n, 2).
-
-        ``XT`` is the transposed (9, n) feature matrix, so each split reads
-        one contiguous feature row.
-        """
-        idx = np.zeros(XT.shape[1], dtype=np.int64)
-        while True:
-            internal = self.feature[idx] >= 0
-            if not internal.any():
-                break
-            rows = np.nonzero(internal)[0]
-            node = idx[rows]
-            go_left = XT[self.feature[node], rows] <= self.threshold[node]
-            idx[rows] = np.where(go_left, self.left[node], self.right[node])
-        return self.proba[idx]
 
 
 @dataclass
 class ForestModel:
     trees: list
     config: TrainConfig
+    _paths: tuple = field(init=False, repr=False, compare=False)  # see _compile_paths
 
     def __post_init__(self):
         if len(self.trees) != self.config.n_trees:
             raise ValueError("tree count must match the configuration")
+        self._paths = _compile_paths(self.trees)
+
+
+def _compile_paths(trees):
+    """Padded path-matrix form of a forest: ``(F, TH, AT, B, P)``.
+
+    For tree t with k internal nodes and m leaves, ``F[t, :k]`` and
+    ``TH[t, :k]`` are the internal nodes' features and thresholds in node
+    order; ``AT[t, j, i]`` is +1 if leaf j lies in the left subtree of
+    internal node i, -1 if in the right one, else 0; ``B[t, j]`` counts the
+    left turns on leaf j's path; ``P[t, :, j]`` is leaf j's class
+    frequencies.  Padded nodes get threshold +inf and zero path entries,
+    padded leaves ``B = NaN`` (never matched) and zero frequencies.
+    """
+    sizes = np.array([len(t.feature) for t in trees], dtype=np.int64)
+    start = np.cumsum(sizes) - sizes
+    tree_of = np.repeat(np.arange(len(trees)), sizes)
+    feature = np.concatenate([t.feature for t in trees])
+    internal = feature >= 0
+
+    def ranks(mask):
+        """Position of each masked node among its tree's masked nodes."""
+        before = np.concatenate(([0], np.cumsum(mask)))
+        return before[:-1] - before[start][tree_of], before[start + sizes] - before[start]
+
+    k_rank, k = ranks(internal)
+    m_rank, m = ranks(~internal)
+    nodes = np.flatnonzero(internal)
+    parent = np.full(len(feature), -1)
+    side = np.zeros(len(feature), dtype=np.float32)
+    for child, turn in (("left", 1.0), ("right", -1.0)):
+        ids = np.concatenate([getattr(t, child) for t in trees])[nodes] + start[tree_of[nodes]]
+        parent[ids] = nodes
+        side[ids] = turn
+
+    T, kmax, mmax = len(trees), int(k.max()), int(m.max())
+    F = np.zeros((T, kmax), dtype=np.int64)
+    TH = np.full((T, kmax), np.inf)
+    F[tree_of[nodes], k_rank[nodes]] = feature[nodes]
+    TH[tree_of[nodes], k_rank[nodes]] = np.concatenate([t.threshold for t in trees])[nodes]
+
+    leaves = np.flatnonzero(~internal)
+    lt, lm = tree_of[leaves], m_rank[leaves]
+    AT = np.zeros((T, mmax, kmax), dtype=np.float32)
+    B = np.full((T, mmax), np.nan, dtype=np.float32)
+    B[lt, lm] = 0.0
+    # Walk every leaf up to its root at once, one step per depth level.
+    sel, node = np.arange(len(leaves)), leaves
+    while True:
+        up = parent[node]
+        keep = up >= 0
+        sel, node, up = sel[keep], node[keep], up[keep]
+        if not len(sel):
+            break
+        AT[lt[sel], lm[sel], k_rank[up]] = side[node]
+        B[lt[sel], lm[sel]] += side[node] > 0
+        node = up
+
+    counts = np.concatenate([t.counts for t in trees])[leaves].astype(float)
+    P = np.zeros((T, 2, mmax))
+    P[lt, :, lm] = counts / counts.sum(axis=1, keepdims=True)
+    return F, TH, AT, B, P
 
 
 class _GrowingTree:
@@ -300,8 +364,13 @@ def predict_proba_matrix(model: ForestModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != FEATURE_DIM:
         raise ValueError(f"feature matrix must be (n, {FEATURE_DIM})")
-    XT = np.ascontiguousarray(X.T)
-    acc = np.zeros((len(X), 2), dtype=float)
-    for tree in model.trees:
-        acc += tree.leaf_proba(XT)
-    return acc / len(model.trees)
+    F, TH, AT, B, P = model._paths
+    T, mmax, kmax = AT.shape
+    step = max(1, _CHUNK_ELEMENTS // (T * max(kmax, mmax)))
+    acc = np.empty((len(X), 2))
+    for s in range(0, len(X), step):
+        C = (np.take(X[s : s + step].T, F, axis=0) <= TH[:, :, None]).astype(np.float32)
+        match = (AT @ C == B[:, :, None]).astype(float)
+        acc[s : s + step] = np.add.reduce(P @ match, axis=0).T
+    acc /= T
+    return acc

@@ -5,7 +5,15 @@ import pytest
 
 from reach_al import report
 from reach_al.cli import MAX_ENVELOPE_STEPS, build_parser, main
-from reach_al.dataset import DETECTION_COLUMNS, LABELED_COLUMNS, read_labeled_cache
+from reach_al.config import load_config
+from reach_al.dataset import (
+    DETECTION_COLUMNS,
+    LABELED_COLUMNS,
+    generate_scene,
+    label_with_oracle,
+    read_labeled_cache,
+    write_labeled_cache,
+)
 from reach_al.kinematics import read_envelope
 from reach_al.report import read_results
 
@@ -128,6 +136,25 @@ class TestFailedCells:
             assert run_cli(*argv, *flags) == code
             rows = read_results(os.path.join(run_out, "results.csv"))
             assert [(r.strategy, r.init_size, r.round) for r in rows] == [("entropy", 500, -1)]
+
+    def test_run_refuses_to_mix_density_sources(self, tmp_path, cfg_file, capsys):
+        out = str(tmp_path / "o")
+        assert run_cli("gen-scene", "--config", cfg_file, "--out", out) == 0
+        det = os.path.join(out, "detections.csv")
+        assert run_cli("label", "--config", cfg_file, "--detections", det, "--out", out) == 0
+        data = os.path.join(out, "labeled.csv")
+        # A synthetic scene labeled in process keeps its 11x11 windows.
+        cfg = load_config(cfg_file)
+        windows = str(tmp_path / "windows.csv")
+        scene = generate_scene(cfg.scene, cfg.cam)
+        write_labeled_cache(windows, label_with_oracle(scene, cfg.cam, cfg.ext, cfg.arm))
+        argv = ["run", "--config", cfg_file, "--out", str(tmp_path / "r")]
+        for data_path, pool_path in ((data, windows), (windows, data)):
+            capsys.readouterr()
+            assert run_cli(*argv, "--data", data_path, "--pool", pool_path) == 2
+            assert "not comparable" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "r" / "results.csv")
+        assert run_cli(*argv, "--data", data, "--pool", data) == 0
 
 
 class TestEnvelopeAndPlots:

@@ -1,5 +1,6 @@
 import csv
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -397,6 +398,58 @@ class TestLabeledCache:
         path = tmp_path / "one.csv"
         write_cache_rows(path, [VALID_CACHE_ROW])
         assert [s.label for s in read_labeled_cache(path).samples] == [1]
+
+    def test_sidecar_counts_and_density_source_read_back(self, tmp_path, small_records):
+        # Synthetic records keep their 11x11 windows; the drop count is made up.
+        result = label_with_oracle(small_records, INTR)
+        result = replace(result, n_dropped=3, n_input=len(result.samples) + 3)
+        path = tmp_path / "labeled.csv"
+        write_labeled_cache(path, result)
+        loaded = read_labeled_cache(path)
+        assert (loaded.n_input, loaded.n_dropped) == (result.n_input, 3)
+        assert loaded.density_source == "window11x11"
+        # Without a sidecar the cache counts as ingested, with nothing dropped.
+        (tmp_path / "labeled.csv.meta").unlink()
+        loaded = read_labeled_cache(path)
+        assert (loaded.n_input, loaded.n_dropped) == (len(result.samples), 0)
+        assert loaded.density_source == "patch5x5"
+
+    def test_malformed_sidecar_raises(self, tmp_path):
+        path = tmp_path / "one.csv"
+        write_cache_rows(path, [VALID_CACHE_ROW])
+        meta = tmp_path / "one.csv.meta"
+        good = "n_input = 2\nn_dropped = 1\nn_labeled = 1\ndensity_source = patch5x5\n"
+        meta.write_text(good)
+        assert read_labeled_cache(path).n_dropped == 1
+        for text in (
+            good.replace("n_dropped = 1\n", ""),
+            good + "n_dropped = 1\n",
+            good + "n_seen = 2\n",
+            good.replace("n_dropped = 1", "n_dropped 1"),
+            good.replace("n_input = 2", "n_input = two"),
+            good.replace("n_input = 2\nn_dropped = 1", "n_input = 0\nn_dropped = -1"),
+            good.replace("patch5x5", "patch7x7"),
+            # Counts of another cache, or counts that do not add up.
+            good.replace("n_input = 2", "n_input = 3").replace("n_labeled = 1", "n_labeled = 2"),
+            good.replace("n_input = 2", "n_input = 5"),
+        ):
+            meta.write_text(text)
+            with pytest.raises(IngestionError, match="sidecar"):
+                read_labeled_cache(path)
+        meta.write_bytes(b"n_input = \xff\n")
+        with pytest.raises(IngestionError, match="sidecar"):
+            read_labeled_cache(path)
+
+    @given(text=st.text(max_size=120))
+    def test_fuzzed_sidecar_raises_only_package_errors(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("meta") / "one.csv"
+        write_cache_rows(path, [VALID_CACHE_ROW])
+        with open(f"{path}.meta", "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            read_labeled_cache(path)
+        except ReachALError:
+            pass
 
     @given(
         edits=st.lists(st.tuples(st.integers(0, 60), CACHE_CELLS), max_size=6),

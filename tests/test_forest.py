@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reach_al import forest
 from reach_al.forest import TrainConfig, fit_arrays, predict_proba_matrix
 from reach_al.metrics import confusion_and_rates, evaluate
 
@@ -327,6 +330,86 @@ class TestPredictProba:
         q = np.zeros((1, 9))
         q[0, 0] = 1.0
         np.testing.assert_allclose(predict_proba_matrix(model, q)[0], [0.0, 1.0])
+
+
+def tree_dicts(model):
+    return [{name: getattr(t, name) for name in TREE_ARRAYS} for t in model.trees]
+
+
+def with_missing_cells(X, rng, share=0.1):
+    X = X.copy()
+    cells = rng.random(X.shape) < share
+    X[cells] = rng.choice([np.nan, -np.inf], size=int(cells.sum()))
+    return X
+
+
+class TestCompiledPredict:
+    """The path-matrix predict against the node-by-node ``reference_proba``."""
+
+    def test_many_chunks_with_a_ragged_last_one(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        X, y = random_data(130, rng)
+        model = fit_arrays(X, y, TrainConfig(seed=13))
+        Xq = with_missing_cells(rng.normal(size=(2_500, 9)), rng)
+        T, mmax, kmax = model._paths[2].shape
+        assert len(Xq) % (forest._CHUNK_ELEMENTS // (T * max(kmax, mmax))) != 0
+        assert np.array_equal(predict_proba_matrix(model, Xq), reference_proba(tree_dicts(model), Xq))
+        monkeypatch.setattr(forest, "_CHUNK_ELEMENTS", 7 * T * max(kmax, mmax))
+        for n in (6, 7, 8, 25):
+            assert np.array_equal(
+                predict_proba_matrix(model, Xq[:n]), reference_proba(tree_dicts(model), Xq[:n])
+            )
+
+    def test_zero_and_one_row_queries(self):
+        rng = np.random.default_rng(45)
+        X, y = random_data(60, rng)
+        model = fit_arrays(X, y, TrainConfig(seed=14))
+        assert predict_proba_matrix(model, np.zeros((0, 9))).shape == (0, 2)
+        one = predict_proba_matrix(model, X[:1])
+        assert one.shape == (1, 2)
+        assert np.array_equal(one, reference_proba(tree_dicts(model), X[:1]))
+
+    def test_single_leaf_trees_padded_next_to_deep_ones(self):
+        # One positive in 40 rows: a bootstrap that misses it grows a
+        # single leaf, one that draws it grows a path to it.
+        rng = np.random.default_rng(46)
+        X = rng.normal(size=(40, 9))
+        y = np.zeros(40, dtype=np.int64)
+        y[:3] = 1
+        model = fit_arrays(X, y, TrainConfig(n_trees=30, seed=15))
+        internal = [int((t.feature >= 0).sum()) for t in model.trees]
+        assert min(internal) == 0 and max(internal) >= 3
+        Xq = with_missing_cells(np.concatenate([X, rng.normal(size=(200, 9))]), rng)
+        assert np.array_equal(predict_proba_matrix(model, Xq), reference_proba(tree_dicts(model), Xq))
+        # Every tree a single leaf: the path matrices have no columns.
+        leaves_only = fit_arrays(X, np.ones(40, dtype=np.int64), TrainConfig(n_trees=5, seed=16))
+        assert leaves_only._paths[2].shape[2] == 0
+        assert np.array_equal(predict_proba_matrix(leaves_only, Xq), np.tile([0.0, 1.0], (len(Xq), 1)))
+
+    def test_impure_leaves_sum_in_tree_order(self):
+        rng = np.random.default_rng(47)
+        X, y = random_data(150, rng)
+        y ^= rng.random(150) < 0.2
+        model = fit_arrays(X, y, TrainConfig(max_depth=2, seed=17))
+        Xq = with_missing_cells(rng.normal(size=(600, 9)), rng, share=0.3)
+        trees = tree_dicts(model)
+        expected = reference_proba(trees, Xq)
+        assert np.array_equal(predict_proba_matrix(model, Xq), expected)
+        # The query set is one on which another summation order shows.
+        assert not np.array_equal(reference_proba(trees[::-1], Xq), expected)
+
+    def test_chunks_bound_the_memory_of_a_large_query(self):
+        rng = np.random.default_rng(48)
+        X, y = random_data(130, rng)
+        model = fit_arrays(X, y, TrainConfig(seed=18))
+        Xq = rng.normal(size=(20_000, 9))
+        tracemalloc.start()
+        try:
+            out = predict_proba_matrix(model, Xq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 4_000_000
 
 
 class TestPredict:
