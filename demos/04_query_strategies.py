@@ -7,9 +7,7 @@ On this binary problem least_confidence, margin and entropy share one
 scorer, so their columns agree.
 """
 
-from dataclasses import replace
-
-from reach_al.active import STRATEGIES, ALConfig, run_loop
+from reach_al.active import STRATEGIES, run_loop
 from reach_al.config import default_config
 from reach_al.dataset import make_splits
 from reach_al.features import features_matrix, labels_array
@@ -29,8 +27,7 @@ print(f"L={len(pools.labeled)}  U={len(pools.unlabeled)}  test={len(pools.test)}
 
 curves = {}
 for strategy in STRATEGIES:
-    al = replace(cfg.al, strategy=strategy, init_size=30, n_queries=50, seed=0)
-    logs = run_loop(X, y, pools, al, cfg.train)
+    logs = run_loop(X, y, pools, strategy, n_queries=50, seed=0, cfg=cfg.al, train_cfg=cfg.train)
     curves[strategy] = [(log.n_labeled, log.metrics.accuracy) for log in logs]
 
 sizes = [n for n, _ in curves["random"]]

@@ -58,7 +58,6 @@ from .perception import (
     Extrinsics,
     back_project,
     camera_to_arm,
-    default_extrinsics,
     map_rgb_to_depth_pixel,
     robust_depth,
 )

@@ -3,7 +3,8 @@
 Each round trains the forest on the labeled set, scores every pool
 candidate with the configured strategy, queries the oracle for the top
 batch, and re-evaluates on the held-out test set.  All randomness flows
-from the run seed, so a (strategy, seed) cell is fully reproducible.
+from the run seed, so a (strategy, budget, seed) cell is fully
+reproducible.
 """
 
 from __future__ import annotations
@@ -29,27 +30,18 @@ STRATEGIES = tuple(SCORERS)
 
 @dataclass(frozen=True)
 class ALConfig:
-    strategy: str = "entropy"
-    init_size: int = 30
+    """Loop settings shared by every cell; the cell itself (strategy,
+    budget, seed) is passed to :func:`run_loop`."""
+
     batch_size: int = 50
-    n_queries: int = 50
     committee_size: int = 5
     committee_trees: int = 25
-    seed: int = 0
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.init_size < 1:
-            raise ValueError("init_size must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.n_queries < 0:
-            raise ValueError("n_queries must be nonnegative")
-        if self.strategy == "qbc" and self.committee_size < 2:
-            raise ValueError("qbc needs a committee of at least 2")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        if self.committee_size < 2:
+            raise ValueError("committee_size must be at least 2")
 
 
 @dataclass
@@ -116,10 +108,14 @@ def run_loop(
     X: np.ndarray,
     y: np.ndarray,
     pools: PoolSplit,
+    strategy: str,
+    n_queries: int,
+    seed: int,
     cfg: ALConfig,
     train_cfg: Optional[TrainConfig] = None,
 ) -> list[RoundLog]:
-    """Run the query loop until ``n_queries`` labels have been acquired.
+    """Run the query loop with ``strategy`` until ``n_queries`` labels
+    have been acquired; ``seed`` drives the random and committee draws.
 
     ``X`` (n, 9) and ``y`` (n,) are the stacked benchmark that ``pools``
     indexes; a pool label is read from ``y`` only when it is queried.
@@ -128,13 +124,19 @@ def run_loop(
     in ``pools.unlabeled``.  Pool exhaustion truncates the final round and
     flags it rather than failing.
     """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if n_queries < 0:
+        raise ValueError("n_queries must be nonnegative")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     train_cfg = train_cfg or TrainConfig()
 
     X_pool, y_pool = X[pools.unlabeled], y[pools.unlabeled]
     X_test, y_test = X[pools.test], y[pools.test]
     X_lab, y_lab = X[pools.labeled], y[pools.labeled]
 
-    rng_random = np.random.default_rng([cfg.seed, 0x5EED])
+    rng_random = np.random.default_rng([seed, 0x5EED])
     unlabeled = np.ones(len(y_pool), dtype=bool)
 
     model = fit_arrays(X_lab, y_lab, train_cfg)
@@ -151,20 +153,20 @@ def run_loop(
 
     acquired = 0
     round_index = 0
-    while acquired < cfg.n_queries and unlabeled.any():
+    while acquired < n_queries and unlabeled.any():
         round_index += 1
         remaining = np.flatnonzero(unlabeled)
-        b = min(cfg.batch_size, cfg.n_queries - acquired, len(remaining))
-        truncated = b < min(cfg.batch_size, cfg.n_queries - acquired)
+        b = min(cfg.batch_size, n_queries - acquired, len(remaining))
+        truncated = b < min(cfg.batch_size, n_queries - acquired)
 
         X_cand = X_pool[remaining]
 
-        if cfg.strategy == "random":
+        if strategy == "random":
             scores = rng_random.uniform(size=len(remaining))
-        elif cfg.strategy == "qbc":
+        elif strategy == "qbc":
             committee = []
             for k in range(cfg.committee_size):
-                rng_member = np.random.default_rng([cfg.seed, 0xC0, round_index, k])
+                rng_member = np.random.default_rng([seed, 0xC0, round_index, k])
                 resample = rng_member.integers(0, len(y_lab), size=len(y_lab))
                 member_cfg = replace(
                     train_cfg, n_trees=cfg.committee_trees, seed=train_cfg.seed + 1 + k
@@ -192,7 +194,7 @@ def run_loop(
                 metrics=m,
                 queried_indices=batch,
                 ik_reduction=ik_red,
-                truncated=truncated or (acquired < cfg.n_queries and not unlabeled.any()),
+                truncated=truncated or (acquired < n_queries and not unlabeled.any()),
             )
         )
     return logs

@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Subcommands: gen-scene, label, run, sweep, envelope, plot, report.
-Shared flags: --config, --seed, --out; run and sweep also take --strict and
---jobs.  The default output directory comes from $REACH_AL_OUT, falling
-back to ./out.
+Subcommands: gen-scene, label, run, sweep, envelope, plot, report.  Each
+takes only the flags it reads: --config on gen-scene, label, run, sweep
+and envelope; --seed on gen-scene, run and sweep; --out on all but
+report; --strict on run and sweep; --jobs on sweep.  The default output
+directory comes from $REACH_AL_OUT, falling back to ./out.
 """
 
 from __future__ import annotations
@@ -37,12 +38,6 @@ logger = logging.getLogger(__name__)
 MAX_ENVELOPE_STEPS = 40
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="experiment config file (key = value lines)")
-    parser.add_argument("--seed", type=_nonnegative_int, help="override the subcommand's primary seed")
-    parser.add_argument("--out", help="output directory (default: $REACH_AL_OUT or ./out)")
-
-
 def _nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -64,14 +59,22 @@ def _envelope_steps(text: str) -> int:
     return value
 
 
-def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--strict", action="store_true", help="exit 1 if any cell fails")
-    parser.add_argument(
-        "--jobs",
+_FLAGS = {
+    "--config": dict(help="experiment config file (key = value lines)"),
+    "--seed": dict(type=_nonnegative_int, help="override scene.seed (run: also the cell's seed)"),
+    "--out": dict(help="output directory (default: $REACH_AL_OUT or ./out)"),
+    "--strict": dict(action="store_true", help="exit 1 if any cell fails"),
+    "--jobs": dict(
         type=_positive_int,
         default=1,
         help="parallel workers, at most the CPU count and the number of cells",
-    )
+    ),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,29 +85,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-scene", help="generate synthetic detections")
-    _add_common(p)
+    _add_flags(p, "--config", "--seed", "--out")
     p.add_argument("--detections", default="detections.csv", help="output file name")
 
     p = sub.add_parser("label", help="label a detection file with the IK oracle")
-    _add_common(p)
+    _add_flags(p, "--config", "--out")
     p.add_argument("--detections", required=True, help="detection file to ingest")
     p.add_argument("--labeled", default="labeled.csv", help="output cache file name")
 
-    p = sub.add_parser("run", help="run one active-learning cell")
-    _add_common(p)
-    _add_grid_flags(p)
-    p.add_argument("--strategy", choices=STRATEGIES, help="override al.strategy")
-    p.add_argument("--init-size", type=int, help="override al.init_size")
-    p.add_argument("--budget", type=int, help="override al.n_queries")
+    p = sub.add_parser("run", help="run one cell of the experiment grid")
+    _add_flags(p, "--config", "--seed", "--out", "--strict")
+    p.add_argument("--strategy", choices=STRATEGIES, help="default: grid.strategies[0]")
+    p.add_argument("--init-size", type=int, help="default: grid.init_sizes[0]")
+    p.add_argument("--budget", type=int, help="default: grid.budgets[0]")
     p.add_argument("--data", help="labeled cache for the sample set (default: synthetic)")
     p.add_argument("--pool", help="labeled cache for the candidate pool")
 
     p = sub.add_parser("sweep", help="run the full experiment grid")
-    _add_common(p)
-    _add_grid_flags(p)
+    _add_flags(p, "--config", "--seed", "--out", "--strict", "--jobs")
 
     p = sub.add_parser("envelope", help="sample the reachable envelope to a text file")
-    _add_common(p)
+    _add_flags(p, "--config", "--out")
     p.add_argument(
         "--steps",
         type=_envelope_steps,
@@ -114,29 +115,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--envelope", default="envelope.xyz", help="output file name")
 
     p = sub.add_parser("plot", help="emit SVG plots from results or envelope data")
-    _add_common(p)
+    _add_flags(p, "--out")
     p.add_argument("--kind", choices=("curves", "envelope"), required=True)
     p.add_argument("--results", help="results.csv (kind=curves)")
     p.add_argument("--envelope", help="envelope .xyz file (kind=envelope)")
     p.add_argument("--labeled", help="labeled cache overlaid on envelope views")
 
     p = sub.add_parser("report", help="print a summary table from a results file")
-    _add_common(p)
     p.add_argument("--results", required=True, help="results.csv to summarize")
 
     return parser
 
 
-def _load(args) -> "AppConfig":
-    cfg = load_config(args.config) if args.config else default_config()
-    if args.seed is not None:
-        cfg.scene = replace(cfg.scene, seed=args.seed)
-        cfg.al = replace(cfg.al, seed=args.seed)
+def _load(config, seed=None) -> "AppConfig":
+    cfg = load_config(config) if config else default_config()
+    if seed is not None:
+        cfg.scene = replace(cfg.scene, seed=seed)
     return cfg
 
 
 def _cmd_gen_scene(args) -> int:
-    cfg = _load(args)
+    cfg = _load(args.config, args.seed)
     out_dir = resolve_out_dir(args.out)
     os.makedirs(out_dir, exist_ok=True)
     detections = generate_scene(cfg.scene, cfg.cam)
@@ -151,7 +150,7 @@ def _cmd_gen_scene(args) -> int:
 
 
 def _cmd_label(args) -> int:
-    cfg = _load(args)
+    cfg = _load(args.config)
     out_dir = resolve_out_dir(args.out)
     os.makedirs(out_dir, exist_ok=True)
     detections = ingest_detections(args.detections, cfg.cam)
@@ -195,20 +194,18 @@ def _cached_benchmark(data_path, pool_path, n_samples: int) -> tuple[list, list]
 
 
 def _cmd_run(args) -> int:
-    cfg = _load(args)
+    cfg = _load(args.config, args.seed)
     out_dir = resolve_out_dir(args.out)
-    overrides = {"strategy": args.strategy, "init_size": args.init_size, "n_queries": args.budget}
+    # Each grid list narrows to its flag's value, or else to its first value.
+    picks = dict(
+        strategies=args.strategy, init_sizes=args.init_size, budgets=args.budget, seeds=args.seed
+    )
+    cell = {name: getattr(cfg.grid, name)[:1] if v is None else (v,) for name, v in picks.items()}
     try:
-        al = replace(cfg.al, **{k: v for k, v in overrides.items() if v is not None})
+        cfg.grid = replace(cfg.grid, **cell)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    cfg.al = al
-
     grid = ExperimentGrid.from_config(cfg)
-    grid.strategies = (al.strategy,)
-    grid.init_sizes = (al.init_size,)
-    grid.budgets = (al.n_queries,)
-    grid.seeds = (al.seed,)
 
     if args.data:
         samples, candidates = _cached_benchmark(args.data, args.pool, cfg.data.n_samples)
@@ -216,12 +213,12 @@ def _cmd_run(args) -> int:
         raise ConfigError("--pool needs --data")
     else:
         samples, candidates = build_benchmark(grid)
-    results_path, _, errors = run_grid(samples, candidates, grid, out_dir, jobs=args.jobs)
+    results_path, _, errors = run_grid(samples, candidates, grid, out_dir)
     rows = report_mod.read_results(results_path)
     final = max((r for r in rows if r.round >= 0), key=lambda r: r.round, default=None)
     if final is not None:
         print(
-            f"{al.strategy}: n_labeled={final.n_labeled} accuracy={final.accuracy:.4f} "
+            f"{grid.strategies[0]}: n_labeled={final.n_labeled} accuracy={final.accuracy:.4f} "
             f"auc={final.auc if final.auc is None else round(final.auc, 4)} "
             f"ik_reduction={final.ik_reduction:.4f}"
         )
@@ -232,7 +229,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load(args)
+    cfg = _load(args.config, args.seed)
     out_dir = resolve_out_dir(args.out)
     grid = ExperimentGrid.from_config(cfg)
     samples, candidates = build_benchmark(grid)
@@ -247,7 +244,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_envelope(args) -> int:
-    cfg = _load(args)
+    cfg = _load(args.config)
     out_dir = resolve_out_dir(args.out)
     os.makedirs(out_dir, exist_ok=True)
     pts = sample_envelope(cfg.arm, steps_per_joint=args.steps)

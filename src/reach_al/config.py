@@ -81,8 +81,7 @@ class AppConfig:
     def __post_init__(self):
         if self.ext is None:
             # The default benchmark mounts the camera so detections span
-            # every reachability facet of the default arm; the field rig's
-            # measured offset remains available via perception defaults.
+            # every reachability facet of the default arm.
             self.ext = benchmark_extrinsics()
 
 

@@ -34,7 +34,6 @@ from .perception import (
     CameraIntrinsics,
     Extrinsics,
     bad_depth_rows,
-    default_extrinsics,
     locate_detections,
 )
 
@@ -361,9 +360,9 @@ def ingest_detections(path, intr: Optional[CameraIntrinsics] = None) -> Detectio
 
 def label_with_oracle(
     det: Detections,
-    intr: Optional[CameraIntrinsics] = None,
-    ext: Optional[Extrinsics] = None,
-    params: Optional[ManipulatorParams] = None,
+    intr: CameraIntrinsics,
+    ext: Extrinsics,
+    params: ManipulatorParams,
     density_band: float = DENSITY_BAND,
 ) -> LabelingResult:
     """Run the perception pipeline on every detection and label via the IK oracle.
@@ -381,10 +380,6 @@ def label_with_oracle(
     dropped, not errors; the kept rows are the result's ``records`` and the
     drop count is reported.
     """
-    intr = intr or CameraIntrinsics()
-    ext = ext or default_extrinsics()
-    params = params or ManipulatorParams()
-
     windows = det.patches if det.windows is None else det.windows
     kept = np.zeros(len(det), dtype=bool)
     samples: list[LabeledSample] = []

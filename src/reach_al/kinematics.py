@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import IngestionError
 
@@ -301,6 +300,10 @@ class BruteForceOracle:
         steps_per_joint: int = 40,
         tol: float = 0.02,
     ):
+        # Imported here, not at module level: scipy.spatial is most of the
+        # package's import time, and only this oracle needs it.
+        from scipy.spatial import cKDTree
+
         if steps_per_joint < 2:
             raise ValueError("steps_per_joint must be at least 2")
         if tol <= 0:

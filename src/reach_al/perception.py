@@ -71,11 +71,6 @@ class Extrinsics:
         return f"Extrinsics(R={self.R.tolist()}, t={self.t.tolist()})"
 
 
-def default_extrinsics() -> Extrinsics:
-    """Identity rotation with the field-measured camera offset."""
-    return Extrinsics(np.eye(3), [0.76, 0.44, 0.485])
-
-
 def bad_depth_rows(cells: np.ndarray) -> np.ndarray:
     """Rows of an (n, k) array of depth cells that hold a valid cell outside
     (0, ``MAX_VALID_DEPTH``) meters.  A cell equal to 0 or non-finite is an

@@ -183,14 +183,7 @@ def run_cell(
     both = list(samples) + list(candidates)
     X, y = features_matrix(both), labels_array(both)
     pools = make_splits(y, len(samples), grid.data.test_frac, init_size, seed)
-    al_cfg = replace(
-        grid.al,
-        strategy=strategy,
-        init_size=init_size,
-        n_queries=budget,
-        seed=seed,
-    )
-    logs = run_loop(X, y, pools, al_cfg, grid.train)
+    logs = run_loop(X, y, pools, strategy, budget, seed, grid.al, grid.train)
     return rows_from_logs(strategy, seed, init_size, budget, logs)
 
 

@@ -149,11 +149,28 @@ class TestUncertaintyFamilyEquivalence:
 
 
 class TestRunLoop:
+    def test_bad_cell_or_settings_rejected(self):
+        # The cell arrives as arguments, so run_loop checks it; every
+        # strategy shares one ALConfig, so its committee is always checked.
+        pools = make_pools(np.random.default_rng(61))
+        for cell, message in (
+            (("bogus", 10, 0), "unknown strategy 'bogus'"),
+            (("random", -1, 0), "n_queries must be nonnegative"),
+            (("random", 10, -1), "seed must be nonnegative"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                run_loop(*pools, *cell, ALConfig(), SMALL_TRAIN)
+        for settings, message in (
+            (dict(batch_size=0), "batch_size must be at least 1"),
+            (dict(committee_size=1), "committee_size must be at least 2"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                ALConfig(**settings)
+
     def test_round_arithmetic_single_round(self):
         rng = np.random.default_rng(62)
         pools = make_pools(rng, n_labeled=10, n_pool=120)
-        cfg = ALConfig(strategy="entropy", init_size=10, batch_size=50, n_queries=50, seed=0)
-        logs = run_loop(*pools, cfg, SMALL_TRAIN)
+        logs = run_loop(*pools, "entropy", 50, 0, ALConfig(batch_size=50), SMALL_TRAIN)
         assert [log.n_labeled for log in logs] == [10, 60]
         assert logs[-1].round_index == 1
         assert not logs[-1].truncated
@@ -161,34 +178,31 @@ class TestRunLoop:
     def test_round_arithmetic_two_rounds(self):
         rng = np.random.default_rng(63)
         pools = make_pools(rng, n_labeled=50, n_pool=250)
-        cfg = ALConfig(strategy="margin", init_size=50, batch_size=50, n_queries=100, seed=0)
-        logs = run_loop(*pools, cfg, SMALL_TRAIN)
+        logs = run_loop(*pools, "margin", 100, 0, ALConfig(batch_size=50), SMALL_TRAIN)
         assert [log.n_labeled for log in logs] == [50, 100, 150]
 
     def test_partial_final_batch(self):
         rng = np.random.default_rng(64)
         pools = make_pools(rng, n_labeled=10, n_pool=100)
-        cfg = ALConfig(strategy="random", init_size=10, batch_size=20, n_queries=50, seed=0)
-        logs = run_loop(*pools, cfg, SMALL_TRAIN)
+        logs = run_loop(*pools, "random", 50, 0, ALConfig(batch_size=20), SMALL_TRAIN)
         assert [log.n_labeled for log in logs] == [10, 30, 50, 60]
         assert not logs[-1].truncated
 
     def test_pool_exhaustion_flags_truncation(self):
         rng = np.random.default_rng(65)
         pools = make_pools(rng, n_labeled=10, n_pool=30)
-        cfg = ALConfig(strategy="random", init_size=10, batch_size=20, n_queries=50, seed=0)
-        logs = run_loop(*pools, cfg, SMALL_TRAIN)
+        logs = run_loop(*pools, "random", 50, 0, ALConfig(batch_size=20), SMALL_TRAIN)
         assert logs[-1].n_labeled == 40
         assert logs[-1].truncated
 
     def test_determinism(self):
         rng = np.random.default_rng(66)
         pools = make_pools(rng)
-        cfg = ALConfig(strategy="random", init_size=10, batch_size=10, n_queries=30, seed=5)
         rng2 = np.random.default_rng(66)
         pools2 = make_pools(rng2)
-        logs_a = run_loop(*pools, cfg, SMALL_TRAIN)
-        logs_b = run_loop(*pools2, cfg, SMALL_TRAIN)
+        args = ("random", 30, 5, ALConfig(batch_size=10), SMALL_TRAIN)
+        logs_a = run_loop(*pools, *args)
+        logs_b = run_loop(*pools2, *args)
         for a, b in zip(logs_a, logs_b):
             assert a.queried_indices == b.queried_indices
             assert a.metrics == b.metrics
@@ -199,8 +213,7 @@ class TestRunLoop:
         pools = make_pools(np.random.default_rng(68))
         by_scorer = {}
         for strategy, scorer in SCORERS.items():
-            cfg = ALConfig(strategy=strategy, init_size=10, batch_size=10, n_queries=30, seed=3)
-            logs = run_loop(*pools, cfg, SMALL_TRAIN)
+            logs = run_loop(*pools, strategy, 30, 3, ALConfig(batch_size=10), SMALL_TRAIN)
             by_scorer.setdefault(scorer, set()).add(
                 tuple((tuple(log.queried_indices), log.metrics, log.ik_reduction) for log in logs)
             )
@@ -211,10 +224,7 @@ class TestRunLoop:
         rng = np.random.default_rng(67)
         pools = make_pools(rng, n_pool=200)
         for strategy in ("random", "entropy", "qbc"):
-            cfg = ALConfig(
-                strategy=strategy, init_size=10, batch_size=15, n_queries=60, seed=1
-            )
-            logs = run_loop(*pools, cfg, SMALL_TRAIN)
+            logs = run_loop(*pools, strategy, 60, 1, ALConfig(batch_size=15), SMALL_TRAIN)
             seen = [i for log in logs for i in log.queried_indices]
             assert len(seen) == len(set(seen)) == 60
 
@@ -223,8 +233,7 @@ class TestRunLoop:
         X, y, split = make_pools(rng, n_labeled=10, n_pool=200, n_test=150)
         y[split.labeled] = 1
         y[split.unlabeled] = 1
-        cfg = ALConfig(strategy="random", init_size=10, batch_size=20, n_queries=40, seed=2)
-        logs = run_loop(X, y, split, cfg, SMALL_TRAIN)
+        logs = run_loop(X, y, split, "random", 40, 2, ALConfig(batch_size=20), SMALL_TRAIN)
         majority = np.mean(y[split.test] == 1)
         assert logs[-1].metrics.accuracy == pytest.approx(majority, abs=1e-9)
 
@@ -233,12 +242,12 @@ class TestRunLoop:
         # leave every round unchanged.
         for strategy in ("random", "entropy", "qbc"):
             X, y, split = make_pools(np.random.default_rng(69), n_pool=200)
-            cfg = ALConfig(strategy=strategy, init_size=10, batch_size=10, n_queries=30, seed=3)
-            logs = run_loop(X, y, split, cfg, SMALL_TRAIN)
+            args = (strategy, 30, 3, ALConfig(batch_size=10), SMALL_TRAIN)
+            logs = run_loop(X, y, split, *args)
             queried = [i for log in logs for i in log.queried_indices]
             hidden = np.delete(split.unlabeled, queried)
             y[hidden] = 1 - y[hidden]
-            flipped = run_loop(X, y, split, cfg, SMALL_TRAIN)
+            flipped = run_loop(X, y, split, *args)
             assert [(log.queried_indices, log.metrics) for log in flipped] == [
                 (log.queried_indices, log.metrics) for log in logs
             ]

@@ -23,8 +23,6 @@ data.n_samples = 300
 data.pool_size = 300
 forest.n_trees = 15
 al.batch_size = 10
-al.init_size = 10
-al.n_queries = 20
 grid.strategies = random, entropy
 grid.init_sizes = 10
 grid.budgets = 20
@@ -73,6 +71,37 @@ class TestRunAndSweep:
         assert code == 0
         assert os.path.exists(os.path.join(out, "results.csv"))
         assert "entropy" in capsys.readouterr().out
+
+    def test_run_is_the_sweep_of_its_cell(self, tmp_path):
+        # run narrows each grid list to its flag's value, or else to its
+        # first value; --seed also sets scene.seed, as it does for sweep.
+        sizes = CFG_TEXT.split("grid.")[0] + "al.committee_trees = 5\n"
+        grid = "grid.strategies = qbc, random\ngrid.init_sizes = 20, 10\n"
+        grid += "grid.budgets = 10, 20\ngrid.seeds = 1, 0\n"
+        config = tmp_path / "grid.cfg"
+        config.write_text(sizes + grid)
+        names = ("strategies", "init_sizes", "budgets", "seeds")
+        for i, (flags, cell) in enumerate(
+            (
+                ((), ("qbc", 20, 10, 1)),
+                (("--strategy", "random", "--seed", "0"), ("random", 20, 10, 0)),
+                (
+                    ("--strategy", "entropy", "--init-size", "10", "--budget", "20", "--seed", "2"),
+                    ("entropy", 10, 20, 2),
+                ),
+            )
+        ):
+            run_out, sweep_out = str(tmp_path / f"run{i}"), str(tmp_path / f"sweep{i}")
+            assert run_cli("run", "--config", str(config), "--out", run_out, *flags) == 0
+            one = tmp_path / f"cell{i}.cfg"
+            one.write_text(sizes + "".join(f"grid.{n} = {v}\n" for n, v in zip(names, cell)))
+            seed = flags[flags.index("--seed") :] if "--seed" in flags else ()
+            assert run_cli("sweep", "--config", str(one), "--out", sweep_out, *seed) == 0
+            rows = read_results(os.path.join(run_out, "results.csv"))
+            assert {(r.strategy, r.init_size, r.budget, r.seed) for r in rows} == {cell}
+            for name in ("results.csv", "summary.csv"):
+                ran = open(os.path.join(run_out, name), "rb").read()
+                assert ran == open(os.path.join(sweep_out, name), "rb").read(), (flags, name)
 
     def test_sweep_byte_identical_rerun(self, tmp_path, cfg_file):
         out_a = str(tmp_path / "a")
@@ -135,7 +164,7 @@ class TestFailedCells:
             argv = ["run", "--config", cfg_file, "--data", data, "--init-size", "500", "--out", run_out]
             assert run_cli(*argv, *flags) == code
             rows = read_results(os.path.join(run_out, "results.csv"))
-            assert [(r.strategy, r.init_size, r.round) for r in rows] == [("entropy", 500, -1)]
+            assert [(r.strategy, r.init_size, r.round) for r in rows] == [("random", 500, -1)]
 
     def test_run_refuses_to_mix_density_sources(self, tmp_path, cfg_file, capsys):
         out = str(tmp_path / "o")
@@ -211,10 +240,20 @@ class TestEnvelopeAndPlots:
 
 class TestFatalErrors:
     def test_unknown_config_key_fatal(self, tmp_path, capsys):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("arm.length = 3\n")
-        assert run_cli("gen-scene", "--config", str(bad), "--out", str(tmp_path)) == 2
-        assert "unknown configuration key" in capsys.readouterr().err
+        # A typo, and the al.* keys that each held a cell of the grid.
+        for line, commands in (
+            ("arm.length = 3", ("gen-scene",)),
+            ("al.strategy = qbc", ("run", "sweep")),
+            ("al.init_size = 20", ("run", "sweep")),
+            ("al.n_queries = 10", ("run", "sweep")),
+            ("al.seed = 1", ("run", "sweep")),
+        ):
+            bad = tmp_path / "bad.cfg"
+            bad.write_text(CFG_TEXT + line + "\n")
+            for command in commands:
+                capsys.readouterr()
+                assert run_cli(command, "--config", str(bad), "--out", str(tmp_path)) == 2
+                assert f"unknown configuration key '{line.split()[0]}'" in capsys.readouterr().err
 
     def test_non_finite_config_number_fatal(self, tmp_path, cfg_file, capsys):
         out = str(tmp_path / "o")
@@ -246,16 +285,15 @@ class TestFatalErrors:
     def test_bad_run_sizes_and_strategy_fatal(self, tmp_path, cfg_file, capsys):
         out = str(tmp_path / "o")
         for flags, message in (
-            (("--init-size", "-5", "--budget", "5"), "init_size must be at least 1"),
-            (("--init-size", "0"), "init_size must be at least 1"),
-            (("--budget", "-1"), "n_queries must be nonnegative"),
+            (("--init-size", "-5", "--budget", "5"), "grid.init_sizes must be at least 1"),
+            (("--init-size", "0"), "grid.init_sizes must be at least 1"),
+            (("--budget", "-1"), "grid.budgets nonnegative"),
             (("--pool", "pool.csv"), "--pool needs --data"),
         ):
             capsys.readouterr()
             assert run_cli("run", "--config", cfg_file, "--out", out, *flags) == 2
             assert message in capsys.readouterr().err
         for line, message in (
-            ("al.init_size = -5", "init_size must be at least 1"),
             ("grid.init_sizes = -5", "grid.init_sizes must be at least 1"),
             ("grid.budgets = 50, -1", "grid.budgets nonnegative"),
         ):
@@ -307,10 +345,13 @@ class TestFatalErrors:
         for argv, message in (
             (("report", "--results", str(tmp_path / "missing.csv")), "missing.csv"),
             (("report", "--results", str(letter)), "letter.csv, line 3"),
-            (("plot", "--kind", "curves", "--results", str(short)), "short.csv, line 3"),
+            (
+                ("plot", "--kind", "curves", "--results", str(short), "--out", str(tmp_path)),
+                "short.csv, line 3",
+            ),
         ):
             capsys.readouterr()
-            assert run_cli(*argv, "--out", str(tmp_path)) == 2
+            assert run_cli(*argv) == 2
             assert message in capsys.readouterr().err
 
     def test_malformed_envelope_fatal(self, tmp_path, capsys):
@@ -337,12 +378,35 @@ class TestFatalErrors:
 
 
 class TestGridFlags:
-    def test_strict_and_jobs_only_where_they_take_effect(self, tmp_path):
-        for flag in (("--strict",), ("--jobs", "2")):
-            for command in (("gen-scene",), ("envelope",), ("report", "--results", "r.csv")):
-                with pytest.raises(SystemExit) as exc:
-                    run_cli(*command, "--out", str(tmp_path), *flag)
-                assert exc.value.code == 2
+    def test_strict_and_jobs_only_where_they_take_effect(self, capsys):
+        # Each subcommand takes only the flags it reads.  Only parsed, never
+        # run: each command parses alone, and fails on the flag added to it.
+        parser = build_parser()
+        label = ("label", "--detections", "d.csv")
+        plot = ("plot", "--kind", "curves")
+        report_ = ("report", "--results", "r.csv")
+        cases = [
+            (command, flag)
+            for flag in (("--strict",), ("--jobs", "2"))
+            for command in (("gen-scene",), ("envelope",), report_)
+        ]
+        cases += [
+            (label, ("--seed", "7")),
+            (("envelope",), ("--seed", "7")),
+            (plot, ("--config", "c.cfg")),
+            (plot, ("--seed", "7")),
+            (report_, ("--config", "c.cfg")),
+            (report_, ("--seed", "7")),
+            (report_, ("--out", "o")),
+            (("run",), ("--jobs", "2")),
+        ]
+        for command, flag in cases:
+            parser.parse_args(list(command))
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([*command, *flag])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: {' '.join(flag)}" in err, (command, flag)
 
     def test_jobs_below_one_rejected(self, tmp_path, cfg_file, capsys):
         for jobs in ("0", "-3"):

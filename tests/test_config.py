@@ -33,8 +33,7 @@ KEYS = [
     "scene.dropout_prob", "scene.cluster_prob", "scene.seed",
     "forest.n_trees", "forest.max_depth", "forest.min_samples_leaf",
     "forest.features_per_split", "forest.bootstrap", "forest.seed",
-    "al.strategy", "al.init_size", "al.batch_size", "al.n_queries", "al.committee_size",
-    "al.committee_trees", "al.seed",
+    "al.batch_size", "al.committee_size", "al.committee_trees",
     "data.n_samples", "data.pool_size", "data.test_frac",
     "features.density_band",
     "grid.strategies", "grid.init_sizes", "grid.budgets", "grid.seeds",
@@ -178,7 +177,7 @@ class TestOverrides:
             apply_overrides(default_config(), {"arm.L1": "-2"})
 
     def test_negative_seed_fatal(self):
-        bad = {"scene.seed": "-1", "al.seed": "-1", "forest.seed": "-1", "grid.seeds": "0, -1"}
+        bad = {"scene.seed": "-1", "forest.seed": "-1", "grid.seeds": "0, -1"}
         for key, value in bad.items():
             with pytest.raises(ConfigError, match="seeds? must be nonnegative"):
                 apply_overrides(default_config(), {key: value})
@@ -205,7 +204,7 @@ class TestKeys:
                     continue
             accepted.add(key)
         assert sorted(accepted) == sorted(KEYS)
-        assert len(KEYS) == 52
+        assert len(KEYS) == 48
 
     @pytest.mark.parametrize("key", KEYS)
     def test_default_value_round_trips(self, key):
@@ -273,14 +272,14 @@ class TestLoadConfig:
         path.write_text(
             "arm.L1 = 0.75\n"
             "scene.seed = 9\n"
-            "al.strategy = margin\n"
+            "grid.strategies = margin\n"
             "al.batch_size = 25\n"
             "data.pool_size = 400\n"
         )
         cfg = load_config(path)
         assert cfg.arm.L1 == 0.75
         assert cfg.scene.seed == 9
-        assert cfg.al.strategy == "margin"
+        assert cfg.grid.strategies == ("margin",)
         assert cfg.al.batch_size == 25
         assert cfg.data.pool_size == 400
 

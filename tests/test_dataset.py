@@ -24,8 +24,11 @@ from reach_al.errors import ConfigError, IngestionError, ReachALError
 from reach_al.features import labels_array
 from reach_al.kinematics import ManipulatorParams
 from reach_al.perception import CameraIntrinsics, Extrinsics
+from test_perception import default_extrinsics
 
 INTR = CameraIntrinsics()
+# The field rig's camera mount and the default arm, passed to every labeling.
+EXT, ARM = default_extrinsics(), ManipulatorParams()
 SMALL_SCENE = SceneConfig(n_images=40, seed=7)
 NUMERIC_COLUMNS = ("u", "v", "bbox_w", "bbox_h", "confidence", "patches")
 
@@ -220,7 +223,7 @@ class TestDetectionFiles:
         write_detections(path, det)
         loaded = ingest_detections(path, INTR)
         assert same_rows(loaded, det)
-        result = label_with_oracle(loaded, INTR)
+        result = label_with_oracle(loaded, INTR, EXT, ARM)
         assert result.samples == [] and result.n_dropped == 1
 
 
@@ -239,12 +242,12 @@ class TestLabelWithOracle:
         assert s.label == 1
 
     def test_drop_accounting(self, small_records):
-        result = label_with_oracle(small_records, INTR)
+        result = label_with_oracle(small_records, INTR, EXT, ARM)
         assert result.n_dropped + len(result.samples) == len(small_records)
 
     def test_labels_are_function_of_arm_point(self, small_records):
-        result = label_with_oracle(small_records.take(np.arange(200)), INTR)
-        rev = label_with_oracle(small_records.take(np.arange(199, -1, -1)), INTR)
+        result = label_with_oracle(small_records.take(np.arange(200)), INTR, EXT, ARM)
+        rev = label_with_oracle(small_records.take(np.arange(199, -1, -1)), INTR, EXT, ARM)
         assert [s.label for s in rev.samples] == [
             s.label for s in reversed(result.samples)
         ]
@@ -254,8 +257,8 @@ class TestLabelWithOracle:
         first = small_records.take(np.arange(20))
         write_detections(path, first)
         loaded = ingest_detections(path, INTR)
-        assert label_with_oracle(loaded, INTR).patch_density_fallback
-        assert not label_with_oracle(first, INTR).patch_density_fallback
+        assert label_with_oracle(loaded, INTR, EXT, ARM).patch_density_fallback
+        assert not label_with_oracle(first, INTR, EXT, ARM).patch_density_fallback
 
 
 def reference_make_splits(samples, candidates, test_frac, init_size, seed):
@@ -315,7 +318,7 @@ def split_inputs(draw):
 class TestMakeSplits:
     def _labels(self, n=1000, seed=80):
         recs = generate_scene(SceneConfig(n_images=200, seed=seed))
-        result = label_with_oracle(recs, INTR)
+        result = label_with_oracle(recs, INTR, EXT, ARM)
         assert len(result.samples) >= n
         return labels_array(result.samples[:n])
 
@@ -371,7 +374,7 @@ class TestMakeSplits:
 
 class TestLabeledCache:
     def test_round_trip(self, tmp_path, small_records):
-        result = label_with_oracle(small_records, INTR)
+        result = label_with_oracle(small_records, INTR, EXT, ARM)
         path = tmp_path / "labeled.csv"
         write_labeled_cache(path, result)
         loaded = read_labeled_cache(path)
@@ -401,7 +404,7 @@ class TestLabeledCache:
 
     def test_sidecar_counts_and_density_source_read_back(self, tmp_path, small_records):
         # Synthetic records keep their 11x11 windows; the drop count is made up.
-        result = label_with_oracle(small_records, INTR)
+        result = label_with_oracle(small_records, INTR, EXT, ARM)
         result = replace(result, n_dropped=3, n_input=len(result.samples) + 3)
         path = tmp_path / "labeled.csv"
         write_labeled_cache(path, result)

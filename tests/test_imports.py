@@ -4,10 +4,15 @@ No linter ships with the toolchain, so this is the unused-import check,
 plus the same check for module-level ``_private`` functions, classes and
 constants, which nothing outside their own module should use.
 ``__init__.py`` is skipped: its imports are the package's public API.
+Importing the package and its CLI must not load scipy: only
+``BruteForceOracle`` needs it, and it would be most of the import time.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -75,3 +80,20 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_private_names(path):
     assert unused_private_names(path.read_text()) == []
+
+
+def test_package_import_loads_no_scipy():
+    code = (
+        "import sys, reach_al, reach_al.cli\n"
+        "print([m for m in sys.modules if m.startswith('scipy')])"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"

@@ -258,13 +258,13 @@ class TestMatchesReference:
 
     def test_empty_and_all_dropped(self):
         empty = generate_scene(SceneConfig(n_images=0), CFG.cam)
-        assert len(empty) == 0 and label_with_oracle(empty, CFG.cam).samples == []
+        assert len(empty) == 0 and label_with_oracle(empty, CFG.cam, CFG.ext, CFG.arm).samples == []
         blank = Detections(
             np.array(["img"] * 3, dtype=object),
             *np.full((5, 3), [[100.0], [100.0], [30.0], [30.0], [0.8]]),
             patches=np.zeros((3, 25)),
         )
-        result = label_with_oracle(blank, CFG.cam)
+        result = label_with_oracle(blank, CFG.cam, CFG.ext, CFG.arm)
         assert (result.samples, len(result.records), result.n_dropped) == ([], 0, 3)
         assert not result.patch_density_fallback
 

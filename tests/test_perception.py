@@ -13,7 +13,6 @@ from reach_al.perception import (
     Extrinsics,
     back_project,
     camera_to_arm,
-    default_extrinsics,
     map_rgb_to_depth_pixel,
     robust_depth,
 )
@@ -22,6 +21,12 @@ INTR = CameraIntrinsics()
 # Round trips run a handful of float64 operations; allow 64 ulps of the
 # largest magnitude involved.
 ROUND_TRIP_TOL = 64 * np.finfo(float).eps
+
+
+def default_extrinsics() -> Extrinsics:
+    """Identity rotation with the field rig's measured camera offset; the
+    default config mounts the camera elsewhere (``config.benchmark_extrinsics``)."""
+    return Extrinsics(np.eye(3), [0.76, 0.44, 0.485])
 
 
 def project_to_pixel(p: CameraPoint, intr: CameraIntrinsics) -> tuple[float, float]:
