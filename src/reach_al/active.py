@@ -26,6 +26,7 @@ SCORERS = {
     "qbc": "qbc",
 }
 STRATEGIES = tuple(SCORERS)
+COMMITTEE_SIZE = 5
 
 
 @dataclass(frozen=True)
@@ -34,14 +35,11 @@ class ALConfig:
     budget, seed) is passed to :func:`run_loop`."""
 
     batch_size: int = 50
-    committee_size: int = 5
     committee_trees: int = 25
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.committee_size < 2:
-            raise ValueError("committee_size must be at least 2")
 
 
 @dataclass
@@ -66,10 +64,10 @@ def score_uncertainty(probs) -> np.ndarray:
     This one scorer serves ``least_confidence``, ``margin`` and ``entropy``.
     On a binary problem all three are strictly decreasing in |p1 - 0.5|
     (Settles, *Active Learning Literature Survey*, 2009, sec. 3.1), so they
-    rank candidates alike.  The forest's default leaves are pure
-    (``min_samples_leaf = 1``), so each tree votes 0 or 1 and p1 = k/T; on
-    that grid the three formulas also order candidates identically in
-    floating point, ties included.
+    rank candidates alike.  The forest grows leaves until they are pure
+    (unless no drawn feature separates their rows), so each tree mostly
+    votes 0 or 1 and p1 = k/T; on that grid the three formulas also order
+    candidates identically in floating point, ties included.
     """
     p = np.atleast_2d(np.asarray(probs, dtype=float))
     return -np.abs(p[:, 1] - p[:, 0])
@@ -165,7 +163,7 @@ def run_loop(
             scores = rng_random.uniform(size=len(remaining))
         elif strategy == "qbc":
             committee = []
-            for k in range(cfg.committee_size):
+            for k in range(COMMITTEE_SIZE):
                 rng_member = np.random.default_rng([seed, 0xC0, round_index, k])
                 resample = rng_member.integers(0, len(y_lab), size=len(y_lab))
                 member_cfg = replace(

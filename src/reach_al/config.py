@@ -106,15 +106,6 @@ def default_config() -> AppConfig:
     return AppConfig()
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _parse_float(text: str) -> float:
     x = float(text)
     if not math.isfinite(x):
@@ -131,8 +122,6 @@ def _parse_floats(text: str, n: int) -> list[float]:
 
 def _parser(current):
     """The text parser for a field that now holds ``current``."""
-    if isinstance(current, bool):  # before int: bool is a subclass of int
-        return _parse_bool
     if isinstance(current, tuple):
         item = _parser(current[0])
         return lambda text: tuple(item(p) for p in text.replace(",", " ").split())
@@ -163,10 +152,9 @@ def apply_overrides(cfg: AppConfig, kv: dict[str, str]) -> AppConfig:
     """Apply parsed key/value overrides; unknown keys are fatal.
 
     Every field of a section dataclass is a ``section.field`` key, parsed
-    by the type of the value it holds.  Three keys are special: a
+    by the type of the value it holds.  Two kinds of key are special: a
     ``<name>_range`` pair is set by its ``<name>_min`` / ``<name>_max``
-    halves, ``forest.max_depth = 0`` means no depth limit, and ``cam.R`` /
-    ``cam.t`` set the camera-to-arm ``Extrinsics``.
+    halves, and ``cam.R`` / ``cam.t`` set the camera-to-arm ``Extrinsics``.
     """
     changes: dict[str, dict] = {attr: {} for attr in _SECTIONS.values()}
     ext = {"R": cfg.ext.R, "t": cfg.ext.t}
@@ -185,8 +173,6 @@ def apply_overrides(cfg: AppConfig, kv: dict[str, str]) -> AppConfig:
                 half = int(end == "max")
                 bounds[half] = _parser(bounds[half])(value)
                 changes[attr][name] = tuple(bounds)
-            elif key == "forest.max_depth":
-                changes[attr][name] = int(value) or None
             elif name in names and not name.endswith("_range"):
                 changes[attr][name] = _parser(getattr(section, name))(value)
             else:

@@ -1,14 +1,17 @@
 """Random-forest binary classifier built from scratch.
 
-Trees are grown with greedy Gini splits on bootstrap resamples and vote by
-averaging leaf class frequencies, which yields the smooth probabilities the
-query strategies score.  Training is deterministic for a given seed: the
+Every tree grows on a bootstrap resample with greedy Gini splits over
+``FEATURES_PER_SPLIT`` features drawn at each node (Breiman's sqrt(d),
+*Random Forests*, 2001), until each leaf is pure or its drawn features
+cannot separate its rows.  The trees vote by averaging
+leaf class frequencies, which yields the smooth probabilities the query
+strategies score.  Training is deterministic for a given seed: the
 samples are canonically sorted before any random draw, so pool insertion
 order can never change a model.
 
 All trees grow in lockstep.  Each tree keeps its own random stream, its
 bootstrap draw, a depth-first stack and its node lists.  At every step each
-unfinished tree pops nodes until one can split, draws that node's features
+unfinished tree pops nodes until one is impure, draws that node's features
 from its own stream, and then one batched search scores every popped node of
 every tree at once: the (node, feature) segments are sorted together by one
 integer key on per-feature dense ranks, and a segmented cumulative sum of
@@ -46,11 +49,11 @@ elements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 FEATURE_DIM = 9
+FEATURES_PER_SPLIT = 3
 _LEAF = -1
 _MIN_GAIN = 1e-12
 # Rows per predict chunk times trees times max(internal nodes, leaves) per
@@ -61,24 +64,14 @@ _CHUNK_ELEMENTS = 1 << 17
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Forest hyperparameters; the defaults mirror the common library ones."""
+    """Forest size and seed; everything else about a tree is fixed."""
 
     n_trees: int = 100
-    max_depth: Optional[int] = None
-    min_samples_leaf: int = 1
-    features_per_split: int = 3
-    bootstrap: bool = True
     seed: int = 0
 
     def __post_init__(self):
         if self.n_trees < 1:
             raise ValueError("n_trees must be at least 1")
-        if not 1 <= self.features_per_split <= FEATURE_DIM:
-            raise ValueError(f"features_per_split must lie in [1, {FEATURE_DIM}]")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be positive or None")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -177,19 +170,17 @@ class _GrowingTree:
         self.left = [_LEAF]
         self.right = [_LEAF]
         self.counts = [counts]
-        self.stack = [(0, sample_idx, 0)]
+        self.stack = [(0, sample_idx)]
 
-    def pop_splittable(self, max_depth, min_leaf):
-        """Pop nodes until one may split; the others stay leaves."""
+    def pop_splittable(self):
+        """Pop nodes until one is impure; the pure ones stay leaves."""
         while self.stack:
-            node, idx, depth = self.stack.pop()
-            c0, c1 = self.counts[node]
-            if c0 == 0 or c1 == 0 or depth >= max_depth or len(idx) < 2 * min_leaf:
-                continue
-            return node, idx, depth
+            node, idx = self.stack.pop()
+            if min(self.counts[node]) > 0:
+                return node, idx
         return None
 
-    def split(self, node, depth, f, thr, rows, k, pos_l):
+    def split(self, node, f, thr, rows, k, pos_l):
         """Send the first ``k`` of ``rows``, ``pos_l`` of them labeled 1, left."""
         c0, c1 = self.counts[node]
         node_l = len(self.feature)
@@ -204,8 +195,8 @@ class _GrowingTree:
         self.counts += [(k - pos_l, pos_l), (c0 - k + pos_l, c1 - pos_l)]
         # Right child pushed first so the left subtree occupies the next index,
         # keeping node numbering deterministic.
-        self.stack.append((node_l + 1, rows[k:], depth + 1))
-        self.stack.append((node_l, rows[:k], depth + 1))
+        self.stack.append((node_l + 1, rows[k:]))
+        self.stack.append((node_l, rows[:k]))
 
     def to_tree(self) -> DecisionTree:
         return DecisionTree(
@@ -217,7 +208,7 @@ class _GrowingTree:
         )
 
 
-def _best_splits(X, y, rank, idxs, feats, pos, min_leaf):
+def _best_splits(X, y, rank, idxs, feats, pos):
     """Lowest-impurity (feature, threshold) of many nodes in one batched search.
 
     ``idxs[j]`` holds node j's sample rows (repeats allowed), ``feats[j]``
@@ -253,7 +244,7 @@ def _best_splits(X, y, rank, idxs, feats, pos, min_leaf):
     lo = X[rows_sorted[cand], f_c]
     hi = X[rows_sorted[cand + 1], f_c]
     # Ranks differ across a boundary; lo < hi also drops NaN neighbours.
-    keep = (lo < hi) & (k >= min_leaf) & (sizes[node_c] - k >= min_leaf)
+    keep = lo < hi
     cand, seg_c, node_c, f_c, k, lo, hi = (
         a[keep] for a in (cand, seg_c, node_c, f_c, k, lo, hi)
     )
@@ -324,14 +315,11 @@ def fit_arrays(X, y, cfg: TrainConfig) -> ForestModel:
     rank = np.empty(X.shape, dtype=np.int64)
     for f in range(FEATURE_DIM):
         rank[:, f] = np.unique(X[:, f], return_inverse=True)[1]
-    # A split leaves both children smaller, so no node gets deeper than n - 1.
-    max_depth = n if cfg.max_depth is None else cfg.max_depth
-    min_leaf = cfg.min_samples_leaf
 
     trees = []
     for stream in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees):
         rng = np.random.default_rng(stream)
-        idx = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
+        idx = rng.integers(0, n, size=n)
         c1 = int(y[idx].sum())
         trees.append(_GrowingTree(rng, idx, (n - c1, c1)))
 
@@ -339,21 +327,19 @@ def fit_arrays(X, y, cfg: TrainConfig) -> ForestModel:
     while growing:
         popped, feats = [], []
         for tree in growing:
-            nxt = tree.pop_splittable(max_depth, min_leaf)
+            nxt = tree.pop_splittable()
             if nxt is not None:
                 popped.append((tree,) + nxt)
-                feats.append(
-                    tree.rng.choice(FEATURE_DIM, size=cfg.features_per_split, replace=False)
-                )
+                feats.append(tree.rng.choice(FEATURE_DIM, size=FEATURES_PER_SPLIT, replace=False))
         if not popped:
             break
-        pos = np.array([tree.counts[node][1] for tree, node, _, _ in popped], dtype=np.int64)
+        pos = np.array([tree.counts[node][1] for tree, node, _ in popped], dtype=np.int64)
         rows_sorted, splits = _best_splits(
-            X, y, rank, [idx for _, _, idx, _ in popped], np.array(feats), pos, min_leaf
+            X, y, rank, [idx for _, _, idx in popped], np.array(feats), pos
         )
         for j, f, thr, k, pos_l, start in splits:
-            tree, node, idx, depth = popped[j]
-            tree.split(node, depth, f, thr, rows_sorted[start : start + len(idx)], k, pos_l)
+            tree, node, idx = popped[j]
+            tree.split(node, f, thr, rows_sorted[start : start + len(idx)], k, pos_l)
         growing = [p[0] for p in popped]
 
     return ForestModel(trees=[t.to_tree() for t in trees], config=cfg)

@@ -240,13 +240,19 @@ class TestEnvelopeAndPlots:
 
 class TestFatalErrors:
     def test_unknown_config_key_fatal(self, tmp_path, capsys):
-        # A typo, and the al.* keys that each held a cell of the grid.
+        # A typo, the al.* keys that each held a cell of the grid, and the
+        # forest and committee settings that are now constants.
         for line, commands in (
             ("arm.length = 3", ("gen-scene",)),
             ("al.strategy = qbc", ("run", "sweep")),
             ("al.init_size = 20", ("run", "sweep")),
             ("al.n_queries = 10", ("run", "sweep")),
             ("al.seed = 1", ("run", "sweep")),
+            ("forest.max_depth = 4", ("run", "sweep")),
+            ("forest.min_samples_leaf = 2", ("run", "sweep")),
+            ("forest.bootstrap = false", ("run", "sweep")),
+            ("forest.features_per_split = 9", ("run", "sweep")),
+            ("al.committee_size = 3", ("run", "sweep")),
         ):
             bad = tmp_path / "bad.cfg"
             bad.write_text(CFG_TEXT + line + "\n")

@@ -31,9 +31,8 @@ KEYS = [
     "scene.n_images", "scene.apples_per_image", "scene.wall_distance",
     "scene.wall_depth_jitter", "scene.lateral_spread", "scene.depth_noise_std",
     "scene.dropout_prob", "scene.cluster_prob", "scene.seed",
-    "forest.n_trees", "forest.max_depth", "forest.min_samples_leaf",
-    "forest.features_per_split", "forest.bootstrap", "forest.seed",
-    "al.batch_size", "al.committee_size", "al.committee_trees",
+    "forest.n_trees", "forest.seed",
+    "al.batch_size", "al.committee_trees",
     "data.n_samples", "data.pool_size", "data.test_frac",
     "features.density_band",
     "grid.strategies", "grid.init_sizes", "grid.budgets", "grid.seeds",
@@ -66,11 +65,9 @@ def default_value(key: str):
 def default_text(key: str) -> str:
     """The default value of ``key`` written as config text."""
     value = default_value(key)
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, tuple):
         return ",".join(map(str, value))
-    return "0" if value is None else str(value)
+    return str(value)
 
 
 def holds_floats(key: str) -> bool:
@@ -182,12 +179,6 @@ class TestOverrides:
             with pytest.raises(ConfigError, match="seeds? must be nonnegative"):
                 apply_overrides(default_config(), {key: value})
 
-    def test_forest_unlimited_depth(self):
-        cfg = apply_overrides(default_config(), {"forest.max_depth": "0"})
-        assert cfg.train.max_depth is None
-        cfg = apply_overrides(default_config(), {"forest.max_depth": "7"})
-        assert cfg.train.max_depth == 7
-
 
 class TestKeys:
     def test_accepted_keys_are_exactly_these(self):
@@ -204,7 +195,7 @@ class TestKeys:
                     continue
             accepted.add(key)
         assert sorted(accepted) == sorted(KEYS)
-        assert len(KEYS) == 48
+        assert len(KEYS) == 43
 
     @pytest.mark.parametrize("key", KEYS)
     def test_default_value_round_trips(self, key):

@@ -14,7 +14,7 @@ TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts")
 
 # Textbook depth-first CART, one tree after another, written out as the
 # reference that the lockstep grower must reproduce bit for bit.
-def reference_best_split(X, y, idx, feats, min_leaf):
+def reference_best_split(X, y, idx, feats):
     n = len(idx)
     counts = np.bincount(y[idx], minlength=2)
     p = counts / n
@@ -27,9 +27,6 @@ def reference_best_split(X, y, idx, feats, min_leaf):
         vs = v[order]
         ys = y[idx][order]
         distinct = vs[:-1] < vs[1:]
-        if min_leaf > 1:
-            k = np.arange(1, n)
-            distinct = distinct & (k >= min_leaf) & (n - k >= min_leaf)
         if not distinct.any():
             continue
         pos = np.cumsum(ys)[:-1]
@@ -50,13 +47,7 @@ def reference_best_split(X, y, idx, feats, min_leaf):
     return best
 
 
-def reference_grow_tree(X, y, rng, cfg):
-    n = len(y)
-    if cfg.bootstrap:
-        sample_idx = rng.integers(0, n, size=n)
-    else:
-        sample_idx = np.arange(n)
-
+def reference_grow_tree(X, y, rng, sample_idx):
     feature, threshold, left, right, counts = [], [], [], [], []
 
     def new_node():
@@ -67,20 +58,15 @@ def reference_grow_tree(X, y, rng, cfg):
         counts.append((0, 0))
         return len(feature) - 1
 
-    stack = [(new_node(), sample_idx, 0)]
+    stack = [(new_node(), sample_idx)]
     while stack:
-        node, idx, depth = stack.pop()
+        node, idx = stack.pop()
         c = np.bincount(y[idx], minlength=2)
         counts[node] = (int(c[0]), int(c[1]))
-        if (
-            c[0] == 0
-            or c[1] == 0
-            or (cfg.max_depth is not None and depth >= cfg.max_depth)
-            or len(idx) < 2 * cfg.min_samples_leaf
-        ):
+        if c[0] == 0 or c[1] == 0:
             continue
-        feats = rng.choice(9, size=cfg.features_per_split, replace=False)
-        split = reference_best_split(X, y, idx, feats, cfg.min_samples_leaf)
+        feats = rng.choice(9, size=3, replace=False)
+        split = reference_best_split(X, y, idx, feats)
         if split is None:
             continue
         _, f, thr = split
@@ -91,8 +77,8 @@ def reference_grow_tree(X, y, rng, cfg):
         node_r = new_node()
         left[node] = node_l
         right[node] = node_r
-        stack.append((node_r, idx[~mask], depth + 1))
-        stack.append((node_l, idx[mask], depth + 1))
+        stack.append((node_r, idx[~mask]))
+        stack.append((node_l, idx[mask]))
 
     return {
         "feature": np.array(feature, dtype=np.int64),
@@ -103,11 +89,21 @@ def reference_grow_tree(X, y, rng, cfg):
     }
 
 
-def reference_fit(X, y, cfg):
+def canonical(X, y):
     order = np.lexsort((y,) + tuple(X[:, f] for f in range(8, -1, -1)))
-    X, y = X[order], y[order]
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
-    return [reference_grow_tree(X, y, np.random.default_rng(s), cfg) for s in streams]
+    return X[order], y[order]
+
+
+def bootstraps(n, cfg):
+    """Each tree's random stream, and the bootstrap rows it draws first."""
+    for stream in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees):
+        rng = np.random.default_rng(stream)
+        yield rng, rng.integers(0, n, size=n)
+
+
+def reference_fit(X, y, cfg):
+    X, y = canonical(X, y)
+    return [reference_grow_tree(X, y, rng, idx) for rng, idx in bootstraps(len(y), cfg)]
 
 
 def reference_proba(trees, X):
@@ -130,7 +126,7 @@ def reference_proba(trees, X):
 @st.composite
 def forest_problems(draw):
     """Feature matrices with repeated values, duplicate rows and some NaN or
-    -inf cells, plus a forest config.
+    -inf cells, plus a forest size and seed.
 
     Values are never adjacent floats nor +inf, whose midpoint the reference
     rounds onto the upper value; see test_thresholds_separate_the_counted_rows.
@@ -150,10 +146,6 @@ def forest_problems(draw):
     y = ((X[:, 0] + X[:, 3] > X[:, 6]) ^ (rng.random(n) < noise)).astype(np.int64)
     cfg = TrainConfig(
         n_trees=draw(st.integers(1, 8), label="n_trees"),
-        features_per_split=draw(st.integers(1, 9), label="features_per_split"),
-        min_samples_leaf=draw(st.integers(1, 4), label="min_samples_leaf"),
-        max_depth=draw(st.one_of(st.none(), st.integers(1, 6)), label="max_depth"),
-        bootstrap=draw(st.booleans(), label="bootstrap"),
         seed=draw(st.integers(0, 2**32 - 1), label="forest seed"),
     )
     return X, y, cfg
@@ -212,13 +204,20 @@ class TestFit:
         )
 
     def test_full_training_accuracy_on_distinct_rows(self):
+        # On distinct rows every leaf is pure, so each tree fits its own
+        # bootstrap exactly, and each row is in most trees' bootstraps.
         rng = np.random.default_rng(35)
         for seed in range(5):
             X = rng.normal(size=(40, 9))
             y = rng.integers(0, 2, size=40)
             if len(set(y)) < 2:
                 continue
-            model = fit_arrays(X, y, TrainConfig(seed=seed, bootstrap=False))
+            cfg = TrainConfig(seed=seed)
+            model = fit_arrays(X, y, cfg)
+            Xc, yc = canonical(X, y)
+            for tree, (_, idx) in zip(model.trees, bootstraps(len(y), cfg)):
+                for i in idx:
+                    assert tree.counts[leaf_of(tree, Xc[i]), 1 - yc[i]] == 0
             assert evaluate(predict_proba_matrix(model, X)[:, 1], y).accuracy == 1.0
 
     def test_monotone_feature_transform_keeps_tree_structure(self):
@@ -288,18 +287,23 @@ class TestThresholds:
         # 0.3 and the next float have a midpoint that rounds onto the upper
         # value, and a midpoint with +inf overflows.  Either threshold would
         # send rows to the other side than the Gini counts assumed.
+        # Every column holds the values, so every drawn feature can split.
         a = 0.3
         b = np.nextafter(a, 1.0)
         assert 0.5 * (a + b) == b
-        X = np.zeros((6, 9))
-        X[:, 2] = [a, b, b, 1.0, np.inf, np.inf]
+        X = np.tile([[a], [b], [b], [1.0], [np.inf], [np.inf]], (1, 9))
         y = np.array([0, 1, 1, 0, 1, 1])
-        model = fit_arrays(X, y, TrainConfig(n_trees=4, bootstrap=False, features_per_split=9))
-        for tree in model.trees:
-            leaves = np.array([leaf_of(tree, x) for x in X])
+        cfg = TrainConfig(n_trees=30)
+        model = fit_arrays(X, y, cfg)
+        thresholds = np.concatenate([t.threshold[t.feature >= 0] for t in model.trees])
+        assert {a, 1.0} <= set(thresholds.tolist())
+        Xc, yc = canonical(X, y)
+        for tree, (_, idx) in zip(model.trees, bootstraps(len(y), cfg)):
+            leaves = np.array([leaf_of(tree, Xc[i]) for i in idx])
             assert sorted(set(leaves)) == sorted(np.flatnonzero(tree.feature < 0))
             for leaf in set(leaves):
-                assert np.bincount(y[leaves == leaf], minlength=2).tolist() == tree.counts[leaf].tolist()
+                counted = np.bincount(yc[idx][leaves == leaf], minlength=2)
+                assert counted.tolist() == tree.counts[leaf].tolist()
 
 
 class TestPredictProba:
@@ -321,15 +325,13 @@ class TestPredictProba:
             assert (true_p >= 0.5).all()
 
     def test_unanimous_vote(self):
-        X = np.zeros((10, 9))
-        X[:5, 0] = 1.0
-        y = np.array([1] * 5 + [0] * 5)
-        model = fit_arrays(
-            X, y, TrainConfig(seed=8, bootstrap=False, features_per_split=9)
-        )
-        q = np.zeros((1, 9))
-        q[0, 0] = 1.0
-        np.testing.assert_allclose(predict_proba_matrix(model, q)[0], [0.0, 1.0])
+        # Every column separates the classes, and with 20 rows of each no
+        # bootstrap misses a class, so every tree votes the query reachable.
+        X = np.zeros((40, 9))
+        X[:20] = 1.0
+        y = np.array([1] * 20 + [0] * 20)
+        model = fit_arrays(X, y, TrainConfig(seed=8))
+        np.testing.assert_allclose(predict_proba_matrix(model, np.ones((1, 9)))[0], [0.0, 1.0])
 
 
 def tree_dicts(model):
@@ -388,9 +390,13 @@ class TestCompiledPredict:
 
     def test_impure_leaves_sum_in_tree_order(self):
         rng = np.random.default_rng(47)
+        # Duplicated feature rows with conflicting labels cannot be split,
+        # so they end in impure leaves.
         X, y = random_data(150, rng)
-        y ^= rng.random(150) < 0.2
-        model = fit_arrays(X, y, TrainConfig(max_depth=2, seed=17))
+        X = np.concatenate([X, X[:60]])
+        y = np.concatenate([y, 1 - y[:60]])
+        model = fit_arrays(X, y, TrainConfig(seed=17))
+        assert any(((t.feature < 0) & (t.counts.min(axis=1) > 0)).any() for t in model.trees)
         Xq = with_missing_cells(rng.normal(size=(600, 9)), rng, share=0.3)
         trees = tree_dicts(model)
         expected = reference_proba(trees, Xq)
@@ -427,10 +433,12 @@ class TestPredict:
         assert (m.tp, m.fp, m.tn, m.fn) == (expected.tp, expected.fp, expected.tn, expected.fn)
 
     def test_exact_tie_is_unreachable(self):
-        # Two identical feature rows with opposite labels force 50/50 leaves.
+        # Two identical feature rows with opposite labels, and a one-tree
+        # forest whose bootstrap draws each once: a 50/50 leaf.
         X = np.zeros((2, 9))
         y = np.array([0, 1])
-        model = fit_arrays(X, y, TrainConfig(seed=11, bootstrap=False))
+        model = fit_arrays(X, y, TrainConfig(n_trees=1, seed=1))
+        assert model.trees[0].counts.tolist() == [[1, 1]]
         p = predict_proba_matrix(model, X[:1])[0]
         np.testing.assert_allclose(p, [0.5, 0.5])
         m = evaluate([p[1]], [1])
@@ -442,9 +450,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             TrainConfig(n_trees=0)
         with pytest.raises(ValueError):
-            TrainConfig(features_per_split=10)
-        with pytest.raises(ValueError):
-            TrainConfig(max_depth=0)
+            TrainConfig(seed=-1)
 
     def test_bad_labels(self):
         with pytest.raises(ValueError):
