@@ -61,7 +61,7 @@ def _envelope_steps(text: str) -> int:
 
 _FLAGS = {
     "--config": dict(help="experiment config file (key = value lines)"),
-    "--seed": dict(type=_nonnegative_int, help="override scene.seed (run: also the cell's seed)"),
+    "--seed": dict(type=_nonnegative_int, help="override scene.seed (run: the cell's seed instead)"),
     "--out": dict(help="output directory (default: $REACH_AL_OUT or ./out)"),
     "--strict": dict(action="store_true", help="exit 1 if any cell fails"),
     "--jobs": dict(
@@ -194,7 +194,7 @@ def _cached_benchmark(data_path, pool_path, n_samples: int) -> tuple[list, list]
 
 
 def _cmd_run(args) -> int:
-    cfg = _load(args.config, args.seed)
+    cfg = _load(args.config)
     out_dir = resolve_out_dir(args.out)
     # Each grid list narrows to its flag's value, or else to its first value.
     picks = dict(

@@ -74,7 +74,7 @@ class TestRunAndSweep:
 
     def test_run_is_the_sweep_of_its_cell(self, tmp_path):
         # run narrows each grid list to its flag's value, or else to its
-        # first value; --seed also sets scene.seed, as it does for sweep.
+        # first value; --seed is the cell's seed and leaves scene.seed alone.
         sizes = CFG_TEXT.split("grid.")[0] + "al.committee_trees = 5\n"
         grid = "grid.strategies = qbc, random\ngrid.init_sizes = 20, 10\n"
         grid += "grid.budgets = 10, 20\ngrid.seeds = 1, 0\n"
@@ -95,13 +95,24 @@ class TestRunAndSweep:
             assert run_cli("run", "--config", str(config), "--out", run_out, *flags) == 0
             one = tmp_path / f"cell{i}.cfg"
             one.write_text(sizes + "".join(f"grid.{n} = {v}\n" for n, v in zip(names, cell)))
-            seed = flags[flags.index("--seed") :] if "--seed" in flags else ()
-            assert run_cli("sweep", "--config", str(one), "--out", sweep_out, *seed) == 0
+            assert run_cli("sweep", "--config", str(one), "--out", sweep_out) == 0
             rows = read_results(os.path.join(run_out, "results.csv"))
             assert {(r.strategy, r.init_size, r.budget, r.seed) for r in rows} == {cell}
             for name in ("results.csv", "summary.csv"):
                 ran = open(os.path.join(run_out, name), "rb").read()
                 assert ran == open(os.path.join(sweep_out, name), "rb").read(), (flags, name)
+
+    def test_run_seed_picks_the_cell_not_the_scene(self, tmp_path):
+        # With grid.seeds = 1, 0 a bare run already runs seed 1, so naming
+        # that seed must not move the benchmark it runs on.
+        config = tmp_path / "seeds.cfg"
+        config.write_text(CFG_TEXT.replace("grid.seeds = 0, 1", "grid.seeds = 1, 0"))
+        outs = [str(tmp_path / "bare"), str(tmp_path / "seed1")]
+        assert run_cli("run", "--config", str(config), "--out", outs[0]) == 0
+        assert run_cli("run", "--config", str(config), "--out", outs[1], "--seed", "1") == 0
+        for name in ("results.csv", "summary.csv"):
+            bare, seeded = (open(os.path.join(out, name), "rb").read() for out in outs)
+            assert bare == seeded, name
 
     def test_sweep_byte_identical_rerun(self, tmp_path, cfg_file):
         out_a = str(tmp_path / "a")
