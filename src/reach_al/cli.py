@@ -17,7 +17,7 @@ from dataclasses import replace
 
 from . import report as report_mod
 from .active import STRATEGIES
-from .config import default_config, load_config, resolve_out_dir
+from .config import DataConfig, default_config, load_config, resolve_out_dir
 from .dataset import (
     generate_scene,
     ingest_detections,
@@ -61,7 +61,7 @@ def _envelope_steps(text: str) -> int:
 
 _FLAGS = {
     "--config": dict(help="experiment config file (key = value lines)"),
-    "--seed": dict(type=_nonnegative_int, help="override scene.seed (run: the cell's seed instead)"),
+    "--seed": dict(type=_nonnegative_int, help="override scene.seed (run: the cell's seed)"),
     "--out": dict(help="output directory (default: $REACH_AL_OUT or ./out)"),
     "--strict": dict(action="store_true", help="exit 1 if any cell fails"),
     "--jobs": dict(
@@ -172,25 +172,34 @@ def _cmd_label(args) -> int:
     return 0
 
 
-def _cached_benchmark(data_path, pool_path, n_samples: int) -> tuple[list, list]:
+def _cached_benchmark(data_path, pool_path, sizes: DataConfig) -> tuple[list, list]:
     """(samples, candidates) from labeled caches: the first ``n_samples``
-    rows of ``data_path``, and the pool file or else the rest of ``data_path``.
-    Caches whose ``d_local`` comes from different sources are not mixed."""
+    rows of ``data_path``, and the first ``pool_size`` rows of the pool file
+    or else of the rest of ``data_path``.  Caches whose ``d_local`` comes
+    from different sources are not mixed."""
     data = read_labeled_cache(data_path)
-    samples = data.samples
-    if len(samples) < n_samples:
+    samples, rest = data.samples[: sizes.n_samples], data.samples[sizes.n_samples :]
+    if pool_path:
+        pool = read_labeled_cache(pool_path)
+        if pool.density_source != data.density_source:
+            raise ConfigError(
+                f"--data {data_path} has d_local from {data.density_source} but --pool "
+                f"{pool_path} from {pool.density_source}; the feature values are not comparable"
+            )
+        rest = pool.samples
+    if len(samples) < sizes.n_samples:
         logger.warning(
-            "labeled cache has %d samples, fewer than data.n_samples=%d", len(samples), n_samples
+            "labeled cache has %d samples, fewer than data.n_samples=%d",
+            len(samples),
+            sizes.n_samples,
         )
-    if not pool_path:
-        return samples[:n_samples], samples[n_samples:]
-    pool = read_labeled_cache(pool_path)
-    if pool.density_source != data.density_source:
-        raise ConfigError(
-            f"--data {data_path} has d_local from {data.density_source} but --pool "
-            f"{pool_path} from {pool.density_source}; the feature values are not comparable"
+    if len(rest) < sizes.pool_size:
+        logger.warning(
+            "labeled cache has %d candidates, fewer than data.pool_size=%d",
+            len(rest),
+            sizes.pool_size,
         )
-    return samples[:n_samples], pool.samples
+    return samples, rest[: sizes.pool_size]
 
 
 def _cmd_run(args) -> int:
@@ -208,7 +217,7 @@ def _cmd_run(args) -> int:
     grid = ExperimentGrid.from_config(cfg)
 
     if args.data:
-        samples, candidates = _cached_benchmark(args.data, args.pool, cfg.data.n_samples)
+        samples, candidates = _cached_benchmark(args.data, args.pool, cfg.data)
     elif args.pool:
         raise ConfigError("--pool needs --data")
     else:

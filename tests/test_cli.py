@@ -114,6 +114,25 @@ class TestRunAndSweep:
             bare, seeded = (open(os.path.join(out, name), "rb").read() for out in outs)
             assert bare == seeded, name
 
+    def test_run_data_takes_pool_size_candidates(self, tmp_path, cfg_file):
+        out = str(tmp_path / "o")
+        assert run_cli("gen-scene", "--config", cfg_file, "--out", out) == 0
+        det = os.path.join(out, "detections.csv")
+        assert run_cli("label", "--config", cfg_file, "--detections", det, "--out", out) == 0
+        data = os.path.join(out, "labeled.csv")
+        small = tmp_path / "small.cfg"
+        text = CFG_TEXT.replace("data.n_samples = 300", "data.n_samples = 50")
+        small.write_text(text.replace("data.pool_size = 300", "data.pool_size = 20"))
+        # 10 of the 50 samples are test rows and the other 40 the initial
+        # set, so the pool is the candidates alone, and a budget of 50 runs
+        # its 20 rows dry, whichever cache they come from.
+        for pool in ((), ("--pool", data)):
+            run_out = str(tmp_path / f"run{len(pool)}")
+            argv = ["run", "--config", str(small), "--data", data, *pool, "--budget", "50"]
+            assert run_cli(*argv, "--init-size", "40", "--out", run_out) == 0
+            rows = read_results(os.path.join(run_out, "results.csv"))
+            assert max(r.n_labeled for r in rows) == 40 + 20
+
     def test_sweep_byte_identical_rerun(self, tmp_path, cfg_file):
         out_a = str(tmp_path / "a")
         out_b = str(tmp_path / "b")

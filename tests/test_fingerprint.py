@@ -28,8 +28,8 @@ grid.seeds = 0, 1
 
 SWEEP_RESULTS = "975a58e7893104f6ed6d2028f439ffb30e2d13b63d4e90d88d2e9afc9d9b7b98"
 SWEEP_SUMMARY = "abdd39ecccf603a29bfc59920677f9d0783578a579f3ff72a43d248bddaff72c"
-DATA_RESULTS = "0f57b27eb866f6b73facffce94824fa0c9b46cacc96a580c3234ffd1c724091f"
-DATA_SUMMARY = "209a42335d555b10c13583c7697dccebebcd4203b0985d50d2f8f07318079c50"
+DATA_RESULTS = "ef2943e14824d5aa206ba529a259f4d8cdb47a96aed180ee3261ba4d38db5a41"
+DATA_SUMMARY = "e199d7d2196b98df4f96680a09622bed28f100952a4eea5e50cb5ab344816f5a"
 
 
 def sha256(path):
