@@ -49,7 +49,6 @@ from .metrics import (
     evaluate,
     ik_call_reduction,
     roc_auc,
-    roc_auc_pairwise,
 )
 from .perception import (
     CameraIntrinsics,

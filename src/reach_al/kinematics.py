@@ -338,18 +338,6 @@ class BruteForceOracle:
                 out[i] = 1
         return out
 
-    def workspace_step(self) -> float:
-        """Largest workspace displacement a single joint grid step can cause."""
-        p = self.params
-        n = self.steps_per_joint - 1
-        rho_max = p.L1 + p.Le
-        return max(
-            (p.d1_range[1] - p.d1_range[0]) / n,
-            (p.d2_range[1] - p.d2_range[0]) / n,
-            rho_max * (p.theta1_range[1] - p.theta1_range[0]) / n,
-            p.L1 * (p.theta2_range[1] - p.theta2_range[0]) / n,
-        )
-
 
 def sample_envelope(params: ManipulatorParams, steps_per_joint: int) -> np.ndarray:
     """Forward-kinematics image of the full joint grid, one point per 1 cm voxel.

@@ -84,19 +84,6 @@ def roc_auc(scores, truths) -> Optional[float]:
     return (pos_rank_sum - 0.5 * n_pos * (n_pos + 1)) / (n_pos * n_neg)
 
 
-def roc_auc_pairwise(scores, truths) -> Optional[float]:
-    """Brute-force positive/negative pair count; the oracle for roc_auc."""
-    scores = np.asarray(scores, dtype=float)
-    truths = np.asarray(truths, dtype=np.int64)
-    pos = scores[truths == 1]
-    neg = scores[truths == 0]
-    if len(pos) == 0 or len(neg) == 0:
-        return None
-    wins = np.sum(pos[:, None] > neg[None, :])
-    ties = np.sum(pos[:, None] == neg[None, :])
-    return (float(wins) + 0.5 * float(ties)) / (len(pos) * len(neg))
-
-
 def evaluate(scores, truths, threshold: float = 0.5) -> MetricSet:
     """Metric set from reachability scores: threshold for labels, rank for AUC."""
     scores = np.asarray(scores, dtype=float)

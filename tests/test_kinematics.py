@@ -79,6 +79,19 @@ def envelope_box():
     return pts.min(axis=0), pts.max(axis=0)
 
 
+def workspace_step(oracle):
+    """Largest workspace displacement a single joint grid step can cause."""
+    p = oracle.params
+    n = oracle.steps_per_joint - 1
+    rho_max = p.L1 + p.Le
+    return max(
+        (p.d1_range[1] - p.d1_range[0]) / n,
+        (p.d2_range[1] - p.d2_range[0]) / n,
+        rho_max * (p.theta1_range[1] - p.theta1_range[0]) / n,
+        p.L1 * (p.theta2_range[1] - p.theta2_range[0]) / n,
+    )
+
+
 def random_configs(rng, n, params=PARAMS):
     return [
         JointConfig(
@@ -260,7 +273,7 @@ class TestBruteForceOracle:
         analytic = np.array([int(is_reachable(ArmPoint(*p), PARAMS)[0]) for p in pts])
         brute = oracle.label_many(pts)
         assert [oracle.is_reachable(ArmPoint(*p)) for p in pts] == brute.astype(bool).tolist()
-        band = oracle.workspace_step()
+        band = workspace_step(oracle)
         disagreements = np.nonzero(analytic != brute)[0]
         uncertified = 0
         for i in disagreements:

@@ -6,8 +6,20 @@ from reach_al.metrics import (
     evaluate,
     ik_call_reduction,
     roc_auc,
-    roc_auc_pairwise,
 )
+
+
+def roc_auc_pairwise(scores, truths):
+    """Brute-force positive/negative pair count; the oracle for roc_auc."""
+    scores = np.asarray(scores, dtype=float)
+    truths = np.asarray(truths, dtype=np.int64)
+    pos = scores[truths == 1]
+    neg = scores[truths == 0]
+    if len(pos) == 0 or len(neg) == 0:
+        return None
+    wins = np.sum(pos[:, None] > neg[None, :])
+    ties = np.sum(pos[:, None] == neg[None, :])
+    return (float(wins) + 0.5 * float(ties)) / (len(pos) * len(neg))
 
 
 class TestConfusion:
