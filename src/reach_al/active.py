@@ -26,6 +26,7 @@ SCORERS = {
     "qbc": "qbc",
 }
 STRATEGIES = tuple(SCORERS)
+# Forests in a qbc committee, each of ``ALConfig.committee_trees`` trees.
 COMMITTEE_SIZE = 5
 
 
@@ -64,9 +65,9 @@ def score_uncertainty(probs) -> np.ndarray:
     This one scorer serves ``least_confidence``, ``margin`` and ``entropy``.
     On a binary problem all three are strictly decreasing in |p1 - 0.5|
     (Settles, *Active Learning Literature Survey*, 2009, sec. 3.1), so they
-    rank candidates alike.  The forest grows leaves until they are pure
-    (unless no drawn feature separates their rows), so each tree mostly
-    votes 0 or 1 and p1 = k/T; on that grid the three formulas also order
+    rank candidates alike.  The forest grows leaves until they are pure,
+    so each tree votes 0 or 1 (save where no drawn feature separates a
+    leaf's rows) and p1 = k/T; on that grid the three formulas also order
     candidates identically in floating point, ties included.
     """
     p = np.atleast_2d(np.asarray(probs, dtype=float))

@@ -3,11 +3,11 @@
 Every tree grows on a bootstrap resample with greedy Gini splits over
 ``FEATURES_PER_SPLIT`` features drawn at each node (Breiman's sqrt(d),
 *Random Forests*, 2001), until each leaf is pure or its drawn features
-cannot separate its rows.  The trees vote by averaging
-leaf class frequencies, which yields the smooth probabilities the query
-strategies score.  Training is deterministic for a given seed: the
-samples are canonically sorted before any random draw, so pool insertion
-order can never change a model.
+cannot separate its rows.  The trees vote by averaging leaf class
+frequencies, which yields the smooth probabilities the query strategies
+score.  Training is deterministic for a given seed: the samples are
+canonically sorted before any random draw, so pool insertion order can
+never change a model.
 
 All trees grow in lockstep.  Each tree keeps its own random stream, its
 bootstrap draw, a depth-first stack and its node lists.  At every step each
