@@ -75,10 +75,9 @@ def score_uncertainty(probs) -> np.ndarray:
 
 
 def score_qbc(committee_probs) -> np.ndarray:
-    """Vote entropy of committee hard votes (ties vote unreachable)."""
+    """Vote entropy of committee hard votes (ties vote unreachable), from a
+    (members, candidates, 2) stack of class probabilities."""
     cp = np.asarray(committee_probs, dtype=float)
-    if cp.ndim == 2:
-        cp = cp[:, None, :]
     k = cp.shape[0]
     if k < 2:
         raise ValueError("committee needs at least 2 members")

@@ -26,7 +26,10 @@ ENV_OUT_DIR = "REACH_AL_OUT"
 
 @dataclass(frozen=True)
 class DataConfig:
-    """Sizes of the benchmark sample set and the unlabeled candidate pool."""
+    """Benchmark sizes: ``n_samples`` rows split into the test set, the
+    initial labeled set and the rest, and ``pool_size`` candidate rows.
+    ``make_splits`` pools the candidates with that rest, so a cell's
+    unlabeled pool holds ``pool_size`` rows plus that rest."""
 
     n_samples: int = 1000
     pool_size: int = 5000
@@ -34,7 +37,7 @@ class DataConfig:
 
     def __post_init__(self):
         if self.n_samples < 1 or self.pool_size < 0:
-            raise ValueError("dataset sizes must be positive")
+            raise ValueError("data.n_samples must be positive and data.pool_size nonnegative")
         if not 0.0 < self.test_frac < 1.0:
             raise ValueError("test_frac must lie strictly between 0 and 1")
 
@@ -55,8 +58,11 @@ class GridConfig:
 
     def __post_init__(self):
         for name in ("strategies", "init_sizes", "budgets", "seeds"):
-            if len(getattr(self, name)) == 0:
+            values = getattr(self, name)
+            if len(values) == 0:
                 raise ValueError(f"grid.{name} must be nonempty")
+            if len(set(values)) != len(values):
+                raise ValueError(f"grid.{name} repeats a value: {', '.join(map(str, values))}")
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise ValueError(f"unknown strategy {s!r}")

@@ -16,7 +16,6 @@ must meet.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import os
@@ -26,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, IngestionError, csv_error_line
+from .errors import ConfigError, IngestionError, read_table, write_table
 from .features import DENSITY_BAND, FEATURE_NAMES, feature_rows
 from .kinematics import ArmPoint, ManipulatorParams, reachable_mask
 from .perception import (
@@ -287,10 +286,7 @@ def _detection_cells(det: Detections):
 
 def write_detections(path, det: Detections) -> None:
     """Serialize detections in the detection-file format (depth cells in meters)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DETECTION_COLUMNS)
-        writer.writerows(_detection_cells(det))
+    write_table(path, DETECTION_COLUMNS, _detection_cells(det))
 
 
 def _from_cells(image_ids: list, cells: array) -> Detections:
@@ -321,37 +317,16 @@ def ingest_detections(path, intr: Optional[CameraIntrinsics] = None) -> Detectio
     RGB frame of ``intr``).  A file that cannot be decoded or split into CSV
     rows raises ``IngestionError`` naming the file and line.
     """
-    intr = intr or CameraIntrinsics()
-    try:
-        fh = open(path, "r", newline="")
-    except OSError as exc:
-        raise IngestionError(f"cannot open detection file {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        image_ids, cells = [], array("d")
-        skipped = 0
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise IngestionError(f"detection file {path} is empty")
-            if tuple(header) != DETECTION_COLUMNS:
-                raise IngestionError(f"unexpected detection header in {path}")
-            for row in reader:
-                try:
-                    if len(row) != len(DETECTION_COLUMNS):
-                        raise ValueError("wrong column count")
-                    row_cells = list(map(float, row[1:]))
-                except ValueError:
-                    skipped += 1
-                    continue
-                image_ids.append(row[0])
-                cells.extend(row_cells)
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise IngestionError(
-                f"malformed detection file {path}, line {csv_error_line(path, reader, exc)}: {exc}"
-            ) from exc
+    image_ids, cells = [], array("d")
+
+    def parse(row):
+        row_cells = list(map(float, row[1:]))
+        image_ids.append(row[0])
+        cells.extend(row_cells)
+
+    skipped = read_table(path, "detection file", DETECTION_COLUMNS, parse, skip_malformed=True)
     det = _from_cells(image_ids, cells)
-    bad = _bad_rows(det, intr)
+    bad = _bad_rows(det, intr or CameraIntrinsics())
     skipped += int(np.count_nonzero(bad))
     if skipped:
         logger.warning("skipped %d malformed or boundary rows in %s", skipped, path)
@@ -454,10 +429,7 @@ def _labeled_cells(result: LabelingResult):
 def write_labeled_cache(path, result: LabelingResult) -> None:
     """Write retained records with their features and label, and the
     ``.meta`` sidecar that :func:`read_labeled_cache` reads back."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LABELED_COLUMNS)
-        writer.writerows(_labeled_cells(result))
+    write_table(path, LABELED_COLUMNS, _labeled_cells(result))
     with open(f"{os.fspath(path)}.meta", "w") as fh:
         fh.write(f"n_input = {result.n_input}\n")
         fh.write(f"n_dropped = {result.n_dropped}\n")
@@ -506,23 +478,6 @@ def _read_meta(path, n_labeled: int) -> Optional[tuple[int, bool]]:
     return n_dropped, source == "patch5x5"
 
 
-def _parse_labeled_row(row) -> tuple[list, LabeledSample]:
-    """Detection cells and sample of one labeled-cache row; raises ValueError
-    when it is malformed or a feature cell is not finite."""
-    if len(row) != len(LABELED_COLUMNS):
-        raise ValueError(f"expected {len(LABELED_COLUMNS)} columns, got {len(row)}")
-    nums = list(map(float, row[1:_LABEL] + row[_LABEL + 1 :]))
-    label = int(row[_LABEL])
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label}")
-    n_cells = len(DETECTION_COLUMNS) - 1
-    features = tuple(nums[n_cells:])
-    for name, value in zip(FEATURE_NAMES, features):
-        if not math.isfinite(value):
-            raise ValueError(f"feature {name} is not finite: {value}")
-    return nums[:n_cells], LabeledSample(features, label)
-
-
 def read_labeled_cache(path) -> LabelingResult:
     """Reload a labeled cache; features are taken from the file, not recomputed.
 
@@ -530,39 +485,41 @@ def read_labeled_cache(path) -> LabelingResult:
     raises ``IngestionError`` naming the file and the line of the first such
     row.
     """
-    try:
-        fh = open(path, "r", newline="")
-    except OSError as exc:
-        raise IngestionError(f"cannot open labeled cache {path}: {exc}") from exc
+    image_ids, cells, samples = [], array("d"), []
+    n_cells = len(DETECTION_COLUMNS) - 1
+
+    def parse(row):
+        nums = list(map(float, row[1:_LABEL] + row[_LABEL + 1 :]))
+        label = int(row[_LABEL])
+        if label not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {label}")
+        features = tuple(nums[n_cells:])
+        for name, value in zip(FEATURE_NAMES, features):
+            if not math.isfinite(value):
+                raise ValueError(f"feature {name} is not finite: {value}")
+        image_ids.append(row[0])
+        cells.extend(nums[:n_cells])
+        samples.append(LabeledSample(features, label))
+
     error = None
-    with fh:
-        reader = csv.reader(fh)
-        image_ids, cells, lines = [], array("d"), array("q")
-        samples = []
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise IngestionError(f"labeled cache {path} is empty")
-            if tuple(header) != LABELED_COLUMNS:
-                raise IngestionError(f"unexpected labeled-cache header in {path}")
-            for row in reader:
-                row_cells, sample = _parse_labeled_row(row)
-                image_ids.append(row[0])
-                cells.extend(row_cells)
-                samples.append(sample)
-                lines.append(reader.line_num)
-        except (csv.Error, ValueError) as exc:
-            error, error_line = exc, csv_error_line(path, reader, exc)
-    # A rule broken in a row before the malformed one is reported first.
+    try:
+        read_table(path, "labeled cache", LABELED_COLUMNS, parse)
+    except IngestionError as exc:
+        error = exc
     records = _from_cells(image_ids, cells)
     bad = np.flatnonzero(_bad_rows(records))
     if bad.size:
-        raise IngestionError(
-            f"malformed labeled cache {path}, line {lines[bad[0]]}: confidence, pixel, "
-            "bounding box or depth cell out of range"
-        )
+        # A rule broken in a row before the malformed one is reported
+        # first; a second read stops at that row to name its line.
+        rows = iter(range(len(records)))
+
+        def stop_at_bad(row):
+            if next(rows) == bad[0]:
+                raise ValueError("confidence, pixel, bounding box or depth cell out of range")
+
+        read_table(path, "labeled cache", LABELED_COLUMNS, stop_at_bad)
     if error is not None:
-        raise IngestionError(f"malformed labeled cache {path}, line {error_line}: {error}") from error
+        raise error
     # Without a sidecar, d_local is taken to come from the 5x5 patch, as in
     # every cache that ``reach-al label`` writes from a detection file.
     n_dropped, fallback = _read_meta(path, len(samples)) or (0, True)

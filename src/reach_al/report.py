@@ -11,7 +11,6 @@ byte-identical files regardless of worker count.
 
 from __future__ import annotations
 
-import csv
 import logging
 import os
 import time
@@ -24,7 +23,7 @@ import numpy as np
 from .active import SCORERS, ALConfig, RoundLog, run_loop
 from .config import AppConfig, DataConfig
 from .dataset import SceneConfig, generate_scene, label_with_oracle, make_splits
-from .errors import ConfigError, IngestionError, csv_error_line
+from .errors import ConfigError, read_table, write_table
 from .features import features_matrix, labels_array
 from .forest import TrainConfig
 from .kinematics import ManipulatorParams
@@ -207,34 +206,19 @@ def _run_cell_worker(cell):
 
 
 def write_results(path, rows: list[ResultRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        writer.writerows(
-            [_fmt_value(v) for v in astuple(r)] for r in sorted(rows, key=ResultRow.key)
-        )
+    ordered = sorted(rows, key=ResultRow.key)
+    write_table(path, RESULT_COLUMNS, ([_fmt_value(v) for v in astuple(r)] for r in ordered))
 
 
 def read_results(path) -> list[ResultRow]:
     """Parse a results file; raises ``IngestionError`` naming the file, and
     the line of the first malformed row."""
-    try:
-        fh = open(path, "r", newline="")
-    except OSError as exc:
-        raise IngestionError(f"cannot open results file {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        rows = []
-        try:
-            if tuple(next(reader, ())) != RESULT_COLUMNS:
-                raise IngestionError(f"unexpected results header in {path}")
-            for row in reader:
-                if len(row) != len(RESULT_COLUMNS):
-                    raise ValueError(f"expected {len(RESULT_COLUMNS)} columns, got {len(row)}")
-                rows.append(ResultRow(*(parse(c) for parse, c in zip(_FIELD_PARSERS, row))))
-        except (csv.Error, ValueError) as exc:
-            line = csv_error_line(path, reader, exc)
-            raise IngestionError(f"malformed results file {path}, line {line}: {exc}") from exc
+    rows = []
+
+    def parse(row):
+        rows.append(ResultRow(*(parse_cell(c) for parse_cell, c in zip(_FIELD_PARSERS, row))))
+
+    read_table(path, "results file", RESULT_COLUMNS, parse)
     return rows
 
 
@@ -281,11 +265,8 @@ def summarize(rows: list[ResultRow]) -> list[dict]:
 
 
 def write_summary(path, summary: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for s in summary:
-            writer.writerow([_fmt_value(s[c]) for c in SUMMARY_COLUMNS])
+    rows = ([_fmt_value(s[c]) for c in SUMMARY_COLUMNS] for s in summary)
+    write_table(path, SUMMARY_COLUMNS, rows)
 
 
 def _worker_count(jobs: int, n_cells: int) -> int:

@@ -291,6 +291,23 @@ class TestFatalErrors:
                 assert run_cli(command, "--config", str(bad), "--out", str(tmp_path)) == 2
                 assert f"unknown configuration key '{line.split()[0]}'" in capsys.readouterr().err
 
+    def test_repeated_grid_value_fatal(self, tmp_path, capsys):
+        # A repeated value would write each of its cells' rows twice while
+        # the summary counts them once.
+        for old, new in (
+            ("grid.strategies = random, entropy", "grid.strategies = random, random"),
+            ("grid.init_sizes = 10", "grid.init_sizes = 10, 10"),
+            ("grid.budgets = 20", "grid.budgets = 20 20"),
+            ("grid.seeds = 0, 1", "grid.seeds = 0, 0"),
+        ):
+            bad = tmp_path / "bad.cfg"
+            bad.write_text(CFG_TEXT.replace(old, new))
+            for command in ("run", "sweep"):
+                capsys.readouterr()
+                assert run_cli(command, "--config", str(bad), "--out", str(tmp_path)) == 2
+                assert f"{old.split()[0]} repeats a value" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
+
     def test_non_finite_config_number_fatal(self, tmp_path, cfg_file, capsys):
         out = str(tmp_path / "o")
         assert run_cli("gen-scene", "--config", cfg_file, "--out", out) == 0

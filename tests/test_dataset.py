@@ -142,16 +142,6 @@ class TestDetectionFiles:
         )
         assert len(ingest_detections(path, INTR)) == 0
 
-    def test_missing_file_fatal(self, tmp_path):
-        with pytest.raises(IngestionError):
-            ingest_detections(tmp_path / "nope.csv", INTR)
-
-    def test_malformed_header_fatal(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n")
-        with pytest.raises(IngestionError):
-            ingest_detections(path, INTR)
-
     def test_bad_rows_skipped(self, tmp_path, small_records, caplog):
         path = tmp_path / "detections.csv"
         write_detections(path, small_records.take(np.arange(3)))
@@ -396,6 +386,12 @@ class TestLabeledCache:
             write_cache_rows(path, [VALID_CACHE_ROW, row])
             with pytest.raises(IngestionError, match=rf"{name}\.csv, line 3"):
                 read_labeled_cache(path)
+        # A rule broken in a row before a malformed one is reported first.
+        path = tmp_path / "first.csv"
+        broken = with_cells(VALID_CACHE_ROW, confidence="2")
+        write_cache_rows(path, [VALID_CACHE_ROW, broken, ["x"] * len(LABELED_COLUMNS)])
+        with pytest.raises(IngestionError, match=r"first\.csv, line 3: confidence"):
+            read_labeled_cache(path)
 
     def test_valid_row_loads(self, tmp_path):
         path = tmp_path / "one.csv"

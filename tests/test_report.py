@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from reach_al import report
 from reach_al.active import STRATEGIES
 from reach_al.config import apply_overrides, default_config
+from reach_al.dataset import DETECTION_COLUMNS, LABELED_COLUMNS, ingest_detections, read_labeled_cache
 from reach_al.errors import IngestionError, ReachALError
 from reach_al.report import (
     RESULT_COLUMNS,
@@ -24,6 +25,7 @@ from reach_al.report import (
     summarize,
     write_results,
 )
+from test_dataset import INTR, VALID_CACHE_ROW, VALID_DETECTION_ROW
 
 TINY_OVERRIDES = {
     "scene.n_images": "120",
@@ -168,10 +170,38 @@ def write_result_rows(path, rows):
         writer.writerows(rows)
 
 
+READERS = {
+    "detections": (lambda path: ingest_detections(path, INTR), DETECTION_COLUMNS, VALID_DETECTION_ROW),
+    "cache": (read_labeled_cache, LABELED_COLUMNS, VALID_CACHE_ROW),
+    "results": (read_results, RESULT_COLUMNS, VALID_RESULT_ROW),
+}
+BROKEN_FILES = {
+    "missing": (None, r"cannot open .*{}\.csv: "),
+    "empty": (b"", r"{}\.csv is empty"),
+    "header": (b"a,b,c\n", r"unexpected .* header in .*{}\.csv"),
+    "bytes": (b"x,\xff\xfe\n", r"{}\.csv, line 3: "),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("case", sorted(BROKEN_FILES))
+def test_readers_share_one_contract(tmp_path, reader, case):
+    """A missing, empty, misheaded or undecodable file fails each reader
+    alike, naming the file (and the line of the undecodable byte)."""
+    read, columns, row = READERS[reader]
+    data, message = BROKEN_FILES[case]
+    path = tmp_path / f"{case}.csv"
+    if case == "bytes":
+        header, valid = (",".join(cells).encode() + b"\n" for cells in (columns, row))
+        data = header + valid + data + valid
+    if data is not None:
+        path.write_bytes(data)
+    with pytest.raises(IngestionError, match=message.format(case)):
+        read(path)
+
+
 class TestReadResults:
     def test_errors_name_file_and_line(self, tmp_path):
-        with pytest.raises(IngestionError, match=r"cannot open results file .*missing\.csv"):
-            read_results(tmp_path / "missing.csv")
         for name, row in (
             ("letter", ["random", "x"] + VALID_RESULT_ROW[2:]),
             ("short", VALID_RESULT_ROW[:-1]),
@@ -181,11 +211,6 @@ class TestReadResults:
             path = tmp_path / f"{name}.csv"
             write_result_rows(path, [VALID_RESULT_ROW, row])
             with pytest.raises(IngestionError, match=rf"{name}\.csv, line 3:"):
-                read_results(path)
-        for name, data in (("empty", b""), ("header", b"strategy,seed\n"), ("bytes", b"\xff\xfe\n")):
-            path = tmp_path / f"{name}.csv"
-            path.write_bytes(data)
-            with pytest.raises(IngestionError, match=rf"{name}\.csv"):
                 read_results(path)
 
     @given(
