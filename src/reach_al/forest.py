@@ -9,22 +9,24 @@ score.  Training is deterministic for a given seed: the samples are
 canonically sorted before any random draw, so pool insertion order can
 never change a model.
 
-All trees grow in lockstep.  Each tree keeps its own random stream, its
-bootstrap draw, a depth-first stack and its node lists.  At every step each
-unfinished tree pops nodes until one is impure, draws that node's features
-from its own stream, and then one batched search scores every popped node of
-every tree at once: the (node, feature) segments are sorted together by one
-integer key on per-feature dense ranks, and a segmented cumulative sum of
-the labels gives the Gini impurity at each distinct-value boundary.  The
-trees are the same, bit for bit, as when grown one after another: each
-stream sees the same calls in the same order, nodes are numbered in the same
-depth-first order, label counts are exact integers that ties within a run of
-equal values cannot change, the impurity is the same elementwise formula,
-and thresholds are the same midpoints.  Ties prefer the lowest impurity,
-then the lowest feature index, then the lowest threshold.  The one exception
-is a midpoint that rounds onto the upper value (adjacent floats) or
+All trees grow together, one depth level at a time, over flat arrays for
+the whole forest.  One generator, seeded with ``TrainConfig.seed``, makes
+every random draw: all the trees' bootstraps in one call, then at each level
+one row of uniforms per impure node, in (tree, node) order, whose argsort's
+first ``FEATURES_PER_SPLIT`` entries are that node's features.  A node holds
+its distinct bootstrap rows, each with its number of draws.  One batched
+search scores every impure node of a level: the (node, feature) segments are
+sorted together by one integer key on per-feature dense ranks, and segmented
+cumulative sums of the draws give the Gini impurity at each distinct-value
+boundary.  A NaN ranks after every value and no boundary separates it from
+them, so it always goes right, as in prediction.  A node splits at its lowest
+impurity if that beats its own; ties prefer the lowest feature index, then
+the lowest threshold.  A threshold is the midpoint of the values around its
+boundary, unless that rounds onto the upper value (adjacent floats) or
 overflows (+inf): the lower value is the threshold then, so a split always
-sends left exactly the rows its impurity counted.
+sends left exactly the rows its impurity counted.  Each level then allocates
+all its children at once, in their parents' order, and gathers the rows of
+the impure ones in one step.  A tree's nodes are numbered in level order.
 
 Prediction evaluates every tree at once as path-matrix products (the GEMM
 strategy of Hummingbird, Nakandala et al., OSDI 2020).  A forest is compiled
@@ -91,17 +93,14 @@ class DecisionTree:
 class ForestModel:
     trees: list
     config: TrainConfig
-    _paths: tuple = field(init=False, repr=False, compare=False)  # see _compile_paths
-
-    def __post_init__(self):
-        if len(self.trees) != self.config.n_trees:
-            raise ValueError("tree count must match the configuration")
-        self._paths = _compile_paths(self.trees)
+    _paths: tuple = field(repr=False, compare=False)  # see _compile_paths
 
 
-def _compile_paths(trees):
+def _compile_paths(feature, threshold, left, right, counts, sizes):
     """Padded path-matrix form of a forest: ``(F, TH, AT, B, P)``.
 
+    The arguments are the trees' node arrays laid end to end, ``sizes[t]``
+    nodes for tree t, with ``left`` and ``right`` indexing within a tree.
     For tree t with k internal nodes and m leaves, ``F[t, :k]`` and
     ``TH[t, :k]`` are the internal nodes' features and thresholds in node
     order; ``AT[t, j, i]`` is +1 if leaf j lies in the left subtree of
@@ -110,10 +109,8 @@ def _compile_paths(trees):
     frequencies.  Padded nodes get threshold +inf and zero path entries,
     padded leaves ``B = NaN`` (never matched) and zero frequencies.
     """
-    sizes = np.array([len(t.feature) for t in trees], dtype=np.int64)
     start = np.cumsum(sizes) - sizes
-    tree_of = np.repeat(np.arange(len(trees)), sizes)
-    feature = np.concatenate([t.feature for t in trees])
+    tree_of = np.repeat(np.arange(len(sizes)), sizes)
     internal = feature >= 0
 
     def ranks(mask):
@@ -126,16 +123,16 @@ def _compile_paths(trees):
     nodes = np.flatnonzero(internal)
     parent = np.full(len(feature), -1)
     side = np.zeros(len(feature), dtype=np.float32)
-    for child, turn in (("left", 1.0), ("right", -1.0)):
-        ids = np.concatenate([getattr(t, child) for t in trees])[nodes] + start[tree_of[nodes]]
+    for child, turn in ((left, 1.0), (right, -1.0)):
+        ids = child[nodes] + start[tree_of[nodes]]
         parent[ids] = nodes
         side[ids] = turn
 
-    T, kmax, mmax = len(trees), int(k.max()), int(m.max())
+    T, kmax, mmax = len(sizes), int(k.max()), int(m.max())
     F = np.zeros((T, kmax), dtype=np.int64)
     TH = np.full((T, kmax), np.inf)
     F[tree_of[nodes], k_rank[nodes]] = feature[nodes]
-    TH[tree_of[nodes], k_rank[nodes]] = np.concatenate([t.threshold for t in trees])[nodes]
+    TH[tree_of[nodes], k_rank[nodes]] = threshold[nodes]
 
     leaves = np.flatnonzero(~internal)
     lt, lm = tree_of[leaves], m_rank[leaves]
@@ -154,143 +151,82 @@ def _compile_paths(trees):
         B[lt[sel], lm[sel]] += side[node] > 0
         node = up
 
-    counts = np.concatenate([t.counts for t in trees])[leaves].astype(float)
+    freq = counts[leaves].astype(float)
     P = np.zeros((T, 2, mmax))
-    P[lt, :, lm] = counts / counts.sum(axis=1, keepdims=True)
+    P[lt, :, lm] = freq / freq.sum(axis=1, keepdims=True)
     return F, TH, AT, B, P
 
 
-class _GrowingTree:
-    """One tree's random stream, depth-first stack and node lists."""
-
-    def __init__(self, rng, sample_idx, counts):
-        self.rng = rng
-        self.feature = [_LEAF]
-        self.threshold = [0.0]
-        self.left = [_LEAF]
-        self.right = [_LEAF]
-        self.counts = [counts]
-        self.stack = [(0, sample_idx)]
-
-    def pop_splittable(self):
-        """Pop nodes until one is impure; the pure ones stay leaves."""
-        while self.stack:
-            node, idx = self.stack.pop()
-            if min(self.counts[node]) > 0:
-                return node, idx
-        return None
-
-    def split(self, node, f, thr, rows, k, pos_l):
-        """Send the first ``k`` of ``rows``, ``pos_l`` of them labeled 1, left."""
-        c0, c1 = self.counts[node]
-        node_l = len(self.feature)
-        self.feature[node] = f
-        self.threshold[node] = thr
-        self.left[node] = node_l
-        self.right[node] = node_l + 1
-        self.feature += [_LEAF, _LEAF]
-        self.threshold += [0.0, 0.0]
-        self.left += [_LEAF, _LEAF]
-        self.right += [_LEAF, _LEAF]
-        self.counts += [(k - pos_l, pos_l), (c0 - k + pos_l, c1 - pos_l)]
-        # Right child pushed first so the left subtree occupies the next index,
-        # keeping node numbering deterministic.
-        self.stack.append((node_l + 1, rows[k:]))
-        self.stack.append((node_l, rows[:k]))
-
-    def to_tree(self) -> DecisionTree:
-        return DecisionTree(
-            feature=np.array(self.feature, dtype=np.int64),
-            threshold=np.array(self.threshold, dtype=float),
-            left=np.array(self.left, dtype=np.int64),
-            right=np.array(self.right, dtype=np.int64),
-            counts=np.array(self.counts, dtype=np.int64),
-        )
-
-
-def _best_splits(X, y, rank, idxs, feats, pos):
+@np.errstate(divide="ignore", invalid="ignore")  # a segment's last entry leaves no row right
+def _best_splits(y, values, rank, rows, weight, entries, feats, counts):
     """Lowest-impurity (feature, threshold) of many nodes in one batched search.
 
-    ``idxs[j]`` holds node j's sample rows (repeats allowed), ``feats[j]``
-    its drawn features and ``pos[j]`` its count of label 1.  Returns the
-    rows of every node sorted by each drawn feature, plus, for each node
-    that has an impurity-reducing split, a tuple (node, feature, threshold,
-    left size, left label-1 count, start of the node's segment in the
-    sorted rows).
+    Node j holds ``entries[j]`` distinct sample rows, laid end to end over
+    the nodes in ``rows``, each drawn ``weight`` times by the bootstrap;
+    ``counts[j]`` counts the draws of each label, and ``feats[j]`` holds
+    the node's drawn features in increasing order.  ``rank[f, i]`` is the
+    position of row i's feature f in ``values[f]``, or the row count if it
+    is NaN.  Returns the rows and weights of every node sorted by each
+    drawn feature, then, for each node that has an impurity-reducing split,
+    in node order: the node, feature, threshold, left entries, left draws,
+    left label-1 draws and start of its segment in the sorted rows.
     """
     n_nodes, m = feats.shape
-    sizes = np.array([len(i) for i in idxs], dtype=np.int64)
-    rows = np.concatenate(idxs)
-    node = np.repeat(np.arange(n_nodes), sizes)
 
     # One segment per (node, drawn feature), ordered by feature rank within it.
-    stride = len(X) + 1
-    seg = node[:, None] * m + np.arange(m)
-    key = (seg * stride + rank[rows[:, None], feats[node]]).ravel()
+    n = rank.shape[1]
+    stride = n + 1
+    key = rank.ravel()[np.repeat(feats * n, entries, axis=0) + rows[:, None]]
+    key += np.repeat(np.arange(n_nodes * m).reshape(n_nodes, m) * stride, entries, axis=0)
+    key = key.ravel()
     order = np.argsort(key)
     key = key[order]
-    rows_sorted = rows[order // m]
+    rows, weight = rows[order // m], weight[order // m]
 
-    seg_len = np.repeat(sizes, m)
-    seg_end = np.cumsum(seg_len)
-    seg_start = seg_end - seg_len
-    boundary = key[:-1] < key[1:]
-    boundary[seg_end[:-1] - 1] = False  # the last entry of a segment
-    cand = np.flatnonzero(boundary)
-    seg_c = key[cand] // stride
-    node_c = seg_c // m
-    f_c = feats[node_c, seg_c % m]
-    k = cand - seg_start[seg_c] + 1  # rows left of the boundary
-    lo = X[rows_sorted[cand], f_c]
-    hi = X[rows_sorted[cand + 1], f_c]
-    # Ranks differ across a boundary; lo < hi also drops NaN neighbours.
-    keep = lo < hi
-    cand, seg_c, node_c, f_c, k, lo, hi = (
-        a[keep] for a in (cand, seg_c, node_c, f_c, k, lo, hi)
-    )
-    n_c = sizes[node_c]
-
-    csum = np.concatenate(([0], np.cumsum(y[rows_sorted])))
-    pos_l = csum[cand + 1] - csum[seg_start[seg_c]]
+    # Every entry is scored as the last one left of a split: k draws go left,
+    # pos_l of them labeled 1.  Only entries before a change of rank within
+    # their segment, to a rank that is not NaN's, are boundaries.
+    seg_len = np.repeat(entries, m)
+    seg_start = np.cumsum(seg_len) - seg_len
+    csum = np.concatenate(([0], np.cumsum(weight)))
+    k = csum[1:] - np.repeat(csum[seg_start], seg_len)
+    csum = np.concatenate(([0], np.cumsum(weight * y[rows])))
+    pos_l = csum[1:] - np.repeat(csum[seg_start], seg_len)
+    boundary = np.append((key[:-1] < key[1:]) & (key[1:] % stride < n), False)
+    boundary[seg_start[1:] - 1] = False  # a segment's last entry
     # The operations and their order match a one-node search, so the
     # impurities, and with them the chosen splits, match bit for bit.
+    sizes, pos = counts.sum(axis=1), counts[:, 1]
+    n_c = np.repeat(sizes, entries * m)
     n_left = k.astype(float)
     n_right = n_c - n_left
     p1l = pos_l / n_left
-    p1r = (pos[node_c] - pos_l) / n_right
+    p1r = (np.repeat(pos, entries * m) - pos_l) / n_right
     gini_l = 1.0 - p1l * p1l - (1.0 - p1l) ** 2
     gini_r = 1.0 - p1r * p1r - (1.0 - p1r) ** 2
-    weighted = (n_left * gini_l + n_right * gini_r) / n_c
+    weighted = np.where(boundary, (n_left * gini_l + n_right * gini_r) / n_c, np.inf)
 
     p1 = pos / sizes
     p0 = (sizes - pos) / sizes
     parent_gini = 1.0 - p0 * p0 - p1 * p1
-    # Candidates come grouped by node.  A node splits at its lowest impurity
-    # if that beats its parent's; ties go to the lowest feature, then the
-    # lowest threshold.
-    new_group = np.diff(node_c, prepend=-1) != 0
-    starts = np.flatnonzero(new_group)
-    w_min = np.minimum.reduceat(weighted, starts)
-    ok = w_min < (parent_gini - _MIN_GAIN)[node_c[starts]]
-    group = np.cumsum(new_group) - 1
-    tie = np.flatnonzero(ok[group] & (weighted == w_min[group]))
-    lo, hi = lo[tie], hi[tie]
+    # A node splits at its lowest impurity if that beats its parent's.  Its
+    # segments are contiguous and in increasing feature order, so its first
+    # entry at that impurity has the lowest feature, then the lowest threshold.
+    w_min = np.minimum.reduceat(weighted, seg_start[::m])
+    w_min[~(w_min < parent_gini - _MIN_GAIN)] = np.nan
+    tie = np.flatnonzero(weighted == np.repeat(w_min, entries * m))
+    seg = key[tie] // stride
+    chosen = np.diff(seg // m, prepend=-1) != 0
+    tie, seg = tie[chosen], seg[chosen]
+    f = feats[seg // m, seg % m]
+    lo = values[f, key[tie] % stride]
+    hi = values[f, key[tie + 1] % stride]
     thr = 0.5 * (lo + hi)
     # A midpoint that rounds onto ``hi`` (adjacent floats) or overflows would
     # send other rows left than the k counted; ``lo`` separates them exactly.
     thr = np.where((lo <= thr) & (thr < hi), thr, lo)
-    best = np.lexsort((thr, f_c[tie], node_c[tie]))
-    best = best[np.diff(node_c[tie][best], prepend=-1) != 0]
-    chosen = tie[best]
-    splits = zip(
-        node_c[chosen].tolist(),
-        f_c[chosen].tolist(),
-        thr[best].tolist(),
-        k[chosen].tolist(),
-        pos_l[chosen].tolist(),
-        seg_start[seg_c[chosen]].tolist(),
-    )
-    return rows_sorted, splits
+    e = tie - seg_start[seg] + 1
+    return rows, weight, seg // m, f, thr, e, k[tie], pos_l[tie], seg_start[seg]
 
 
 def _canonical_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -309,40 +245,75 @@ def fit_arrays(X, y, cfg: TrainConfig) -> ForestModel:
         raise ValueError("labels must be 0 or 1")
 
     order = _canonical_order(X, y)
-    X = np.ascontiguousarray(X[order])
-    y = y[order]
+    X, y = X[order], y[order]
     n = len(y)
-    rank = np.empty(X.shape, dtype=np.int64)
+    rank = np.empty((FEATURE_DIM, n), dtype=np.int64)
+    values = np.empty((FEATURE_DIM, n))
     for f in range(FEATURE_DIM):
-        rank[:, f] = np.unique(X[:, f], return_inverse=True)[1]
+        u, rank[f] = np.unique(X[:, f], return_inverse=True)
+        values[f, : len(u)] = u
+    rank[np.isnan(X.T)] = n  # after every value; no split separates NaN from them
 
-    trees = []
-    for stream in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees):
-        rng = np.random.default_rng(stream)
-        idx = rng.integers(0, n, size=n)
-        c1 = int(y[idx].sum())
-        trees.append(_GrowingTree(rng, idx, (n - c1, c1)))
+    # Level by level, the level's nodes in (tree, node) order: their trees,
+    # class counts and distinct rows, and the rows of the impure ones, each
+    # with its number of bootstrap draws, end to end.
+    rng = np.random.default_rng(cfg.seed)
+    T = cfg.n_trees
+    boot = rng.integers(0, n, size=(T, n)) + n * np.arange(T)[:, None]
+    draws = np.bincount(boot.ravel(), minlength=T * n).reshape(T, n)
+    c1 = draws @ y
+    tree, counts, entries = np.arange(T), np.stack([n - c1, c1], axis=1), np.count_nonzero(draws, 1)
+    draws = draws[counts.min(axis=1) > 0]
+    rows = np.flatnonzero(draws)
+    weight, rows = draws.ravel()[rows], rows % n
+    levels, first = [], 0  # first: the level's first node in level order
+    while len(tree):
+        feature = np.full(len(tree), _LEAF)
+        threshold = np.zeros(len(tree))
+        left = np.full(len(tree), _LEAF)  # in level order; the right child is next
+        impure = np.flatnonzero(counts.min(axis=1) > 0)
+        nodes, child_counts, child_entries = impure[:0], counts[:0], entries[:0]
+        if len(impure):
+            feats = np.argsort(rng.random((len(impure), FEATURE_DIM)), axis=1)
+            feats = np.sort(feats[:, :FEATURES_PER_SPLIT], axis=1)
+            rows, weight, j, f, thr, e, k, pos_l, start = _best_splits(
+                y, values, rank, rows, weight, entries[impure], feats, counts[impure]
+            )
+            nodes = impure[j]
+            feature[nodes], threshold[nodes] = f, thr
+            left[nodes] = first + len(tree) + 2 * np.arange(len(j))
+            child_l = np.stack([k - pos_l, pos_l], axis=1)
+            child_counts = np.stack([child_l, counts[nodes] - child_l], axis=1).reshape(-1, 2)
+            child_entries = np.stack([e, entries[nodes] - e], axis=1).ravel()
+            # Each split node's segment holds its left rows, then its right.
+            seg_start = np.stack([start, start + e], axis=1).ravel()
+            keep = child_counts.min(axis=1) > 0
+            seg_start, seg_len = seg_start[keep], child_entries[keep]
+            take = np.repeat(seg_start - (np.cumsum(seg_len) - seg_len), seg_len)
+            take += np.arange(len(take))
+            rows, weight = rows[take], weight[take]
+        levels.append((tree, feature, threshold, left, counts))
+        first += len(tree)
+        tree, counts, entries = np.repeat(tree[nodes], 2), child_counts, child_entries
 
-    growing = trees
-    while growing:
-        popped, feats = [], []
-        for tree in growing:
-            nxt = tree.pop_splittable()
-            if nxt is not None:
-                popped.append((tree,) + nxt)
-                feats.append(tree.rng.choice(FEATURE_DIM, size=FEATURES_PER_SPLIT, replace=False))
-        if not popped:
-            break
-        pos = np.array([tree.counts[node][1] for tree, node, _ in popped], dtype=np.int64)
-        rows_sorted, splits = _best_splits(
-            X, y, rank, [idx for _, _, idx in popped], np.array(feats), pos
-        )
-        for j, f, thr, k, pos_l, start in splits:
-            tree, node, idx = popped[j]
-            tree.split(node, f, thr, rows_sorted[start : start + len(idx)], k, pos_l)
-        growing = [p[0] for p in popped]
-
-    return ForestModel(trees=[t.to_tree() for t in trees], config=cfg)
+    # Lay each tree's nodes end to end in level order and number them within it.
+    tree, feature, threshold, left, counts = (np.concatenate(a) for a in zip(*levels))
+    order = np.argsort(tree, kind="stable")
+    sizes = np.bincount(tree, minlength=T)
+    local = np.empty(len(tree), dtype=np.int64)
+    local[order] = np.arange(len(tree)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    left = left[order]
+    split = left >= 0
+    left[split] = local[left[split]]
+    right = np.where(split, left + 1, _LEAF)
+    feature, threshold, counts = feature[order], threshold[order], counts[order]
+    end = np.cumsum(sizes)
+    trees = [
+        DecisionTree(feature[i:j], threshold[i:j], left[i:j], right[i:j], counts[i:j])
+        for i, j in zip((end - sizes).tolist(), end.tolist())
+    ]
+    paths = _compile_paths(feature, threshold, left, right, counts, sizes)
+    return ForestModel(trees=trees, config=cfg, _paths=paths)
 
 
 def predict_proba_matrix(model: ForestModel, X) -> np.ndarray:

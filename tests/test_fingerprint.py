@@ -27,10 +27,10 @@ grid.budgets = 10
 grid.seeds = 0, 1
 """
 
-SWEEP_RESULTS = "975a58e7893104f6ed6d2028f439ffb30e2d13b63d4e90d88d2e9afc9d9b7b98"
-SWEEP_SUMMARY = "abdd39ecccf603a29bfc59920677f9d0783578a579f3ff72a43d248bddaff72c"
-DATA_RESULTS = "ef2943e14824d5aa206ba529a259f4d8cdb47a96aed180ee3261ba4d38db5a41"
-DATA_SUMMARY = "e199d7d2196b98df4f96680a09622bed28f100952a4eea5e50cb5ab344816f5a"
+SWEEP_RESULTS = "8ccc33ea19abf00b2e0308d0f4441864c0045cb06f0aefaefa92289d12ea1d01"
+SWEEP_SUMMARY = "f6544a58937220a1602eafa68f265767a31bb8b62ace843e15f83a8cdd2c63fe"
+DATA_RESULTS = "dd8f1417a1c0d5418373b085bf8d1d63f5f1d852c7c6c6f8d9a9bfa706f94d12"
+DATA_SUMMARY = "b8b6a405c2f56ff2c7dba04ce05513f852c5ed5b4aa3262ec9320f91ca29fa92"
 DETECTIONS = "c95be5514ece0a4068dad0783f3b2d8630c198c9a6d8329fdd3c35d27fee5472"
 LABELED = "01b957ff5a694d07ad2b2f16b4f6232a82706f14cc952c14865a5aee7b11719c"
 LABELED_META = "8288a78cb4fe3404da34079c8e59396dbb5330f30efdef6febfc6d4114da7eab"

@@ -12,8 +12,8 @@ from reach_al.metrics import confusion_and_rates, evaluate
 TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts")
 
 
-# Textbook depth-first CART, one tree after another, written out as the
-# reference that the lockstep grower must reproduce bit for bit.
+# Textbook CART, one node at a time, written out as the reference that the
+# batched level-wise grower must reproduce bit for bit.
 def reference_best_split(X, y, idx, feats):
     n = len(idx)
     counts = np.bincount(y[idx], minlength=2)
@@ -47,63 +47,52 @@ def reference_best_split(X, y, idx, feats):
     return best
 
 
-def reference_grow_tree(X, y, rng, sample_idx):
-    feature, threshold, left, right, counts = [], [], [], [], []
-
-    def new_node():
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        counts.append((0, 0))
-        return len(feature) - 1
-
-    stack = [(new_node(), sample_idx)]
-    while stack:
-        node, idx = stack.pop()
-        c = np.bincount(y[idx], minlength=2)
-        counts[node] = (int(c[0]), int(c[1]))
-        if c[0] == 0 or c[1] == 0:
-            continue
-        feats = rng.choice(9, size=3, replace=False)
-        split = reference_best_split(X, y, idx, feats)
-        if split is None:
-            continue
-        _, f, thr = split
-        mask = X[idx, f] <= thr
-        feature[node] = int(f)
-        threshold[node] = float(thr)
-        node_l = new_node()
-        node_r = new_node()
-        left[node] = node_l
-        right[node] = node_r
-        stack.append((node_r, idx[~mask]))
-        stack.append((node_l, idx[mask]))
-
-    return {
-        "feature": np.array(feature, dtype=np.int64),
-        "threshold": np.array(threshold, dtype=float),
-        "left": np.array(left, dtype=np.int64),
-        "right": np.array(right, dtype=np.int64),
-        "counts": np.array(counts, dtype=np.int64),
-    }
-
-
 def canonical(X, y):
     order = np.lexsort((y,) + tuple(X[:, f] for f in range(8, -1, -1)))
     return X[order], y[order]
 
 
 def bootstraps(n, cfg):
-    """Each tree's random stream, and the bootstrap rows it draws first."""
-    for stream in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees):
-        rng = np.random.default_rng(stream)
-        yield rng, rng.integers(0, n, size=n)
+    """The bootstrap rows of every tree, one tree per row: the forest's first draw."""
+    return np.random.default_rng(cfg.seed).integers(0, n, size=(cfg.n_trees, n))
 
 
 def reference_fit(X, y, cfg):
+    """Grow the trees level by level with the forest's draws: one generator
+    seeded with ``cfg.seed`` draws every bootstrap, then at each level one
+    row of 9 uniforms per impure node, in (tree, node) order, whose argsort's
+    first 3 entries are the node's features.  Nodes are numbered within
+    their tree in level order."""
     X, y = canonical(X, y)
-    return [reference_grow_tree(X, y, rng, idx) for rng, idx in bootstraps(len(y), cfg)]
+    rng = np.random.default_rng(cfg.seed)
+    boots = rng.integers(0, len(y), size=(cfg.n_trees, len(y)))
+    trees = [{name: [] for name in TREE_ARRAYS} for _ in boots]
+
+    def new_node(t, idx):
+        tree = trees[t]
+        for name, value in zip(TREE_ARRAYS, (-1, 0.0, -1, -1, np.bincount(y[idx], minlength=2))):
+            tree[name].append(value)
+        return t, len(tree["feature"]) - 1, idx
+
+    level = [new_node(t, idx) for t, idx in enumerate(boots)]
+    while level:
+        impure = [(t, node, idx) for t, node, idx in level if trees[t]["counts"][node].min() > 0]
+        draws = rng.random((len(impure), 9))
+        level = []
+        for (t, node, idx), u in zip(impure, draws):
+            split = reference_best_split(X, y, idx, np.argsort(u)[:3])
+            if split is None:
+                continue
+            _, f, thr = split
+            mask = X[idx, f] <= thr
+            children = [new_node(t, idx[mask]), new_node(t, idx[~mask])]
+            tree = trees[t]
+            tree["feature"][node], tree["threshold"][node] = int(f), float(thr)
+            tree["left"][node], tree["right"][node] = children[0][1], children[1][1]
+            level += children
+
+    dtypes = (np.int64, float, np.int64, np.int64, np.int64)
+    return [{name: np.array(t[name], dtype=d) for name, d in zip(TREE_ARRAYS, dtypes)} for t in trees]
 
 
 def reference_proba(trees, X):
@@ -215,7 +204,7 @@ class TestFit:
             cfg = TrainConfig(seed=seed)
             model = fit_arrays(X, y, cfg)
             Xc, yc = canonical(X, y)
-            for tree, (_, idx) in zip(model.trees, bootstraps(len(y), cfg)):
+            for tree, idx in zip(model.trees, bootstraps(len(y), cfg)):
                 for i in idx:
                     assert tree.counts[leaf_of(tree, Xc[i]), 1 - yc[i]] == 0
             assert evaluate(predict_proba_matrix(model, X)[:, 1], y).accuracy == 1.0
@@ -251,7 +240,25 @@ class TestFit:
         np.testing.assert_allclose(p1, p2, atol=1e-12)
 
 
-class TestLockstepEquivalence:
+    @pytest.mark.parametrize(
+        "n, bound", [(150, 6_575_659), (4_000, 171_954_108)], ids=["150-rows", "4000-rows"]
+    )
+    def test_memory_of_a_fit_is_bounded(self, n, bound):
+        # 150 rows is the largest fit of a default sweep; 4,000 stands for
+        # ``run --data`` with a large ``--init-size``.  Each bound is the
+        # traced peak, in bytes, of the depth-first lockstep grower that
+        # level-wise growth replaced, on this data and seed.
+        X, y = random_data(n, np.random.default_rng(49))
+        tracemalloc.start()
+        try:
+            fit_arrays(X, y, TrainConfig(seed=19))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+
+class TestLevelwiseEquivalence:
     @settings(max_examples=150, deadline=None)
     @given(forest_problems())
     def test_trees_match_reference_bit_for_bit(self, problem):
@@ -298,7 +305,7 @@ class TestThresholds:
         thresholds = np.concatenate([t.threshold[t.feature >= 0] for t in model.trees])
         assert {a, 1.0} <= set(thresholds.tolist())
         Xc, yc = canonical(X, y)
-        for tree, (_, idx) in zip(model.trees, bootstraps(len(y), cfg)):
+        for tree, idx in zip(model.trees, bootstraps(len(y), cfg)):
             leaves = np.array([leaf_of(tree, Xc[i]) for i in idx])
             assert sorted(set(leaves)) == sorted(np.flatnonzero(tree.feature < 0))
             for leaf in set(leaves):
