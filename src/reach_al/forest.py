@@ -197,11 +197,12 @@ def _best_splits(y, values, rank, rows, weight, entries, feats, counts):
     # The operations and their order match a one-node search, so the
     # impurities, and with them the chosen splits, match bit for bit.
     sizes, pos = counts.sum(axis=1), counts[:, 1]
-    n_c = np.repeat(sizes, entries * m)
+    node_len = entries * m
+    n_c = np.repeat(sizes, node_len)
     n_left = k.astype(float)
     n_right = n_c - n_left
     p1l = pos_l / n_left
-    p1r = (np.repeat(pos, entries * m) - pos_l) / n_right
+    p1r = (np.repeat(pos, node_len) - pos_l) / n_right
     gini_l = 1.0 - p1l * p1l - (1.0 - p1l) ** 2
     gini_r = 1.0 - p1r * p1r - (1.0 - p1r) ** 2
     weighted = np.where(boundary, (n_left * gini_l + n_right * gini_r) / n_c, np.inf)
@@ -214,11 +215,12 @@ def _best_splits(y, values, rank, rows, weight, entries, feats, counts):
     # entry at that impurity has the lowest feature, then the lowest threshold.
     w_min = np.minimum.reduceat(weighted, seg_start[::m])
     w_min[~(w_min < parent_gini - _MIN_GAIN)] = np.nan
-    tie = np.flatnonzero(weighted == np.repeat(w_min, entries * m))
+    tie = np.flatnonzero(weighted == np.repeat(w_min, node_len))
     seg = key[tie] // stride
     chosen = np.diff(seg // m, prepend=-1) != 0
     tie, seg = tie[chosen], seg[chosen]
-    f = feats[seg // m, seg % m]
+    node = seg // m
+    f = feats[node, seg % m]
     lo = values[f, key[tie] % stride]
     hi = values[f, key[tie + 1] % stride]
     thr = 0.5 * (lo + hi)
@@ -226,7 +228,7 @@ def _best_splits(y, values, rank, rows, weight, entries, feats, counts):
     # send other rows left than the k counted; ``lo`` separates them exactly.
     thr = np.where((lo <= thr) & (thr < hi), thr, lo)
     e = tie - seg_start[seg] + 1
-    return rows, weight, seg // m, f, thr, e, k[tie], pos_l[tie], seg_start[seg]
+    return rows, weight, node, f, thr, e, k[tie], pos_l[tie], seg_start[seg]
 
 
 def _canonical_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -239,7 +239,6 @@ class TestFit:
         p2 = predict_proba_matrix(m2, Xq2)
         np.testing.assert_allclose(p1, p2, atol=1e-12)
 
-
     @pytest.mark.parametrize(
         "n, bound", [(150, 6_575_659), (4_000, 171_954_108)], ids=["150-rows", "4000-rows"]
     )
