@@ -3,7 +3,11 @@
 The hashes pin ``results.csv`` and ``summary.csv`` of a five-strategy,
 two-seed sweep whose last query batch is short (4 + 4 + 2), at one and at
 two workers, and of one ``run --data`` cell on a labeled cache, and the
-detection file, labeled cache and sidecar that cell is run from.  A change
+detection file, labeled cache and sidecar that cell is run from.  A second
+sweep adds budgets 6 and 8 next to 10: 8 is a multiple of the batch, so its
+rows are the leading rounds of the budget-10 run, while 6 is not and runs on
+its own.  Its hashes were taken from a sweep that ran every budget
+separately, so reuse must leave the files byte-identical.  A change
 that alters results on purpose updates them and says so in CHANGES.md.
 """
 
@@ -29,6 +33,8 @@ grid.seeds = 0, 1
 
 SWEEP_RESULTS = "8ccc33ea19abf00b2e0308d0f4441864c0045cb06f0aefaefa92289d12ea1d01"
 SWEEP_SUMMARY = "f6544a58937220a1602eafa68f265767a31bb8b62ace843e15f83a8cdd2c63fe"
+PREFIX_RESULTS = "d23709b714608a1cca7292a4cb3178eceaa804e137ec748fb0fd1d1e2fd839c6"
+PREFIX_SUMMARY = "0887bbb05c993bc33d5286681ca6d843f7d377704cbb9e4bc02c95c4437e5500"
 DATA_RESULTS = "dd8f1417a1c0d5418373b085bf8d1d63f5f1d852c7c6c6f8d9a9bfa706f94d12"
 DATA_SUMMARY = "b8b6a405c2f56ff2c7dba04ce05513f852c5ed5b4aa3262ec9320f91ca29fa92"
 DETECTIONS = "c95be5514ece0a4068dad0783f3b2d8630c198c9a6d8329fdd3c35d27fee5472"
@@ -54,6 +60,16 @@ def test_sweep_fingerprint(tmp_path, cfg_file, jobs):
     assert main(["sweep", "--config", cfg_file, "--jobs", jobs, "--out", out]) == 0
     assert sha256(os.path.join(out, "results.csv")) == SWEEP_RESULTS
     assert sha256(os.path.join(out, "summary.csv")) == SWEEP_SUMMARY
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_budget_prefix_fingerprint(tmp_path, jobs):
+    cfg = tmp_path / "prefix.cfg"
+    cfg.write_text(CFG_TEXT.replace("grid.budgets = 10", "grid.budgets = 6, 8, 10"))
+    out = str(tmp_path / "out")
+    assert main(["sweep", "--config", str(cfg), "--jobs", jobs, "--out", out]) == 0
+    assert sha256(os.path.join(out, "results.csv")) == PREFIX_RESULTS
+    assert sha256(os.path.join(out, "summary.csv")) == PREFIX_SUMMARY
 
 
 def test_run_data_fingerprint(tmp_path, cfg_file):
