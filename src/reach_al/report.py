@@ -2,7 +2,9 @@
 
 A sweep runs every (strategy, init_size, budget, seed) cell of the grid on
 one shared benchmark (synthetic, or labeled caches for ``run --data``),
-appends one row per query round to a CSV results file, and writes a
+making one AL run per (scorer, init_size, seed) at its largest budget where
+the cells allow (see ``run_grid``).  It appends one row per query round
+per cell to a CSV results file, and writes a
 per-cell summary (mean and standard deviation of final-round metrics
 across seeds).  Everything downstream of the seeds is deterministic, and
 rows are written in a canonical order, so repeated runs produce
@@ -290,10 +292,15 @@ def run_grid(
     """Run every grid cell on the benchmark ``samples`` and pool
     ``candidates``; returns (results_path, summary_path, cell_errors).
 
-    Strategy names that share a scorer (``active.SCORERS``) share one run
-    per (init_size, budget, seed), whose rows are written under each name.
-    Each cell error is a ``((strategy, init_size, budget, seed), message)``
-    pair, and every failed cell gets one ``round = -1`` row in the results.
+    A sweep runs each (scorer, init_size, seed) once, at its largest budget,
+    and writes each cell's rows from that run.  Strategy names that share a
+    scorer (``active.SCORERS``) take its rows under their own names.  A
+    smaller budget that is a multiple of ``al.batch_size`` takes the run's
+    leading rounds, which are the rounds a run of that budget makes: every
+    one queries a full batch, or the same short batch where the pool runs
+    out.  Any other budget keeps a run of its own.  Each cell error is a
+    ``((strategy, init_size, budget, seed), message)`` pair, and every
+    failed cell gets one ``round = -1`` row in the results.
     """
     os.makedirs(out_dir, exist_ok=True)
     cells = [
@@ -303,10 +310,15 @@ def run_grid(
         for budget in grid.budgets
         for seed in grid.seeds
     ]
-    keys = [(SCORERS[cell[0]],) + cell[1:] for cell in cells]  # (scorer, init, budget, seed)
-    runs: dict = {}  # key -> the first cell that needs it
+    largest = max(grid.budgets)
+    keys = [  # (scorer, init, budget of the run, seed)
+        (SCORERS[s], init, largest if budget % grid.al.batch_size == 0 else budget, seed)
+        for s, init, budget, seed in cells
+    ]
+    runs: dict = {}  # key -> the run, under the first name that needs it
     for key, cell in zip(keys, cells):
-        runs.setdefault(key, cell)
+        runs.setdefault(key, cell[:1] + key[1:])
+    logger.info("%d AL runs for %d cells", len(runs), len(cells))
 
     workers = _worker_count(jobs, len(runs))
     if workers > 1:
@@ -326,7 +338,10 @@ def run_grid(
     errors: list[tuple[tuple, str]] = []
     for key, cell in zip(keys, cells):
         cell_rows, err = outcomes[key]
-        rows.extend(replace(r, strategy=cell[0]) for r in cell_rows)
+        strategy, _, budget, _ = cell
+        # Round 0, then at most one round per batch of the cell's budget.
+        n_rounds = 1 - (-budget // grid.al.batch_size)
+        rows.extend(replace(r, strategy=strategy, budget=budget) for r in cell_rows[:n_rounds])
         if err is not None:
             errors.append((cell, err))
 

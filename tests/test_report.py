@@ -95,7 +95,7 @@ UNCERTAINTY = ("least_confidence", "margin", "entropy")
 
 
 class TestScorerFanOut:
-    """Names that share a scorer share one run per (init, budget, seed)."""
+    """Names that share a scorer share one run per (init, seed)."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
@@ -154,6 +154,88 @@ class TestScorerFanOut:
         done = [r.getMessage() for r in caplog.records if r.getMessage().startswith("runs done")]
         # 22 distinct runs: every third one, and the last.
         assert [m.split(",")[0] for m in done] == [f"runs done {i}/22" for i in (3, 6, 9, 12, 15, 18, 21, 22)]
+
+
+class TestBudgetPrefixes:
+    """A budget that is a multiple of the batch takes the leading rounds of
+    the run at the largest budget; the rows equal a run of its own."""
+
+    @pytest.fixture()
+    def runs(self, monkeypatch):
+        runs = []
+        real = report.run_cell
+
+        def counted(*args):
+            runs.append(args[3:])
+            return real(*args)
+
+        monkeypatch.setattr(report, "run_cell", counted)
+        return runs
+
+    @staticmethod
+    def at_batch(grid, batch, budgets, **changes):
+        return replace(grid, al=replace(grid.al, batch_size=batch), budgets=budgets, **changes)
+
+    @staticmethod
+    def assert_rows_as_if_run_alone(samples, candidates, grid, path, tmp_path):
+        expected = [
+            r
+            for s in grid.strategies
+            for init in grid.init_sizes
+            for budget in grid.budgets
+            for seed in grid.seeds
+            for r in report.run_cell(samples, candidates, grid, s, init, budget, seed)
+        ]
+        write_results(tmp_path / "alone.csv", expected)
+        assert open(path, "rb").read() == open(tmp_path / "alone.csv", "rb").read()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_multiples_of_the_batch_halve_the_runs(self, tiny_grid, tiny_benchmark, runs, tmp_path, jobs):
+        grid = self.at_batch(tiny_grid, 4, (4, 8))
+        path, _, errors = run_grid(*tiny_benchmark, grid, tmp_path / "grid", jobs=jobs)
+        assert errors == []
+        if jobs == 1:  # a pool worker's calls are not counted in this process
+            assert sorted(runs) == [(s, 10, 8, seed) for s in ("entropy", "random") for seed in (0, 1)]
+        runs.clear()
+        self.assert_rows_as_if_run_alone(*tiny_benchmark, grid, path, tmp_path)
+
+    def test_other_budgets_keep_their_own_run(self, tiny_grid, tiny_benchmark, runs, tmp_path):
+        grid = self.at_batch(tiny_grid, 4, (6, 8, 10), strategies=("entropy",), seeds=(0,))
+        path, _, errors = run_grid(*tiny_benchmark, grid, tmp_path / "grid")
+        assert errors == []
+        assert runs == [("entropy", 10, 6, 0), ("entropy", 10, 10, 0)]
+        self.assert_rows_as_if_run_alone(*tiny_benchmark, grid, path, tmp_path)
+
+    def test_small_pool_and_budget_zero_match_separate_runs(self, tiny_grid, tiny_benchmark, runs, tmp_path):
+        # 40 samples hold out 8 for test and 10 to start from: a pool of 22.
+        samples = tiny_benchmark[0][:40]
+        grid = self.at_batch(tiny_grid, 4, (0, 8, 24, 28))
+        path, _, errors = run_grid(samples, [], grid, tmp_path / "grid")
+        assert errors == []
+        assert {budget for _, _, budget, _ in runs} == {28}
+        rows = read_results(path)
+        assert max(r.n_labeled for r in rows if r.budget == 24) == 10 + 22
+        assert {r.round for r in rows if r.budget == 0} == {0}
+        self.assert_rows_as_if_run_alone(samples, [], grid, path, tmp_path)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_shared_run_fails_every_budget_and_name(self, tiny_grid, tiny_benchmark, tmp_path, jobs):
+        # init_size 500 exceeds the samples left after the test split.
+        grid = replace(tiny_grid, strategies=UNCERTAINTY, init_sizes=(500,), budgets=(10, 20))
+        path, _, errors = run_grid(*tiny_benchmark, grid, tmp_path, jobs=jobs)
+        cells = [(s, 500, b, seed) for s in UNCERTAINTY for b in (10, 20) for seed in (0, 1)]
+        assert [cell for cell, _ in errors] == cells
+        failed = [(r.strategy, r.init_size, r.budget, r.seed) for r in read_results(path) if r.round == -1]
+        assert failed == sorted(cells)
+        assert all(r.round == -1 for r in read_results(path))
+
+    def test_start_logs_runs_and_cells(self, tiny_grid, monkeypatch, caplog, tmp_path):
+        monkeypatch.setattr(report, "run_cell", lambda *args: [])
+        grid = self.at_batch(tiny_grid, 5, (7, 10, 20), strategies=STRATEGIES)
+        caplog.set_level(logging.INFO, logger=report.__name__)
+        run_grid([], [], grid, tmp_path)
+        # Per scorer and seed: one run at 20 for 10 and 20, one at 7.
+        assert caplog.records[0].getMessage() == "12 AL runs for 30 cells"
 
 
 VALID_RESULT_ROW = ["random", "0", "10", "20", "1", "20", "0.5", "0.25", "nan", "0.75", "0.5", "0.125"]
