@@ -30,21 +30,24 @@ the impure ones in one step.  A tree's nodes are numbered in level order.
 
 Prediction evaluates every tree at once as path-matrix products (the GEMM
 strategy of Hummingbird, Nakandala et al., OSDI 2020).  A forest is compiled
-once, when the model is built, into arrays padded to its largest tree: each
-internal node's feature and threshold, a path matrix whose entry for (leaf,
-node) is +1 if the leaf lies in the node's left subtree and -1 if in its
-right one, each leaf's count of left turns, and each leaf's class
-frequencies.  For a chunk of rows, ``C = x[feature] <= threshold`` holds the
+once, when the model is built.  Its trees, sorted by internal-node count,
+fall into ``_SIZE_GROUPS`` groups, and each group is padded only to its own
+largest tree, so one deep tree no longer sets the cost of every other.  A
+group holds each internal node's feature and threshold, a path matrix whose
+entry for (leaf, node) is +1 if the leaf lies in the node's left subtree and
+-1 if in its right one, each leaf's count of left turns, and each leaf's
+class frequencies.  For a chunk of rows, ``C = x[feature] <= threshold`` holds the
 decision at every node (a NaN compares false and goes right, as in a
 node-by-node walk).  A leaf's row of the path matrix times ``C`` adds one
 for each left turn on its path that the row takes and subtracts one for
 each right turn it does not take, so it equals the leaf's left-turn count
 only for the one leaf the row reaches.  The entries are small integers, so
 the float32 products are exact, and the frequencies times the 0/1 match
-matrix add a single nonzero term per tree.  The trees' votes are
-then summed along the tree axis in tree order, so the probabilities equal,
-bit for bit, those of adding one tree's leaf frequencies after another.
-Rows go in chunks whose size keeps the intermediates near ``_CHUNK_ELEMENTS``
+matrix add a single nonzero term per tree; padded leaves add only +0.0.
+Every group writes its trees' votes into one buffer in tree order, and the
+votes are then summed along the tree axis, so the probabilities equal, bit
+for bit, those of adding one tree's leaf frequencies after another.  Rows go
+in chunks whose size keeps every intermediate within ``_CHUNK_ELEMENTS``
 elements.
 """
 
@@ -62,6 +65,9 @@ _MIN_GAIN = 1e-12
 # tree.  On the default benchmark 2**17 (about 3 MB of intermediates) was the
 # fastest; 2**19 was 40-60% slower and peaked at 11 MB.
 _CHUNK_ELEMENTS = 1 << 17
+# Predict pads each of this many groups of similar-sized trees to its own
+# largest tree, not the whole forest to its largest.
+_SIZE_GROUPS = 4
 
 
 @dataclass(frozen=True)
@@ -97,17 +103,20 @@ class ForestModel:
 
 
 def _compile_paths(feature, threshold, left, right, counts, sizes):
-    """Padded path-matrix form of a forest: ``(F, TH, AT, B, P)``.
+    """Path-matrix form of a forest in size groups: ``((trees, F, TH, AT, B, P), ...)``.
 
     The arguments are the trees' node arrays laid end to end, ``sizes[t]``
     nodes for tree t, with ``left`` and ``right`` indexing within a tree.
-    For tree t with k internal nodes and m leaves, ``F[t, :k]`` and
-    ``TH[t, :k]`` are the internal nodes' features and thresholds in node
-    order; ``AT[t, j, i]`` is +1 if leaf j lies in the left subtree of
-    internal node i, -1 if in the right one, else 0; ``B[t, j]`` counts the
-    left turns on leaf j's path; ``P[t, :, j]`` is leaf j's class
-    frequencies.  Padded nodes get threshold +inf and zero path entries,
-    padded leaves ``B = NaN`` (never matched) and zero frequencies.
+    The trees, sorted by internal-node count, are cut into ``_SIZE_GROUPS``
+    groups of about equal count, and each group is padded to its own
+    largest tree; ``trees`` holds a group's tree indices.  For its i-th tree,
+    with k internal nodes and m leaves, ``F[i, :k]`` and ``TH[i, :k]`` are
+    the internal nodes' features and thresholds in node order;
+    ``AT[i, j, c]`` is +1 if leaf j lies in the left subtree of internal
+    node c, -1 if in the right one, else 0; ``B[i, j]`` counts the left
+    turns on leaf j's path; ``P[i, :, j]`` is leaf j's class frequencies.
+    Padded nodes get threshold +inf and zero path entries, padded leaves
+    ``B = NaN`` (never matched) and zero frequencies.
     """
     start = np.cumsum(sizes) - sizes
     tree_of = np.repeat(np.arange(len(sizes)), sizes)
@@ -128,18 +137,10 @@ def _compile_paths(feature, threshold, left, right, counts, sizes):
         parent[ids] = nodes
         side[ids] = turn
 
-    T, kmax, mmax = len(sizes), int(k.max()), int(m.max())
-    F = np.zeros((T, kmax), dtype=np.int64)
-    TH = np.full((T, kmax), np.inf)
-    F[tree_of[nodes], k_rank[nodes]] = feature[nodes]
-    TH[tree_of[nodes], k_rank[nodes]] = threshold[nodes]
-
+    # Walk every leaf up to its root at once, one step per depth level,
+    # collecting each step's (leaf, internal node, turn).
     leaves = np.flatnonzero(~internal)
-    lt, lm = tree_of[leaves], m_rank[leaves]
-    AT = np.zeros((T, mmax, kmax), dtype=np.float32)
-    B = np.full((T, mmax), np.nan, dtype=np.float32)
-    B[lt, lm] = 0.0
-    # Walk every leaf up to its root at once, one step per depth level.
+    steps = [(leaves[:0], nodes[:0], side[:0])]
     sel, node = np.arange(len(leaves)), leaves
     while True:
         up = parent[node]
@@ -147,14 +148,49 @@ def _compile_paths(feature, threshold, left, right, counts, sizes):
         sel, node, up = sel[keep], node[keep], up[keep]
         if not len(sel):
             break
-        AT[lt[sel], lm[sel], k_rank[up]] = side[node]
-        B[lt[sel], lm[sel]] += side[node] > 0
+        steps.append((sel, up, side[node]))
         node = up
-
+    step_leaf, step_node, step_turn = (np.concatenate(a) for a in zip(*steps))
+    left_turns = np.bincount(step_leaf, weights=step_turn > 0, minlength=len(leaves))
     freq = counts[leaves].astype(float)
-    P = np.zeros((T, 2, mmax))
-    P[lt, :, lm] = freq / freq.sum(axis=1, keepdims=True)
-    return F, TH, AT, B, P
+    freq /= freq.sum(axis=1, keepdims=True)
+
+    T = len(sizes)
+    slot = np.empty(T, dtype=np.int64)  # a tree's position within its group
+    groups = []
+    for trees in np.array_split(np.argsort(k, kind="stable"), _SIZE_GROUPS):
+        if not len(trees):
+            continue
+        slot[trees] = np.arange(len(trees))
+        member = np.zeros(T, dtype=bool)
+        member[trees] = True
+        n, kmax, mmax = len(trees), int(k[trees].max()), int(m[trees].max())
+        g_nodes = nodes[member[tree_of[nodes]]]
+        F = np.zeros((n, kmax), dtype=np.int64)
+        TH = np.full((n, kmax), np.inf)
+        F[slot[tree_of[g_nodes]], k_rank[g_nodes]] = feature[g_nodes]
+        TH[slot[tree_of[g_nodes]], k_rank[g_nodes]] = threshold[g_nodes]
+        g_leaves = np.flatnonzero(member[tree_of[leaves]])
+        lt, lm = slot[tree_of[leaves[g_leaves]]], m_rank[leaves[g_leaves]]
+        B = np.full((n, mmax), np.nan, dtype=np.float32)
+        B[lt, lm] = left_turns[g_leaves]
+        P = np.zeros((n, 2, mmax))
+        P[lt, :, lm] = freq[g_leaves]
+        AT = np.zeros((n, mmax, kmax), dtype=np.float32)
+        g_steps = member[tree_of[leaves[step_leaf]]]
+        s_leaf = leaves[step_leaf[g_steps]]
+        AT[slot[tree_of[s_leaf]], m_rank[s_leaf], k_rank[step_node[g_steps]]] = step_turn[g_steps]
+        groups.append((trees, F, TH, AT, B, P))
+    return tuple(groups)
+
+
+def _chunk_rows(groups) -> int:
+    """Rows per predict chunk: as if every tree were padded to the widest
+    group's width, so that neither a group's intermediates nor the (trees,
+    2, rows) vote buffer exceeds ``_CHUNK_ELEMENTS``."""
+    n_trees = sum(len(g[0]) for g in groups)
+    width = max([2] + [max(AT.shape[1:]) for _, _, _, AT, _, _ in groups])
+    return max(1, _CHUNK_ELEMENTS // (n_trees * width))
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # a segment's last entry leaves no row right
@@ -323,13 +359,17 @@ def predict_proba_matrix(model: ForestModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != FEATURE_DIM:
         raise ValueError(f"feature matrix must be (n, {FEATURE_DIM})")
-    F, TH, AT, B, P = model._paths
-    T, mmax, kmax = AT.shape
-    step = max(1, _CHUNK_ELEMENTS // (T * max(kmax, mmax)))
+    groups = model._paths
+    T = len(model.trees)
+    step = _chunk_rows(groups)
     acc = np.empty((len(X), 2))
     for s in range(0, len(X), step):
-        C = (np.take(X[s : s + step].T, F, axis=0) <= TH[:, :, None]).astype(np.float32)
-        match = (AT @ C == B[:, :, None]).astype(float)
-        acc[s : s + step] = np.add.reduce(P @ match, axis=0).T
+        Xc = np.ascontiguousarray(X[s : s + step].T)
+        votes = np.empty((T, 2, Xc.shape[1]))  # in tree order
+        for trees, F, TH, AT, B, P in groups:
+            C = (np.take(Xc, F, axis=0) <= TH[:, :, None]).astype(np.float32)
+            match = (AT @ C == B[:, :, None]).astype(float)
+            votes[trees] = P @ match
+        acc[s : s + step] = np.add.reduce(votes, axis=0).T
     acc /= T
     return acc

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reach_al import forest
@@ -351,18 +351,54 @@ def with_missing_cells(X, rng, share=0.1):
     return X
 
 
+def group_width(model):
+    """The widest size group's larger dimension: internal nodes or leaves."""
+    return max(max(AT.shape[1:]) for _, _, _, AT, _, _ in model._paths)
+
+
+@st.composite
+def mixed_forests(draw):
+    """A few positives among many rows: a bootstrap that misses them grows
+    a single leaf, one that draws them a deep tree.  The queries include
+    all-NaN rows, and the chunk size leaves a ragged last chunk."""
+    n = draw(st.integers(20, 120), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="data seed"))
+    X = with_missing_cells(rng.normal(size=(n, 9)), rng, share=draw(st.floats(0.0, 0.2)))
+    y = np.zeros(n, dtype=np.int64)
+    y[rng.choice(n, size=draw(st.integers(1, 4), label="positives"), replace=False)] = 1
+    cfg = TrainConfig(n_trees=draw(st.integers(8, 60), label="n_trees"), seed=draw(st.integers(0, 2**32 - 1)))
+    Xq = with_missing_cells(np.concatenate([X, rng.normal(size=(draw(st.integers(0, 300)), 9))]), rng)
+    Xq[rng.random(len(Xq)) < 0.1] = np.nan
+    chunk = draw(st.integers(2, 50), label="rows per chunk")
+    return X, y, cfg, Xq, chunk
+
+
 class TestCompiledPredict:
     """The path-matrix predict against the node-by-node ``reference_proba``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_forests())
+    def test_size_groups_match_reference_bit_for_bit(self, problem):
+        X, y, cfg, Xq, chunk = problem
+        model = fit_arrays(X, y, cfg)
+        internal = [int((t.feature >= 0).sum()) for t in model.trees]
+        assume(min(internal) == 0 and max(internal) >= 2)
+        assume(len(Xq) % chunk != 0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forest, "_CHUNK_ELEMENTS", chunk * len(model.trees) * group_width(model))
+            assert forest._chunk_rows(model._paths) == chunk
+            assert np.array_equal(predict_proba_matrix(model, Xq), reference_proba(tree_dicts(model), Xq))
 
     def test_many_chunks_with_a_ragged_last_one(self, monkeypatch):
         rng = np.random.default_rng(44)
         X, y = random_data(130, rng)
         model = fit_arrays(X, y, TrainConfig(seed=13))
         Xq = with_missing_cells(rng.normal(size=(2_500, 9)), rng)
-        T, mmax, kmax = model._paths[2].shape
-        assert len(Xq) % (forest._CHUNK_ELEMENTS // (T * max(kmax, mmax))) != 0
+        assert len(model._paths) == forest._SIZE_GROUPS
+        assert len(Xq) % forest._chunk_rows(model._paths) != 0
         assert np.array_equal(predict_proba_matrix(model, Xq), reference_proba(tree_dicts(model), Xq))
-        monkeypatch.setattr(forest, "_CHUNK_ELEMENTS", 7 * T * max(kmax, mmax))
+        monkeypatch.setattr(forest, "_CHUNK_ELEMENTS", 7 * len(model.trees) * group_width(model))
+        assert forest._chunk_rows(model._paths) == 7
         for n in (6, 7, 8, 25):
             assert np.array_equal(
                 predict_proba_matrix(model, Xq[:n]), reference_proba(tree_dicts(model), Xq[:n])
@@ -387,11 +423,15 @@ class TestCompiledPredict:
         model = fit_arrays(X, y, TrainConfig(n_trees=30, seed=15))
         internal = [int((t.feature >= 0).sum()) for t in model.trees]
         assert min(internal) == 0 and max(internal) >= 3
+        # Each size group is padded to its own largest tree only.
+        padded_to = [AT.shape[2] for _, _, _, AT, _, _ in model._paths]
+        assert padded_to == [max(internal[t] for t in g[0]) for g in model._paths]
+        assert min(padded_to) < max(padded_to)
         Xq = with_missing_cells(np.concatenate([X, rng.normal(size=(200, 9))]), rng)
         assert np.array_equal(predict_proba_matrix(model, Xq), reference_proba(tree_dicts(model), Xq))
         # Every tree a single leaf: the path matrices have no columns.
         leaves_only = fit_arrays(X, np.ones(40, dtype=np.int64), TrainConfig(n_trees=5, seed=16))
-        assert leaves_only._paths[2].shape[2] == 0
+        assert all(AT.shape[2] == 0 for _, _, _, AT, _, _ in leaves_only._paths)
         assert np.array_equal(predict_proba_matrix(leaves_only, Xq), np.tile([0.0, 1.0], (len(Xq), 1)))
 
     def test_impure_leaves_sum_in_tree_order(self):
