@@ -94,26 +94,28 @@ class TestRunGrid:
 UNCERTAINTY = ("least_confidence", "margin", "entropy")
 
 
+@pytest.fixture()
+def runs(monkeypatch):
+    """The (strategy, init_size, budget, seed) of each ``run_cell`` call in this process."""
+    runs = []
+    real = report.run_cell
+
+    def counted(*args):
+        runs.append(args[3:])
+        return real(*args)
+
+    monkeypatch.setattr(report, "run_cell", counted)
+    return runs
+
+
 class TestScorerFanOut:
     """Names that share a scorer share one run per (init, seed)."""
 
-    @pytest.fixture()
-    def calls(self, monkeypatch):
-        calls = []
-        real = report.run_cell
-
-        def counted(*args):
-            calls.append(args[3])
-            return real(*args)
-
-        monkeypatch.setattr(report, "run_cell", counted)
-        return calls
-
-    def test_five_names_run_three_scorers(self, tiny_grid, tiny_benchmark, calls, tmp_path):
+    def test_five_names_run_three_scorers(self, tiny_grid, tiny_benchmark, runs, tmp_path):
         grid = replace(tiny_grid, strategies=STRATEGIES)
         path, _, errors = run_grid(*tiny_benchmark, grid, tmp_path)
         assert errors == []
-        assert sorted(calls) == sorted(["random", "least_confidence", "qbc"] * 2)
+        assert sorted(r[0] for r in runs) == sorted(["random", "least_confidence", "qbc"] * 2)
         by_name = {}
         for r in read_results(path):
             by_name.setdefault(r.strategy, []).append(replace(r, strategy=""))
@@ -121,18 +123,18 @@ class TestScorerFanOut:
         assert len(by_name["margin"]) == 2 * 3
         assert by_name["least_confidence"] == by_name["margin"] == by_name["entropy"]
 
-    def test_one_name_keeps_its_name(self, tiny_grid, tiny_benchmark, calls, tmp_path):
+    def test_one_name_keeps_its_name(self, tiny_grid, tiny_benchmark, runs, tmp_path):
         grid = replace(tiny_grid, strategies=("margin",), seeds=(0,))
         path, _, _ = run_grid(*tiny_benchmark, grid, tmp_path)
-        assert calls == ["margin"]
+        assert [r[0] for r in runs] == ["margin"]
         assert {r.strategy for r in read_results(path)} == {"margin"}
 
-    def test_one_shared_run_starts_no_pool(self, tiny_grid, tiny_benchmark, calls, tmp_path):
+    def test_one_shared_run_starts_no_pool(self, tiny_grid, tiny_benchmark, runs, tmp_path):
         # Three cells but one distinct run: a pool worker's call would not
         # be counted in this process.
         grid = replace(tiny_grid, strategies=UNCERTAINTY, seeds=(0,))
         run_grid(*tiny_benchmark, grid, tmp_path, jobs=2)
-        assert calls == ["least_confidence"]
+        assert [r[0] for r in runs] == ["least_confidence"]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_shared_run_fails_every_name(self, tiny_grid, tiny_benchmark, tmp_path, jobs):
@@ -159,18 +161,6 @@ class TestScorerFanOut:
 class TestBudgetPrefixes:
     """A budget that is a multiple of the batch takes the leading rounds of
     the run at the largest budget; the rows equal a run of its own."""
-
-    @pytest.fixture()
-    def runs(self, monkeypatch):
-        runs = []
-        real = report.run_cell
-
-        def counted(*args):
-            runs.append(args[3:])
-            return real(*args)
-
-        monkeypatch.setattr(report, "run_cell", counted)
-        return runs
 
     @staticmethod
     def at_batch(grid, batch, budgets, **changes):
