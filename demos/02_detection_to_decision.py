@@ -1,47 +1,42 @@
 """Follow one detection through the whole perception-to-decision pipeline.
 
-Starts from an RGB bounding-box center with a noisy depth patch, maps it to
-the depth image, takes the robust patch depth, back-projects through the
-pinhole model, transforms into the arm frame, extracts the nine features,
-and asks both reachability oracles for a verdict.
+Starts from an RGB bounding-box center with a noisy depth patch and runs it
+as a one-row array through the same stages labeling runs: the pixel maps to
+the depth image, the robust patch depth is taken, the pinhole model lifts it
+to the camera frame and the rigid transform moves it into the arm frame
+(``locate_detections``), then the nine features (``feature_rows``).  Both
+reachability oracles then give their verdict.
 """
 
 import numpy as np
 
 from reach_al.config import default_config
-from reach_al.features import FEATURE_NAMES, extract_features
-from reach_al.kinematics import BruteForceOracle, forward_kinematics, is_reachable
-from reach_al.perception import (
-    DepthPatch,
-    back_project,
-    camera_to_arm,
-    map_rgb_to_depth_pixel,
-    robust_depth,
-)
+from reach_al.features import FEATURE_NAMES, feature_rows
+from reach_al.kinematics import ArmPoint, BruteForceOracle, forward_kinematics, is_reachable
+from reach_al.perception import Extrinsics, locate_detections
 
 cfg = default_config()
 rng = np.random.default_rng(5)
 
 u, v = 1020.0, 505.0  # RGB bbox center, pixels
 true_depth = 0.95
-patch_vals = true_depth + rng.normal(0, 0.004, size=25)
-patch_vals[rng.random(25) < 0.08] = 0.0  # sensor dropout
-patch = DepthPatch(patch_vals)
+patch = true_depth + rng.normal(0, 0.004, size=(1, 25))
+patch[rng.random((1, 25)) < 0.08] = 0.0  # sensor dropout
 
 print(f"detection at RGB pixel ({u:.0f}, {v:.0f}), bbox 110x110")
-ud, vd = map_rgb_to_depth_pixel(u, v, cfg.cam)
-print(f"depth-image pixel: ({ud}, {vd})")
+pixel = np.array([u]), np.array([v])
+_, depth, x, y, z = locate_detections(*pixel, patch, cfg.cam, cfg.ext)
+print(f"robust patch depth: {depth[0]:.4f} m ({np.count_nonzero(patch)}/25 cells valid)")
 
-Z = robust_depth(patch)
-print(f"robust patch depth: {Z:.4f} m ({int(patch.valid_mask.sum())}/25 cells valid)")
-
-cam_pt = back_project(ud, vd, Z, cfg.cam)
-print(f"camera frame: ({cam_pt.Xc:+.3f}, {cam_pt.Yc:+.3f}, {cam_pt.Zc:+.3f}) m")
-
-arm_pt = camera_to_arm(cam_pt, cfg.ext)
+# The identity transform leaves the point in the camera frame.
+_, _, xc, yc, zc = locate_detections(*pixel, patch, cfg.cam, Extrinsics(np.eye(3), np.zeros(3)))
+print(f"camera frame: ({xc[0]:+.3f}, {yc[0]:+.3f}, {zc[0]:+.3f}) m")
+arm_pt = ArmPoint(x=float(x[0]), y=float(y[0]), z=float(z[0]))
 print(f"arm frame:    ({arm_pt.x:+.3f}, {arm_pt.y:+.3f}, {arm_pt.z:+.3f}) m")
 
-fv = extract_features(arm_pt, patch, Z, 110, 110, (cfg.cam.rgb_width, cfg.cam.rgb_height))
+bbox = np.array([110.0])
+dims = (cfg.cam.rgb_width, cfg.cam.rgb_height)
+fv = feature_rows(x, y, z, patch, depth, bbox, bbox, dims, patch)[0]
 print("features:")
 for name, value in zip(FEATURE_NAMES, fv):
     print(f"  {name:8s} {value:+.4f}")
@@ -57,5 +52,5 @@ if witness is not None:
     err = np.linalg.norm(fk.as_array() - arm_pt.as_array())
     print(f"  forward kinematics of witness lands {err:.2e} m from the target")
 
-brute = BruteForceOracle(cfg.arm, steps_per_joint=25, tol=0.03).is_reachable(arm_pt)
-print(f"brute-force grid check: {'reachable' if brute else 'unreachable'}")
+brute = BruteForceOracle(cfg.arm, steps_per_joint=25, tol=0.03).label_many(arm_pt.as_array()[None])
+print(f"brute-force grid check: {'reachable' if brute[0] else 'unreachable'}")

@@ -25,14 +25,8 @@ from .dataset import (
     label_with_oracle,
     make_splits,
 )
-from .errors import (
-    BoundaryError,
-    ConfigError,
-    IngestionError,
-    NoDepthError,
-    ReachALError,
-)
-from .features import extract_features
+from .errors import ConfigError, IngestionError, ReachALError
+from .features import feature_rows
 from .forest import ForestModel, TrainConfig, fit_arrays, predict_proba_matrix
 from .kinematics import (
     ArmPoint,
@@ -50,16 +44,7 @@ from .metrics import (
     ik_call_reduction,
     roc_auc,
 )
-from .perception import (
-    CameraIntrinsics,
-    CameraPoint,
-    DepthPatch,
-    Extrinsics,
-    back_project,
-    camera_to_arm,
-    map_rgb_to_depth_pixel,
-    robust_depth,
-)
+from .perception import CameraIntrinsics, Extrinsics, locate_detections
 from .report import ExperimentGrid, run_grid
 
 __version__ = "0.1.0"

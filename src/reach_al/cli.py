@@ -127,6 +127,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_dir(cli_out) -> str:
+    """The output directory (see ``resolve_out_dir``), created if missing."""
+    out_dir = resolve_out_dir(cli_out)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
+    return out_dir
+
+
 def _load(config, seed=None) -> "AppConfig":
     cfg = load_config(config) if config else default_config()
     if seed is not None:
@@ -136,8 +146,7 @@ def _load(config, seed=None) -> "AppConfig":
 
 def _cmd_gen_scene(args) -> int:
     cfg = _load(args.config, args.seed)
-    out_dir = resolve_out_dir(args.out)
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _out_dir(args.out)
     detections = generate_scene(cfg.scene, cfg.cam)
     if cfg.scene.n_images > 0 and len(detections) == 0:
         raise ConfigError(
@@ -151,8 +160,7 @@ def _cmd_gen_scene(args) -> int:
 
 def _cmd_label(args) -> int:
     cfg = _load(args.config)
-    out_dir = resolve_out_dir(args.out)
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _out_dir(args.out)
     detections = ingest_detections(args.detections, cfg.cam)
     result = label_with_oracle(
         detections, cfg.cam, cfg.ext, cfg.arm, density_band=cfg.features.density_band
@@ -204,7 +212,6 @@ def _cached_benchmark(data_path, pool_path, sizes: DataConfig) -> tuple[list, li
 
 def _cmd_run(args) -> int:
     cfg = _load(args.config)
-    out_dir = resolve_out_dir(args.out)
     # Each grid list narrows to its flag's value, or else to its first value.
     picks = dict(
         strategies=args.strategy, init_sizes=args.init_size, budgets=args.budget, seeds=args.seed
@@ -215,6 +222,7 @@ def _cmd_run(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     grid = ExperimentGrid.from_config(cfg)
+    out_dir = _out_dir(args.out)
 
     if args.data:
         samples, candidates = _cached_benchmark(args.data, args.pool, cfg.data)
@@ -239,7 +247,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load(args.config, args.seed)
-    out_dir = resolve_out_dir(args.out)
+    out_dir = _out_dir(args.out)
     grid = ExperimentGrid.from_config(cfg)
     samples, candidates = build_benchmark(grid)
     results_path, summary_path, errors = run_grid(samples, candidates, grid, out_dir, jobs=args.jobs)
@@ -254,8 +262,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_envelope(args) -> int:
     cfg = _load(args.config)
-    out_dir = resolve_out_dir(args.out)
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _out_dir(args.out)
     pts = sample_envelope(cfg.arm, steps_per_joint=args.steps)
     path = os.path.join(out_dir, args.envelope)
     write_envelope(path, pts)
@@ -264,11 +271,10 @@ def _cmd_envelope(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    out_dir = resolve_out_dir(args.out)
     if args.kind == "curves":
         if not args.results:
             raise ReachALError("--results is required for --kind curves")
-        written = report_mod.emit_curve_plots(args.results, out_dir)
+        written = report_mod.emit_curve_plots(args.results, _out_dir(args.out))
     else:
         if not args.envelope:
             raise ReachALError("--envelope is required for --kind envelope")
@@ -277,7 +283,7 @@ def _cmd_plot(args) -> int:
         if args.labeled:
             samples = read_labeled_cache(args.labeled).samples
             fruit, labels = features_matrix(samples)[:, :3], labels_array(samples)
-        written = report_mod.emit_envelope_plots(env, out_dir, fruit, labels)
+        written = report_mod.emit_envelope_plots(env, _out_dir(args.out), fruit, labels)
     for path in written:
         print(f"wrote {path}")
     return 0

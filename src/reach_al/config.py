@@ -197,7 +197,7 @@ def load_config(path) -> AppConfig:
     try:
         with open(path, "r") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return apply_overrides(default_config(), parse_config_text(text))
 

@@ -350,10 +350,11 @@ def label_with_oracle(
     feasibility test (``kinematics.reachable_mask``).  Elementwise
     arithmetic rounds the same in numpy as in ``math``, and every ``asin``,
     ``acos``, ``cos``, ``sin``, ``atan2`` and ``hypot`` goes through
-    ``math``, so each sample equals the one the per-record functions give,
-    bit for bit.  Detections with no valid depth or out-of-frame pixels are
-    dropped, not errors; the kept rows are the result's ``records`` and the
-    drop count is reported.
+    ``math``, so each sample equals the one the per-record reference in
+    ``tests/test_labeling.py`` gives, bit for bit, a one-row last chunk
+    too.  Detections with no valid depth or out-of-frame pixels are
+    dropped, not errors; the kept rows are the result's ``records`` and
+    the drop count is reported.
     """
     windows = det.patches if det.windows is None else det.windows
     kept = np.zeros(len(det), dtype=bool)

@@ -8,14 +8,6 @@ class ReachALError(Exception):
     """Base class for errors raised by this package."""
 
 
-class BoundaryError(ReachALError):
-    """A detection pixel falls outside the image; the record is discarded."""
-
-
-class NoDepthError(ReachALError):
-    """A depth patch has no valid cells or a non-positive depth was used."""
-
-
 class IngestionError(ReachALError):
     """An input file is missing or unreadable, or does not match its schema."""
 

@@ -9,12 +9,8 @@ A detection's features are one row in ``FEATURE_NAMES`` order.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
-
-from .kinematics import ArmPoint
-from .perception import DepthPatch
 
 DENSITY_BAND = 0.05
 
@@ -71,7 +67,7 @@ def feature_rows(
     """Features of many detections at once, one row per detection in
     ``FEATURE_NAMES`` order.
 
-    ``patches`` holds the 25 ``DepthPatch`` cells of each detection and
+    ``patches`` holds the 25 depth-patch cells of each detection and
     ``windows`` the (n, k) cells its density is taken over: the 11x11
     windows of a synthetic scene, or the patches themselves.  Arm-frame
     points, robust depths and bounding boxes are parallel arrays.
@@ -97,39 +93,6 @@ def feature_rows(
             _local_densities(windows, depth, density_band),
         ]
     )
-
-
-def extract_features(
-    p: ArmPoint,
-    patch: DepthPatch,
-    depth: float,
-    bbox_w: float,
-    bbox_h: float,
-    image_dims: tuple[int, int],
-    neighborhood: Optional[np.ndarray] = None,
-    density_band: float = DENSITY_BAND,
-) -> tuple[float, ...]:
-    """Compute the classifier features for one detection, as a tuple of
-    Python floats in ``FEATURE_NAMES`` order.
-
-    ``depth`` is the patch's robust depth, which the caller has already
-    computed to back-project the detection.  ``neighborhood`` is an optional
-    square depth window around the detection (11x11 in synthetic scenes).
-    When absent the 5x5 patch itself supplies the density neighborhood.
-    """
-    row = feature_rows(
-        np.array([p.x]),
-        np.array([p.y]),
-        np.array([p.z]),
-        patch.values.reshape(1, -1),
-        np.array([depth], dtype=float),
-        np.array([bbox_w], dtype=float),
-        np.array([bbox_h], dtype=float),
-        image_dims,
-        np.asarray(patch.values if neighborhood is None else neighborhood, dtype=float).reshape(1, -1),
-        density_band,
-    )
-    return tuple(row[0].tolist())
 
 
 def features_matrix(samples) -> np.ndarray:

@@ -318,9 +318,6 @@ class BruteForceOracle:
         self._carriage_xy = np.column_stack([d2g, d1g])
         self._tree = cKDTree(self.points)
 
-    def is_reachable(self, p: ArmPoint) -> bool:
-        return bool(self.label_many(p.as_array()[None])[0])
-
     def label_many(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         margin = self.params.collision_margin

@@ -8,13 +8,9 @@ camera-frame point, and a rigid transform expresses it in the arm frame.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import BoundaryError, NoDepthError
-from .kinematics import ArmPoint
 
 # Depth readings at or beyond this range are sensor artifacts.
 MAX_VALID_DEPTH = 20.0
@@ -79,41 +75,6 @@ def bad_depth_rows(cells: np.ndarray) -> np.ndarray:
     return np.any(valid & ((cells <= 0.0) | (cells >= MAX_VALID_DEPTH)), axis=1)
 
 
-class DepthPatch:
-    """A 5x5 grid of depth readings in meters: one detection's cells for
-    ``robust_depth`` and ``extract_features``.  Cells follow the rule of
-    :func:`bad_depth_rows`."""
-
-    SIZE = 5
-
-    def __init__(self, values):
-        vals = np.array(values, dtype=float).reshape(self.SIZE, self.SIZE)
-        if bad_depth_rows(vals.reshape(1, -1))[0]:
-            raise ValueError("valid depth cells must lie in (0, 20) meters")
-        vals.setflags(write=False)
-        self.values = vals
-
-    @property
-    def valid_mask(self) -> np.ndarray:
-        return np.isfinite(self.values) & (self.values != 0.0)
-
-
-@dataclass(frozen=True)
-class CameraPoint:
-    """Point in the camera frame (meters, Z along the optical axis)."""
-
-    Xc: float
-    Yc: float
-    Zc: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.Xc, self.Yc, self.Zc)):
-            raise ValueError("CameraPoint components must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.Xc, self.Yc, self.Zc], dtype=float)
-
-
 def _depth_pixels(u: np.ndarray, v: np.ndarray, intr: CameraIntrinsics):
     """Depth-image pixels of RGB pixels, and the mask of those inside the RGB frame."""
     inside = (0 <= u) & (u < intr.rgb_width) & (0 <= v) & (v < intr.rgb_height)
@@ -153,13 +114,14 @@ def locate_detections(
 ):
     """Arm-frame points of many detections at once.
 
-    ``u`` and ``v`` are RGB pixels and ``patches`` holds one row of 25
-    ``DepthPatch`` cells per detection.  Returns ``(keep, depth, x, y, z)``:
-    the indices of the detections that survive (pixel inside the RGB frame,
-    at least one valid depth cell) and, for those, the robust depth and the
-    arm-frame coordinates.  Row for row this is the chain
-    ``map_rgb_to_depth_pixel`` → ``robust_depth`` → ``back_project`` →
-    ``camera_to_arm``, bit for bit.
+    ``u`` and ``v`` are RGB pixels and ``patches`` holds the 25 cells of
+    each detection's 5x5 depth patch, under the rule of
+    :func:`bad_depth_rows`.  Returns ``(keep, depth, x, y, z)``: the
+    indices of the detections that survive (pixel inside the RGB frame, at
+    least one valid depth cell) and, for those, the robust depth and the
+    arm-frame coordinates.  Row for row, and whatever the number of rows,
+    this equals the per-record reference in ``tests/test_labeling.py`` bit
+    for bit.
     """
     ud, vd, inside = _depth_pixels(u, v, intr)
     depth = _robust_depths(patches)
@@ -167,37 +129,3 @@ def locate_detections(
     Z = depth[keep]
     X, Y = _back_project(ud[keep], vd[keep], Z, intr)
     return (keep, Z) + _camera_to_arm(X, Y, Z, ext)
-
-
-def map_rgb_to_depth_pixel(u: float, v: float, intr: CameraIntrinsics) -> tuple[int, int]:
-    """Map an RGB pixel to the depth image with per-axis scale factors.
-
-    Raises BoundaryError when the pixel lies outside the RGB frame, which
-    callers treat as a discarded detection.
-    """
-    ud, vd, inside = _depth_pixels(np.array([u], dtype=float), np.array([v], dtype=float), intr)
-    if not inside[0]:
-        raise BoundaryError(f"pixel ({u}, {v}) outside RGB image")
-    return int(ud[0]), int(vd[0])
-
-
-def robust_depth(patch: DepthPatch) -> float:
-    """Median of the valid patch cells; raises NoDepthError when none exist."""
-    depth = float(_robust_depths(patch.values.reshape(1, -1))[0])
-    if depth == math.inf:
-        raise NoDepthError("depth patch has no valid cells")
-    return depth
-
-
-def back_project(u: float, v: float, Z: float, intr: CameraIntrinsics) -> CameraPoint:
-    """Lift a depth-image pixel with measured depth ``Z`` to the camera frame."""
-    if Z <= 0:
-        raise NoDepthError(f"non-positive depth {Z}")
-    X, Y = _back_project(np.array([u], dtype=float), np.array([v], dtype=float), Z, intr)
-    return CameraPoint(Xc=float(X[0]), Yc=float(Y[0]), Zc=Z)
-
-
-def camera_to_arm(p: CameraPoint, ext: Extrinsics) -> ArmPoint:
-    """Apply the rigid camera-to-arm transform."""
-    x, y, z = _camera_to_arm(np.array([p.Xc]), np.array([p.Yc]), np.array([p.Zc]), ext)
-    return ArmPoint(x=float(x[0]), y=float(y[0]), z=float(z[0]))

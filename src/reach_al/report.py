@@ -376,9 +376,7 @@ def format_summary_table(summary: list[dict]) -> str:
     strategies = sorted({s["strategy"] for s in summary})
     cells = {(s["strategy"], s["init_size"], s["budget"]): s for s in summary}
     combos = sorted({(s["budget"], s["init_size"]) for s in summary})
-    header = ["budget", "init"] + strategies
-    widths = [max(8, len(h) + 2) for h in header]
-    lines = ["".join(h.ljust(w) for h, w in zip(header, widths))]
+    table = [["budget", "init"] + strategies]
     for budget, init_size in combos:
         row = [str(budget), str(init_size)]
         for strategy in strategies:
@@ -387,8 +385,9 @@ def format_summary_table(summary: list[dict]) -> str:
                 row.append("-")
             else:
                 row.append(f"{s['accuracy_mean']:.4f}±{s['accuracy_std']:.4f}")
-        lines.append("".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
+        table.append(row)
+    widths = [max(map(len, column)) + 2 for column in zip(*table)]
+    return "\n".join("".join(c.ljust(w) for c, w in zip(row, widths)) for row in table)
 
 
 def emit_curve_plots(results_path, out_dir) -> list[str]:

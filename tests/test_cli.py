@@ -324,13 +324,14 @@ class TestFatalErrors:
                 assert "not a finite number" in capsys.readouterr().err
 
     def test_extreme_finite_config_or_empty_scene_fatal(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
         for text, message in (
-            ("scene.apples_per_image = 1e300", "apples_per_image"),
-            ("cam.fx = 1e-300\ncam.cx = 1e-300", "focal lengths"),
-            ("scene.apples_per_image = 0", "no detection"),
+            (b"scene.apples_per_image = 1e300", "apples_per_image"),
+            (b"cam.fx = 1e-300\ncam.cx = 1e-300", "focal lengths"),
+            (b"scene.apples_per_image = 0", "no detection"),
+            (b"scene.seed = \xff", f"cannot read config file {bad}"),
         ):
-            bad = tmp_path / "bad.cfg"
-            bad.write_text(f"scene.n_images = 2\n{text}\n")
+            bad.write_bytes(b"scene.n_images = 2\n" + text + b"\n")
             capsys.readouterr()
             assert run_cli("gen-scene", "--config", str(bad), "--out", str(tmp_path)) == 2
             assert message in capsys.readouterr().err
@@ -361,6 +362,28 @@ class TestFatalErrors:
         assert exc.value.code == 2
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "results.csv"))
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["gen-scene"],
+            ["label", "--detections", "detections.csv"],
+            ["run"],
+            ["sweep"],
+            ["envelope", "--steps", "2"],
+            ["plot", "--kind", "curves", "--results", "results.csv"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_unwritable_out_fatal(self, tmp_path, capsys, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for out in (blocker, blocker / "x"):
+            capsys.readouterr()
+            assert run_cli(*command, "--out", str(out)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot create output directory {out}: ")
+            assert err.count("\n") == 1
 
     def test_label_missing_detections_fatal(self, tmp_path, capsys):
         code = run_cli(

@@ -2,22 +2,36 @@ import math
 
 import numpy as np
 
-from reach_al.features import FEATURE_NAMES, extract_features
+from reach_al.features import FEATURE_NAMES, feature_rows
 from reach_al.kinematics import ArmPoint
-from reach_al.perception import DepthPatch, robust_depth
+from reach_al.perception import _robust_depths
 
 IMAGE_DIMS = (1920, 1080)
 
 
 def uniform_patch(value=1.5):
-    return DepthPatch(np.full(25, value))
+    return np.full(25, value)
 
 
-def features_of(p, patch, *args, **kwargs):
-    """Features by ``FEATURE_NAMES`` name, with the patch depth computed as
-    the labeling pass does."""
-    row = extract_features(p, patch, robust_depth(patch), *args, **kwargs)
-    return dict(zip(FEATURE_NAMES, row))
+def features_of(p, patch, bbox_w, bbox_h, image_dims, neighborhood=None):
+    """Features of one detection by ``FEATURE_NAMES`` name, as a one-row
+    ``feature_rows`` call with the patch depth computed as the labeling
+    pass does.  The patch is the density window unless ``neighborhood``
+    is given."""
+    patches = np.asarray(patch, dtype=float).reshape(1, 25)
+    window = patches if neighborhood is None else np.asarray(neighborhood, dtype=float).reshape(1, -1)
+    row = feature_rows(
+        np.array([p.x]),
+        np.array([p.y]),
+        np.array([p.z]),
+        patches,
+        _robust_depths(patches),
+        np.array([bbox_w], dtype=float),
+        np.array([bbox_h], dtype=float),
+        image_dims,
+        window,
+    )
+    return dict(zip(FEATURE_NAMES, row[0].tolist()))
 
 
 class TestExamples:
@@ -38,7 +52,7 @@ class TestExamples:
     def test_hand_computed_vector(self):
         vals = np.array([1.0] * 13 + [2.0] * 12)
         fv = features_of(
-            ArmPoint(0.3, 0.4, 0.0), DepthPatch(vals), 40, 40, IMAGE_DIMS
+            ArmPoint(0.3, 0.4, 0.0), vals, 40, 40, IMAGE_DIMS
         )
         np.testing.assert_allclose(fv["range"], 0.5, atol=1e-12)
         np.testing.assert_allclose(fv["az"], math.atan2(0.4, 0.3), atol=1e-12)
@@ -48,10 +62,19 @@ class TestExamples:
         np.testing.assert_allclose(fv["a_bbox"], 1600 / 2073600, atol=1e-12)
 
     def test_row_is_nine_python_floats(self):
-        row = extract_features(ArmPoint(0.3, 0.4, 0.1), uniform_patch(), 1.5, 40, 40, IMAGE_DIMS)
-        assert len(row) == len(FEATURE_NAMES) == 9
-        assert all(type(v) is float for v in row)
-        assert row[:3] == (0.3, 0.4, 0.1)
+        rows = feature_rows(
+            np.array([0.3, 1.0]),
+            np.array([0.4, 0.0]),
+            np.array([0.1, 0.0]),
+            np.ones((2, 25)),
+            np.ones(2),
+            np.full(2, 40.0),
+            np.full(2, 40.0),
+            IMAGE_DIMS,
+            np.ones((2, 25)),
+        )
+        assert rows.shape == (2, len(FEATURE_NAMES)) == (2, 9) and rows.dtype == np.float64
+        assert rows[0, :3].tolist() == [0.3, 0.4, 0.1]
 
 
 class TestProperties:
@@ -93,8 +116,8 @@ class TestProperties:
     def test_depth_var_shift_invariant(self):
         rng = np.random.default_rng(22)
         vals = rng.uniform(1.0, 3.0, size=25)
-        f0 = features_of(ArmPoint(1, 0, 0), DepthPatch(vals), 30, 30, IMAGE_DIMS)
-        f1 = features_of(ArmPoint(1, 0, 0), DepthPatch(vals + 4.0), 30, 30, IMAGE_DIMS)
+        f0 = features_of(ArmPoint(1, 0, 0), vals, 30, 30, IMAGE_DIMS)
+        f1 = features_of(ArmPoint(1, 0, 0), vals + 4.0, 30, 30, IMAGE_DIMS)
         np.testing.assert_allclose(f1["sigma_z"], f0["sigma_z"], atol=1e-9)
 
     def test_all_outputs_finite(self):
@@ -106,7 +129,7 @@ class TestProperties:
                 vals[0] = 1.0
             fv = features_of(
                 ArmPoint(*rng.uniform(-3, 3, size=3)),
-                DepthPatch(vals),
+                vals,
                 rng.uniform(1, 500),
                 rng.uniform(1, 500),
                 IMAGE_DIMS,
@@ -116,5 +139,5 @@ class TestProperties:
     def test_density_window_fallback_uses_patch(self):
         vals = np.full(25, 1.0)
         vals[:5] = 2.0  # out of band
-        fv = features_of(ArmPoint(1, 0, 0), DepthPatch(vals), 30, 30, IMAGE_DIMS)
+        fv = features_of(ArmPoint(1, 0, 0), vals, 30, 30, IMAGE_DIMS)
         assert fv["d_local"] == 20 / 25

@@ -260,10 +260,10 @@ class TestBruteForceOracle:
             theta2=0.5 * sum(PARAMS.theta2_range),
         )
         p = forward_kinematics(q, PARAMS)
-        assert BruteForceOracle(PARAMS, steps_per_joint=15, tol=0.05).is_reachable(p)
+        assert BruteForceOracle(PARAMS, steps_per_joint=15, tol=0.05).label_many(p.as_array()[None])[0]
 
     def test_far_point_unreachable(self):
-        assert not BruteForceOracle(PARAMS, 15, 0.05).is_reachable(ArmPoint(10, 10, 10))
+        assert not BruteForceOracle(PARAMS, 15, 0.05).label_many(np.array([[10.0, 10.0, 10.0]]))[0]
 
     def test_agreement_with_analytic_outside_boundary_band(self):
         oracle = BruteForceOracle(PARAMS, steps_per_joint=25, tol=0.035)
@@ -272,7 +272,6 @@ class TestBruteForceOracle:
         pts = rng.uniform(lo, hi, size=(1500, 3))
         analytic = np.array([int(is_reachable(ArmPoint(*p), PARAMS)[0]) for p in pts])
         brute = oracle.label_many(pts)
-        assert [oracle.is_reachable(ArmPoint(*p)) for p in pts] == brute.astype(bool).tolist()
         band = workspace_step(oracle)
         disagreements = np.nonzero(analytic != brute)[0]
         uncertified = 0

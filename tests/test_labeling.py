@@ -1,14 +1,14 @@
 """Columnar detections against the per-record reference.
 
 ``DetectionRecord`` is the one-object-per-detection type that
-``dataset.Detections`` replaced, with the checks it and ``DepthPatch`` ran
-on every record.  ``reference_label_with_oracle`` is the per-record loop
-that ``dataset.label_with_oracle`` replaced, with the scalar stages it ran:
+``dataset.Detections`` replaced, with the checks it ran on every record.
+``reference_label_with_oracle`` is the per-record loop that
+``dataset.label_with_oracle`` replaced, with the scalar stages it ran:
 ``math`` pixel mapping, ``np.median`` and ``np.var`` over each patch's
-valid cells, a matrix-vector rigid transform, per-record features and the
-scalar ``kinematics.is_reachable``.  With the default (identity) rotation
-the array pass must reproduce it bit for bit, and the detection readers
-must accept exactly the rows the record checks accept.
+valid cells, the rigid transform summed term by term in Python floats,
+per-record features and the scalar ``kinematics.is_reachable``.  The array
+pass must reproduce it bit for bit, in every chunk, and the detection
+readers must accept exactly the rows the record checks accept.
 """
 
 import csv
@@ -35,28 +35,34 @@ from reach_al.dataset import (
     write_detections,
     write_labeled_cache,
 )
-from reach_al.errors import BoundaryError, IngestionError, NoDepthError
-from reach_al.features import (
-    DENSITY_BAND,
-    extract_features,
-    feature_rows,
-    features_matrix,
-)
+from reach_al.errors import IngestionError
+from reach_al.features import DENSITY_BAND, feature_rows, features_matrix
 from reach_al.kinematics import ArmPoint, is_reachable
-from reach_al.perception import (
-    MAX_VALID_DEPTH,
-    CameraPoint,
-    DepthPatch,
-    Extrinsics,
-    back_project,
-    camera_to_arm,
-    locate_detections,
-    map_rgb_to_depth_pixel,
-    robust_depth,
-)
+from reach_al.perception import MAX_VALID_DEPTH, Extrinsics, locate_detections
 
 CFG = default_config()
 W, H = CFG.cam.rgb_width, CFG.cam.rgb_height
+# A camera pitched 0.3 rad about y and offset: its rotation entries are
+# inexact, so each arm-frame coordinate sums three rounded products.
+C, S = math.cos(0.3), math.sin(0.3)
+ROTATED = Extrinsics([[C, 0.0, S], [0.0, 1.0, 0.0], [-S, 0.0, C]], [0.7, 0.4, 0.5])
+
+
+class OutOfFrame(Exception):
+    """The detection's pixel lies outside the RGB frame."""
+
+
+class NoDepth(Exception):
+    """The detection's depth patch has no valid cell."""
+
+
+@dataclass(frozen=True)
+class CameraPoint:
+    """Point in the camera frame (meters, Z along the optical axis)."""
+
+    Xc: float
+    Yc: float
+    Zc: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +130,7 @@ def assert_same_detections(a, b, windows=True):
 
 def ref_depth_pixel(u, v, intr):
     if not (0 <= u < intr.rgb_width and 0 <= v < intr.rgb_height):
-        raise BoundaryError(f"pixel ({u}, {v}) outside RGB image")
+        raise OutOfFrame(f"pixel ({u}, {v}) outside RGB image")
     ud = math.floor(u * intr.depth_width / intr.rgb_width + 0.5)
     vd = math.floor(v * intr.depth_height / intr.rgb_height + 0.5)
     return min(max(ud, 0), intr.depth_width - 1), min(max(vd, 0), intr.depth_height - 1)
@@ -133,7 +139,7 @@ def ref_depth_pixel(u, v, intr):
 def ref_robust_depth(patch):
     vals = valid_values(patch)
     if vals.size == 0:
-        raise NoDepthError("depth patch has no valid cells")
+        raise NoDepth("depth patch has no valid cells")
     return float(np.median(vals))
 
 
@@ -142,8 +148,9 @@ def ref_back_project(u, v, Z, intr):
 
 
 def ref_camera_to_arm(p, ext):
-    v = ext.R @ p.as_array() + ext.t
-    return ArmPoint(x=float(v[0]), y=float(v[1]), z=float(v[2]))
+    R, t = ext.R.tolist(), ext.t.tolist()
+    x, y, z = (R[i][0] * p.Xc + R[i][1] * p.Yc + R[i][2] * p.Zc + t[i] for i in range(3))
+    return ArmPoint(x=x, y=y, z=z)
 
 
 def ref_features(p, patch, depth, bbox_w, bbox_h, image_dims, neighborhood, density_band):
@@ -181,7 +188,7 @@ def reference_label_with_oracle(det, intr, ext, params, density_band=DENSITY_BAN
             ud, vd = ref_depth_pixel(rec.u, rec.v, intr)
             depth = ref_robust_depth(rec.patch)
             arm = ref_camera_to_arm(ref_back_project(ud, vd, depth, intr), ext)
-        except (BoundaryError, NoDepthError):
+        except (OutOfFrame, NoDepth):
             continue
         fallback = fallback or rec.neighborhood is None
         fv = ref_features(
@@ -269,30 +276,23 @@ class TestMatchesReference:
         assert not result.patch_density_fallback
 
     def test_rotated_extrinsics_labels_follow_written_points(self, synthetic, tmp_path):
-        c, s = math.cos(0.3), math.sin(0.3)
-        ext = Extrinsics([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]], [0.7, 0.4, 0.5])
-        result = label_with_oracle(synthetic, CFG.cam, ext, CFG.arm)
-        samples, _, _ = reference_label_with_oracle(synthetic, CFG.cam, ext, CFG.arm)
-        assert len(result.samples) == len(samples)
-        np.testing.assert_allclose(
-            features_matrix(result.samples), features_matrix(samples), rtol=0, atol=1e-12
-        )
-        # The per-record functions run the same array code on one row.
-        intr = CFG.cam
-        for rec, sample in zip(records_of(result.records), result.samples):
-            patch = DepthPatch(rec.patch)
-            depth = robust_depth(patch)
-            cam = back_project(*map_rgb_to_depth_pixel(rec.u, rec.v, intr), depth, intr)
-            arm = camera_to_arm(cam, ext)
-            dims = (intr.rgb_width, intr.rgb_height)
-            fv = extract_features(arm, patch, depth, rec.bbox_w, rec.bbox_h, dims, rec.neighborhood)
-            assert (sample.arm_point, sample.features) == (arm, fv)
+        result = label_with_oracle(synthetic, CFG.cam, ROTATED, CFG.arm)
+        ref = reference_label_with_oracle(synthetic, CFG.cam, ROTATED, CFG.arm)
+        assert_same_labeling(result, synthetic, ref, tmp_path)
         path = tmp_path / "labeled.csv"
         write_labeled_cache(path, result)
         written = read_labeled_cache(path).samples
         labels = [int(is_reachable(s.arm_point, CFG.arm)[0]) for s in written]
         assert [s.label for s in written] == labels
         assert 0 < sum(labels) < len(labels)
+
+    @pytest.mark.parametrize("n", [513, 1025])
+    def test_one_row_last_chunk(self, synthetic, n, tmp_path):
+        """A last chunk of one row rounds as a 512-row chunk does."""
+        det = synthetic.take(np.arange(n))
+        ref = reference_label_with_oracle(det, CFG.cam, ROTATED, CFG.arm)
+        assert ref[1][-1] == n - 1
+        assert_same_labeling(label_with_oracle(det, CFG.cam, ROTATED, CFG.arm), det, ref, tmp_path)
 
 
 DEPTH_CELLS = st.one_of(

@@ -332,6 +332,17 @@ class TestSummary:
         assert "entropy" in table and "random" in table
         assert "budget" in table.splitlines()[0]
 
+    def test_table_columns_stay_apart(self):
+        summary = [
+            dict(strategy=name, init_size=init, budget=budget, accuracy_mean=0.9445, accuracy_std=0.0123)
+            for name in STRATEGIES
+            for init, budget in ((10, 50), (10, 100), (20, 100))
+        ]
+        summary[0]["accuracy_mean"] = None
+        lines = format_summary_table(summary).splitlines()
+        assert len(lines) == 4 and lines[0].split() == ["budget", "init", *sorted(STRATEGIES)]
+        assert [len(line.split()) for line in lines] == [2 + len(STRATEGIES)] * 4
+
 
 class TestPlots:
     def test_curve_plots_one_per_combo(self, tiny_results, tmp_path):
