@@ -27,7 +27,7 @@ print(f"L={len(pools.labeled)}  U={len(pools.unlabeled)}  test={len(pools.test)}
 
 curves = {}
 for strategy in STRATEGIES:
-    logs = run_loop(X, y, pools, strategy, n_queries=50, seed=0, cfg=cfg.al, train_cfg=cfg.train)
+    logs = run_loop(X, y, pools, strategy, n_queries=50, seed=0, cfg=cfg.al, train_cfg=cfg.forest)
     curves[strategy] = [(log.n_labeled, log.metrics.accuracy) for log in logs]
 
 sizes = [n for n, _ in curves["random"]]

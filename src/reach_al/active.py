@@ -50,7 +50,6 @@ class RoundLog:
     metrics: MetricSet
     queried_indices: list
     ik_reduction: float
-    truncated: bool = False
 
 
 def _entropy_bits(p: np.ndarray) -> np.ndarray:
@@ -119,8 +118,8 @@ def run_loop(
     indexes; a pool label is read from ``y`` only when it is queried.
     Round 0 logs the model trained on the initial labeled set alone; each
     later round appends one batch, whose ``queried_indices`` are positions
-    in ``pools.unlabeled``.  Pool exhaustion truncates the final round and
-    flags it rather than failing.
+    in ``pools.unlabeled``.  When the pool runs out, the final round is
+    short and the loop ends rather than failing.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -155,7 +154,6 @@ def run_loop(
         round_index += 1
         remaining = np.flatnonzero(unlabeled)
         b = min(cfg.batch_size, n_queries - acquired, len(remaining))
-        truncated = b < min(cfg.batch_size, n_queries - acquired)
 
         X_cand = X_pool[remaining]
 
@@ -192,7 +190,6 @@ def run_loop(
                 metrics=m,
                 queried_indices=batch,
                 ik_reduction=ik_red,
-                truncated=truncated or (acquired < n_queries and not unlabeled.any()),
             )
         )
     return logs

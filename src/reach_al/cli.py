@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: gen-scene, label, run, sweep, envelope, plot, report.  Each
-takes only the flags it reads: --config on gen-scene, label, run, sweep
-and envelope; --seed on gen-scene, run and sweep; --out on all but
-report; --strict on run and sweep; --jobs on sweep.  The default output
-directory comes from $REACH_AL_OUT, falling back to ./out.
+takes only the flags it reads, and a flag means the same on every one:
+--seed is run's cell seed (scene.seed is set in the config), and
+--detections, --labeled, --envelope and --results name input files.
+gen-scene, label and envelope write detections.csv, labeled.csv and
+envelope.xyz into --out, which defaults to $REACH_AL_OUT, then ./out.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ def _envelope_steps(text: str) -> int:
 
 _FLAGS = {
     "--config": dict(help="experiment config file (key = value lines)"),
-    "--seed": dict(type=_nonnegative_int, help="override scene.seed (run: the cell's seed)"),
     "--out": dict(help="output directory (default: $REACH_AL_OUT or ./out)"),
     "--strict": dict(action="store_true", help="exit 1 if any cell fails"),
     "--jobs": dict(
@@ -85,16 +85,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-scene", help="generate synthetic detections")
-    _add_flags(p, "--config", "--seed", "--out")
-    p.add_argument("--detections", default="detections.csv", help="output file name")
+    _add_flags(p, "--config", "--out")
 
     p = sub.add_parser("label", help="label a detection file with the IK oracle")
     _add_flags(p, "--config", "--out")
     p.add_argument("--detections", required=True, help="detection file to ingest")
-    p.add_argument("--labeled", default="labeled.csv", help="output cache file name")
 
     p = sub.add_parser("run", help="run one cell of the experiment grid")
-    _add_flags(p, "--config", "--seed", "--out", "--strict")
+    _add_flags(p, "--config", "--out", "--strict")
+    p.add_argument("--seed", type=_nonnegative_int, help="default: grid.seeds[0]")
     p.add_argument("--strategy", choices=STRATEGIES, help="default: grid.strategies[0]")
     p.add_argument("--init-size", type=int, help="default: grid.init_sizes[0]")
     p.add_argument("--budget", type=int, help="default: grid.budgets[0]")
@@ -102,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", help="labeled cache for the candidate pool")
 
     p = sub.add_parser("sweep", help="run the full experiment grid")
-    _add_flags(p, "--config", "--seed", "--out", "--strict", "--jobs")
+    _add_flags(p, "--config", "--out", "--strict", "--jobs")
 
     p = sub.add_parser("envelope", help="sample the reachable envelope to a text file")
     _add_flags(p, "--config", "--out")
@@ -112,14 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=20,
         help=f"grid steps per joint, 2 to {MAX_ENVELOPE_STEPS}",
     )
-    p.add_argument("--envelope", default="envelope.xyz", help="output file name")
 
     p = sub.add_parser("plot", help="emit SVG plots from results or envelope data")
     _add_flags(p, "--out")
-    p.add_argument("--kind", choices=("curves", "envelope"), required=True)
-    p.add_argument("--results", help="results.csv (kind=curves)")
-    p.add_argument("--envelope", help="envelope .xyz file (kind=envelope)")
-    p.add_argument("--labeled", help="labeled cache overlaid on envelope views")
+    p.add_argument("--results", help="results.csv to draw learning curves from")
+    p.add_argument("--envelope", help="envelope .xyz file to draw views from")
+    p.add_argument("--labeled", help="labeled cache overlaid on the envelope views")
 
     p = sub.add_parser("report", help="print a summary table from a results file")
     p.add_argument("--results", required=True, help="results.csv to summarize")
@@ -137,22 +134,19 @@ def _out_dir(cli_out) -> str:
     return out_dir
 
 
-def _load(config, seed=None) -> "AppConfig":
-    cfg = load_config(config) if config else default_config()
-    if seed is not None:
-        cfg.scene = replace(cfg.scene, seed=seed)
-    return cfg
+def _load(config) -> "AppConfig":
+    return load_config(config) if config else default_config()
 
 
 def _cmd_gen_scene(args) -> int:
-    cfg = _load(args.config, args.seed)
+    cfg = _load(args.config)
     out_dir = _out_dir(args.out)
     detections = generate_scene(cfg.scene, cfg.cam)
     if cfg.scene.n_images > 0 and len(detections) == 0:
         raise ConfigError(
             f"a scene of {cfg.scene.n_images} images yielded no detection; check scene.* and cam.*"
         )
-    path = os.path.join(out_dir, args.detections)
+    path = os.path.join(out_dir, "detections.csv")
     write_detections(path, detections)
     print(f"wrote {len(detections)} detections to {path}")
     return 0
@@ -170,7 +164,7 @@ def _cmd_label(args) -> int:
             f"no record of {args.detections} could be labeled "
             f"({result.n_input} read, {result.n_dropped} dropped); no cache written"
         )
-    path = os.path.join(out_dir, args.labeled)
+    path = os.path.join(out_dir, "labeled.csv")
     write_labeled_cache(path, result)
     reachable = sum(s.label for s in result.samples)
     print(
@@ -246,7 +240,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load(args.config, args.seed)
+    cfg = _load(args.config)
     out_dir = _out_dir(args.out)
     grid = ExperimentGrid.from_config(cfg)
     samples, candidates = build_benchmark(grid)
@@ -264,20 +258,21 @@ def _cmd_envelope(args) -> int:
     cfg = _load(args.config)
     out_dir = _out_dir(args.out)
     pts = sample_envelope(cfg.arm, steps_per_joint=args.steps)
-    path = os.path.join(out_dir, args.envelope)
+    path = os.path.join(out_dir, "envelope.xyz")
     write_envelope(path, pts)
     print(f"wrote {len(pts)} envelope points to {path}")
     return 0
 
 
 def _cmd_plot(args) -> int:
-    if args.kind == "curves":
-        if not args.results:
-            raise ReachALError("--results is required for --kind curves")
+    # The input names the plot: curves from results, views from an envelope.
+    if bool(args.results) == bool(args.envelope):
+        raise ReachALError("plot takes one input: --results for curves or --envelope for views")
+    if args.labeled and not args.envelope:
+        raise ReachALError("--labeled overlays the envelope views; it needs --envelope")
+    if args.results:
         written = report_mod.emit_curve_plots(args.results, _out_dir(args.out))
     else:
-        if not args.envelope:
-            raise ReachALError("--envelope is required for --kind envelope")
         env = read_envelope(args.envelope)
         fruit = labels = None
         if args.labeled:

@@ -78,7 +78,7 @@ class AppConfig:
     cam: CameraIntrinsics = field(default_factory=CameraIntrinsics)
     ext: Extrinsics = None  # set in __post_init__
     scene: SceneConfig = field(default_factory=SceneConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
+    forest: TrainConfig = field(default_factory=TrainConfig)
     al: ALConfig = field(default_factory=ALConfig)
     data: DataConfig = field(default_factory=DataConfig)
     features: FeatureConfig = field(default_factory=FeatureConfig)
@@ -89,19 +89,6 @@ class AppConfig:
             # The default benchmark mounts the camera so detections span
             # every reachability facet of the default arm.
             self.ext = benchmark_extrinsics()
-
-
-# Key prefix -> ``AppConfig`` attribute; every field of that dataclass is a key.
-_SECTIONS = {
-    "arm": "arm",
-    "cam": "cam",
-    "scene": "scene",
-    "forest": "train",
-    "al": "al",
-    "data": "data",
-    "features": "features",
-    "grid": "grid",
-}
 
 
 def benchmark_extrinsics() -> Extrinsics:
@@ -157,19 +144,19 @@ def parse_config_text(text: str) -> dict[str, str]:
 def apply_overrides(cfg: AppConfig, kv: dict[str, str]) -> AppConfig:
     """Apply parsed key/value overrides; unknown keys are fatal.
 
-    Every field of a section dataclass is a ``section.field`` key, parsed
-    by the type of the value it holds.  Two kinds of key are special: a
-    ``<name>_range`` pair is set by its ``<name>_min`` / ``<name>_max``
-    halves, and ``cam.R`` / ``cam.t`` set the camera-to-arm ``Extrinsics``.
+    Every field of a section (each ``AppConfig`` field but ``ext``) is a
+    ``section.field`` key, parsed by the type of the value it holds.  Two
+    kinds of key are special: a ``<name>_range`` pair is set by its
+    ``<name>_min`` / ``<name>_max`` halves, and ``cam.R`` / ``cam.t`` set
+    the camera-to-arm ``Extrinsics``.
     """
-    changes: dict[str, dict] = {attr: {} for attr in _SECTIONS.values()}
+    changes: dict[str, dict] = {f.name: {} for f in fields(cfg) if f.name != "ext"}
     ext = {"R": cfg.ext.R, "t": cfg.ext.t}
     try:
         for key, value in kv.items():
-            prefix, _, name = key.partition(".")
-            attr = _SECTIONS.get(prefix)
-            section = getattr(cfg, attr) if attr else None
-            names = {f.name for f in fields(section)} if attr else ()
+            attr, _, name = key.partition(".")
+            section = getattr(cfg, attr) if attr in changes else None
+            names = {f.name for f in fields(section)} if attr in changes else ()
             stem, _, end = name.rpartition("_")
             if key in ("cam.R", "cam.t"):
                 ext[name] = _parse_floats(value, ext[name].size)
@@ -187,7 +174,7 @@ def apply_overrides(cfg: AppConfig, kv: dict[str, str]) -> AppConfig:
         raise ConfigError(f"bad value for {key!r}: {exc}") from exc
 
     try:
-        sections = {a: replace(getattr(cfg, a), **changes[a]) for a in _SECTIONS.values()}
+        sections = {a: replace(getattr(cfg, a), **c) for a, c in changes.items()}
         return replace(cfg, ext=Extrinsics(ext["R"], ext["t"]), **sections)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

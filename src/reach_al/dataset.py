@@ -162,12 +162,8 @@ class LabelingResult:
     records: Detections
     n_dropped: int
     n_input: int
-    patch_density_fallback: bool
-
-    @property
-    def density_source(self) -> str:
-        """Where ``d_local`` came from: the 5x5 patch or the 11x11 window."""
-        return "patch5x5" if self.patch_density_fallback else "window11x11"
+    # Where ``d_local`` came from: "patch5x5" or "window11x11".
+    density_source: str
 
 
 def _draw_apple_position(rng, cfg: SceneConfig, intr: CameraIntrinsics, base=None):
@@ -378,7 +374,7 @@ def label_with_oracle(
         records=det if kept.all() else det.take(kept),
         n_dropped=len(det) - len(samples),
         n_input=len(det),
-        patch_density_fallback=det.windows is None and len(samples) > 0,
+        density_source="patch5x5" if det.windows is None and samples else "window11x11",
     )
 
 
@@ -441,8 +437,8 @@ def write_labeled_cache(path, result: LabelingResult) -> None:
 _META_KEYS = ("n_input", "n_dropped", "n_labeled", "density_source")
 
 
-def _read_meta(path, n_labeled: int) -> Optional[tuple[int, bool]]:
-    """``(n_dropped, patch_density_fallback)`` from a labeled cache's sidecar,
+def _read_meta(path, n_labeled: int) -> Optional[tuple[int, str]]:
+    """``(n_dropped, density_source)`` from a labeled cache's sidecar,
     or None when it has none.  A sidecar that is malformed or counts other
     rows than the cache holds raises ``IngestionError``."""
     meta_path = f"{os.fspath(path)}.meta"
@@ -476,7 +472,7 @@ def _read_meta(path, n_labeled: int) -> Optional[tuple[int, bool]]:
             f"{n_meta} labeled and {n_dropped} dropped of {n_input} read, and the cache "
             f"holds {n_labeled} rows"
         )
-    return n_dropped, source == "patch5x5"
+    return n_dropped, source
 
 
 def read_labeled_cache(path) -> LabelingResult:
@@ -523,11 +519,11 @@ def read_labeled_cache(path) -> LabelingResult:
         raise error
     # Without a sidecar, d_local is taken to come from the 5x5 patch, as in
     # every cache that ``reach-al label`` writes from a detection file.
-    n_dropped, fallback = _read_meta(path, len(samples)) or (0, True)
+    n_dropped, source = _read_meta(path, len(samples)) or (0, "patch5x5")
     return LabelingResult(
         samples=samples,
         records=records,
         n_dropped=n_dropped,
         n_input=len(records) + n_dropped,
-        patch_density_fallback=fallback,
+        density_source=source,
     )

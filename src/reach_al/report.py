@@ -87,7 +87,7 @@ class ExperimentGrid:
     seeds: tuple
     scene: SceneConfig
     arm: ManipulatorParams
-    train: TrainConfig
+    forest: TrainConfig
     cam: CameraIntrinsics
     ext: Extrinsics
     al: ALConfig
@@ -103,7 +103,7 @@ class ExperimentGrid:
             seeds=tuple(cfg.grid.seeds),
             scene=cfg.scene,
             arm=cfg.arm,
-            train=cfg.train,
+            forest=cfg.forest,
             cam=cfg.cam,
             ext=cfg.ext,
             al=cfg.al,
@@ -184,7 +184,7 @@ def run_cell(
     both = list(samples) + list(candidates)
     X, y = features_matrix(both), labels_array(both)
     pools = make_splits(y, len(samples), grid.data.test_frac, init_size, seed)
-    logs = run_loop(X, y, pools, strategy, budget, seed, grid.al, grid.train)
+    logs = run_loop(X, y, pools, strategy, budget, seed, grid.al, grid.forest)
     return rows_from_logs(strategy, seed, init_size, budget, logs)
 
 

@@ -168,7 +168,6 @@ class TestRunLoop:
         logs = run_loop(*pools, "entropy", 50, 0, ALConfig(batch_size=50), SMALL_TRAIN)
         assert [log.n_labeled for log in logs] == [10, 60]
         assert logs[-1].round_index == 1
-        assert not logs[-1].truncated
 
     def test_round_arithmetic_two_rounds(self):
         rng = np.random.default_rng(63)
@@ -181,14 +180,12 @@ class TestRunLoop:
         pools = make_pools(rng, n_labeled=10, n_pool=100)
         logs = run_loop(*pools, "random", 50, 0, ALConfig(batch_size=20), SMALL_TRAIN)
         assert [log.n_labeled for log in logs] == [10, 30, 50, 60]
-        assert not logs[-1].truncated
 
-    def test_pool_exhaustion_flags_truncation(self):
+    def test_pool_exhaustion_shortens_final_round(self):
         rng = np.random.default_rng(65)
         pools = make_pools(rng, n_labeled=10, n_pool=30)
         logs = run_loop(*pools, "random", 50, 0, ALConfig(batch_size=20), SMALL_TRAIN)
         assert logs[-1].n_labeled == 40
-        assert logs[-1].truncated
 
     def test_determinism(self):
         rng = np.random.default_rng(66)

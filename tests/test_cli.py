@@ -1,4 +1,8 @@
+import argparse
 import os
+import pathlib
+import re
+import shlex
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from reach_al.dataset import (
 from reach_al.kinematics import read_envelope
 from reach_al.report import read_results
 
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 CFG_TEXT = """
 scene.n_images = 120
 data.n_samples = 300
@@ -54,14 +59,15 @@ class TestGenLabelPipeline:
         msgs = capsys.readouterr().out
         assert "wrote" in msgs and "labeled" in msgs
 
-    def test_seed_flag_changes_scene(self, tmp_path, cfg_file):
-        out_a = str(tmp_path / "a")
-        out_b = str(tmp_path / "b")
-        run_cli("gen-scene", "--config", cfg_file, "--out", out_a, "--seed", "1")
-        run_cli("gen-scene", "--config", cfg_file, "--out", out_b, "--seed", "2")
-        a = open(os.path.join(out_a, "detections.csv"), "rb").read()
-        b = open(os.path.join(out_b, "detections.csv"), "rb").read()
-        assert a != b
+    def test_scene_seed_changes_scene(self, tmp_path):
+        scenes = []
+        for seed in (1, 2):
+            config = tmp_path / f"seed{seed}.cfg"
+            config.write_text(CFG_TEXT + f"scene.seed = {seed}\n")
+            out = str(tmp_path / f"out{seed}")
+            assert run_cli("gen-scene", "--config", str(config), "--out", out) == 0
+            scenes.append(open(os.path.join(out, "detections.csv"), "rb").read())
+        assert scenes[0] != scenes[1]
 
 
 class TestRunAndSweep:
@@ -223,7 +229,7 @@ class TestEnvelopeAndPlots:
         env_path = os.path.join(out, "envelope.xyz")
         pts = np.loadtxt(env_path)
         assert pts.shape[1] == 3 and len(pts) > 100
-        assert run_cli("plot", "--kind", "envelope", "--envelope", env_path, "--out", out) == 0
+        assert run_cli("plot", "--envelope", env_path, "--out", out) == 0
         for view in ("top", "side", "front"):
             assert os.path.exists(os.path.join(out, f"envelope_{view}.svg"))
 
@@ -235,9 +241,9 @@ class TestEnvelopeAndPlots:
         assert run_cli("label", "--config", cfg_file, "--detections", det, "--out", out) == 0
         plain, overlaid = str(tmp_path / "plain"), str(tmp_path / "overlaid")
         env_path = os.path.join(out, "envelope.xyz")
-        assert run_cli("plot", "--kind", "envelope", "--envelope", env_path, "--out", plain) == 0
+        assert run_cli("plot", "--envelope", env_path, "--out", plain) == 0
         labeled = os.path.join(out, "labeled.csv")
-        argv = ("plot", "--kind", "envelope", "--envelope", env_path, "--labeled", labeled)
+        argv = ("plot", "--envelope", env_path, "--labeled", labeled)
         assert run_cli(*argv, "--out", overlaid) == 0
         # Reference: the overlay drawn from each sample's arm point.
         samples = read_labeled_cache(labeled).samples
@@ -256,16 +262,24 @@ class TestEnvelopeAndPlots:
     def test_plot_curves(self, tmp_path, cfg_file):
         out = str(tmp_path / "o")
         run_cli("sweep", "--config", cfg_file, "--out", out)
-        code = run_cli(
-            "plot", "--kind", "curves", "--results", os.path.join(out, "results.csv"),
-            "--out", out,
-        )
-        assert code == 0
+        assert run_cli("plot", "--results", os.path.join(out, "results.csv"), "--out", out) == 0
         assert os.path.exists(os.path.join(out, "curves_init10_budget20.svg"))
 
-    def test_plot_curves_requires_results(self, tmp_path, capsys):
-        assert run_cli("plot", "--kind", "curves", "--out", str(tmp_path)) == 2
-        assert "error" in capsys.readouterr().err
+    def test_plot_takes_one_input(self, tmp_path, capsys):
+        # The input names the plot, so neither input, both, or an overlay
+        # without the envelope it goes on is refused before any file is read.
+        one_input = "error: plot takes one input"
+        for inputs, message in (
+            ((), one_input),
+            (("--results", "r.csv", "--envelope", "e.xyz"), one_input),
+            (("--labeled", "l.csv"), one_input),
+            (("--results", "r.csv", "--labeled", "l.csv"), "error: --labeled overlays"),
+        ):
+            capsys.readouterr()
+            assert run_cli("plot", *inputs, "--out", str(tmp_path / "o")) == 2, inputs
+            err = capsys.readouterr().err
+            assert err.startswith(message) and err.count("\n") == 1, inputs
+        assert not os.path.exists(tmp_path / "o")
 
 
 class TestFatalErrors:
@@ -371,7 +385,7 @@ class TestFatalErrors:
             ["run"],
             ["sweep"],
             ["envelope", "--steps", "2"],
-            ["plot", "--kind", "curves", "--results", "results.csv"],
+            ["plot", "--results", "results.csv"],
         ],
         ids=lambda command: command[0],
     )
@@ -422,7 +436,7 @@ class TestFatalErrors:
             (("report", "--results", str(tmp_path / "missing.csv")), "missing.csv"),
             (("report", "--results", str(letter)), "letter.csv, line 3"),
             (
-                ("plot", "--kind", "curves", "--results", str(short), "--out", str(tmp_path)),
+                ("plot", "--results", str(short), "--out", str(tmp_path)),
                 "short.csv, line 3",
             ),
         ):
@@ -441,7 +455,7 @@ class TestFatalErrors:
             (ragged, "ragged.xyz, line 3"),
         ):
             capsys.readouterr()
-            argv = ("plot", "--kind", "envelope", "--envelope", str(path), "--out", str(tmp_path))
+            argv = ("plot", "--envelope", str(path), "--out", str(tmp_path))
             assert run_cli(*argv) == 2
             assert message in capsys.readouterr().err
 
@@ -459,7 +473,7 @@ class TestGridFlags:
         # run: each command parses alone, and fails on the flag added to it.
         parser = build_parser()
         label = ("label", "--detections", "d.csv")
-        plot = ("plot", "--kind", "curves")
+        plot = ("plot", "--results", "r.csv")
         report_ = ("report", "--results", "r.csv")
         cases = [
             (command, flag)
@@ -475,6 +489,14 @@ class TestGridFlags:
             (report_, ("--seed", "7")),
             (report_, ("--out", "o")),
             (("run",), ("--jobs", "2")),
+            # --seed is only run's cell seed, and output file names are fixed.
+            (("gen-scene",), ("--seed", "1")),
+            (("sweep",), ("--seed", "1")),
+            (("gen-scene",), ("--detections", "d.csv")),
+            (("gen-scene",), ("--detections", "nodir/d.csv")),
+            (label, ("--labeled", "x.csv")),
+            (("envelope",), ("--envelope", "e.xyz")),
+            (plot, ("--kind", "curves")),
         ]
         for command, flag in cases:
             parser.parse_args(list(command))
@@ -505,7 +527,7 @@ class TestGridFlags:
 
     def test_negative_seed_flag_rejected(self, tmp_path, cfg_file, capsys):
         with pytest.raises(SystemExit) as exc:
-            run_cli("gen-scene", "--config", cfg_file, "--out", str(tmp_path), "--seed", "-1")
+            run_cli("run", "--config", cfg_file, "--out", str(tmp_path), "--seed", "-1")
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
 
@@ -517,3 +539,32 @@ class TestGridFlags:
         assert report._worker_count(1, 30) == 1
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert report._worker_count(8, 30) == 1
+
+
+class TestReadme:
+    def test_flag_table_matches_parser(self):
+        (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        parsed = {
+            name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+            for name, p in sub.choices.items()
+        }
+        text = README.read_text()
+        table = re.search(r"\| subcommand \| flags \|\n\|---\|---\|\n((?:\|.*\n)+)", text)
+        documented = {
+            re.match(r"\| `([\w-]+)` \|", row).group(1): re.findall(r"`(--[\w-]+)`", row)
+            for row in table.group(1).splitlines()
+        }
+        assert documented == parsed
+
+    def test_command_block_parses(self, capsys):
+        block = re.search(r"## Command line.*?```sh\n(.*?)```", README.read_text(), re.S).group(1)
+        lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+        commands = [argv for argv in lines if argv[:1] == ["reach-al"]]
+        assert len(commands) >= 7
+        parser = build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv[1:])
+            except SystemExit:
+                err = capsys.readouterr().err
+                pytest.fail(f"README command does not parse: {' '.join(argv)}\n{err}")

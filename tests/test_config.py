@@ -39,16 +39,8 @@ KEYS = [
 ]
 SCENE_KEYS = [k for k in KEYS if k.startswith(("scene.", "cam.")) and k not in ("cam.R", "cam.t")]
 
-SECTIONS = {
-    "arm": "arm",
-    "cam": "cam",
-    "scene": "scene",
-    "forest": "train",
-    "al": "al",
-    "data": "data",
-    "features": "features",
-    "grid": "grid",
-}
+# Every config section, named as its key prefix.
+SECTIONS = ("arm", "cam", "scene", "forest", "al", "data", "features", "grid")
 
 
 def default_value(key: str):
@@ -56,7 +48,7 @@ def default_value(key: str):
     prefix, name = key.split(".")
     if prefix == "cam" and name in ("R", "t"):
         return tuple(getattr(cfg.ext, name).ravel().tolist())
-    section = getattr(cfg, SECTIONS[prefix])
+    section = getattr(cfg, prefix)
     if name.endswith(("_min", "_max")):
         return getattr(section, name[:-4] + "_range")[name.endswith("_max")]
     return getattr(section, name)
@@ -77,7 +69,7 @@ def holds_floats(key: str) -> bool:
 
 def floats_in(cfg: AppConfig) -> list[float]:
     out = [*cfg.ext.R.ravel().tolist(), *cfg.ext.t.tolist()]
-    for attr in SECTIONS.values():
+    for attr in SECTIONS:
         section = getattr(cfg, attr)
         for f in fields(section):
             value = getattr(section, f.name)
@@ -184,8 +176,8 @@ class TestKeys:
     def test_accepted_keys_are_exactly_these(self):
         cfg = default_config()
         candidates = set(KEYS) | {"cam.ext", "ext.R", "ext.t", "train.n_trees", "arm.L1_min"}
-        for prefix, attr in SECTIONS.items():
-            candidates |= {f"{prefix}.{f.name}" for f in fields(getattr(cfg, attr))}
+        for prefix in SECTIONS:
+            candidates |= {f"{prefix}.{f.name}" for f in fields(getattr(cfg, prefix))}
         accepted = set()
         for key in candidates:
             try:
@@ -297,7 +289,7 @@ class TestDefaults:
     def test_default_config_is_valid(self):
         cfg = default_config()
         assert cfg.arm.L1 == 0.7
-        assert cfg.train.n_trees == 100
+        assert cfg.forest.n_trees == 100
         assert cfg.grid.init_sizes == (10, 30, 50)
         assert cfg.grid.budgets == (50, 100)
         assert len(cfg.grid.seeds) == 20

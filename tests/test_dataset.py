@@ -247,8 +247,8 @@ class TestLabelWithOracle:
         first = small_records.take(np.arange(20))
         write_detections(path, first)
         loaded = ingest_detections(path, INTR)
-        assert label_with_oracle(loaded, INTR, EXT, ARM).patch_density_fallback
-        assert not label_with_oracle(first, INTR, EXT, ARM).patch_density_fallback
+        assert label_with_oracle(loaded, INTR, EXT, ARM).density_source == "patch5x5"
+        assert label_with_oracle(first, INTR, EXT, ARM).density_source == "window11x11"
 
 
 def reference_make_splits(samples, candidates, test_frac, init_size, seed):

@@ -180,7 +180,7 @@ def ref_features(p, patch, depth, bbox_w, bbox_h, image_dims, neighborhood, dens
 
 
 def reference_label_with_oracle(det, intr, ext, params, density_band=DENSITY_BAND):
-    """Samples, indices of the kept rows and the density-fallback flag."""
+    """Samples, indices of the kept rows and the density source."""
     samples, kept = [], []
     fallback = False
     for i, rec in enumerate(records_of(det)):
@@ -203,7 +203,7 @@ def reference_label_with_oracle(det, intr, ext, params, density_band=DENSITY_BAN
         )
         samples.append(LabeledSample(fv, int(is_reachable(arm, params)[0])))
         kept.append(i)
-    return samples, kept, fallback
+    return samples, kept, "patch5x5" if fallback else "window11x11"
 
 
 def scene_with_drops():
@@ -235,10 +235,10 @@ def ingested(synthetic, tmp_path_factory):
 
 
 def assert_same_labeling(result, det, ref, tmp_path):
-    samples, kept, fallback = ref
+    samples, kept, source = ref
     assert result.n_input == len(det)
     assert result.n_dropped == len(det) - len(kept)
-    assert result.patch_density_fallback == fallback
+    assert result.density_source == source
     assert_same_detections(result.records, det.take(kept))
     assert features_matrix(result.samples).tobytes() == features_matrix(samples).tobytes()
     assert [s.label for s in result.samples] == [s.label for s in samples]
@@ -254,13 +254,13 @@ class TestMatchesReference:
         result = label_with_oracle(synthetic, CFG.cam, CFG.ext, CFG.arm)
         ref = reference_label_with_oracle(synthetic, CFG.cam, CFG.ext, CFG.arm)
         assert len(synthetic) > 2048 and len(synthetic) - len(ref[1]) > 10
-        assert not ref[2]
+        assert ref[2] == "window11x11"
         assert_same_labeling(result, synthetic, ref, tmp_path)
 
     def test_ingested_patches(self, ingested, tmp_path):
         result = label_with_oracle(ingested, CFG.cam, CFG.ext, CFG.arm, density_band=0.08)
         ref = reference_label_with_oracle(ingested, CFG.cam, CFG.ext, CFG.arm, density_band=0.08)
-        assert len(ingested) - len(ref[1]) > 10 and ref[2]
+        assert len(ingested) - len(ref[1]) > 10 and ref[2] == "patch5x5"
         assert_same_labeling(result, ingested, ref, tmp_path)
 
     def test_empty_and_all_dropped(self):
@@ -273,7 +273,7 @@ class TestMatchesReference:
         )
         result = label_with_oracle(blank, CFG.cam, CFG.ext, CFG.arm)
         assert (result.samples, len(result.records), result.n_dropped) == ([], 0, 3)
-        assert not result.patch_density_fallback
+        assert result.density_source == "window11x11"
 
     def test_rotated_extrinsics_labels_follow_written_points(self, synthetic, tmp_path):
         result = label_with_oracle(synthetic, CFG.cam, ROTATED, CFG.arm)
