@@ -4,15 +4,16 @@ Starts from an RGB bounding-box center with a noisy depth patch and runs it
 as a one-row array through the same stages labeling runs: the pixel maps to
 the depth image, the robust patch depth is taken, the pinhole model lifts it
 to the camera frame and the rigid transform moves it into the arm frame
-(``locate_detections``), then the nine features (``feature_rows``).  Both
-reachability oracles then give their verdict.
+(``locate_detections``), then the nine features (``feature_rows``) and the
+IK oracle's verdict and witness (``solve_ik``).  The brute-force grid
+oracle gives its verdict too.
 """
 
 import numpy as np
 
 from reach_al.config import default_config
 from reach_al.features import FEATURE_NAMES, feature_rows
-from reach_al.kinematics import ArmPoint, BruteForceOracle, forward_kinematics, is_reachable
+from reach_al.kinematics import ArmPoint, BruteForceOracle, JointConfig, forward_kinematics, solve_ik
 from reach_al.perception import Extrinsics, locate_detections
 
 cfg = default_config()
@@ -41,9 +42,10 @@ print("features:")
 for name, value in zip(FEATURE_NAMES, fv):
     print(f"  {name:8s} {value:+.4f}")
 
-reachable, witness = is_reachable(arm_pt, cfg.arm)
-print(f"analytic feasibility: {'reachable' if reachable else 'unreachable'}")
-if witness is not None:
+reachable, joints = solve_ik(x, y, z, cfg.arm)
+print(f"analytic feasibility: {'reachable' if reachable[0] else 'unreachable'}")
+if reachable[0]:
+    witness = JointConfig(*joints[0].tolist())
     print(
         f"  witness: d1={witness.d1:+.3f} d2={witness.d2:+.3f} "
         f"theta1={witness.theta1:+.3f} theta2={witness.theta2:+.3f}"

@@ -34,8 +34,8 @@ from .kinematics import (
     JointConfig,
     ManipulatorParams,
     forward_kinematics,
-    is_reachable,
     sample_envelope,
+    solve_ik,
 )
 from .metrics import (
     MetricSet,

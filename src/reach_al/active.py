@@ -10,7 +10,6 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -109,7 +108,7 @@ def run_loop(
     n_queries: int,
     seed: int,
     cfg: ALConfig,
-    train_cfg: Optional[TrainConfig] = None,
+    train_cfg: TrainConfig,
 ) -> list[RoundLog]:
     """Run the query loop with ``strategy`` until ``n_queries`` labels
     have been acquired; ``seed`` drives the random and committee draws.
@@ -127,7 +126,6 @@ def run_loop(
         raise ValueError("n_queries must be nonnegative")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    train_cfg = train_cfg or TrainConfig()
 
     X_pool, y_pool = X[pools.unlabeled], y[pools.unlabeled]
     X_test, y_test = X[pools.test], y[pools.test]

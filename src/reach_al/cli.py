@@ -18,7 +18,7 @@ from dataclasses import replace
 
 from . import report as report_mod
 from .active import STRATEGIES
-from .config import DataConfig, default_config, load_config, resolve_out_dir
+from .config import AppConfig, DataConfig, default_config, load_config, resolve_out_dir
 from .dataset import (
     generate_scene,
     ingest_detections,
@@ -134,7 +134,7 @@ def _out_dir(cli_out) -> str:
     return out_dir
 
 
-def _load(config) -> "AppConfig":
+def _load(config) -> AppConfig:
     return load_config(config) if config else default_config()
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, IngestionError, read_table, write_table
 from .features import DENSITY_BAND, FEATURE_NAMES, feature_rows
-from .kinematics import ArmPoint, ManipulatorParams, reachable_mask
+from .kinematics import ArmPoint, ManipulatorParams, solve_ik
 from .perception import (
     MAX_VALID_DEPTH,
     CameraIntrinsics,
@@ -214,9 +214,8 @@ def _fill_window(rng, cfg: SceneConfig, depth: float, occluder_depth=None):
     return win
 
 
-def generate_scene(cfg: SceneConfig, intr: Optional[CameraIntrinsics] = None) -> Detections:
+def generate_scene(cfg: SceneConfig, intr: CameraIntrinsics) -> Detections:
     """Deterministic synthetic detections for ``cfg.n_images`` images."""
-    intr = intr or CameraIntrinsics()
     rng = np.random.default_rng(cfg.seed)
     rgb_sx = intr.rgb_width / intr.depth_width
     rgb_sy = intr.rgb_height / intr.depth_height
@@ -305,7 +304,7 @@ def _bad_rows(det: Detections, intr: Optional[CameraIntrinsics] = None) -> np.nd
     return ~ok | bad_depth_rows(det.patches)
 
 
-def ingest_detections(path, intr: Optional[CameraIntrinsics] = None) -> Detections:
+def ingest_detections(path, intr: CameraIntrinsics) -> Detections:
     """Read a detection file, skipping malformed or boundary rows with a warning.
 
     A row is skipped when it has the wrong number of cells, a cell that is
@@ -322,7 +321,7 @@ def ingest_detections(path, intr: Optional[CameraIntrinsics] = None) -> Detectio
 
     skipped = read_table(path, "detection file", DETECTION_COLUMNS, parse, skip_malformed=True)
     det = _from_cells(image_ids, cells)
-    bad = _bad_rows(det, intr or CameraIntrinsics())
+    bad = _bad_rows(det, intr)
     skipped += int(np.count_nonzero(bad))
     if skipped:
         logger.warning("skipped %d malformed or boundary rows in %s", skipped, path)
@@ -342,15 +341,15 @@ def label_with_oracle(
     arrays: pixel mapping, robust depth, back-projection and the rigid
     transform (``perception.locate_detections``), the features
     (``features.feature_rows``, with density from the 11x11 windows, or
-    from the patches when ``det.windows`` is ``None``) and a batched
-    feasibility test (``kinematics.reachable_mask``).  Elementwise
-    arithmetic rounds the same in numpy as in ``math``, and every ``asin``,
-    ``acos``, ``cos``, ``sin``, ``atan2`` and ``hypot`` goes through
-    ``math``, so each sample equals the one the per-record reference in
-    ``tests/test_labeling.py`` gives, bit for bit, a one-row last chunk
-    too.  Detections with no valid depth or out-of-frame pixels are
-    dropped, not errors; the kept rows are the result's ``records`` and
-    the drop count is reported.
+    from the patches when ``det.windows`` is ``None``) and the IK oracle's
+    mask (``kinematics.solve_ik``).  Elementwise arithmetic rounds the same
+    in numpy as in ``math``, and every ``asin``, ``acos``, ``cos``,
+    ``sin``, ``atan2`` and ``hypot`` goes through ``math``, so each sample
+    equals the one the per-record reference in ``tests/test_labeling.py``
+    gives, bit for bit, a one-row last chunk too.  That reference labels
+    with the scalar IK search in ``tests/ik_reference.py``.  Detections
+    with no valid depth or out-of-frame pixels are dropped, not errors; the
+    kept rows are the result's ``records`` and the drop count is reported.
     """
     windows = det.patches if det.windows is None else det.windows
     kept = np.zeros(len(det), dtype=bool)
@@ -364,7 +363,7 @@ def label_with_oracle(
         features = feature_rows(
             x, y, z, patches[keep], depth, bbox_w, bbox_h, dims, windows[rows][keep], density_band
         ).tolist()
-        labels = reachable_mask(x, y, z, params).astype(int).tolist()
+        labels = solve_ik(x, y, z, params)[0].astype(int).tolist()
         samples += map(LabeledSample, map(tuple, features), labels)
         kept[start + keep] = True
     # Keeping every row copies none: a second copy of the windows would

@@ -7,7 +7,11 @@ horizontal pitch, so the wrist offset ``Le`` extends radially in the yawed
 direction and ``theta3`` never moves the tool point.  This makes position
 kinematics closed form in both directions: a target height admits exactly
 one shoulder pitch, and the remaining freedom is a one-parameter family of
-yaw/carriage combinations that this module searches analytically.
+yaw/carriage combinations.  ``solve_ik`` searches it for arrays of targets
+at once: feasibility can only change at a few candidate yaws, and the
+witness is the in-limit candidate with the smallest ``|theta1|``, then
+``d1``, then ``d2``.  ``tests/ik_reference.py`` holds the same search for
+one point at a time, and the tests compare the two bit for bit.
 """
 
 from __future__ import annotations
@@ -108,108 +112,18 @@ def _fk_arrays(d1, d2, t1, t2, params: ManipulatorParams):
     return x, y, z
 
 
-def _candidate_yaws(x: float, y: float, rho: float, params: ManipulatorParams) -> list[float]:
-    """Yaw angles where the carriage implied by the target can change
-    feasibility: range endpoints, travel-bound crossings, and zero."""
-    t_lo, t_hi = params.theta1_range
-    cands: list[float] = [t_lo, t_hi]
-
-    def add(base: float) -> None:
-        for k in (-1, 0, 1):
-            t = base + k * TWO_PI
-            if t_lo - 1e-12 <= t <= t_hi + 1e-12:
-                cands.append(min(max(t, t_lo), t_hi))
-
-    add(0.0)
-    if rho > 0.0:
-        for d2_bound in params.d2_range:
-            c = (x - d2_bound) / rho
-            if abs(c) <= 1.0 + 1e-9:
-                a = math.acos(min(1.0, max(-1.0, c)))
-                add(a)
-                add(-a)
-        for d1_bound in params.d1_range:
-            s = (y - d1_bound) / rho
-            if abs(s) <= 1.0 + 1e-9:
-                a = math.asin(min(1.0, max(-1.0, s)))
-                add(a)
-                b = math.pi - a
-                if b > math.pi:
-                    b -= TWO_PI
-                add(b)
-    return cands
-
-
-def is_reachable(
-    p: ArmPoint, params: ManipulatorParams
-) -> tuple[bool, Optional[JointConfig]]:
-    """Decide whether any in-limit configuration places the tool at ``p``.
-
-    Returns ``(True, witness)`` or ``(False, None)``.  The height fixes the
-    shoulder pitch via ``theta2 = asin((z - h0) / L1)``, which in turn fixes
-    the horizontal reach ``rho``.  Feasibility then reduces to whether the
-    carriage circle of radius ``rho`` around the target meets the prismatic
-    travel rectangle at an admissible bearing.  The witness minimizes
-    ``|theta1|``; ties prefer smaller ``d1``, then smaller ``d2``.
-    """
-    s = (p.z - params.h0) / params.L1
-    if abs(s) > 1.0:
-        return False, None
-    theta2 = math.asin(s)
-    t2_lo, t2_hi = params.theta2_range
-    if not t2_lo <= theta2 <= t2_hi:
-        return False, None
-    rho = params.L1 * math.cos(theta2) + params.Le
-    if rho < params.collision_margin:
-        return False, None
-
-    d1_lo, d1_hi = params.d1_range
-    d2_lo, d2_hi = params.d2_range
-
-    if rho == 0.0:
-        # Degenerate reach: the tool sits on the carriage column itself.
-        if d2_lo <= p.x <= d2_hi and d1_lo <= p.y <= d1_hi:
-            t1 = min(max(0.0, params.theta1_range[0]), params.theta1_range[1])
-            return True, JointConfig(d1=p.y, d2=p.x, theta1=t1, theta2=theta2)
-        return False, None
-
-    best_key = None
-    best = None
-    for t1 in _candidate_yaws(p.x, p.y, rho, params):
-        d2 = p.x - rho * math.cos(t1)
-        d1 = p.y - rho * math.sin(t1)
-        if (
-            d2_lo - _RECT_SLACK <= d2 <= d2_hi + _RECT_SLACK
-            and d1_lo - _RECT_SLACK <= d1 <= d1_hi + _RECT_SLACK
-        ):
-            key = (abs(t1), d1, d2, t1)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (t1, d1, d2)
-    if best is None:
-        return False, None
-
-    t1, d1, d2 = best
-    witness = JointConfig(
-        d1=min(max(d1, d1_lo), d1_hi),
-        d2=min(max(d2, d2_lo), d2_hi),
-        theta1=t1,
-        theta2=min(max(theta2, t2_lo), t2_hi),
-        theta3=0.0,
-    )
-    return True, witness
-
-
 def _libm(fn, *arrays: np.ndarray) -> np.ndarray:
     """``fn`` from ``math`` applied elementwise.  numpy's vectorized
     transcendentals can differ from the C library in the last bit, and a
-    batched label must equal the scalar one on every point."""
+    batched label must equal the scalar reference on every point."""
     return np.array(list(map(fn, *(a.tolist() for a in arrays))), dtype=float)
 
 
 def _candidate_yaw_matrix(x, y, rho, params: ManipulatorParams) -> np.ndarray:
-    """``_candidate_yaws`` for many points: one row each, NaN where a point
-    has fewer candidates than the row holds."""
+    """Yaw angles where the carriage implied by a target can change
+    feasibility: the range endpoints, the travel-bound crossings and zero,
+    shifted by whole turns into the range.  One row per point, NaN where a
+    point has fewer candidates than the row holds."""
     t_lo, t_hi = params.theta1_range
     bases = [np.zeros_like(x)]
     for d2_bound in params.d2_range:
@@ -233,12 +147,20 @@ def _candidate_yaw_matrix(x, y, rho, params: ManipulatorParams) -> np.ndarray:
     return np.hstack([ends, np.clip(shifted, t_lo, t_hi)])
 
 
-def reachable_mask(x, y, z, params: ManipulatorParams) -> np.ndarray:
-    """``is_reachable(ArmPoint(x, y, z), params)[0]`` for parallel arrays of
-    coordinates, without witnesses.
+def solve_ik(x, y, z, params: ManipulatorParams) -> tuple[np.ndarray, np.ndarray]:
+    """Decide, for parallel arrays of coordinates, whether any in-limit
+    configuration places the tool at each point, and give one that does.
 
-    Every step of the scalar test runs on arrays in the same order, so the
-    mask equals the scalar decision on every point, boundary cases included.
+    Returns ``(mask, joints)``: ``joints`` is (n, 4), columns ``d1``,
+    ``d2``, ``theta1`` and ``theta2``, with NaN rows where ``mask`` is
+    False.  The height fixes the shoulder pitch via ``theta2 = asin((z -
+    h0) / L1)``, which in turn fixes the horizontal reach ``rho``.
+    Feasibility then reduces to whether the carriage circle of radius
+    ``rho`` around the target meets the prismatic travel rectangle at an
+    admissible bearing, which is tested at the candidate yaws.  The
+    witness is the inside candidate with the smallest ``(|theta1|, d1, d2,
+    theta1)``, the first in candidate order among equal keys, with the
+    carriage clamped onto the rectangle.
     """
     x, y, z = (np.asarray(a, dtype=float) for a in (x, y, z))
     s = (z - params.h0) / params.L1
@@ -253,10 +175,13 @@ def reachable_mask(x, y, z, params: ManipulatorParams) -> np.ndarray:
 
     d1_lo, d1_hi = params.d1_range
     d2_lo, d2_hi = params.d2_range
-    out = np.zeros(ok.shape, dtype=bool)
+    mask = np.zeros(ok.shape, dtype=bool)
+    joints = np.full((len(s), 4), np.nan)
     # Degenerate reach: the tool sits on the carriage column itself.
-    flat = ok & (rho == 0.0)
-    out[flat] = (d2_lo <= x[flat]) & (x[flat] <= d2_hi) & (d1_lo <= y[flat]) & (y[flat] <= d1_hi)
+    flat = ok & (rho == 0.0) & (d2_lo <= x) & (x <= d2_hi) & (d1_lo <= y) & (y <= d1_hi)
+    mask[flat] = True
+    joints[flat, 0], joints[flat, 1] = y[flat], x[flat]
+    joints[flat, 2] = min(max(0.0, params.theta1_range[0]), params.theta1_range[1])
 
     live = np.flatnonzero(ok & (rho != 0.0))
     xs, ys, rs = x[live], y[live], rho[live]
@@ -271,8 +196,25 @@ def reachable_mask(x, y, z, params: ManipulatorParams) -> np.ndarray:
         & (d1_lo - _RECT_SLACK <= d1)
         & (d1 <= d1_hi + _RECT_SLACK)
     )
-    out[live[point[inside]]] = True
-    return out
+    point, t1, d1, d2 = point[inside], t1[inside], d1[inside], d2[inside]
+    # lexsort sorts by its last key first and is stable, so each point's
+    # first row holds its smallest key, the earliest candidate among equals.
+    order = np.lexsort((t1, d2, d1, np.abs(t1), point))
+    best = order[np.unique(point[order], return_index=True)[1]]
+    rows = live[point[best]]
+    mask[rows] = True
+    joints[rows, 0] = np.clip(d1[best], d1_lo, d1_hi)
+    joints[rows, 1] = np.clip(d2[best], d2_lo, d2_hi)
+    joints[rows, 2] = t1[best]
+    joints[mask, 3] = theta2[mask]
+    return mask, joints
+
+
+def is_reachable(p: ArmPoint, params: ManipulatorParams) -> tuple[bool, Optional[JointConfig]]:
+    """``solve_ik`` of one point: ``(True, witness)`` or ``(False, None)``.
+    perfbench is its only caller outside the tests."""
+    mask, joints = solve_ik([p.x], [p.y], [p.z], params)
+    return (True, JointConfig(*joints[0].tolist())) if mask[0] else (False, None)
 
 
 def _joint_grid(params: ManipulatorParams, steps_per_joint: int):

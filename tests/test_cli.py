@@ -1,13 +1,15 @@
 import argparse
+import inspect
 import os
 import pathlib
 import re
 import shlex
+import typing
 
 import numpy as np
 import pytest
 
-from reach_al import report
+from reach_al import cli, report
 from reach_al.cli import MAX_ENVELOPE_STEPS, build_parser, main
 from reach_al.config import load_config
 from reach_al.dataset import (
@@ -539,6 +541,15 @@ class TestGridFlags:
         assert report._worker_count(1, 30) == 1
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert report._worker_count(8, 30) == 1
+
+
+def test_annotations_resolve():
+    # With postponed annotations, a name used only in one is never looked
+    # up at import, so a missing import shows only here.
+    functions = [f for f in vars(cli).values() if inspect.isfunction(f) and f.__module__ == cli.__name__]
+    assert cli._load in functions
+    for f in functions:
+        typing.get_type_hints(f)
 
 
 class TestReadme:

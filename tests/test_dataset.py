@@ -54,7 +54,7 @@ def same_rows(a, b):
 
 @pytest.fixture(scope="module")
 def small_records():
-    return generate_scene(SMALL_SCENE)
+    return generate_scene(SMALL_SCENE, INTR)
 
 
 VALID_CACHE_ROW = (
@@ -90,19 +90,19 @@ def write_cache_rows(path, rows):
 
 class TestGenerateScene:
     def test_record_count_matches_poisson_mass(self):
-        records = generate_scene(SceneConfig(n_images=100, apples_per_image=8.0, seed=1))
+        records = generate_scene(SceneConfig(n_images=100, apples_per_image=8.0, seed=1), INTR)
         # Sum of 100 Poisson(8) draws: far tails beyond [400, 1600] are
         # negligible (the total has mean 800, sd about 28).
         assert 400 <= len(records) <= 1600
 
     def test_full_dropout_invalidates_every_patch(self):
-        det = generate_scene(SceneConfig(n_images=10, dropout_prob=1.0, seed=2))
+        det = generate_scene(SceneConfig(n_images=10, dropout_prob=1.0, seed=2), INTR)
         assert len(det) > 0
         assert not (np.isfinite(det.patches) & (det.patches != 0.0)).any()
 
     def test_deterministic_output(self, tmp_path):
-        a = generate_scene(SceneConfig(n_images=15, seed=3))
-        b = generate_scene(SceneConfig(n_images=15, seed=3))
+        a = generate_scene(SceneConfig(n_images=15, seed=3), INTR)
+        b = generate_scene(SceneConfig(n_images=15, seed=3), INTR)
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
         write_detections(pa, a)
         write_detections(pb, b)
@@ -307,7 +307,7 @@ def split_inputs(draw):
 
 class TestMakeSplits:
     def _labels(self, n=1000, seed=80):
-        recs = generate_scene(SceneConfig(n_images=200, seed=seed))
+        recs = generate_scene(SceneConfig(n_images=200, seed=seed), INTR)
         result = label_with_oracle(recs, INTR, EXT, ARM)
         assert len(result.samples) >= n
         return labels_array(result.samples[:n])
@@ -473,7 +473,7 @@ class TestLabeledCache:
         from reach_al.config import default_config
 
         cfg = default_config()
-        records = generate_scene(SceneConfig(n_images=150, seed=9))
+        records = generate_scene(SceneConfig(n_images=150, seed=9), INTR)
         result = label_with_oracle(records, cfg.cam, cfg.ext, cfg.arm)
         rate = np.mean([s.label for s in result.samples])
         assert 0.2 <= rate <= 0.8

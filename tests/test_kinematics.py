@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from ik_reference import reference_ik
 
+from reach_al.config import default_config
 from reach_al.errors import IngestionError, ReachALError
 from reach_al.kinematics import (
     ArmPoint,
@@ -13,11 +15,12 @@ from reach_al.kinematics import (
     ManipulatorParams,
     forward_kinematics,
     is_reachable,
-    reachable_mask,
     read_envelope,
     sample_envelope,
+    solve_ik,
     write_envelope,
 )
+from reach_al.report import ExperimentGrid, build_benchmark
 
 PARAMS = ManipulatorParams()
 
@@ -29,6 +32,39 @@ def within_limits(q: JointConfig, params: ManipulatorParams) -> bool:
         and params.theta1_range[0] <= q.theta1 <= params.theta1_range[1]
         and params.theta2_range[0] <= q.theta2 <= params.theta2_range[1]
     )
+
+
+def solve_points(points, params=PARAMS):
+    """``solve_ik`` of an (n, 3) array of points."""
+    xyz = np.asarray(points, dtype=float).reshape(-1, 3)
+    return solve_ik(xyz[:, 0], xyz[:, 1], xyz[:, 2], params)
+
+
+def assert_witnesses_reach(points, params):
+    """Every point ``solve_ik`` accepts has an in-limit witness whose tool
+    point lies within 1e-9 m of it; returns how many were accepted."""
+    mask, joints = solve_points(points, params)
+    for p, q in zip(np.asarray(points)[mask], joints[mask]):
+        witness = JointConfig(*q.tolist())
+        assert within_limits(witness, params)
+        fk = forward_kinematics(witness, params)
+        assert np.linalg.norm(fk.as_array() - p) <= 1e-9, f"witness off target for {p}"
+    return int(mask.sum())
+
+
+def assert_equals_reference(points, params):
+    """``solve_ik``'s mask and witnesses equal ``reference_ik``'s byte for
+    byte, NaN rows where the reference rejects; returns the mask."""
+    mask, joints = solve_points(points, params)
+    expected = np.full((len(mask), 4), np.nan)
+    for i, p in enumerate(points):
+        ok, witness = reference_ik(ArmPoint(*p), params)
+        if ok:
+            expected[i] = witness.d1, witness.d2, witness.theta1, witness.theta2
+    assert mask.tolist() == (~np.isnan(expected[:, 0])).tolist()
+    assert joints.tobytes() == expected.tobytes()
+    return mask
+
 
 # The default arm; a yaw range past pi, whose candidate yaws are shifted by
 # 2*pi, with no carriage margin; a zero wrist offset with a narrow rail; and
@@ -159,50 +195,48 @@ class TestForwardKinematics:
 
 class TestIsReachable:
     def test_fk_image_of_zero_config(self):
-        ok, witness = is_reachable(ArmPoint(0.95, 0.0, 0.5), PARAMS)
-        assert ok
-        assert witness == JointConfig(0.0, 0.0, 0.0, 0.0, 0.0)
+        mask, joints = solve_points([0.95, 0.0, 0.5])
+        assert mask.tolist() == [True]
+        assert joints[0].tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_carriage_column_excluded(self):
-        ok, witness = is_reachable(ArmPoint(0.0, 0.0, 0.5), PARAMS)
-        assert not ok and witness is None
+        mask, joints = solve_points([0.0, 0.0, 0.5])
+        assert mask.tolist() == [False] and np.isnan(joints).all()
 
     def test_height_beyond_link(self):
-        ok, _ = is_reachable(ArmPoint(0.6, 0.3, 2.0), PARAMS)
-        assert not ok
+        assert solve_points([0.6, 0.3, 2.0])[0].tolist() == [False]
+
+    def test_is_reachable_is_row_zero_of_solve_ik(self):
+        outcomes = set()
+        for params in PARAM_SETS:
+            for t1 in params.theta1_range:
+                tip = forward_kinematics(JointConfig(0.1, 0.2, t1, 0.3), params)
+                for p in (tip, ArmPoint(0.0, 0.0, 0.5)):
+                    mask, joints = solve_points(p.as_array(), params)
+                    expected = (True, JointConfig(*joints[0].tolist())) if mask[0] else (False, None)
+                    assert is_reachable(p, params) == expected
+                    outcomes.add(bool(mask[0]))
+        assert outcomes == {True, False}
 
     def test_witness_soundness(self):
         rng = np.random.default_rng(10)
         lo, hi = envelope_box()
-        checked = 0
-        for _ in range(12000):
-            p = ArmPoint(*rng.uniform(lo, hi))
-            ok, witness = is_reachable(p, PARAMS)
-            if not ok:
-                continue
-            checked += 1
-            assert within_limits(witness, PARAMS)
-            fk = forward_kinematics(witness, PARAMS)
-            assert (
-                np.linalg.norm(fk.as_array() - p.as_array()) <= 1e-9
-            ), f"witness off target for {p}"
-        assert checked > 4000
+        assert assert_witnesses_reach(rng.uniform(lo, hi, size=(12000, 3)), PARAMS) > 4000
 
     def test_monotone_in_joint_ranges(self):
         rng = np.random.default_rng(11)
         lo, hi = envelope_box()
+        points = rng.uniform(lo, hi, size=(300, 3))
+        reachable = points[solve_points(points)[0]]
+        assert len(reachable) > 0
         for _ in range(300):
-            p = ArmPoint(*rng.uniform(lo, hi))
-            ok, _ = is_reachable(p, PARAMS)
-            if not ok:
-                continue
             wider = ManipulatorParams(
                 d1_range=(PARAMS.d1_range[0] - rng.uniform(0, 0.2), PARAMS.d1_range[1] + rng.uniform(0, 0.2)),
                 d2_range=(PARAMS.d2_range[0] - rng.uniform(0, 0.2), PARAMS.d2_range[1] + rng.uniform(0, 0.2)),
                 theta1_range=(PARAMS.theta1_range[0] - rng.uniform(0, 0.3), PARAMS.theta1_range[1] + rng.uniform(0, 0.3)),
                 theta2_range=(PARAMS.theta2_range[0] - rng.uniform(0, 0.1), PARAMS.theta2_range[1] + rng.uniform(0, 0.1)),
             )
-            assert is_reachable(p, wider)[0]
+            assert solve_points(reachable, wider)[0].all()
 
     def test_validation_rejects_bad_params(self):
         with pytest.raises(ValueError):
@@ -217,23 +251,17 @@ class TestReferenceProperties:
     @given(case=params_and_targets())
     def test_witness_reproduces_every_accepted_target(self, case):
         params, points = case
-        for p in points:
-            ok, witness = is_reachable(p, params)
-            if ok:
-                assert within_limits(witness, params)
-                fk = forward_kinematics(witness, params)
-                assert np.linalg.norm(fk.as_array() - p.as_array()) <= 1e-9
+        assert_witnesses_reach(np.array([p.as_array() for p in points]), params)
 
     @given(case=params_and_targets())
     def test_reachable_mask_equals_scalar_decision(self, case):
         params, points = case
-        xyz = np.array([p.as_array() for p in points])
-        mask = reachable_mask(xyz[:, 0], xyz[:, 1], xyz[:, 2], params)
-        assert mask.tolist() == [is_reachable(p, params)[0] for p in points]
+        assert_equals_reference(np.array([p.as_array() for p in points]), params)
 
     def test_reachable_mask_on_travel_bounds_and_joint_limits(self):
         """Poses on a grid that includes every joint limit and zero, and
-        their tool points moved 1e-7 m along each axis."""
+        their tool points moved 1e-7 m along each axis: ``solve_ik``
+        equals the reference on each."""
         steps = np.array([[0, 0, 0]] + [list(v) for v in 1e-7 * np.vstack([np.eye(3), -np.eye(3)])])
         for params in PARAM_SETS:
             axes = [
@@ -242,13 +270,19 @@ class TestReferenceProperties:
             ]
             poses = np.array(np.meshgrid(*axes)).reshape(4, -1).T
             tips = np.array([forward_kinematics(JointConfig(*q), params).as_array() for q in poses])
-            xyz = (tips[:, None, :] + steps).reshape(-1, 3)
-            mask = reachable_mask(xyz[:, 0], xyz[:, 1], xyz[:, 2], params)
-            assert mask.tolist() == [is_reachable(ArmPoint(*p), params)[0] for p in xyz]
+            mask = assert_equals_reference((tips[:, None, :] + steps).reshape(-1, 3), params)
             assert mask.any() and not mask.all()
 
+    def test_default_benchmark_points_equal_reference(self):
+        samples, candidates = build_benchmark(ExperimentGrid.from_config(default_config()))
+        points = np.array([s.arm_point.as_array() for s in samples + candidates])
+        assert len(points) == 6000
+        mask = assert_equals_reference(points, PARAMS)
+        assert mask.tolist() == [s.label == 1 for s in samples + candidates]
+
     def test_reachable_mask_of_no_points(self):
-        assert reachable_mask(np.zeros(0), np.zeros(0), np.zeros(0), PARAMS).shape == (0,)
+        mask, joints = solve_ik(np.zeros(0), np.zeros(0), np.zeros(0), PARAMS)
+        assert mask.shape == (0,) and joints.shape == (0, 4)
 
 
 class TestBruteForceOracle:
@@ -270,22 +304,16 @@ class TestBruteForceOracle:
         lo, hi = envelope_box()
         rng = np.random.default_rng(12)
         pts = rng.uniform(lo, hi, size=(1500, 3))
-        analytic = np.array([int(is_reachable(ArmPoint(*p), PARAMS)[0]) for p in pts])
+        analytic = solve_points(pts)[0].astype(int)
         brute = oracle.label_many(pts)
         band = workspace_step(oracle)
         disagreements = np.nonzero(analytic != brute)[0]
-        uncertified = 0
-        for i in disagreements:
-            p = pts[i]
-            # near-boundary certificate: the analytic decision flips within
-            # one grid step of the point
-            probes = p + band * _probe_dirs()
-            flips = any(
-                (1 if is_reachable(ArmPoint(*pp), PARAMS)[0] else 0) != analytic[i]
-                for pp in probes
-            )
-            if not flips:
-                uncertified += 1
+        # near-boundary certificate: the analytic decision flips within
+        # one grid step of the point
+        probes = pts[disagreements, None, :] + band * _probe_dirs()
+        probed = solve_points(probes)[0].reshape(len(disagreements), -1)
+        flips = (probed != analytic[disagreements, None]).any(axis=1)
+        uncertified = int(np.count_nonzero(~flips))
         assert uncertified / len(pts) <= 0.005
 
 

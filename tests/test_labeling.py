@@ -6,9 +6,9 @@
 ``dataset.label_with_oracle`` replaced, with the scalar stages it ran:
 ``math`` pixel mapping, ``np.median`` and ``np.var`` over each patch's
 valid cells, the rigid transform summed term by term in Python floats,
-per-record features and the scalar ``kinematics.is_reachable``.  The array
-pass must reproduce it bit for bit, in every chunk, and the detection
-readers must accept exactly the rows the record checks accept.
+per-record features and the scalar IK search of ``ik_reference``.  The
+array pass must reproduce it bit for bit, in every chunk, and the
+detection readers must accept exactly the rows the record checks accept.
 """
 
 import csv
@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from ik_reference import reference_ik
 
 from reach_al.config import default_config
 from reach_al.dataset import (
@@ -37,7 +38,7 @@ from reach_al.dataset import (
 )
 from reach_al.errors import IngestionError
 from reach_al.features import DENSITY_BAND, feature_rows, features_matrix
-from reach_al.kinematics import ArmPoint, is_reachable
+from reach_al.kinematics import ArmPoint
 from reach_al.perception import MAX_VALID_DEPTH, Extrinsics, locate_detections
 
 CFG = default_config()
@@ -201,7 +202,7 @@ def reference_label_with_oracle(det, intr, ext, params, density_band=DENSITY_BAN
             rec.neighborhood,
             density_band,
         )
-        samples.append(LabeledSample(fv, int(is_reachable(arm, params)[0])))
+        samples.append(LabeledSample(fv, int(reference_ik(arm, params)[0])))
         kept.append(i)
     return samples, kept, "patch5x5" if fallback else "window11x11"
 
@@ -282,7 +283,7 @@ class TestMatchesReference:
         path = tmp_path / "labeled.csv"
         write_labeled_cache(path, result)
         written = read_labeled_cache(path).samples
-        labels = [int(is_reachable(s.arm_point, CFG.arm)[0]) for s in written]
+        labels = [int(reference_ik(s.arm_point, CFG.arm)[0]) for s in written]
         assert [s.label for s in written] == labels
         assert 0 < sum(labels) < len(labels)
 
