@@ -11,7 +11,7 @@ from reach_al.config import default_config
 from reach_al.dataset import SceneConfig, generate_scene, label_with_oracle
 from reach_al.features import features_matrix, labels_array
 from reach_al.forest import TrainConfig, fit_arrays, predict_proba_matrix
-from reach_al.metrics import evaluate, ik_call_reduction
+from reach_al.metrics import evaluate
 
 cfg = default_config()
 
@@ -30,7 +30,6 @@ test_idx, train_idx = order[:n_test], order[n_test:]
 model = fit_arrays(X[train_idx], y[train_idx], TrainConfig(seed=0))
 scores = predict_proba_matrix(model, X[test_idx])[:, 1]
 m = evaluate(scores, y[test_idx])
-preds = (scores > 0.5).astype(int)
 
 print(f"trained {model.config.n_trees} trees on {len(train_idx)} samples")
 print(f"  accuracy  {m.accuracy:.4f}")
@@ -38,7 +37,7 @@ print(f"  precision {m.precision:.4f}")
 print(f"  recall    {m.recall:.4f}")
 print(f"  f1        {m.f1:.4f}")
 print(f"  auc       {m.auc:.4f}")
-print(f"  IK calls filtered: {ik_call_reduction(preds):.1%} of test candidates")
+print(f"  IK calls filtered: {m.ik_reduction:.1%} of test candidates")
 
 retrained = fit_arrays(X[train_idx], y[train_idx], TrainConfig(seed=0))
 same = np.array_equal(

@@ -37,13 +37,7 @@ from .kinematics import (
     sample_envelope,
     solve_ik,
 )
-from .metrics import (
-    MetricSet,
-    confusion_and_rates,
-    evaluate,
-    ik_call_reduction,
-    roc_auc,
-)
+from .metrics import MetricSet, evaluate, roc_auc
 from .perception import CameraIntrinsics, Extrinsics, locate_detections
 from .report import ExperimentGrid, run_grid
 

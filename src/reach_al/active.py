@@ -1,10 +1,10 @@
 """Pool-based active learning loop and its query strategies.
 
-Each round trains the forest on the labeled set, scores every pool
-candidate with the configured strategy, queries the oracle for the top
-batch, and re-evaluates on the held-out test set.  All randomness flows
-from the run seed, so a (strategy, budget, seed) cell is fully
-reproducible.
+Each round fits the forest on the labeled set, evaluates it on the
+held-out test set and logs the result; then, while budget and pool last,
+it scores every pool candidate with the configured strategy and queries
+the oracle for the top batch.  All randomness flows from the run seed,
+so a (strategy, budget, seed) cell is fully reproducible.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import PoolSplit
 from .forest import TrainConfig, fit_arrays, predict_proba_matrix
-from .metrics import MetricSet, evaluate, ik_call_reduction
+from .metrics import MetricSet, evaluate
 
 # The scorer behind each strategy name.  ``run_loop`` sends the uncertainty
 # names down one branch, so a sweep runs each distinct scorer once.
@@ -44,11 +44,9 @@ class ALConfig:
 
 @dataclass
 class RoundLog:
-    round_index: int
     n_labeled: int
     metrics: MetricSet
     queried_indices: list
-    ik_reduction: float
 
 
 def _entropy_bits(p: np.ndarray) -> np.ndarray:
@@ -94,12 +92,6 @@ def select_batch(scores, b: int) -> list[int]:
     return [int(i) for i in order[:b]]
 
 
-def _evaluate_model(model, X_test, y_test):
-    scores = predict_proba_matrix(model, X_test)[:, 1]
-    m = evaluate(scores, y_test)
-    return m, ik_call_reduction(scores > 0.5)
-
-
 def run_loop(
     X: np.ndarray,
     y: np.ndarray,
@@ -133,26 +125,18 @@ def run_loop(
 
     rng_random = np.random.default_rng([seed, 0x5EED])
     unlabeled = np.ones(len(y_pool), dtype=bool)
-
-    model = fit_arrays(X_lab, y_lab, train_cfg)
-    m, ik_red = _evaluate_model(model, X_test, y_test)
-    logs = [
-        RoundLog(
-            round_index=0,
-            n_labeled=len(y_lab),
-            metrics=m,
-            queried_indices=[],
-            ik_reduction=ik_red,
-        )
-    ]
-
+    logs: list[RoundLog] = []
+    batch: list[int] = []
     acquired = 0
-    round_index = 0
-    while acquired < n_queries and unlabeled.any():
-        round_index += 1
+    while True:
+        model = fit_arrays(X_lab, y_lab, train_cfg)
+        p_test = predict_proba_matrix(model, X_test)[:, 1]
+        logs.append(RoundLog(len(y_lab), evaluate(p_test, y_test), batch))
         remaining = np.flatnonzero(unlabeled)
         b = min(cfg.batch_size, n_queries - acquired, len(remaining))
-
+        if b == 0:
+            return logs
+        round_index = len(logs)
         X_cand = X_pool[remaining]
 
         if strategy == "random":
@@ -178,16 +162,3 @@ def run_loop(
         y_lab = np.concatenate([y_lab, y_pool[batch]])
         unlabeled[batch] = False
         acquired += b
-
-        model = fit_arrays(X_lab, y_lab, train_cfg)
-        m, ik_red = _evaluate_model(model, X_test, y_test)
-        logs.append(
-            RoundLog(
-                round_index=round_index,
-                n_labeled=len(y_lab),
-                metrics=m,
-                queried_indices=batch,
-                ik_reduction=ik_red,
-            )
-        )
-    return logs

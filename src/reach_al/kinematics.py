@@ -177,13 +177,8 @@ def solve_ik(x, y, z, params: ManipulatorParams) -> tuple[np.ndarray, np.ndarray
     d2_lo, d2_hi = params.d2_range
     mask = np.zeros(ok.shape, dtype=bool)
     joints = np.full((len(s), 4), np.nan)
-    # Degenerate reach: the tool sits on the carriage column itself.
-    flat = ok & (rho == 0.0) & (d2_lo <= x) & (x <= d2_hi) & (d1_lo <= y) & (y <= d1_hi)
-    mask[flat] = True
-    joints[flat, 0], joints[flat, 1] = y[flat], x[flat]
-    joints[flat, 2] = min(max(0.0, params.theta1_range[0]), params.theta1_range[1])
-
-    live = np.flatnonzero(ok & (rho != 0.0))
+    # rho > 0 wherever ok holds, as ManipulatorParams requires L1 > 0 and |theta2| < pi/2.
+    live = np.flatnonzero(ok)
     xs, ys, rs = x[live], y[live], rho[live]
     yaws = _candidate_yaw_matrix(xs, ys, rs, params)
     point, col = np.nonzero(~np.isnan(yaws))

@@ -8,7 +8,7 @@ aggregation cannot be biased by degenerate rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -16,47 +16,14 @@ import numpy as np
 
 @dataclass(frozen=True)
 class MetricSet:
+    """One evaluation; the fields are ``results.csv``'s metric columns, in order."""
+
     accuracy: float
     precision: Optional[float]
     recall: Optional[float]
     f1: Optional[float]
     auc: Optional[float]
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-
-def confusion_and_rates(preds, truths) -> MetricSet:
-    """Standard confusion-table metrics; ``auc`` is left unset."""
-    preds = np.asarray(preds, dtype=np.int64)
-    truths = np.asarray(truths, dtype=np.int64)
-    if preds.shape != truths.shape or preds.ndim != 1 or len(preds) == 0:
-        raise ValueError("preds and truths must be equal-length nonempty vectors")
-
-    tp = int(np.sum((preds == 1) & (truths == 1)))
-    fp = int(np.sum((preds == 1) & (truths == 0)))
-    tn = int(np.sum((preds == 0) & (truths == 0)))
-    fn = int(np.sum((preds == 0) & (truths == 1)))
-
-    accuracy = (tp + tn) / len(preds)
-    precision = tp / (tp + fp) if tp + fp > 0 else None
-    recall = tp / (tp + fn) if tp + fn > 0 else None
-    if precision is None or recall is None or precision + recall == 0:
-        f1 = None
-    else:
-        f1 = 2.0 * precision * recall / (precision + recall)
-    return MetricSet(
-        accuracy=accuracy,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        auc=None,
-        tp=tp,
-        fp=fp,
-        tn=tn,
-        fn=fn,
-    )
+    ik_reduction: float
 
 
 def roc_auc(scores, truths) -> Optional[float]:
@@ -85,16 +52,36 @@ def roc_auc(scores, truths) -> Optional[float]:
 
 
 def evaluate(scores, truths, threshold: float = 0.5) -> MetricSet:
-    """Metric set from reachability scores: threshold for labels, rank for AUC."""
+    """Metrics of the decision "reachable iff score > ``threshold``" on 0/1
+    ``truths``, and the AUC of the scores' ranking.
+
+    ``ik_reduction`` is the share of candidates decided unreachable, whose
+    IK call the filter saves; ``1 - recall`` is the share of reachable
+    fruit it misses.  A NaN score is never above the threshold.
+    """
     scores = np.asarray(scores, dtype=float)
-    preds = (scores > threshold).astype(np.int64)
-    return replace(confusion_and_rates(preds, truths), auc=roc_auc(scores, truths))
+    truths = np.asarray(truths, dtype=np.int64)
+    if scores.shape != truths.shape or scores.ndim != 1 or len(scores) == 0:
+        raise ValueError("scores and truths must be equal-length nonempty vectors")
 
+    preds, pos = scores > threshold, truths == 1
+    tp = int(np.sum(preds & pos))
+    fp = int(np.sum(preds & ~pos))
+    fn = int(np.sum(~preds & pos))
+    n = len(scores)
+    tn = n - tp - fp - fn
 
-def ik_call_reduction(preds) -> float:
-    """Fraction of candidates filtered before any IK evaluation."""
-    preds = np.asarray(preds, dtype=np.int64)
-    if len(preds) == 0:
-        raise ValueError("need at least one prediction")
-    return float(np.mean(preds == 0))
-
+    precision = tp / (tp + fp) if tp + fp > 0 else None
+    recall = tp / (tp + fn) if tp + fn > 0 else None
+    if precision is None or recall is None or precision + recall == 0:
+        f1 = None
+    else:
+        f1 = 2.0 * precision * recall / (precision + recall)
+    return MetricSet(
+        accuracy=(tp + tn) / n,
+        precision=precision,
+        recall=recall,
+        f1=f1,
+        auc=roc_auc(scores, truths),
+        ik_reduction=(tn + fn) / n,
+    )

@@ -22,13 +22,14 @@ from typing import Optional
 
 import numpy as np
 
-from .active import SCORERS, ALConfig, RoundLog, run_loop
+from .active import SCORERS, ALConfig, run_loop
 from .config import AppConfig, DataConfig
 from .dataset import SceneConfig, generate_scene, label_with_oracle, make_splits
 from .errors import ConfigError, read_table, write_table
 from .features import features_matrix, labels_array
 from .forest import TrainConfig
 from .kinematics import ManipulatorParams
+from .metrics import MetricSet
 from .perception import CameraIntrinsics, Extrinsics
 from .svgplot import SvgPlot
 
@@ -147,31 +148,6 @@ _FIELD_PARSERS = tuple(
 )
 
 
-def rows_from_logs(
-    strategy: str, seed: int, init_size: int, budget: int, logs: list[RoundLog]
-) -> list[ResultRow]:
-    rows = []
-    for log in logs:
-        m = log.metrics
-        rows.append(
-            ResultRow(
-                strategy=strategy,
-                seed=seed,
-                init_size=init_size,
-                budget=budget,
-                round=log.round_index,
-                n_labeled=log.n_labeled,
-                accuracy=m.accuracy,
-                precision=m.precision,
-                recall=m.recall,
-                f1=m.f1,
-                auc=m.auc,
-                ik_reduction=log.ik_reduction,
-            )
-        )
-    return rows
-
-
 def run_cell(
     samples,
     candidates,
@@ -185,7 +161,10 @@ def run_cell(
     X, y = features_matrix(both), labels_array(both)
     pools = make_splits(y, len(samples), grid.data.test_frac, init_size, seed)
     logs = run_loop(X, y, pools, strategy, budget, seed, grid.al, grid.forest)
-    return rows_from_logs(strategy, seed, init_size, budget, logs)
+    return [
+        ResultRow(strategy, seed, init_size, budget, i, log.n_labeled, *astuple(log.metrics))
+        for i, log in enumerate(logs)
+    ]
 
 
 _WORKER_STATE: dict = {}
@@ -224,6 +203,11 @@ def read_results(path) -> list[ResultRow]:
     return rows
 
 
+def _seed_std(values) -> float:
+    """Across-seed sample standard deviation (ddof 1); 0.0 for one seed."""
+    return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+
+
 def summarize(rows: list[ResultRow]) -> list[dict]:
     """Across-seed mean and standard deviation of final-round metrics per cell."""
     finals: dict = {}
@@ -241,9 +225,7 @@ def summarize(rows: list[ResultRow]) -> list[dict]:
         vals = [v for v in values if v is not None]
         if not vals:
             return None, None
-        mean = float(np.mean(vals))
-        std = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
-        return mean, std
+        return float(np.mean(vals)), _seed_std(vals)
 
     out = []
     for (strategy, init_size, budget), cell_rows in sorted(groups.items()):
@@ -347,22 +329,7 @@ def run_grid(
 
     for (strategy, init_size, budget, seed), err in errors:
         logger.error("cell %s/%d/%d/%d failed: %s", strategy, init_size, budget, seed, err)
-        rows.append(
-            ResultRow(
-                strategy=strategy,
-                seed=seed,
-                init_size=init_size,
-                budget=budget,
-                round=-1,
-                n_labeled=0,
-                accuracy=None,
-                precision=None,
-                recall=None,
-                f1=None,
-                auc=None,
-                ik_reduction=None,
-            )
-        )
+        rows.append(ResultRow(strategy, seed, init_size, budget, -1, 0, *[None] * len(fields(MetricSet))))
 
     results_path = os.path.join(out_dir, "results.csv")
     summary_path = os.path.join(out_dir, "summary.csv")
@@ -392,7 +359,7 @@ def format_summary_table(summary: list[dict]) -> str:
 
 def emit_curve_plots(results_path, out_dir) -> list[str]:
     """One learning-curve SVG per (init_size, budget): mean accuracy across
-    seeds with a one-standard-deviation band; random is dashed."""
+    seeds with a band of one standard deviation (summary's); random is dashed."""
     rows = read_results(results_path)
     rows = [r for r in rows if r.round >= 0 and r.accuracy is not None]
     if not rows:
@@ -422,7 +389,7 @@ def emit_curve_plots(results_path, out_dir) -> list[str]:
                     series.setdefault(r.n_labeled, []).append(r.accuracy)
             xs = sorted(series)
             means = [float(np.mean(series[x])) for x in xs]
-            stds = [float(np.std(series[x])) for x in xs]
+            stds = [_seed_std(series[x]) for x in xs]
             color = _STRATEGY_COLORS.get(strategy, "#17becf")
             dash = "6,4" if strategy == "random" else None
             plot.band(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from reach_al import forest
 from reach_al.forest import TrainConfig, fit_arrays, predict_proba_matrix
-from reach_al.metrics import confusion_and_rates, evaluate
+from reach_al.metrics import evaluate
 
 TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts")
 
@@ -475,8 +475,11 @@ class TestPredict:
         p1 = predict_proba_matrix(model, Xq)[:, 1]
         truths = rng.integers(0, 2, size=len(Xq))
         m = evaluate(p1, truths)
-        expected = confusion_and_rates((p1 > 0.5).astype(int), truths)
-        assert (m.tp, m.fp, m.tn, m.fn) == (expected.tp, expected.fp, expected.tn, expected.fn)
+        reachable, decided = truths == 1, p1 > 0.5
+        assert m.accuracy == np.mean(decided == reachable)
+        assert m.precision == np.sum(decided & reachable) / np.sum(decided)
+        assert m.recall == np.sum(decided & reachable) / np.sum(reachable)
+        assert m.ik_reduction == np.mean(~decided)
 
     def test_exact_tie_is_unreachable(self):
         # Two identical feature rows with opposite labels, and a one-tree
@@ -488,7 +491,7 @@ class TestPredict:
         p = predict_proba_matrix(model, X[:1])[0]
         np.testing.assert_allclose(p, [0.5, 0.5])
         m = evaluate([p[1]], [1])
-        assert (m.tp, m.fn) == (0, 1)
+        assert (m.recall, m.ik_reduction) == (0.0, 1.0)
 
 
 class TestValidation:

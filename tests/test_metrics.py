@@ -1,12 +1,15 @@
+from dataclasses import astuple, fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reach_al.metrics import (
-    confusion_and_rates,
-    evaluate,
-    ik_call_reduction,
-    roc_auc,
-)
+from reach_al.metrics import MetricSet, evaluate, roc_auc
+from reach_al.report import RESULT_COLUMNS
+
+# Scores with exact ties at common thresholds and NaN, which is never above one.
+SCORES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, float("nan")]), st.floats(0.0, 1.0))
 
 
 def roc_auc_pairwise(scores, truths):
@@ -23,23 +26,27 @@ def roc_auc_pairwise(scores, truths):
 
 
 class TestConfusion:
+    """0/1 scores are their own decisions at the default threshold."""
+
     def test_perfect(self):
-        m = confusion_and_rates([1, 1, 0, 0], [1, 1, 0, 0])
+        m = evaluate([1, 1, 0, 0], [1, 1, 0, 0])
         assert (m.accuracy, m.precision, m.recall, m.f1) == (1.0, 1.0, 1.0, 1.0)
 
     def test_all_negative_predictions(self):
-        m = confusion_and_rates([0, 0, 0, 0], [1, 1, 0, 0])
+        m = evaluate([0, 0, 0, 0], [1, 1, 0, 0])
         assert m.accuracy == 0.5
         assert m.recall == 0.0
         assert m.precision is None
         assert m.f1 is None
 
     def test_hand_counted_table(self):
-        m = confusion_and_rates([1, 0, 1, 1], [1, 0, 0, 1])
-        assert (m.tp, m.fp, m.tn, m.fn) == (2, 1, 1, 0)
+        # tp 2, fp 1, tn 1, fn 0
+        m = evaluate([1, 0, 1, 1], [1, 0, 0, 1])
+        assert m.accuracy == 0.75
         np.testing.assert_allclose(m.precision, 2 / 3)
         assert m.recall == 1.0
         np.testing.assert_allclose(m.f1, 0.8)
+        assert m.ik_reduction == 0.25
 
     def test_accuracy_is_one_minus_hamming(self):
         rng = np.random.default_rng(50)
@@ -47,12 +54,12 @@ class TestConfusion:
             n = rng.integers(1, 50)
             preds = rng.integers(0, 2, size=n)
             truths = rng.integers(0, 2, size=n)
-            m = confusion_and_rates(preds, truths)
+            m = evaluate(preds, truths)
             np.testing.assert_allclose(m.accuracy, 1.0 - np.mean(preds != truths))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            confusion_and_rates([1, 0], [1])
+            evaluate([1, 0], [1])
 
 
 class TestRocAuc:
@@ -109,20 +116,53 @@ class TestRocAuc:
 
 class TestIkCallReduction:
     def test_fraction_filtered(self):
-        assert ik_call_reduction([0, 0, 1, 1, 1]) == 0.4
+        assert evaluate([0, 0, 1, 1, 1], [0, 1, 1, 0, 1]).ik_reduction == 0.4
 
     def test_no_savings(self):
-        assert ik_call_reduction([1, 1, 1]) == 0.0
+        assert evaluate([1, 1, 1], [1, 0, 1]).ik_reduction == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            ik_call_reduction([])
+            evaluate([], [])
 
 
 class TestEvaluate:
     def test_combines_confusion_and_auc(self):
-        scores = np.array([0.9, 0.8, 0.3, 0.1])
-        truths = np.array([1, 0, 1, 0])
-        m = evaluate(scores, truths)
-        assert m.tp == 1 and m.fp == 1 and m.fn == 1 and m.tn == 1
-        np.testing.assert_allclose(m.auc, 0.75)
+        # One of each of tp, fp, fn and tn at 0.5, and 3 of 4 pairs ranked right.
+        m = evaluate([0.9, 0.8, 0.3, 0.1], [1, 0, 1, 0])
+        assert astuple(m) == (0.5, 0.5, 0.5, 0.5, 0.75, 0.5)
+
+    def test_fields_are_the_results_metric_columns(self):
+        n_keys = len(RESULT_COLUMNS) - len(fields(MetricSet))
+        assert tuple(f.name for f in fields(MetricSet)) == RESULT_COLUMNS[n_keys:]
+        assert RESULT_COLUMNS[:n_keys] == ("strategy", "seed", "init_size", "budget", "round", "n_labeled")
+
+    @settings(max_examples=300)
+    @given(
+        cases=st.lists(st.tuples(SCORES, st.integers(0, 1)), min_size=1, max_size=40),
+        tau=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(-0.5, 1.5)),
+    )
+    def test_rates_match_a_confusion_count(self, cases, tau):
+        scores, truths = (np.array(c) for c in zip(*cases))
+        m = evaluate(scores, truths, threshold=tau)
+        n = len(cases)
+        # Counted with Python's float comparison, where NaN is never above tau.
+        tp = sum(s > tau and t == 1 for s, t in cases)
+        fp = sum(s > tau and t == 0 for s, t in cases)
+        fn = sum(not s > tau and t == 1 for s, t in cases)
+        tn = n - tp - fp - fn
+        assert m.ik_reduction == sum(not s > tau for s, _ in cases) / n
+        assert m.accuracy == (tp + tn) / n
+        assert m.precision == (tp / (tp + fp) if tp + fp else None)
+        assert m.recall == (tp / (tp + fn) if tp + fn else None)
+        if tp == 0 or tp + fp == 0 or tp + fn == 0:
+            assert m.f1 is None
+        else:
+            assert m.f1 == pytest.approx(2 * tp / (2 * tp + fp + fn), rel=1e-12)
+        # 1 - recall is the share of reachable fruit the filter would skip.
+        reachable = [s for s, t in cases if t == 1]
+        if reachable:
+            missed = sum(not s > tau for s in reachable) / len(reachable)
+            assert 1.0 - m.recall == pytest.approx(missed, abs=1e-12)
+        else:
+            assert m.recall is None

@@ -1,6 +1,6 @@
 import csv
 import logging
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -83,6 +83,15 @@ class TestRunGrid:
         rows = read_results(tiny_results[0])
         assert all(isinstance(r, ResultRow) for r in rows)
         assert all(r.accuracy is not None for r in rows if r.round >= 0)
+
+    def test_run_cell_metrics_are_python_floats(self, tiny_grid, tiny_benchmark):
+        # repr(np.float64(x)) is "np.float64(x)" under numpy 2, which would
+        # corrupt results.csv; np.float64 subclasses float, so check the type.
+        for strategy in ("random", "entropy", "qbc"):
+            rows = report.run_cell(*tiny_benchmark, tiny_grid, strategy, 10, 20, 0)
+            cells = [v for r in rows for v in astuple(r)[RESULT_COLUMNS.index("accuracy") :]]
+            assert len(cells) == 3 * 6
+            assert all(v is None or type(v) is float for v in cells)
 
     def test_write_read_round_trip(self, tiny_results, tmp_path):
         rows = read_results(tiny_results[0])
@@ -326,6 +335,13 @@ class TestSummary:
             assert abs(cell["accuracy_mean"] - np.mean(accs)) <= 1e-9
             assert abs(cell["accuracy_std"] - np.std(accs, ddof=1)) <= 1e-9
 
+    def test_seed_std_is_the_summary_rule(self, tiny_results):
+        assert report._seed_std([0.8]) == 0.0
+        assert report._seed_std([0.8, 0.9, 0.7]) == float(np.std([0.8, 0.9, 0.7], ddof=1))
+        one_seed = [r for r in read_results(tiny_results[0]) if r.seed == 0]
+        for cell in summarize(one_seed):
+            assert cell["n_seeds"] == 1 and cell["accuracy_std"] == cell["auc_std"] == 0.0
+
     def test_table_formatting(self, tiny_results):
         rows = read_results(tiny_results[0])
         table = format_summary_table(summarize(rows))
@@ -351,6 +367,13 @@ class TestPlots:
         svg = open(written[0]).read()
         assert svg.startswith("<svg") and "polyline" in svg
         assert 'stroke-dasharray' in svg  # random drawn dashed
+
+    def test_one_seed_band_is_finite(self, tiny_results, tmp_path):
+        path = tmp_path / "one_seed.csv"
+        write_results(path, [r for r in read_results(tiny_results[0]) if r.seed == 0])
+        (written,) = emit_curve_plots(path, tmp_path / "plots")
+        svg = open(written).read()
+        assert "<polygon" in svg and "nan" not in svg
 
     def test_envelope_plots_three_views(self, tmp_path):
         rng = np.random.default_rng(0)
