@@ -46,7 +46,6 @@ class ALConfig:
 class RoundLog:
     n_labeled: int
     metrics: MetricSet
-    queried_indices: list
 
 
 def _entropy_bits(p: np.ndarray) -> np.ndarray:
@@ -108,9 +107,9 @@ def run_loop(
     ``X`` (n, 9) and ``y`` (n,) are the stacked benchmark that ``pools``
     indexes; a pool label is read from ``y`` only when it is queried.
     Round 0 logs the model trained on the initial labeled set alone; each
-    later round appends one batch, whose ``queried_indices`` are positions
-    in ``pools.unlabeled``.  When the pool runs out, the final round is
-    short and the loop ends rather than failing.
+    later round appends one queried batch of pool rows to the labeled set.
+    When the pool runs out, the final round is short and the loop ends
+    rather than failing.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -126,12 +125,11 @@ def run_loop(
     rng_random = np.random.default_rng([seed, 0x5EED])
     unlabeled = np.ones(len(y_pool), dtype=bool)
     logs: list[RoundLog] = []
-    batch: list[int] = []
     acquired = 0
     while True:
         model = fit_arrays(X_lab, y_lab, train_cfg)
         p_test = predict_proba_matrix(model, X_test)[:, 1]
-        logs.append(RoundLog(len(y_lab), evaluate(p_test, y_test), batch))
+        logs.append(RoundLog(len(y_lab), evaluate(p_test, y_test)))
         remaining = np.flatnonzero(unlabeled)
         b = min(cfg.batch_size, n_queries - acquired, len(remaining))
         if b == 0:
@@ -155,8 +153,7 @@ def run_loop(
         else:
             scores = score_uncertainty(predict_proba_matrix(model, X_cand))
 
-        picked = select_batch(scores, b)
-        batch = [int(remaining[i]) for i in picked]
+        batch = remaining[select_batch(scores, b)]
 
         X_lab = np.vstack([X_lab, X_pool[batch]])
         y_lab = np.concatenate([y_lab, y_pool[batch]])

@@ -18,7 +18,7 @@ from dataclasses import replace
 
 from . import report as report_mod
 from .active import STRATEGIES
-from .config import AppConfig, DataConfig, default_config, load_config, resolve_out_dir
+from .config import AppConfig, default_config, load_config, resolve_out_dir
 from .dataset import (
     generate_scene,
     ingest_detections,
@@ -31,8 +31,6 @@ from .errors import ConfigError, IngestionError, ReachALError
 from .features import features_matrix, labels_array
 from .kinematics import read_envelope, sample_envelope, write_envelope
 from .report import ExperimentGrid, build_benchmark, run_grid
-
-logger = logging.getLogger(__name__)
 
 # The finest joint grid the package builds (the BruteForceOracle default).
 # The envelope grid holds steps**4 configurations: 40 steps take about 0.4 GB.
@@ -174,36 +172,6 @@ def _cmd_label(args) -> int:
     return 0
 
 
-def _cached_benchmark(data_path, pool_path, sizes: DataConfig) -> tuple[list, list]:
-    """(samples, candidates) from labeled caches: the first ``n_samples``
-    rows of ``data_path``, and the first ``pool_size`` rows of the pool file
-    or else of the rest of ``data_path``.  Caches whose ``d_local`` comes
-    from different sources are not mixed."""
-    data = read_labeled_cache(data_path)
-    samples, rest = data.samples[: sizes.n_samples], data.samples[sizes.n_samples :]
-    if pool_path:
-        pool = read_labeled_cache(pool_path)
-        if pool.density_source != data.density_source:
-            raise ConfigError(
-                f"--data {data_path} has d_local from {data.density_source} but --pool "
-                f"{pool_path} from {pool.density_source}; the feature values are not comparable"
-            )
-        rest = pool.samples
-    if len(samples) < sizes.n_samples:
-        logger.warning(
-            "labeled cache has %d samples, fewer than data.n_samples=%d",
-            len(samples),
-            sizes.n_samples,
-        )
-    if len(rest) < sizes.pool_size:
-        logger.warning(
-            "labeled cache has %d candidates, fewer than data.pool_size=%d",
-            len(rest),
-            sizes.pool_size,
-        )
-    return samples, rest[: sizes.pool_size]
-
-
 def _cmd_run(args) -> int:
     cfg = _load(args.config)
     # Each grid list narrows to its flag's value, or else to its first value.
@@ -217,13 +185,7 @@ def _cmd_run(args) -> int:
         raise ConfigError(str(exc)) from exc
     grid = ExperimentGrid.from_config(cfg)
     out_dir = _out_dir(args.out)
-
-    if args.data:
-        samples, candidates = _cached_benchmark(args.data, args.pool, cfg.data)
-    elif args.pool:
-        raise ConfigError("--pool needs --data")
-    else:
-        samples, candidates = build_benchmark(grid)
+    samples, candidates = build_benchmark(grid, args.data, args.pool)
     results_path, _, errors = run_grid(samples, candidates, grid, out_dir)
     rows = report_mod.read_results(results_path)
     final = max((r for r in rows if r.round >= 0), key=lambda r: r.round, default=None)

@@ -44,7 +44,7 @@ _WINDOW = 11
 # intermediate arrays at a time.  Labeling 25.6k ingested records in a
 # single pass raised peak RSS from 107 to 128 MB; 512-record chunks add
 # under 2 MB there and when building the default benchmark (1,024: 2.4 MB).
-# The writers format rows in chunks of the same size.
+# The writers convert rows to Python floats in chunks of the same size.
 _CHUNK = 512
 _PATCH_OFFSET = (_WINDOW - 5) // 2
 
@@ -269,14 +269,15 @@ def generate_scene(cfg: SceneConfig, intr: CameraIntrinsics) -> Detections:
 
 
 def _detection_cells(det: Detections):
-    """Each row's cells in ``DETECTION_COLUMNS`` order, formatted a chunk of
-    rows at a time."""
+    """Each row's cells in ``DETECTION_COLUMNS`` order, as Python floats
+    converted a chunk of rows at a time; ``csv.writer`` writes each as its
+    ``repr``."""
     for start in range(0, len(det), _CHUNK):
         rows = slice(start, start + _CHUNK)
         cols = (det.u, det.v, det.bbox_w, det.bbox_h, det.confidence, det.patches)
         nums = np.column_stack([col[rows] for col in cols])
         for image_id, cells in zip(det.image_id[rows].tolist(), nums.tolist()):
-            yield [image_id, *map(repr, cells)]
+            yield [image_id, *cells]
 
 
 def write_detections(path, det: Detections) -> None:
@@ -417,8 +418,8 @@ def make_splits(
 def _labeled_cells(result: LabelingResult):
     """Each row's cells in ``LABELED_COLUMNS`` order."""
     for cells, s in zip(_detection_cells(result.records), result.samples):
-        cells += map(repr, s.features)
-        cells.insert(_LABEL, str(s.label))
+        cells += s.features
+        cells.insert(_LABEL, s.label)
         yield cells
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .active import SCORERS, ALConfig, run_loop
 from .config import AppConfig, DataConfig
-from .dataset import SceneConfig, generate_scene, label_with_oracle, make_splits
+from .dataset import SceneConfig, generate_scene, label_with_oracle, make_splits, read_labeled_cache
 from .errors import ConfigError, read_table, write_table
 from .features import features_matrix, labels_array
 from .forest import TrainConfig
@@ -113,29 +113,46 @@ class ExperimentGrid:
         )
 
 
-def build_benchmark(grid: ExperimentGrid) -> tuple[list, list]:
-    """Generate and label the shared benchmark; returns (samples, candidates)."""
-    detections = generate_scene(grid.scene, grid.cam)
-    result = label_with_oracle(
-        detections, grid.cam, grid.ext, grid.arm, density_band=grid.density_band
-    )
-    needed = grid.data.n_samples + grid.data.pool_size
-    if len(result.samples) < needed:
-        raise ConfigError(
-            f"benchmark needs {needed} labeled records but the scene produced "
-            f"{len(result.samples)}; raise scene.n_images or scene.apples_per_image"
-        )
-    samples = result.samples[: grid.data.n_samples]
-    candidates = result.samples[grid.data.n_samples : needed]
-    return samples, candidates
+def build_benchmark(grid: ExperimentGrid, data=None, pool=None) -> tuple[list, list]:
+    """The shared benchmark as (samples, candidates): the first
+    ``data.n_samples`` labeled records of the synthetic scene, or of the
+    ``data`` cache, and the next ``data.pool_size``, or the first of the
+    ``pool`` cache, whose ``d_local`` must come from the same source.
+    Fewer rows than either size raises ``ConfigError``."""
+    if pool and not data:
+        raise ConfigError("--pool needs --data")
+    if data:
+        labeled = read_labeled_cache(data)
+        source, remedy = f"--data {data}", "label more records"
+    else:
+        detections = generate_scene(grid.scene, grid.cam)
+        labeled = label_with_oracle(detections, grid.cam, grid.ext, grid.arm, grid.density_band)
+        source, remedy = "the scene", "raise scene.n_images or scene.apples_per_image"
+    n_samples, pool_size = grid.data.n_samples, grid.data.pool_size
+    samples, rest = labeled.samples[:n_samples], labeled.samples[n_samples:]
+    if pool:
+        candidates = read_labeled_cache(pool)
+        if candidates.density_source != labeled.density_source:
+            raise ConfigError(
+                f"--data {data} has d_local from {labeled.density_source} but --pool "
+                f"{pool} from {candidates.density_source}; the feature values are not comparable"
+            )
+        source, rest = f"{source} with --pool {pool}", candidates.samples
+    for rows, what, key, size in (
+        (samples, "samples", "data.n_samples", n_samples),
+        (rest, "candidates", "data.pool_size", pool_size),
+    ):
+        if len(rows) < size:
+            raise ConfigError(
+                f"{source} gives {len(rows)} {what}, fewer than {key} = {size}; "
+                f"lower {key} or {remedy}"
+            )
+    return samples, rest[:pool_size]
 
 
-def _fmt_value(v) -> str:
-    if v is None:
-        return "nan"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _fmt_value(v):
+    """None, an undefined metric, as ``nan``; ``csv.writer`` writes the rest."""
+    return "nan" if v is None else v
 
 
 def _parse_optional(text: str) -> Optional[float]:
@@ -419,7 +436,8 @@ def emit_envelope_plots(
     fruit_points: Optional[np.ndarray] = None,
     fruit_labels: Optional[np.ndarray] = None,
 ) -> list[str]:
-    """Top, side, and front projections of the envelope, plus fruit overlay."""
+    """Top, side, and front projections of the envelope, with the fruit
+    ``fruit_points`` overlaid by their 0/1 ``fruit_labels`` when given."""
     env = np.asarray(envelope_points, dtype=float)
     if env.size == 0:
         logger.warning("empty envelope; nothing to plot")
@@ -445,18 +463,13 @@ def emit_envelope_plots(
         step = max(1, len(env) // 8000)
         plot.markers(env[::step, ax], env[::step, ay], color="#9ecae1", r=1.4, opacity=0.5)
         if fruit_points is not None and len(fruit_points):
-            fp = np.asarray(fruit_points, dtype=float)
-            if fruit_labels is not None:
-                labels = np.asarray(fruit_labels)
-                reach = fp[labels == 1]
-                miss = fp[labels == 0]
-                plot.markers(reach[:, ax], reach[:, ay], color="#ff7f0e", r=1.8)
-                plot.markers(miss[:, ax], miss[:, ay], color="#8c2d04", r=1.8)
-                plot.legend_entry("reachable fruit", "#ff7f0e")
-                plot.legend_entry("unreachable fruit", "#8c2d04")
-            else:
-                plot.markers(fp[:, ax], fp[:, ay], color="#ff7f0e", r=1.8)
-                plot.legend_entry("fruit", "#ff7f0e")
+            fp, labels = np.asarray(fruit_points, dtype=float), np.asarray(fruit_labels)
+            reach = fp[labels == 1]
+            miss = fp[labels == 0]
+            plot.markers(reach[:, ax], reach[:, ay], color="#ff7f0e", r=1.8)
+            plot.markers(miss[:, ax], miss[:, ay], color="#8c2d04", r=1.8)
+            plot.legend_entry("reachable fruit", "#ff7f0e")
+            plot.legend_entry("unreachable fruit", "#8c2d04")
             plot.legend_entry("envelope", "#9ecae1")
         path = os.path.join(out_dir, f"envelope_{name}.svg")
         plot.write(path)

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reach_al import active
 from reach_al.active import SCORERS, ALConfig, run_loop, score_qbc, score_uncertainty, select_batch
 from reach_al.dataset import PoolSplit
-from reach_al.forest import TrainConfig
+from reach_al.forest import TrainConfig, fit_arrays
 
 
 def make_pools(rng, n_labeled=10, n_pool=300, n_test=100):
@@ -24,6 +25,26 @@ def make_pools(rng, n_labeled=10, n_pool=300, n_test=100):
 
 
 SMALL_TRAIN = TrainConfig(n_trees=15, seed=0)
+
+
+def run_recorded(monkeypatch, *args):
+    """``run_loop(*args)``'s logs, and the rows of ``X`` each round queried
+    (none in round 0).  They are read through a wrapped
+    ``active.fit_arrays``: each fit of the round's model (on ``train_cfg``;
+    committee members use other settings) holds the rows of the one before
+    it plus the batch queried in between."""
+    X, train_cfg, fits = args[0], args[-1], []
+
+    def recording_fit(X_fit, y_fit, fit_cfg):
+        if fit_cfg == train_cfg:
+            fits.append(X_fit)
+        return fit_arrays(X_fit, y_fit, fit_cfg)
+
+    monkeypatch.setattr(active, "fit_arrays", recording_fit)
+    logs = run_loop(*args)
+    row_of = {x.tobytes(): i for i, x in enumerate(X)}
+    added = [later[len(earlier) :] for earlier, later in zip(fits, fits[1:])]
+    return logs, [[]] + [[row_of[x.tobytes()] for x in rows] for rows in added]
 
 
 # Textbook uncertainty scores (Settles 2009, sec. 3.1), written out as the
@@ -162,12 +183,13 @@ class TestRunLoop:
         with pytest.raises(ValueError, match="batch_size must be at least 1"):
             ALConfig(batch_size=0)
 
-    def test_round_arithmetic_single_round(self):
+    def test_round_arithmetic_single_round(self, monkeypatch):
         rng = np.random.default_rng(62)
         pools = make_pools(rng, n_labeled=10, n_pool=120)
-        logs = run_loop(*pools, "entropy", 50, 0, ALConfig(batch_size=50), SMALL_TRAIN)
+        args = ("entropy", 50, 0, ALConfig(batch_size=50), SMALL_TRAIN)
+        logs, queried = run_recorded(monkeypatch, *pools, *args)
         assert [log.n_labeled for log in logs] == [10, 60]
-        assert [len(log.queried_indices) for log in logs] == [0, 50]
+        assert [len(batch) for batch in queried] == [0, 50]
 
     def test_round_arithmetic_two_rounds(self):
         rng = np.random.default_rng(63)
@@ -187,38 +209,41 @@ class TestRunLoop:
         logs = run_loop(*pools, "random", 50, 0, ALConfig(batch_size=20), SMALL_TRAIN)
         assert logs[-1].n_labeled == 40
 
-    def test_determinism(self):
+    def test_determinism(self, monkeypatch):
         rng = np.random.default_rng(66)
         pools = make_pools(rng)
         rng2 = np.random.default_rng(66)
         pools2 = make_pools(rng2)
         args = ("random", 30, 5, ALConfig(batch_size=10), SMALL_TRAIN)
-        logs_a = run_loop(*pools, *args)
-        logs_b = run_loop(*pools2, *args)
+        logs_a, queried_a = run_recorded(monkeypatch, *pools, *args)
+        logs_b, queried_b = run_recorded(monkeypatch, *pools2, *args)
+        assert queried_a == queried_b
         for a, b in zip(logs_a, logs_b):
-            assert a.queried_indices == b.queried_indices
             assert a.metrics == b.metrics
 
-    def test_names_sharing_a_scorer_log_alike(self):
+    def test_names_sharing_a_scorer_log_alike(self, monkeypatch):
         # A sweep runs each scorer in SCORERS once and writes its rows
         # under every name that maps to it.
         pools = make_pools(np.random.default_rng(68))
         by_scorer = {}
         for strategy, scorer in SCORERS.items():
-            logs = run_loop(*pools, strategy, 30, 3, ALConfig(batch_size=10), SMALL_TRAIN)
+            args = (strategy, 30, 3, ALConfig(batch_size=10), SMALL_TRAIN)
+            logs, queried = run_recorded(monkeypatch, *pools, *args)
             by_scorer.setdefault(scorer, set()).add(
-                tuple((tuple(log.queried_indices), log.metrics) for log in logs)
+                tuple((tuple(batch), log.metrics) for batch, log in zip(queried, logs))
             )
         assert sorted(by_scorer) == ["qbc", "random", "uncertainty"]
         assert all(len(runs) == 1 for runs in by_scorer.values())
 
-    def test_queried_indices_never_repeat(self):
+    def test_queried_indices_never_repeat(self, monkeypatch):
         rng = np.random.default_rng(67)
         pools = make_pools(rng, n_pool=200)
         for strategy in ("random", "entropy", "qbc"):
-            logs = run_loop(*pools, strategy, 60, 1, ALConfig(batch_size=15), SMALL_TRAIN)
-            seen = [i for log in logs for i in log.queried_indices]
+            args = (strategy, 60, 1, ALConfig(batch_size=15), SMALL_TRAIN)
+            _, queried = run_recorded(monkeypatch, *pools, *args)
+            seen = [i for batch in queried for i in batch]
             assert len(seen) == len(set(seen)) == 60
+            assert set(seen) <= set(pools[2].unlabeled)
 
     def test_constant_labels_drive_accuracy_to_majority_rate(self):
         rng = np.random.default_rng(68)
@@ -229,17 +254,15 @@ class TestRunLoop:
         majority = np.mean(y[split.test] == 1)
         assert logs[-1].metrics.accuracy == pytest.approx(majority, abs=1e-9)
 
-    def test_pool_labels_read_only_when_queried(self):
+    def test_pool_labels_read_only_when_queried(self, monkeypatch):
         # Flipping the label of every pool row that no round queries must
         # leave every round unchanged.
         for strategy in ("random", "entropy", "qbc"):
             X, y, split = make_pools(np.random.default_rng(69), n_pool=200)
             args = (strategy, 30, 3, ALConfig(batch_size=10), SMALL_TRAIN)
-            logs = run_loop(X, y, split, *args)
-            queried = [i for log in logs for i in log.queried_indices]
-            hidden = np.delete(split.unlabeled, queried)
+            logs, queried = run_recorded(monkeypatch, X, y, split, *args)
+            hidden = np.setdiff1d(split.unlabeled, [i for batch in queried for i in batch])
             y[hidden] = 1 - y[hidden]
-            flipped = run_loop(X, y, split, *args)
-            assert [(log.queried_indices, log.metrics) for log in flipped] == [
-                (log.queried_indices, log.metrics) for log in logs
-            ]
+            flipped, flipped_queried = run_recorded(monkeypatch, X, y, split, *args)
+            assert flipped_queried == queried
+            assert [log.metrics for log in flipped] == [log.metrics for log in logs]

@@ -223,6 +223,35 @@ class TestFailedCells:
         assert not os.path.exists(tmp_path / "r" / "results.csv")
         assert run_cli(*argv, "--data", data, "--pool", data) == 0
 
+    def test_short_benchmark_fatal(self, tmp_path, cfg_file, capsys):
+        # A scene or cache with fewer rows than data.n_samples samples and
+        # data.pool_size candidates exits 2 before any cell runs.
+        out = str(tmp_path / "o")
+        assert run_cli("gen-scene", "--config", cfg_file, "--out", out) == 0
+        det = os.path.join(out, "detections.csv")
+        assert run_cli("label", "--config", cfg_file, "--detections", det, "--out", out) == 0
+        data = os.path.join(out, "labeled.csv")
+        n_rows = len(read_labeled_cache(data).samples)
+        assert n_rows >= 600
+        run_data, run_pool = ("run", "--data", data), ("run", "--data", data, "--pool", data)
+        # The candidates are the rest of the --data cache, or the --pool cache.
+        for key, value, commands in (
+            ("scene.n_images", 20, (("run",), ("sweep",))),
+            ("data.n_samples", n_rows + 1, (run_data,)),
+            ("data.pool_size", n_rows - 299, (run_data,)),
+            ("data.pool_size", n_rows + 1, (run_pool,)),
+        ):
+            short = tmp_path / "short.cfg"
+            short.write_text(re.sub(f"{key} = \\d+", f"{key} = {value}", CFG_TEXT))
+            for command in commands:
+                capsys.readouterr()
+                run_out = tmp_path / "r"
+                assert run_cli(*command, "--config", str(short), "--out", str(run_out)) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and err.count("\n") == 1, command
+                assert key in err, (command, err)
+                assert not os.path.exists(run_out / "results.csv")
+
 
 class TestEnvelopeAndPlots:
     def test_envelope_then_plot(self, tmp_path, cfg_file):
