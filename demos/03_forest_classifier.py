@@ -9,7 +9,6 @@ import numpy as np
 
 from reach_al.config import default_config
 from reach_al.dataset import SceneConfig, generate_scene, label_with_oracle
-from reach_al.features import features_matrix, labels_array
 from reach_al.forest import TrainConfig, fit_arrays, predict_proba_matrix
 from reach_al.metrics import evaluate
 
@@ -18,8 +17,7 @@ cfg = default_config()
 print("generating and labeling a synthetic benchmark ...")
 detections = generate_scene(SceneConfig(n_images=150, seed=2), cfg.cam)
 result = label_with_oracle(detections, cfg.cam, cfg.ext, cfg.arm)
-X = features_matrix(result.samples)
-y = labels_array(result.samples)
+X, y = result.samples.X, result.samples.y
 print(f"  {len(y)} samples, {y.mean():.0%} reachable")
 
 rng = np.random.default_rng(0)

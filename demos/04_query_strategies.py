@@ -7,10 +7,11 @@ On this binary problem least_confidence, margin and entropy share one
 scorer, so their columns agree.
 """
 
+import numpy as np
+
 from reach_al.active import STRATEGIES, run_loop
 from reach_al.config import default_config
 from reach_al.dataset import make_splits
-from reach_al.features import features_matrix, labels_array
 from reach_al.report import ExperimentGrid, build_benchmark
 
 cfg = default_config()
@@ -20,8 +21,8 @@ print("building the shared benchmark (1000 samples + 5000-candidate pool) ...")
 samples, candidates = build_benchmark(grid)
 
 # One stacked (X, y), samples first; the split holds row indices into it.
-X = features_matrix(samples + candidates)
-y = labels_array(samples + candidates)
+X = np.concatenate([samples.X, candidates.X])
+y = np.concatenate([samples.y, candidates.y])
 pools = make_splits(y, len(samples), cfg.data.test_frac, init_size=30, seed=0)
 print(f"L={len(pools.labeled)}  U={len(pools.unlabeled)}  test={len(pools.test)}")
 

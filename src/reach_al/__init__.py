@@ -17,6 +17,7 @@ from .active import (
 from .config import AppConfig, default_config, load_config
 from .dataset import (
     Detections,
+    LabeledRows,
     LabeledSample,
     PoolSplit,
     SceneConfig,

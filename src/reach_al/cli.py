@@ -28,7 +28,6 @@ from .dataset import (
     write_labeled_cache,
 )
 from .errors import ConfigError, IngestionError, ReachALError
-from .features import features_matrix, labels_array
 from .kinematics import read_envelope, sample_envelope, write_envelope
 from .report import ExperimentGrid, build_benchmark, run_grid
 
@@ -164,9 +163,8 @@ def _cmd_label(args) -> int:
         )
     path = os.path.join(out_dir, "labeled.csv")
     write_labeled_cache(path, result)
-    reachable = sum(s.label for s in result.samples)
     print(
-        f"labeled {len(result.samples)} records ({reachable} reachable, "
+        f"labeled {len(result.samples)} records ({result.samples.y.sum()} reachable, "
         f"{result.n_dropped} dropped) -> {path}"
     )
     return 0
@@ -239,7 +237,7 @@ def _cmd_plot(args) -> int:
         fruit = labels = None
         if args.labeled:
             samples = read_labeled_cache(args.labeled).samples
-            fruit, labels = features_matrix(samples)[:, :3], labels_array(samples)
+            fruit, labels = samples.X[:, :3], samples.y
         written = report_mod.emit_envelope_plots(env, _out_dir(args.out), fruit, labels)
     for path in written:
         print(f"wrote {path}")

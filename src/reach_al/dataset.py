@@ -9,9 +9,10 @@ the perception pipeline and asks the kinematic feasibility test for its
 class.
 
 Detections are held as columns (:class:`Detections`) from generation or
-ingestion through labeling to the labeled cache; no step builds an object
-per detection.  One mask (``_bad_rows``) holds the rules every detection
-must meet.
+ingestion through labeling to the labeled cache, and labeled records as a
+feature matrix and a label vector (:class:`LabeledRows`) from labeling to
+the AL cell; no step builds an object per record.  One mask (``_bad_rows``)
+holds the rules every detection must meet.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ _WINDOW = 11
 # intermediate arrays at a time.  Labeling 25.6k ingested records in a
 # single pass raised peak RSS from 107 to 128 MB; 512-record chunks add
 # under 2 MB there and when building the default benchmark (1,024: 2.4 MB).
-# The writers convert rows to Python floats in chunks of the same size.
+# The writers and ``LabeledRows`` iteration make Python floats in chunks of the same size.
 _CHUNK = 512
 _PATCH_OFFSET = (_WINDOW - 5) // 2
 
@@ -95,8 +96,8 @@ class Detections:
 
 @dataclass(frozen=True)
 class LabeledSample:
-    """One row of features (Python floats in ``FEATURE_NAMES`` order) with
-    its oracle label."""
+    """One labeled record: features (Python floats in ``FEATURE_NAMES`` order)
+    and oracle label, made only by indexing or iterating :class:`LabeledRows`."""
 
     features: tuple[float, ...]
     label: int
@@ -109,6 +110,40 @@ class LabeledSample:
     def arm_point(self) -> ArmPoint:
         """The arm-frame point the features start with."""
         return ArmPoint(*self.features[:3])
+
+
+def _rows(labeled: LabeledRows):
+    """Each row's features (Python floats) and label (an int), ``_CHUNK`` rows at a time."""
+    for start in range(0, len(labeled), _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        yield from zip(labeled.X[rows].tolist(), labeled.y[rows].tolist())
+
+
+@dataclass(frozen=True, eq=False)
+class LabeledRows:
+    """Labeled records as columns: (n, 9) float64 features ``X`` in ``FEATURE_NAMES``
+    order and int64 0/1 labels ``y``.  Slicing gives a view of the same arrays;
+    indexing or iterating makes a :class:`LabeledSample` per row handed out."""
+
+    X: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        if self.X.shape != (len(self.y), len(FEATURE_NAMES)):
+            raise ValueError(f"X must be ({len(self.y)}, {len(FEATURE_NAMES)}), got {self.X.shape}")
+        if not np.isin(self.y, (0, 1)).all():
+            raise ValueError("label must be 0 or 1")
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return LabeledRows(self.X[i], self.y[i])
+        return LabeledSample(tuple(self.X[i].tolist()), int(self.y[i]))
+
+    def __iter__(self):
+        return (LabeledSample(tuple(f), label) for f, label in _rows(self))
 
 
 @dataclass(frozen=True)
@@ -156,9 +191,9 @@ class PoolSplit:
 
 @dataclass
 class LabelingResult:
-    """Labeled samples aligned with the detections that survived the pipeline."""
+    """Labeled rows aligned with the detections that survived the pipeline."""
 
-    samples: list
+    samples: LabeledRows
     records: Detections
     n_dropped: int
     n_input: int
@@ -287,8 +322,8 @@ def write_detections(path, det: Detections) -> None:
 
 def _from_cells(image_ids: list, cells: array) -> Detections:
     """Detections from image ids and the numeric cells of each row
-    (``DETECTION_COLUMNS[1:]``, row after row)."""
-    nums = np.array(cells, dtype=float).reshape(len(image_ids), len(DETECTION_COLUMNS) - 1)
+    (``DETECTION_COLUMNS[1:]``, row after row), viewed, not copied."""
+    nums = np.frombuffer(cells, dtype=float).reshape(len(image_ids), len(DETECTION_COLUMNS) - 1)
     return Detections(np.array(image_ids, dtype=object), *nums[:, :5].T, patches=nums[:, 5:])
 
 
@@ -326,7 +361,7 @@ def ingest_detections(path, intr: CameraIntrinsics) -> Detections:
     skipped += int(np.count_nonzero(bad))
     if skipped:
         logger.warning("skipped %d malformed or boundary rows in %s", skipped, path)
-    return det.take(~bad)
+    return det.take(~bad) if bad.any() else det
 
 
 def label_with_oracle(
@@ -354,19 +389,19 @@ def label_with_oracle(
     """
     windows = det.patches if det.windows is None else det.windows
     kept = np.zeros(len(det), dtype=bool)
-    samples: list[LabeledSample] = []
+    features, labels = [np.empty((0, len(FEATURE_NAMES)))], [np.empty(0, dtype=np.int64)]
     for start in range(0, len(det), _CHUNK):
         rows = slice(start, start + _CHUNK)
         patches = det.patches[rows]
         keep, depth, x, y, z = locate_detections(det.u[rows], det.v[rows], patches, intr, ext)
         bbox_w, bbox_h = det.bbox_w[rows][keep], det.bbox_h[rows][keep]
         dims = (intr.rgb_width, intr.rgb_height)
-        features = feature_rows(
-            x, y, z, patches[keep], depth, bbox_w, bbox_h, dims, windows[rows][keep], density_band
-        ).tolist()
-        labels = solve_ik(x, y, z, params)[0].astype(int).tolist()
-        samples += map(LabeledSample, map(tuple, features), labels)
+        features.append(
+            feature_rows(x, y, z, patches[keep], depth, bbox_w, bbox_h, dims, windows[rows][keep], density_band)
+        )
+        labels.append(solve_ik(x, y, z, params)[0].astype(np.int64))
         kept[start + keep] = True
+    samples = LabeledRows(np.concatenate(features), np.concatenate(labels))
     # Keeping every row copies none: a second copy of the windows would
     # raise peak RSS by their whole size.
     return LabelingResult(
@@ -417,9 +452,9 @@ def make_splits(
 
 def _labeled_cells(result: LabelingResult):
     """Each row's cells in ``LABELED_COLUMNS`` order."""
-    for cells, s in zip(_detection_cells(result.records), result.samples):
-        cells += s.features
-        cells.insert(_LABEL, s.label)
+    for cells, (features, label) in zip(_detection_cells(result.records), _rows(result.samples)):
+        cells += features
+        cells.insert(_LABEL, label)
         yield cells
 
 
@@ -482,7 +517,7 @@ def read_labeled_cache(path) -> LabelingResult:
     raises ``IngestionError`` naming the file and the line of the first such
     row.
     """
-    image_ids, cells, samples = [], array("d"), []
+    image_ids, cells, features, labels = [], array("d"), array("d"), array("q")
     n_cells = len(DETECTION_COLUMNS) - 1
 
     def parse(row):
@@ -490,13 +525,13 @@ def read_labeled_cache(path) -> LabelingResult:
         label = int(row[_LABEL])
         if label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {label}")
-        features = tuple(nums[n_cells:])
-        for name, value in zip(FEATURE_NAMES, features):
+        for name, value in zip(FEATURE_NAMES, nums[n_cells:]):
             if not math.isfinite(value):
                 raise ValueError(f"feature {name} is not finite: {value}")
         image_ids.append(row[0])
         cells.extend(nums[:n_cells])
-        samples.append(LabeledSample(features, label))
+        features.extend(nums[n_cells:])
+        labels.append(label)
 
     error = None
     try:
@@ -519,9 +554,10 @@ def read_labeled_cache(path) -> LabelingResult:
         raise error
     # Without a sidecar, d_local is taken to come from the 5x5 patch, as in
     # every cache that ``reach-al label`` writes from a detection file.
-    n_dropped, source = _read_meta(path, len(samples)) or (0, "patch5x5")
+    n_dropped, source = _read_meta(path, len(records)) or (0, "patch5x5")
+    X = np.frombuffer(features, dtype=float).reshape(-1, len(FEATURE_NAMES))
     return LabelingResult(
-        samples=samples,
+        samples=LabeledRows(X, np.frombuffer(labels, dtype=np.int64)),
         records=records,
         n_dropped=n_dropped,
         n_input=len(records) + n_dropped,

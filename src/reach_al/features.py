@@ -96,10 +96,14 @@ def feature_rows(
 
 
 def features_matrix(samples) -> np.ndarray:
-    """Stack ``.features`` of labeled samples into an (n, 9) array."""
+    """A ``dataset.LabeledRows`` view's own ``X``, or a list's ``.features`` stacked (n, 9)."""
+    if hasattr(samples, "X"):
+        return samples.X
     n = len(samples)
     return np.array([s.features for s in samples], dtype=float).reshape(n, len(FEATURE_NAMES))
 
 
 def labels_array(samples) -> np.ndarray:
+    if hasattr(samples, "y"):
+        return samples.y
     return np.array([s.label for s in samples], dtype=np.int64)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .active import SCORERS, ALConfig, run_loop
 from .config import AppConfig, DataConfig
-from .dataset import SceneConfig, generate_scene, label_with_oracle, make_splits, read_labeled_cache
+from .dataset import LabeledRows, SceneConfig, generate_scene, label_with_oracle, make_splits, read_labeled_cache
 from .errors import ConfigError, read_table, write_table
 from .features import features_matrix, labels_array
 from .forest import TrainConfig
@@ -113,8 +113,8 @@ class ExperimentGrid:
         )
 
 
-def build_benchmark(grid: ExperimentGrid, data=None, pool=None) -> tuple[list, list]:
-    """The shared benchmark as (samples, candidates): the first
+def build_benchmark(grid: ExperimentGrid, data=None, pool=None) -> tuple[LabeledRows, LabeledRows]:
+    """The shared benchmark as two ``LabeledRows``, (samples, candidates): the first
     ``data.n_samples`` labeled records of the synthetic scene, or of the
     ``data`` cache, and the next ``data.pool_size``, or the first of the
     ``pool`` cache, whose ``d_local`` must come from the same source.
@@ -174,8 +174,8 @@ def run_cell(
     budget: int,
     seed: int,
 ) -> list[ResultRow]:
-    both = list(samples) + list(candidates)
-    X, y = features_matrix(both), labels_array(both)
+    X = np.concatenate([features_matrix(samples), features_matrix(candidates)])
+    y = np.concatenate([labels_array(samples), labels_array(candidates)])
     pools = make_splits(y, len(samples), grid.data.test_frac, init_size, seed)
     logs = run_loop(X, y, pools, strategy, budget, seed, grid.al, grid.forest)
     return [

@@ -4,13 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reach_al.dataset import (
     DETECTION_COLUMNS,
     LABELED_COLUMNS,
     Detections,
+    LabeledRows,
+    LabeledSample,
     SceneConfig,
     generate_scene,
     ingest_detections,
@@ -21,7 +23,7 @@ from reach_al.dataset import (
     write_labeled_cache,
 )
 from reach_al.errors import ConfigError, IngestionError, ReachALError
-from reach_al.features import labels_array
+from reach_al.features import features_matrix, labels_array
 from reach_al.kinematics import ManipulatorParams
 from reach_al.perception import CameraIntrinsics, Extrinsics
 from test_perception import default_extrinsics
@@ -214,7 +216,7 @@ class TestDetectionFiles:
         loaded = ingest_detections(path, INTR)
         assert same_rows(loaded, det)
         result = label_with_oracle(loaded, INTR, EXT, ARM)
-        assert result.samples == [] and result.n_dropped == 1
+        assert len(result.samples) == 0 and result.n_dropped == 1
 
 
 class TestLabelWithOracle:
@@ -362,6 +364,61 @@ class TestMakeSplits:
         assert split.test.tolist() == [r.index for r in test]
 
 
+# Values a feature row can hold beyond ordinary doubles, bit patterns included.
+SPECIAL_FEATURES = [-0.0, 5e-324, -1e300, float("inf"), float("nan")]
+SLICE_BOUNDS = st.none() | st.integers(-1100, 1100)
+
+
+@st.composite
+def labeled_arrays(draw):
+    """An (n, 9) feature matrix and its 0/1 labels, around the chunk sizes."""
+    n = draw(st.sampled_from([0, 1, 511, 512, 513, 1024, 1025]) | st.integers(0, 1100), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    X = rng.standard_normal((n, 9)) * 10.0 ** rng.integers(-5, 5, size=(n, 9))
+    k = min(X.size, 20)
+    X.flat[rng.choice(X.size, size=k, replace=False)] = rng.choice(SPECIAL_FEATURES, k)
+    return X, rng.integers(0, 2, size=n)
+
+
+class TestLabeledRows:
+    @settings(max_examples=40, deadline=None)
+    @given(arrays=labeled_arrays(), bounds=st.tuples(SLICE_BOUNDS, SLICE_BOUNDS, SLICE_BOUNDS))
+    @example(arrays=(np.arange(513 * 9, dtype=float).reshape(513, 9), np.arange(513) % 2), bounds=(None, None, -1))
+    @example(arrays=(np.ones((1025, 9)), np.ones(1025, dtype=np.int64)), bounds=(500, -500, None))
+    def test_view_equals_the_sample_list(self, arrays, bounds):
+        """Indexing, slicing and iteration, across chunk boundaries, give the
+        per-row samples that labeling used to build."""
+        X, y = arrays
+        view = LabeledRows(X, y)
+        expected = [LabeledSample(tuple(f), label) for f, label in zip(X.tolist(), y.tolist())]
+
+        def bits(s):  # NaN features compare unequal, so rows compare as bytes
+            assert type(s) is LabeledSample and type(s.label) is int
+            return np.array(s.features).tobytes(), s.label
+
+        rows = [bits(s) for s in expected]
+        assert len(view) == len(rows)
+        assert [bits(s) for s in view] == rows
+        assert [bits(view[i]) for i in range(-len(view), len(view))] == rows + rows
+        assert [bits(view[np.int64(i)]) for i in range(len(view))] == rows
+        for i in (len(view), -len(view) - 1):
+            with pytest.raises(IndexError):
+                view[i]
+        assert features_matrix(list(view)).tobytes() == X.tobytes()
+        assert labels_array(list(view)).tobytes() == y.astype(np.int64).tobytes()
+        if bounds[2] != 0:
+            part = view[slice(*bounds)]
+            assert isinstance(part, LabeledRows)
+            assert [bits(s) for s in part] == rows[slice(*bounds)]
+
+    def test_labels_are_zero_or_one(self):
+        for labels in ([2], [-1], [0.5]):
+            with pytest.raises(ValueError, match="label must be 0 or 1"):
+                LabeledRows(np.zeros((1, 9)), np.array(labels))
+        with pytest.raises(ValueError, match=r"X must be \(2, 9\)"):
+            LabeledRows(np.zeros((2, 8)), np.zeros(2, dtype=np.int64))
+
+
 class TestLabeledCache:
     def test_round_trip(self, tmp_path, small_records):
         result = label_with_oracle(small_records, INTR, EXT, ARM)
@@ -369,7 +426,8 @@ class TestLabeledCache:
         write_labeled_cache(path, result)
         loaded = read_labeled_cache(path)
         assert same_rows(loaded.records, result.records)
-        assert loaded.samples == result.samples
+        assert loaded.samples.X.tobytes() == result.samples.X.tobytes()
+        assert loaded.samples.y.tolist() == result.samples.y.tolist()
         write_labeled_cache(tmp_path / "again.csv", loaded)
         assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 

@@ -275,10 +275,11 @@ class TestReferenceProperties:
 
     def test_default_benchmark_points_equal_reference(self):
         samples, candidates = build_benchmark(ExperimentGrid.from_config(default_config()))
-        points = np.array([s.arm_point.as_array() for s in samples + candidates])
+        both = list(samples) + list(candidates)
+        points = np.array([s.arm_point.as_array() for s in both])
         assert len(points) == 6000
         mask = assert_equals_reference(points, PARAMS)
-        assert mask.tolist() == [s.label == 1 for s in samples + candidates]
+        assert mask.tolist() == [s.label == 1 for s in both]
 
     def test_reachable_mask_of_no_points(self):
         mask, joints = solve_ik(np.zeros(0), np.zeros(0), np.zeros(0), PARAMS)

@@ -27,6 +27,7 @@ from reach_al.dataset import (
     DETECTION_COLUMNS,
     LABELED_COLUMNS,
     Detections,
+    LabeledRows,
     LabeledSample,
     SceneConfig,
     generate_scene,
@@ -37,7 +38,7 @@ from reach_al.dataset import (
     write_labeled_cache,
 )
 from reach_al.errors import IngestionError
-from reach_al.features import DENSITY_BAND, feature_rows, features_matrix
+from reach_al.features import DENSITY_BAND, feature_rows, features_matrix, labels_array
 from reach_al.kinematics import ArmPoint
 from reach_al.perception import MAX_VALID_DEPTH, Extrinsics, locate_detections
 
@@ -244,9 +245,10 @@ def assert_same_labeling(result, det, ref, tmp_path):
     assert features_matrix(result.samples).tobytes() == features_matrix(samples).tobytes()
     assert [s.label for s in result.samples] == [s.label for s in samples]
     assert [s.arm_point for s in result.samples] == [s.arm_point for s in samples]
-    assert result.samples == samples
+    assert list(result.samples) == samples
     write_labeled_cache(tmp_path / "array.csv", result)
-    write_labeled_cache(tmp_path / "reference.csv", replace(result, samples=samples))
+    reference = LabeledRows(features_matrix(samples), labels_array(samples))
+    write_labeled_cache(tmp_path / "reference.csv", replace(result, samples=reference))
     assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
@@ -266,14 +268,14 @@ class TestMatchesReference:
 
     def test_empty_and_all_dropped(self):
         empty = generate_scene(SceneConfig(n_images=0), CFG.cam)
-        assert len(empty) == 0 and label_with_oracle(empty, CFG.cam, CFG.ext, CFG.arm).samples == []
+        assert len(empty) == 0 and len(label_with_oracle(empty, CFG.cam, CFG.ext, CFG.arm).samples) == 0
         blank = Detections(
             np.array(["img"] * 3, dtype=object),
             *np.full((5, 3), [[100.0], [100.0], [30.0], [30.0], [0.8]]),
             patches=np.zeros((3, 25)),
         )
         result = label_with_oracle(blank, CFG.cam, CFG.ext, CFG.arm)
-        assert (result.samples, len(result.records), result.n_dropped) == ([], 0, 3)
+        assert (len(result.samples), len(result.records), result.n_dropped) == (0, 0, 3)
         assert result.density_source == "window11x11"
 
     def test_rotated_extrinsics_labels_follow_written_points(self, synthetic, tmp_path):

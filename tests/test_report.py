@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 from reach_al import report
 from reach_al.active import STRATEGIES
 from reach_al.config import apply_overrides, default_config
-from reach_al.dataset import DETECTION_COLUMNS, LABELED_COLUMNS, ingest_detections, read_labeled_cache
+from reach_al.dataset import (
+    DETECTION_COLUMNS,
+    LABELED_COLUMNS,
+    LabeledSample,
+    generate_scene,
+    ingest_detections,
+    label_with_oracle,
+    read_labeled_cache,
+    write_labeled_cache,
+)
 from reach_al.errors import IngestionError, ReachALError
 from reach_al.report import (
     RESULT_COLUMNS,
@@ -92,6 +101,27 @@ class TestRunGrid:
             cells = [v for r in rows for v in astuple(r)[RESULT_COLUMNS.index("accuracy") :]]
             assert len(cells) == 3 * 6
             assert all(v is None or type(v) is float for v in cells)
+
+    def test_no_record_objects_from_labeling_to_the_cell(self, tiny_grid, tmp_path, monkeypatch):
+        """Labeled records stay columns: labeling, both cache directions, the
+        scene and ``--data`` benchmarks and a cell build no ``LabeledSample``."""
+        made, post_init = [], LabeledSample.__post_init__
+
+        def counted(sample):
+            made.append(sample)
+            post_init(sample)
+
+        monkeypatch.setattr(LabeledSample, "__post_init__", counted)
+        detections = generate_scene(tiny_grid.scene, tiny_grid.cam)
+        result = label_with_oracle(detections, tiny_grid.cam, tiny_grid.ext, tiny_grid.arm)
+        path = tmp_path / "labeled.csv"
+        write_labeled_cache(path, result)
+        write_labeled_cache(tmp_path / "again.csv", read_labeled_cache(path))
+        for data in (None, path):
+            samples, candidates = build_benchmark(tiny_grid, data)
+            report.run_cell(samples, candidates, tiny_grid, "entropy", 10, 20, 0)
+        assert made == []
+        assert list(samples[:3]) == made and len(made) == 3  # the count sees iteration
 
     def test_write_read_round_trip(self, tiny_results, tmp_path):
         rows = read_results(tiny_results[0])
