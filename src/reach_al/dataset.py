@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
+import mmap
 import os
 from array import array
 from dataclasses import dataclass, fields
@@ -249,6 +250,17 @@ def _fill_window(rng, cfg: SceneConfig, depth: float, occluder_depth=None):
     return win
 
 
+def _window_map(rows: int, full: Optional[mmap.mmap] = None) -> mmap.mmap:
+    """A private anonymous mapping with room for ``rows`` 11x11 windows that
+    starts with those of ``full``, and closes it.  A page is resident only
+    once written, and goes back to the OS when the mapping is freed."""
+    windows = mmap.mmap(-1, max(rows, 1) * _WINDOW**2 * 8, access=mmap.ACCESS_COPY)
+    if full is not None:
+        windows.write(full)
+        full.close()
+    return windows
+
+
 def generate_scene(cfg: SceneConfig, intr: CameraIntrinsics) -> Detections:
     """Deterministic synthetic detections for ``cfg.n_images`` images."""
     rng = np.random.default_rng(cfg.seed)
@@ -258,9 +270,11 @@ def generate_scene(cfg: SceneConfig, intr: CameraIntrinsics) -> Detections:
     fy_rgb = intr.fy * rgb_sy
 
     image_ids, cells = [], array("d")  # u, v, bbox_w, bbox_h, confidence per row
-    # 11x11 cells per row, grown in place and then viewed, not copied, as
-    # the (n, 121) column: the windows are never held twice.
-    windows = array("d")
+    # 11x11 cells per row, in a mapping of their own rather than malloc's
+    # heap, whose fragmentation made peak RSS vary from run to run; then
+    # viewed, not copied, as the (n, 121) column.  The room covers the mean
+    # row count plus 8 standard deviations; past that the map doubles.
+    windows = _window_map(math.ceil(1.25 * cfg.n_images * cfg.apples_per_image) + 64)
     for img in range(cfg.n_images):
         image_id = f"synth-{img:05d}"
         n_apples = int(rng.poisson(cfg.apples_per_image))
@@ -289,14 +303,16 @@ def generate_scene(cfg: SceneConfig, intr: CameraIntrinsics) -> Detections:
                 occluder = None
                 if len(cluster) > 1 and k > 0:
                     occluder = max(0.05, Zc - rng.uniform(0.04, 0.09))
-                windows.frombytes(_fill_window(rng, cfg, Zc, occluder).tobytes())
+                if windows.tell() == len(windows):
+                    windows = _window_map(2 * len(image_ids), windows)
+                windows.write(_fill_window(rng, cfg, Zc, occluder).tobytes())
                 jitter = rng.uniform(0.9, 1.1)
                 bbox_w = APPLE_DIAMETER * fx_rgb / Zc * jitter
                 bbox_h = APPLE_DIAMETER * fy_rgb / Zc * jitter
                 image_ids.append(image_id)
                 cells.extend((ud * rgb_sx, vd * rgb_sy, bbox_w, bbox_h, rng.uniform(0.5, 1.0)))
     n = len(image_ids)
-    windows = np.frombuffer(windows, dtype=float).reshape(n, _WINDOW * _WINDOW)
+    windows = np.frombuffer(windows, dtype=float, count=n * _WINDOW**2).reshape(n, _WINDOW**2)
     lo, hi = _PATCH_OFFSET, _PATCH_OFFSET + 5
     patches = windows.reshape(n, _WINDOW, _WINDOW)[:, lo:hi, lo:hi].reshape(n, 25)
     columns = np.array(cells, dtype=float).reshape(n, 5).T

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reach_al import dataset
 from reach_al.dataset import (
     DETECTION_COLUMNS,
     LABELED_COLUMNS,
@@ -108,6 +109,22 @@ class TestGenerateScene:
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
         write_detections(pa, a)
         write_detections(pb, b)
+        assert pa.read_bytes() == pb.read_bytes()
+
+    def test_doubling_the_window_map_changes_nothing(self, monkeypatch, tmp_path):
+        # The first map has room for one window, so it doubles again and again.
+        cfg = SceneConfig(n_images=30, seed=4)
+        expected = generate_scene(cfg, INTR)
+        real = dataset._window_map
+        monkeypatch.setattr(
+            dataset, "_window_map", lambda rows, full=None: real(1 if full is None else rows, full)
+        )
+        grown = generate_scene(cfg, INTR)
+        assert len(grown) == len(expected) > 64
+        assert grown.windows.tobytes() == expected.windows.tobytes()
+        pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_detections(pa, expected)
+        write_detections(pb, grown)
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_pixels_inside_rgb_frame(self, small_records):
