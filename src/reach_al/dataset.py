@@ -321,7 +321,7 @@ def generate_scene(cfg: SceneConfig, intr: CameraIntrinsics) -> Detections:
 
 def _detection_cells(det: Detections):
     """Each row's cells in ``DETECTION_COLUMNS`` order, as Python floats
-    converted a chunk of rows at a time; ``csv.writer`` writes each as its
+    converted a chunk of rows at a time; ``write_table`` writes each as its
     ``repr``."""
     for start in range(0, len(det), _CHUNK):
         rows = slice(start, start + _CHUNK)

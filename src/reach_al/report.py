@@ -151,7 +151,8 @@ def build_benchmark(grid: ExperimentGrid, data=None, pool=None) -> tuple[Labeled
 
 
 def _fmt_value(v):
-    """None, an undefined metric, as ``nan``; ``csv.writer`` writes the rest."""
+    """None, an undefined metric, as ``nan``; ``write_table`` writes the
+    rest, which are str, int or float."""
     return "nan" if v is None else v
 
 

@@ -34,6 +34,8 @@ INTR = CameraIntrinsics()
 EXT, ARM = default_extrinsics(), ManipulatorParams()
 SMALL_SCENE = SceneConfig(n_images=40, seed=7)
 NUMERIC_COLUMNS = ("u", "v", "bbox_w", "bbox_h", "confidence", "patches")
+# Image ids that csv.writer quotes, or that sit next to quoting.
+QUOTED_IDS = ["a,b", 'q"t', "x\ny", " lead", "é"]
 
 
 def one_detection(u=100.0, v=100.0, bbox_w=30.0, bbox_h=30.0, confidence=0.8, patch=np.ones(25)):
@@ -151,6 +153,14 @@ class TestDetectionFiles:
         write_detections(path, small_records)
         loaded = ingest_detections(path, INTR)
         assert same_rows(loaded, small_records) and loaded.windows is None
+
+    def test_round_trip_of_ids_that_need_quoting(self, tmp_path, small_records):
+        det = small_records.take(np.arange(len(QUOTED_IDS)))
+        det = replace(det, image_id=np.array(QUOTED_IDS, dtype=object))
+        path = tmp_path / "detections.csv"
+        write_detections(path, det)
+        loaded = ingest_detections(path, INTR)
+        assert loaded.image_id.tolist() == QUOTED_IDS and same_rows(loaded, det)
 
     def test_empty_file_with_header(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -447,6 +457,19 @@ class TestLabeledCache:
         assert loaded.samples.y.tolist() == result.samples.y.tolist()
         write_labeled_cache(tmp_path / "again.csv", loaded)
         assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+    def test_round_trip_of_ids_that_need_quoting(self, tmp_path, small_records):
+        kept = label_with_oracle(small_records, INTR, EXT, ARM).records
+        det = kept.take(np.arange(len(QUOTED_IDS)))
+        det = replace(det, image_id=np.array(QUOTED_IDS, dtype=object))
+        result = label_with_oracle(det, INTR, EXT, ARM)
+        assert result.records.image_id.tolist() == QUOTED_IDS
+        path = tmp_path / "labeled.csv"
+        write_labeled_cache(path, result)
+        loaded = read_labeled_cache(path)
+        assert loaded.records.image_id.tolist() == QUOTED_IDS
+        assert same_rows(loaded.records, result.records)
+        assert loaded.samples.X.tobytes() == result.samples.X.tobytes()
 
     def test_malformed_rows_name_file_and_line(self, tmp_path):
         for name, row in (
