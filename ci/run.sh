@@ -11,7 +11,9 @@
 #   5. the pinned sha256 of the default detections.csv, labeled.csv and
 #      labeled.csv.meta, of the copy of the detection file that
 #      ingest_detections and write_detections make, and of the copy of the
-#      cache that read_labeled_cache and write_labeled_cache make.
+#      cache that read_labeled_cache and write_labeled_cache make; and of the
+#      detections.csv of a scene that takes the generator's other branches
+#      (no dropout, every apple in a cluster, depth noise that the clip cuts).
 #
 # The hashes were measured with numpy 2.4.6, scipy 1.17.1, hypothesis
 # 6.155.2 and pytest 9.0.3 on Python 3.11.  Run from any directory:
@@ -59,5 +61,11 @@ c5d4bd71ff8540fa3ac9a355690cf4b077804fd53af956505fd8ad08c50f7da9  $out/scene/lab
 f0db555bf533cbdd5773b2e85607f9c1e69d2f989c786eb76ecac6e012029de8  $out/scene/labeled.csv.meta
 c5d4bd71ff8540fa3ac9a355690cf4b077804fd53af956505fd8ad08c50f7da9  $out/scene/copy.csv
 f0db555bf533cbdd5773b2e85607f9c1e69d2f989c786eb76ecac6e012029de8  $out/scene/copy.csv.meta
+SUMS
+printf '%s\n' "scene.seed = 7" "scene.dropout_prob = 0" "scene.cluster_prob = 1" \
+  "scene.depth_noise_std = 0.3" > "$out/branches.cfg"
+PYTHONPATH=src python -m reach_al.cli gen-scene --config "$out/branches.cfg" --out "$out/branches"
+sha256sum -c - <<SUMS
+767530ee0a7b6a8f66a30f217c5776e4c8a877ba0511b2fc4ddb5c2658b20241  $out/branches/detections.csv
 SUMS
 echo "== all CI checks passed"

@@ -4,9 +4,12 @@ The synthetic generator stands in for the field detector.  It scatters
 apples on a jittered fruit wall in front of the camera, including plenty of
 targets the arm cannot reach (too high or low for the shoulder pitch, too
 far, or too close to the carriage rail), projects them to pixel detections,
-and fabricates noisy depth patches.  Labeling runs every detection through
-the perception pipeline and asks the kinematic feasibility test for its
-class.
+and fabricates noisy depth patches.  Its random draws, in their order, are
+part of its output: reordering them is a re-baseline.  Each window's normals
+go straight into its row of the window map, and the steps that make them
+depths run as array passes over ``_CHUNK`` rows (``tests/scene_reference.py``
+keeps the per-window form).  Labeling runs every detection through the
+perception pipeline and asks the kinematic feasibility test for its class.
 
 Detections are held as columns (:class:`Detections`) from generation or
 ingestion through labeling to the labeled cache, and labeled records as a
@@ -202,22 +205,25 @@ class LabelingResult:
     density_source: str
 
 
+def _uniform(rng, a: float, b: float) -> float:
+    """``rng.uniform(a, b)``: the same draw and float, at a third of the cost."""
+    return a + (b - a) * rng.random()
+
+
 def _draw_apple_position(rng, cfg: SceneConfig, intr: CameraIntrinsics, base=None):
     """Camera-frame apple center that projects safely inside the depth image.
 
-    Returns None when rejection sampling fails (extreme configurations)."""
+    Returns None when rejection sampling fails (extreme configurations).
+    ``loc + scale * z`` is ``rng.normal(loc, scale)``, draw for draw."""
     for _ in range(60):
+        wall = cfg.wall_distance
+        if base is None and rng.random() < BACKGROUND_FRAC:
+            wall += BACKGROUND_OFFSET
+        z, x, y = rng.standard_normal(3).tolist()
         if base is None:
-            wall = cfg.wall_distance
-            if rng.random() < BACKGROUND_FRAC:
-                wall += BACKGROUND_OFFSET
-            Zc = rng.normal(wall, cfg.wall_depth_jitter)
-            Xc = rng.normal(0.0, cfg.lateral_spread)
-            Yc = rng.normal(0.0, cfg.lateral_spread)
+            Zc, Xc, Yc = wall + cfg.wall_depth_jitter * z, cfg.lateral_spread * x, cfg.lateral_spread * y
         else:
-            Zc = base[2] + rng.normal(0.0, 0.03)
-            Xc = base[0] + rng.normal(0.0, 0.07)
-            Yc = base[1] + rng.normal(0.0, 0.07)
+            Zc, Xc, Yc = base[2] + 0.03 * z, base[0] + 0.07 * x, base[1] + 0.07 * y
         if Zc < 0.05:
             continue
         ud = Xc * intr.fx / Zc + intr.cx
@@ -227,34 +233,26 @@ def _draw_apple_position(rng, cfg: SceneConfig, intr: CameraIntrinsics, base=Non
     return None
 
 
-def _fill_window(rng, cfg: SceneConfig, depth: float, occluder_depth=None):
-    """Noisy 11x11 depth window around one apple, with optional occlusion band."""
-    win = depth + rng.normal(0.0, cfg.depth_noise_std, size=(_WINDOW, _WINDOW))
-    if occluder_depth is not None:
-        frac = rng.uniform(0.1, 0.45)
-        ncols = max(1, int(round(frac * _WINDOW)))
-        side = rng.integers(0, 4)
-        occ = occluder_depth + rng.normal(0.0, cfg.depth_noise_std, size=(_WINDOW, _WINDOW))
-        if side == 0:
-            win[:, :ncols] = occ[:, :ncols]
-        elif side == 1:
-            win[:, -ncols:] = occ[:, -ncols:]
-        elif side == 2:
-            win[:ncols, :] = occ[:ncols, :]
-        else:
-            win[-ncols:, :] = occ[-ncols:, :]
-    if cfg.dropout_prob > 0:
-        drop = rng.random(size=(_WINDOW, _WINDOW)) < cfg.dropout_prob
-        win[drop] = 0.0
-    win[(win < 0.0) | (win >= MAX_VALID_DEPTH) | ~np.isfinite(win)] = 0.0
-    return win
+# Each window cell's distance in cells from the left, right, top and bottom edge: an
+# occluder's band on side ``s`` covers the cells whose ``_EDGE_DIST[s]`` is below its width.
+_EDGE_DIST = np.array(
+    [(c, _WINDOW - 1 - c, r, _WINDOW - 1 - r) for r in range(_WINDOW) for c in range(_WINDOW)],
+    dtype=np.int8,
+).T
 
 
 def _window_map(rows: int, full: Optional[mmap.mmap] = None) -> mmap.mmap:
     """A private anonymous mapping with room for ``rows`` 11x11 windows that
     starts with those of ``full``, and closes it.  A page is resident only
     once written, and goes back to the OS when the mapping is freed."""
-    windows = mmap.mmap(-1, max(rows, 1) * _WINDOW**2 * 8, access=mmap.ACCESS_COPY)
+    size = max(rows, 1) * _WINDOW**2 * 8
+    try:
+        windows = mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
+    except OSError as exc:
+        raise ConfigError(
+            f"scene.n_images x scene.apples_per_image is too large: "
+            f"its depth windows need {size} bytes ({exc.strerror})"
+        ) from exc
     if full is not None:
         windows.write(full)
         full.close()
@@ -275,6 +273,24 @@ def generate_scene(cfg: SceneConfig, intr: CameraIntrinsics) -> Detections:
     # viewed, not copied, as the (n, 121) column.  The room covers the mean
     # row count plus 8 standard deviations; past that the map doubles.
     windows = _window_map(math.ceil(1.25 * cfg.n_images * cfg.apples_per_image) + 64)
+    win = np.frombuffer(windows).reshape(-1, _WINDOW**2)
+    # Each pending row's apple depth, occluder depth, band side and width (0:
+    # no band) and dropout mask; dropout and band draws go through ``noise``.
+    depths, occluders, noise = np.empty(_CHUNK), np.empty(_CHUNK), np.empty(_WINDOW**2)
+    sides, widths = np.zeros(_CHUNK, dtype=np.intp), np.zeros(_CHUNK, dtype=np.intp)
+    drops = np.zeros((_CHUNK, _WINDOW**2), dtype=bool)
+    start = n = 0
+
+    def finish(w):
+        """Normals to depths; the additions touch disjoint cells and 0 is in range."""
+        m = len(w)
+        w *= cfg.depth_noise_std
+        band = _EDGE_DIST[sides[:m]] < widths[:m, None]
+        np.add(w, occluders[:m, None], out=w, where=band)
+        np.add(w, depths[:m, None], out=w, where=~band)
+        # Zero dropped cells and cells below 0, at or past MAX_VALID_DEPTH, or not finite.
+        np.copyto(w, 0.0, where=~((w >= 0.0) & (w < MAX_VALID_DEPTH)) | drops[:m])
+
     for img in range(cfg.n_images):
         image_id = f"synth-{img:05d}"
         n_apples = int(rng.poisson(cfg.apples_per_image))
@@ -300,19 +316,32 @@ def generate_scene(cfg: SceneConfig, intr: CameraIntrinsics) -> Detections:
                     break
                 placed += 1
                 # Members behind the cluster front are partially occluded.
-                occluder = None
-                if len(cluster) > 1 and k > 0:
-                    occluder = max(0.05, Zc - rng.uniform(0.04, 0.09))
-                if windows.tell() == len(windows):
-                    windows = _window_map(2 * len(image_ids), windows)
-                windows.write(_fill_window(rng, cfg, Zc, occluder).tobytes())
-                jitter = rng.uniform(0.9, 1.1)
+                occluder = max(0.05, Zc - _uniform(rng, 0.04, 0.09)) if k > 0 else None
+                if n == start + _CHUNK or n == len(win):
+                    finish(win[start:n])
+                    start = n
+                if n == len(win):
+                    del win  # the map cannot close while a view of it is alive
+                    windows = _window_map(2 * n, windows)
+                    win = np.frombuffer(windows).reshape(-1, _WINDOW**2)
+                i = n - start
+                rng.standard_normal(out=win[n])
+                depths[i], widths[i] = Zc, 0
+                if occluder is not None:
+                    widths[i] = max(1, int(round(_uniform(rng, 0.1, 0.45) * _WINDOW)))
+                    sides[i], occluders[i] = rng.integers(0, 4), occluder
+                    band = _EDGE_DIST[sides[i]] < widths[i]
+                    np.copyto(win[n], rng.standard_normal(out=noise), where=band)
+                if cfg.dropout_prob > 0:
+                    np.less(rng.random(out=noise), cfg.dropout_prob, out=drops[i])
+                n += 1
+                jitter = _uniform(rng, 0.9, 1.1)
                 bbox_w = APPLE_DIAMETER * fx_rgb / Zc * jitter
                 bbox_h = APPLE_DIAMETER * fy_rgb / Zc * jitter
                 image_ids.append(image_id)
-                cells.extend((ud * rgb_sx, vd * rgb_sy, bbox_w, bbox_h, rng.uniform(0.5, 1.0)))
-    n = len(image_ids)
-    windows = np.frombuffer(windows, dtype=float, count=n * _WINDOW**2).reshape(n, _WINDOW**2)
+                cells.extend((ud * rgb_sx, vd * rgb_sy, bbox_w, bbox_h, _uniform(rng, 0.5, 1.0)))
+    finish(win[start:n])
+    windows = win[:n]
     lo, hi = _PATCH_OFFSET, _PATCH_OFFSET + 5
     patches = windows.reshape(n, _WINDOW, _WINDOW)[:, lo:hi, lo:hi].reshape(n, 25)
     columns = np.array(cells, dtype=float).reshape(n, 5).T

@@ -1,5 +1,7 @@
 import argparse
+import errno
 import inspect
+import mmap
 import os
 import pathlib
 import re
@@ -380,6 +382,18 @@ class TestFatalErrors:
             capsys.readouterr()
             assert run_cli("gen-scene", "--config", str(bad), "--out", str(tmp_path)) == 2
             assert message in capsys.readouterr().err
+
+    def test_scene_too_large_to_map_fatal(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", no_memory)
+        big = tmp_path / "big.cfg"
+        big.write_text("scene.n_images = 1000000\nscene.apples_per_image = 1000\n")
+        assert run_cli("gen-scene", "--config", str(big), "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "scene.n_images" in err and "scene.apples_per_image" in err
+        assert f"need {(1_250_000_000 + 64) * 121 * 8} bytes" in err  # 1.25 x the mean rows, + 64
 
     def test_bad_run_sizes_and_strategy_fatal(self, tmp_path, cfg_file, capsys):
         out = str(tmp_path / "o")

@@ -1,5 +1,6 @@
 import csv
 import logging
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from reach_al.errors import ConfigError, IngestionError, ReachALError
 from reach_al.features import features_matrix, labels_array
 from reach_al.kinematics import ManipulatorParams
 from reach_al.perception import CameraIntrinsics, Extrinsics
+from scene_reference import generate_scene as reference_scene
 from test_perception import default_extrinsics
 
 INTR = CameraIntrinsics()
@@ -128,6 +130,64 @@ class TestGenerateScene:
         write_detections(pa, expected)
         write_detections(pb, grown)
         assert pa.read_bytes() == pb.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_images=st.integers(0, 40),
+        apples=st.floats(0.0, 30.0),
+        dropout=st.sampled_from([0.0, 0.06, 1.0]),
+        cluster=st.sampled_from([0.0, 0.35, 1.0]),
+        noise=st.floats(0.0, 4.0),
+        # Near the camera and with a wide spread most draws project out of
+        # frame, so rejection sampling returns None; near 20 m the clip fires,
+        # and without jitter or noise a wall at 20 m puts cells on its bound.
+        wall=st.one_of(st.floats(0.05, 0.1), st.floats(0.3, 1.2), st.floats(19.0, 20.0)),
+        jitter=st.sampled_from([0.0, 0.35]),
+        spread=st.sampled_from([0.55, 3.0]),
+        seed=st.integers(0, 2**32),
+        one_row_map=st.booleans(),
+    )
+    @example(40, 30.0, 0.06, 1.0, 3.0, 0.05, 0.35, 3.0, 0, True)
+    @example(40, 30.0, 0.0, 0.35, 0.0, 20.0, 0.0, 0.55, 1, False)
+    def test_equals_the_per_window_reference_byte_for_byte(
+        self, n_images, apples, dropout, cluster, noise, wall, jitter, spread, seed, one_row_map
+    ):
+        cfg = SceneConfig(
+            n_images=n_images,
+            apples_per_image=apples,
+            dropout_prob=dropout,
+            cluster_prob=cluster,
+            depth_noise_std=noise,
+            wall_distance=wall,
+            wall_depth_jitter=jitter,
+            lateral_spread=spread,
+            seed=seed,
+        )
+        expected = reference_scene(cfg, INTR)
+        with pytest.MonkeyPatch.context() as mp:
+            if one_row_map:
+                real = dataset._window_map
+                mp.setattr(
+                    dataset, "_window_map", lambda rows, full=None: real(1 if full is None else rows, full)
+                )
+            got = generate_scene(cfg, INTR)
+        assert got.image_id.tolist() == expected.image_id.tolist()
+        for name in NUMERIC_COLUMNS + ("windows",):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+
+    def test_traced_peak_within_256kb_of_the_reference(self):
+        cfg = SceneConfig(n_images=800)
+        peaks = []
+        for generate in (reference_scene, generate_scene, reference_scene, generate_scene):
+            tracemalloc.start()
+            try:
+                generate(cfg, INTR)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # The first pass of each warms numpy's caches; the windows live in
+        # the memory map, which tracemalloc does not see.
+        assert peaks[3] <= peaks[2] + 256 * 1024
 
     def test_pixels_inside_rgb_frame(self, small_records):
         assert ((0 <= small_records.u) & (small_records.u < INTR.rgb_width)).all()
