@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Every CI check, in order; the first that fails stops the run.
 #
-#   1. the tier-1 test suite;
+#   1. the tier-1 test suite, listing its ten slowest tests;
 #   2. the forest, fingerprint and demo tests again on one BLAS thread
 #      (forest predict goes through BLAS, and no output may depend on its
 #      thread count);
@@ -15,6 +15,8 @@
 #      detections.csv of a scene that takes the generator's other branches
 #      (no dropout, every apple in a cluster, depth noise that the clip cuts).
 #
+# It first prints the line count of the package source (src/reach_al/*.py).
+#
 # The hashes were measured with numpy 2.4.6, scipy 1.17.1, hypothesis
 # 6.155.2 and pytest 9.0.3 on Python 3.11.  Run from any directory:
 #
@@ -25,8 +27,10 @@ out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 src=src${PYTHONPATH:+:$PYTHONPATH}
 
+echo "== src/reach_al line count: $(cat src/reach_al/*.py | wc -l)"
+
 echo "== tier-1 tests"
-PYTHONPATH=$src python -m pytest -q --continue-on-collection-errors
+PYTHONPATH=$src python -m pytest -q --continue-on-collection-errors --durations=10
 
 echo "== forest, fingerprint and demo tests on one BLAS thread"
 OPENBLAS_NUM_THREADS=1 PYTHONPATH=$src python -m pytest -q \

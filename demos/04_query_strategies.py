@@ -12,13 +12,12 @@ import numpy as np
 from reach_al.active import STRATEGIES, run_loop
 from reach_al.config import default_config
 from reach_al.dataset import make_splits
-from reach_al.report import ExperimentGrid, build_benchmark
+from reach_al.report import build_benchmark
 
 cfg = default_config()
-grid = ExperimentGrid.from_config(cfg)
 
 print("building the shared benchmark (1000 samples + 5000-candidate pool) ...")
-samples, candidates = build_benchmark(grid)
+samples, candidates = build_benchmark(cfg)
 
 # One stacked (X, y), samples first; the split holds row indices into it.
 X = np.concatenate([samples.X, candidates.X])

@@ -10,7 +10,6 @@ import os
 
 from reach_al.config import apply_overrides, default_config
 from reach_al.report import (
-    ExperimentGrid,
     build_benchmark,
     emit_curve_plots,
     format_summary_table,
@@ -30,11 +29,11 @@ cfg = apply_overrides(
         "grid.seeds": "0, 1, 2, 3",
     },
 )
-grid = ExperimentGrid.from_config(cfg)
+grid = cfg.grid
 
 n_cells = len(grid.strategies) * len(grid.init_sizes) * len(grid.budgets) * len(grid.seeds)
 print(f"running {n_cells} cells ...")
-results_path, summary_path, errors = run_grid(*build_benchmark(grid), grid, OUT)
+results_path, summary_path, errors = run_grid(*build_benchmark(cfg), cfg, OUT)
 assert not errors, errors
 print(f"results -> {results_path}")
 print(f"summary -> {summary_path}")

@@ -40,6 +40,6 @@ from .kinematics import (
 )
 from .metrics import MetricSet, evaluate, roc_auc
 from .perception import CameraIntrinsics, Extrinsics, locate_detections
-from .report import ExperimentGrid, run_grid
+from .report import run_grid
 
 __version__ = "0.1.0"

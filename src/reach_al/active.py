@@ -38,8 +38,9 @@ class ALConfig:
     committee_trees: int = 25
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        for name in ("batch_size", "committee_trees"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"al.{name} must be at least 1")
 
 
 @dataclass

@@ -29,7 +29,7 @@ from .dataset import (
 )
 from .errors import ConfigError, IngestionError, ReachALError
 from .kinematics import read_envelope, sample_envelope, write_envelope
-from .report import ExperimentGrid, build_benchmark, run_grid
+from .report import build_benchmark, run_grid
 
 # The finest joint grid the package builds (the BruteForceOracle default).
 # The envelope grid holds steps**4 configurations: 40 steps take about 0.4 GB.
@@ -181,15 +181,14 @@ def _cmd_run(args) -> int:
         cfg.grid = replace(cfg.grid, **cell)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    grid = ExperimentGrid.from_config(cfg)
     out_dir = _out_dir(args.out)
-    samples, candidates = build_benchmark(grid, args.data, args.pool)
-    results_path, _, errors = run_grid(samples, candidates, grid, out_dir)
+    samples, candidates = build_benchmark(cfg, args.data, args.pool)
+    results_path, _, errors = run_grid(samples, candidates, cfg, out_dir)
     rows = report_mod.read_results(results_path)
     final = max((r for r in rows if r.round >= 0), key=lambda r: r.round, default=None)
     if final is not None:
         print(
-            f"{grid.strategies[0]}: n_labeled={final.n_labeled} accuracy={final.accuracy:.4f} "
+            f"{cfg.grid.strategies[0]}: n_labeled={final.n_labeled} accuracy={final.accuracy:.4f} "
             f"auc={final.auc if final.auc is None else round(final.auc, 4)} "
             f"ik_reduction={final.ik_reduction:.4f}"
         )
@@ -202,9 +201,8 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load(args.config)
     out_dir = _out_dir(args.out)
-    grid = ExperimentGrid.from_config(cfg)
-    samples, candidates = build_benchmark(grid)
-    results_path, summary_path, errors = run_grid(samples, candidates, grid, out_dir, jobs=args.jobs)
+    samples, candidates = build_benchmark(cfg)
+    results_path, summary_path, errors = run_grid(samples, candidates, cfg, out_dir, jobs=args.jobs)
     print(f"results -> {results_path}")
     print(f"summary -> {summary_path}")
     if errors:

@@ -40,11 +40,19 @@ class DataConfig:
             raise ValueError("data.n_samples must be positive and data.pool_size nonnegative")
         if not 0.0 < self.test_frac < 1.0:
             raise ValueError("test_frac must lie strictly between 0 and 1")
+        if round(self.test_frac * self.n_samples) < 1:
+            raise ValueError(
+                f"data.test_frac = {self.test_frac} leaves no test row of data.n_samples = {self.n_samples}"
+            )
 
 
 @dataclass(frozen=True)
 class FeatureConfig:
     density_band: float = DENSITY_BAND
+
+    def __post_init__(self):
+        if self.density_band < 0:
+            raise ValueError("features.density_band must be nonnegative")
 
 
 @dataclass(frozen=True)

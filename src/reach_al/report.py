@@ -22,15 +22,12 @@ from typing import Optional
 
 import numpy as np
 
-from .active import SCORERS, ALConfig, run_loop
-from .config import AppConfig, DataConfig
-from .dataset import LabeledRows, SceneConfig, generate_scene, label_with_oracle, make_splits, read_labeled_cache
+from .active import SCORERS, run_loop
+from .config import AppConfig
+from .dataset import LabeledRows, generate_scene, label_with_oracle, make_splits, read_labeled_cache
 from .errors import ConfigError, read_table, write_table
 from .features import features_matrix, labels_array
-from .forest import TrainConfig
-from .kinematics import ManipulatorParams
 from .metrics import MetricSet
-from .perception import CameraIntrinsics, Extrinsics
 from .svgplot import SvgPlot
 
 logger = logging.getLogger(__name__)
@@ -78,42 +75,16 @@ class ResultRow:
 RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
-@dataclass
 class ExperimentGrid:
-    """Everything a sweep needs: the cell lists plus the shared benchmark."""
+    """The sweep functions take the ``AppConfig`` itself, so ``from_config``
+    returns it unchanged.  Kept for perfbench; ROADMAP item 3 removes it."""
 
-    strategies: tuple
-    init_sizes: tuple
-    budgets: tuple
-    seeds: tuple
-    scene: SceneConfig
-    arm: ManipulatorParams
-    forest: TrainConfig
-    cam: CameraIntrinsics
-    ext: Extrinsics
-    al: ALConfig
-    data: DataConfig
-    density_band: float
-
-    @classmethod
-    def from_config(cls, cfg: AppConfig) -> "ExperimentGrid":
-        return cls(
-            strategies=tuple(cfg.grid.strategies),
-            init_sizes=tuple(cfg.grid.init_sizes),
-            budgets=tuple(cfg.grid.budgets),
-            seeds=tuple(cfg.grid.seeds),
-            scene=cfg.scene,
-            arm=cfg.arm,
-            forest=cfg.forest,
-            cam=cfg.cam,
-            ext=cfg.ext,
-            al=cfg.al,
-            data=cfg.data,
-            density_band=cfg.features.density_band,
-        )
+    @staticmethod
+    def from_config(cfg: AppConfig) -> AppConfig:
+        return cfg
 
 
-def build_benchmark(grid: ExperimentGrid, data=None, pool=None) -> tuple[LabeledRows, LabeledRows]:
+def build_benchmark(cfg: AppConfig, data=None, pool=None) -> tuple[LabeledRows, LabeledRows]:
     """The shared benchmark as two ``LabeledRows``, (samples, candidates): the first
     ``data.n_samples`` labeled records of the synthetic scene, or of the
     ``data`` cache, and the next ``data.pool_size``, or the first of the
@@ -125,10 +96,10 @@ def build_benchmark(grid: ExperimentGrid, data=None, pool=None) -> tuple[Labeled
         labeled = read_labeled_cache(data)
         source, remedy = f"--data {data}", "label more records"
     else:
-        detections = generate_scene(grid.scene, grid.cam)
-        labeled = label_with_oracle(detections, grid.cam, grid.ext, grid.arm, grid.density_band)
+        detections = generate_scene(cfg.scene, cfg.cam)
+        labeled = label_with_oracle(detections, cfg.cam, cfg.ext, cfg.arm, cfg.features.density_band)
         source, remedy = "the scene", "raise scene.n_images or scene.apples_per_image"
-    n_samples, pool_size = grid.data.n_samples, grid.data.pool_size
+    n_samples, pool_size = cfg.data.n_samples, cfg.data.pool_size
     samples, rest = labeled.samples[:n_samples], labeled.samples[n_samples:]
     if pool:
         candidates = read_labeled_cache(pool)
@@ -169,7 +140,7 @@ _FIELD_PARSERS = tuple(
 def run_cell(
     samples,
     candidates,
-    grid: ExperimentGrid,
+    cfg: AppConfig,
     strategy: str,
     init_size: int,
     budget: int,
@@ -177,8 +148,8 @@ def run_cell(
 ) -> list[ResultRow]:
     X = np.concatenate([features_matrix(samples), features_matrix(candidates)])
     y = np.concatenate([labels_array(samples), labels_array(candidates)])
-    pools = make_splits(y, len(samples), grid.data.test_frac, init_size, seed)
-    logs = run_loop(X, y, pools, strategy, budget, seed, grid.al, grid.forest)
+    pools = make_splits(y, len(samples), cfg.data.test_frac, init_size, seed)
+    logs = run_loop(X, y, pools, strategy, budget, seed, cfg.al, cfg.forest)
     return [
         ResultRow(strategy, seed, init_size, budget, i, log.n_labeled, *astuple(log.metrics))
         for i, log in enumerate(logs)
@@ -188,14 +159,14 @@ def run_cell(
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(samples, candidates, grid):
-    _WORKER_STATE["args"] = (samples, candidates, grid)
+def _init_worker(samples, candidates, cfg):
+    _WORKER_STATE["args"] = (samples, candidates, cfg)
 
 
-def _run_cell_caught(samples, candidates, grid, cell) -> tuple[list, Optional[str]]:
+def _run_cell_caught(samples, candidates, cfg, cell) -> tuple[list, Optional[str]]:
     """``(rows, None)`` for a cell that runs, ``([], message)`` for one that fails."""
     try:
-        return run_cell(samples, candidates, grid, *cell), None
+        return run_cell(samples, candidates, cfg, *cell), None
     except Exception as exc:  # isolated so one bad cell cannot sink a sweep
         return [], str(exc)
 
@@ -287,7 +258,7 @@ def _logged_progress(outcomes, total: int) -> list:
 
 
 def run_grid(
-    samples, candidates, grid: ExperimentGrid, out_dir, jobs: int = 1
+    samples, candidates, cfg: AppConfig, out_dir, jobs: int = 1
 ) -> tuple[str, str, list[tuple[tuple, str]]]:
     """Run every grid cell on the benchmark ``samples`` and pool
     ``candidates``; returns (results_path, summary_path, cell_errors).
@@ -305,14 +276,14 @@ def run_grid(
     os.makedirs(out_dir, exist_ok=True)
     cells = [
         (strategy, init_size, budget, seed)
-        for strategy in grid.strategies
-        for init_size in grid.init_sizes
-        for budget in grid.budgets
-        for seed in grid.seeds
+        for strategy in cfg.grid.strategies
+        for init_size in cfg.grid.init_sizes
+        for budget in cfg.grid.budgets
+        for seed in cfg.grid.seeds
     ]
-    largest = max(grid.budgets)
+    largest = max(cfg.grid.budgets)
     keys = [  # (scorer, init, budget of the run, seed)
-        (SCORERS[s], init, largest if budget % grid.al.batch_size == 0 else budget, seed)
+        (SCORERS[s], init, largest if budget % cfg.al.batch_size == 0 else budget, seed)
         for s, init, budget, seed in cells
     ]
     runs: dict = {}  # key -> the run, under the first name that needs it
@@ -325,12 +296,12 @@ def run_grid(
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(samples, candidates, grid),
+            initargs=(samples, candidates, cfg),
         ) as pool:
             done = _logged_progress(pool.map(_run_cell_worker, runs.values(), chunksize=1), len(runs))
     else:
         done = _logged_progress(
-            (_run_cell_caught(samples, candidates, grid, cell) for cell in runs.values()), len(runs)
+            (_run_cell_caught(samples, candidates, cfg, cell) for cell in runs.values()), len(runs)
         )
     outcomes = dict(zip(runs, done))
 
@@ -340,7 +311,7 @@ def run_grid(
         cell_rows, err = outcomes[key]
         strategy, _, budget, _ = cell
         # Round 0, then at most one round per batch of the cell's budget.
-        n_rounds = 1 - (-budget // grid.al.batch_size)
+        n_rounds = 1 - (-budget // cfg.al.batch_size)
         rows.extend(replace(r, strategy=strategy, budget=budget) for r in cell_rows[:n_rounds])
         if err is not None:
             errors.append((cell, err))

@@ -409,6 +409,10 @@ class TestFatalErrors:
         for line, message in (
             ("grid.init_sizes = -5", "grid.init_sizes must be at least 1"),
             ("grid.budgets = 50, -1", "grid.budgets nonnegative"),
+            ("grid.strategies = qbc\nal.committee_trees = 0", "al.committee_trees must be at least 1"),
+            ("al.committee_trees = -3", "al.committee_trees must be at least 1"),
+            ("features.density_band = -1", "features.density_band must be nonnegative"),
+            ("data.n_samples = 2", "data.test_frac = 0.2 leaves no test row of data.n_samples = 2"),
         ):
             bad = tmp_path / "bad.cfg"
             bad.write_text(line + "\n")

@@ -164,6 +164,18 @@ class TestOverrides:
     def test_invalid_combination_fatal(self):
         with pytest.raises(ConfigError):
             apply_overrides(default_config(), {"arm.L1": "-2"})
+        for kv, message in (
+            ({"al.committee_trees": "0"}, "al.committee_trees must be at least 1"),
+            ({"al.committee_trees": "-3"}, "al.committee_trees must be at least 1"),
+            ({"features.density_band": "-1"}, "features.density_band must be nonnegative"),
+            ({"data.n_samples": "2"}, "data.test_frac = 0.2 leaves no test row of data.n_samples = 2"),
+            ({"data.n_samples": "4", "data.test_frac": "0.1"}, "data.test_frac = 0.1 leaves no test row"),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                apply_overrides(default_config(), kv)
+        # The smallest legal values: a band of 0 counts exact depth matches.
+        apply_overrides(default_config(), {"al.committee_trees": "1", "features.density_band": "0"})
+        apply_overrides(default_config(), {"data.n_samples": "3"})
 
     def test_negative_seed_fatal(self):
         bad = {"scene.seed": "-1", "forest.seed": "-1", "grid.seeds": "0, -1"}

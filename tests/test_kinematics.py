@@ -20,7 +20,7 @@ from reach_al.kinematics import (
     solve_ik,
     write_envelope,
 )
-from reach_al.report import ExperimentGrid, build_benchmark
+from reach_al.report import build_benchmark
 
 PARAMS = ManipulatorParams()
 
@@ -274,7 +274,7 @@ class TestReferenceProperties:
             assert mask.any() and not mask.all()
 
     def test_default_benchmark_points_equal_reference(self):
-        samples, candidates = build_benchmark(ExperimentGrid.from_config(default_config()))
+        samples, candidates = build_benchmark(default_config())
         both = list(samples) + list(candidates)
         points = np.array([s.arm_point.as_array() for s in both])
         assert len(points) == 6000

@@ -23,7 +23,6 @@ from reach_al.dataset import (
 from reach_al.errors import IngestionError, ReachALError
 from reach_al.report import (
     RESULT_COLUMNS,
-    ExperimentGrid,
     ResultRow,
     build_benchmark,
     emit_curve_plots,
@@ -50,20 +49,24 @@ TINY_OVERRIDES = {
 
 
 @pytest.fixture(scope="module")
-def tiny_grid():
-    cfg = apply_overrides(default_config(), TINY_OVERRIDES)
-    return ExperimentGrid.from_config(cfg)
+def tiny_cfg():
+    return apply_overrides(default_config(), TINY_OVERRIDES)
+
+
+def with_grid(cfg, **lists):
+    """``cfg`` with these ``grid.*`` lists."""
+    return replace(cfg, grid=replace(cfg.grid, **lists))
 
 
 @pytest.fixture(scope="module")
-def tiny_benchmark(tiny_grid):
-    return build_benchmark(tiny_grid)
+def tiny_benchmark(tiny_cfg):
+    return build_benchmark(tiny_cfg)
 
 
 @pytest.fixture(scope="module")
-def tiny_results(tiny_grid, tiny_benchmark, tmp_path_factory):
+def tiny_results(tiny_cfg, tiny_benchmark, tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("sweep")
-    results_path, summary_path, errors = run_grid(*tiny_benchmark, tiny_grid, out_dir)
+    results_path, summary_path, errors = run_grid(*tiny_benchmark, tiny_cfg, out_dir)
     assert errors == []
     return results_path, summary_path
 
@@ -74,17 +77,17 @@ class TestRunGrid:
         # 2 strategies x 2 seeds, each with round 0 plus 2 batches of 10.
         assert len(rows) == 2 * 2 * 3
 
-    def test_deterministic_files(self, tiny_grid, tmp_path):
+    def test_deterministic_files(self, tiny_cfg, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
-        pa, sa, _ = run_grid(*build_benchmark(tiny_grid), tiny_grid, a)
-        pb, sb, _ = run_grid(*build_benchmark(tiny_grid), tiny_grid, b)
+        pa, sa, _ = run_grid(*build_benchmark(tiny_cfg), tiny_cfg, a)
+        pb, sb, _ = run_grid(*build_benchmark(tiny_cfg), tiny_cfg, b)
         assert open(pa, "rb").read() == open(pb, "rb").read()
         assert open(sa, "rb").read() == open(sb, "rb").read()
 
-    def test_parallel_matches_serial(self, tiny_grid, tiny_benchmark, tiny_results, tmp_path):
+    def test_parallel_matches_serial(self, tiny_cfg, tiny_benchmark, tiny_results, tmp_path):
         out = tmp_path / "par"
-        path, _, errors = run_grid(*tiny_benchmark, tiny_grid, out, jobs=2)
+        path, _, errors = run_grid(*tiny_benchmark, tiny_cfg, out, jobs=2)
         assert errors == []
         assert open(path, "rb").read() == open(tiny_results[0], "rb").read()
 
@@ -93,16 +96,16 @@ class TestRunGrid:
         assert all(isinstance(r, ResultRow) for r in rows)
         assert all(r.accuracy is not None for r in rows if r.round >= 0)
 
-    def test_run_cell_metrics_are_python_floats(self, tiny_grid, tiny_benchmark):
+    def test_run_cell_metrics_are_python_floats(self, tiny_cfg, tiny_benchmark):
         # repr(np.float64(x)) is "np.float64(x)" under numpy 2, which would
         # corrupt results.csv; np.float64 subclasses float, so check the type.
         for strategy in ("random", "entropy", "qbc"):
-            rows = report.run_cell(*tiny_benchmark, tiny_grid, strategy, 10, 20, 0)
+            rows = report.run_cell(*tiny_benchmark, tiny_cfg, strategy, 10, 20, 0)
             cells = [v for r in rows for v in astuple(r)[RESULT_COLUMNS.index("accuracy") :]]
             assert len(cells) == 3 * 6
             assert all(v is None or type(v) is float for v in cells)
 
-    def test_no_record_objects_from_labeling_to_the_cell(self, tiny_grid, tmp_path, monkeypatch):
+    def test_no_record_objects_from_labeling_to_the_cell(self, tiny_cfg, tmp_path, monkeypatch):
         """Labeled records stay columns: labeling, both cache directions, the
         scene and ``--data`` benchmarks and a cell build no ``LabeledSample``."""
         made, post_init = [], LabeledSample.__post_init__
@@ -112,14 +115,14 @@ class TestRunGrid:
             post_init(sample)
 
         monkeypatch.setattr(LabeledSample, "__post_init__", counted)
-        detections = generate_scene(tiny_grid.scene, tiny_grid.cam)
-        result = label_with_oracle(detections, tiny_grid.cam, tiny_grid.ext, tiny_grid.arm)
+        detections = generate_scene(tiny_cfg.scene, tiny_cfg.cam)
+        result = label_with_oracle(detections, tiny_cfg.cam, tiny_cfg.ext, tiny_cfg.arm)
         path = tmp_path / "labeled.csv"
         write_labeled_cache(path, result)
         write_labeled_cache(tmp_path / "again.csv", read_labeled_cache(path))
         for data in (None, path):
-            samples, candidates = build_benchmark(tiny_grid, data)
-            report.run_cell(samples, candidates, tiny_grid, "entropy", 10, 20, 0)
+            samples, candidates = build_benchmark(tiny_cfg, data)
+            report.run_cell(samples, candidates, tiny_cfg, "entropy", 10, 20, 0)
         assert made == []
         assert list(samples[:3]) == made and len(made) == 3  # the count sees iteration
 
@@ -150,9 +153,9 @@ def runs(monkeypatch):
 class TestScorerFanOut:
     """Names that share a scorer share one run per (init, seed)."""
 
-    def test_five_names_run_three_scorers(self, tiny_grid, tiny_benchmark, runs, tmp_path):
-        grid = replace(tiny_grid, strategies=STRATEGIES)
-        path, _, errors = run_grid(*tiny_benchmark, grid, tmp_path)
+    def test_five_names_run_three_scorers(self, tiny_cfg, tiny_benchmark, runs, tmp_path):
+        cfg = with_grid(tiny_cfg, strategies=STRATEGIES)
+        path, _, errors = run_grid(*tiny_benchmark, cfg, tmp_path)
         assert errors == []
         assert sorted(r[0] for r in runs) == sorted(["random", "least_confidence", "qbc"] * 2)
         by_name = {}
@@ -162,24 +165,24 @@ class TestScorerFanOut:
         assert len(by_name["margin"]) == 2 * 3
         assert by_name["least_confidence"] == by_name["margin"] == by_name["entropy"]
 
-    def test_one_name_keeps_its_name(self, tiny_grid, tiny_benchmark, runs, tmp_path):
-        grid = replace(tiny_grid, strategies=("margin",), seeds=(0,))
-        path, _, _ = run_grid(*tiny_benchmark, grid, tmp_path)
+    def test_one_name_keeps_its_name(self, tiny_cfg, tiny_benchmark, runs, tmp_path):
+        cfg = with_grid(tiny_cfg, strategies=("margin",), seeds=(0,))
+        path, _, _ = run_grid(*tiny_benchmark, cfg, tmp_path)
         assert [r[0] for r in runs] == ["margin"]
         assert {r.strategy for r in read_results(path)} == {"margin"}
 
-    def test_one_shared_run_starts_no_pool(self, tiny_grid, tiny_benchmark, runs, tmp_path):
+    def test_one_shared_run_starts_no_pool(self, tiny_cfg, tiny_benchmark, runs, tmp_path):
         # Three cells but one distinct run: a pool worker's call would not
         # be counted in this process.
-        grid = replace(tiny_grid, strategies=UNCERTAINTY, seeds=(0,))
-        run_grid(*tiny_benchmark, grid, tmp_path, jobs=2)
+        cfg = with_grid(tiny_cfg, strategies=UNCERTAINTY, seeds=(0,))
+        run_grid(*tiny_benchmark, cfg, tmp_path, jobs=2)
         assert [r[0] for r in runs] == ["least_confidence"]
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_failed_shared_run_fails_every_name(self, tiny_grid, tiny_benchmark, tmp_path, jobs):
+    def test_failed_shared_run_fails_every_name(self, tiny_cfg, tiny_benchmark, tmp_path, jobs):
         # init_size 500 exceeds the samples left after the test split.
-        grid = replace(tiny_grid, strategies=UNCERTAINTY, init_sizes=(500,))
-        path, _, errors = run_grid(*tiny_benchmark, grid, tmp_path, jobs=jobs)
+        cfg = with_grid(tiny_cfg, strategies=UNCERTAINTY, init_sizes=(500,))
+        path, _, errors = run_grid(*tiny_benchmark, cfg, tmp_path, jobs=jobs)
         cells = [(s, 500, 20, seed) for s in UNCERTAINTY for seed in (0, 1)]
         assert [cell for cell, _ in errors] == cells
         messages = dict(errors)
@@ -187,11 +190,11 @@ class TestScorerFanOut:
         failed = [(r.strategy, r.seed) for r in read_results(path) if r.round == -1]
         assert failed == [(s, seed) for s, _, _, seed in sorted(cells)]
 
-    def test_progress_logged_about_ten_times(self, tiny_grid, monkeypatch, caplog, tmp_path):
+    def test_progress_logged_about_ten_times(self, tiny_cfg, monkeypatch, caplog, tmp_path):
         monkeypatch.setattr(report, "run_cell", lambda *args: [])
-        grid = replace(tiny_grid, strategies=("random",) + UNCERTAINTY, seeds=tuple(range(11)))
+        cfg = with_grid(tiny_cfg, strategies=("random",) + UNCERTAINTY, seeds=tuple(range(11)))
         caplog.set_level(logging.INFO, logger=report.__name__)
-        run_grid([], [], grid, tmp_path)
+        run_grid([], [], cfg, tmp_path)
         done = [r.getMessage() for r in caplog.records if r.getMessage().startswith("runs done")]
         # 22 distinct runs: every third one, and the last.
         assert [m.split(",")[0] for m in done] == [f"runs done {i}/22" for i in (3, 6, 9, 12, 15, 18, 21, 22)]
@@ -202,67 +205,68 @@ class TestBudgetPrefixes:
     the run at the largest budget; the rows equal a run of its own."""
 
     @staticmethod
-    def at_batch(grid, batch, budgets, **changes):
-        return replace(grid, al=replace(grid.al, batch_size=batch), budgets=budgets, **changes)
+    def at_batch(cfg, batch, budgets, **changes):
+        return replace(with_grid(cfg, budgets=budgets, **changes), al=replace(cfg.al, batch_size=batch))
 
     @staticmethod
-    def assert_rows_as_if_run_alone(samples, candidates, grid, path, tmp_path):
+    def assert_rows_as_if_run_alone(samples, candidates, cfg, path, tmp_path):
+        grid = cfg.grid
         expected = [
             r
             for s in grid.strategies
             for init in grid.init_sizes
             for budget in grid.budgets
             for seed in grid.seeds
-            for r in report.run_cell(samples, candidates, grid, s, init, budget, seed)
+            for r in report.run_cell(samples, candidates, cfg, s, init, budget, seed)
         ]
         write_results(tmp_path / "alone.csv", expected)
         assert open(path, "rb").read() == open(tmp_path / "alone.csv", "rb").read()
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_multiples_of_the_batch_halve_the_runs(self, tiny_grid, tiny_benchmark, runs, tmp_path, jobs):
-        grid = self.at_batch(tiny_grid, 4, (4, 8))
-        path, _, errors = run_grid(*tiny_benchmark, grid, tmp_path / "grid", jobs=jobs)
+    def test_multiples_of_the_batch_halve_the_runs(self, tiny_cfg, tiny_benchmark, runs, tmp_path, jobs):
+        cfg = self.at_batch(tiny_cfg, 4, (4, 8))
+        path, _, errors = run_grid(*tiny_benchmark, cfg, tmp_path / "grid", jobs=jobs)
         assert errors == []
         if jobs == 1:  # a pool worker's calls are not counted in this process
             assert sorted(runs) == [(s, 10, 8, seed) for s in ("entropy", "random") for seed in (0, 1)]
         runs.clear()
-        self.assert_rows_as_if_run_alone(*tiny_benchmark, grid, path, tmp_path)
+        self.assert_rows_as_if_run_alone(*tiny_benchmark, cfg, path, tmp_path)
 
-    def test_other_budgets_keep_their_own_run(self, tiny_grid, tiny_benchmark, runs, tmp_path):
-        grid = self.at_batch(tiny_grid, 4, (6, 8, 10), strategies=("entropy",), seeds=(0,))
-        path, _, errors = run_grid(*tiny_benchmark, grid, tmp_path / "grid")
+    def test_other_budgets_keep_their_own_run(self, tiny_cfg, tiny_benchmark, runs, tmp_path):
+        cfg = self.at_batch(tiny_cfg, 4, (6, 8, 10), strategies=("entropy",), seeds=(0,))
+        path, _, errors = run_grid(*tiny_benchmark, cfg, tmp_path / "grid")
         assert errors == []
         assert runs == [("entropy", 10, 6, 0), ("entropy", 10, 10, 0)]
-        self.assert_rows_as_if_run_alone(*tiny_benchmark, grid, path, tmp_path)
+        self.assert_rows_as_if_run_alone(*tiny_benchmark, cfg, path, tmp_path)
 
-    def test_small_pool_and_budget_zero_match_separate_runs(self, tiny_grid, tiny_benchmark, runs, tmp_path):
+    def test_small_pool_and_budget_zero_match_separate_runs(self, tiny_cfg, tiny_benchmark, runs, tmp_path):
         # 40 samples hold out 8 for test and 10 to start from: a pool of 22.
         samples = tiny_benchmark[0][:40]
-        grid = self.at_batch(tiny_grid, 4, (0, 8, 24, 28))
-        path, _, errors = run_grid(samples, [], grid, tmp_path / "grid")
+        cfg = self.at_batch(tiny_cfg, 4, (0, 8, 24, 28))
+        path, _, errors = run_grid(samples, [], cfg, tmp_path / "grid")
         assert errors == []
         assert {budget for _, _, budget, _ in runs} == {28}
         rows = read_results(path)
         assert max(r.n_labeled for r in rows if r.budget == 24) == 10 + 22
         assert {r.round for r in rows if r.budget == 0} == {0}
-        self.assert_rows_as_if_run_alone(samples, [], grid, path, tmp_path)
+        self.assert_rows_as_if_run_alone(samples, [], cfg, path, tmp_path)
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_failed_shared_run_fails_every_budget_and_name(self, tiny_grid, tiny_benchmark, tmp_path, jobs):
+    def test_failed_shared_run_fails_every_budget_and_name(self, tiny_cfg, tiny_benchmark, tmp_path, jobs):
         # init_size 500 exceeds the samples left after the test split.
-        grid = replace(tiny_grid, strategies=UNCERTAINTY, init_sizes=(500,), budgets=(10, 20))
-        path, _, errors = run_grid(*tiny_benchmark, grid, tmp_path, jobs=jobs)
+        cfg = with_grid(tiny_cfg, strategies=UNCERTAINTY, init_sizes=(500,), budgets=(10, 20))
+        path, _, errors = run_grid(*tiny_benchmark, cfg, tmp_path, jobs=jobs)
         cells = [(s, 500, b, seed) for s in UNCERTAINTY for b in (10, 20) for seed in (0, 1)]
         assert [cell for cell, _ in errors] == cells
         failed = [(r.strategy, r.init_size, r.budget, r.seed) for r in read_results(path) if r.round == -1]
         assert failed == sorted(cells)
         assert all(r.round == -1 for r in read_results(path))
 
-    def test_start_logs_runs_and_cells(self, tiny_grid, monkeypatch, caplog, tmp_path):
+    def test_start_logs_runs_and_cells(self, tiny_cfg, monkeypatch, caplog, tmp_path):
         monkeypatch.setattr(report, "run_cell", lambda *args: [])
-        grid = self.at_batch(tiny_grid, 5, (7, 10, 20), strategies=STRATEGIES)
+        cfg = self.at_batch(tiny_cfg, 5, (7, 10, 20), strategies=STRATEGIES)
         caplog.set_level(logging.INFO, logger=report.__name__)
-        run_grid([], [], grid, tmp_path)
+        run_grid([], [], cfg, tmp_path)
         # Per scorer and seed: one run at 20 for 10 and 20, one at 7.
         assert caplog.records[0].getMessage() == "12 AL runs for 30 cells"
 
