@@ -39,7 +39,7 @@ class DataConfig:
         if self.n_samples < 1 or self.pool_size < 0:
             raise ValueError("data.n_samples must be positive and data.pool_size nonnegative")
         if not 0.0 < self.test_frac < 1.0:
-            raise ValueError("test_frac must lie strictly between 0 and 1")
+            raise ValueError("data.test_frac must lie strictly between 0 and 1")
         if round(self.test_frac * self.n_samples) < 1:
             raise ValueError(
                 f"data.test_frac = {self.test_frac} leaves no test row of data.n_samples = {self.n_samples}"

@@ -20,17 +20,20 @@ holds the rules every detection must meet.
 
 from __future__ import annotations
 
+import csv
 import logging
 import math
 import mmap
 import os
 from array import array
-from dataclasses import dataclass, fields
+from contextlib import nullcontext
+from dataclasses import dataclass, fields, replace
+from itertools import islice, repeat
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, IngestionError, read_table, write_table
+from .errors import ConfigError, IngestionError, plain_line, read_table, write_table
 from .features import DENSITY_BAND, FEATURE_NAMES, feature_rows
 from .kinematics import ArmPoint, ManipulatorParams, solve_ik
 from .perception import (
@@ -78,6 +81,15 @@ class Detections:
     0 or a non-finite cell marking an invalid reading.  ``windows`` is
     (n, 121), the 11x11 depth window around each detection that synthetic
     scenes carry for the density feature, or ``None`` for ingested files.
+
+    Detections read by :func:`ingest_detections` also record where each row
+    came from: ``source``, the file's absolute path; ``source_row``, the row's
+    position among the file's data rows that have ``len(DETECTION_COLUMNS)``
+    cells; and ``source_hash``, the ``hash`` of those cells joined by
+    commas, or -1 (which no ``hash`` equals) where that line would need
+    quoting.  :func:`write_labeled_cache` copies a row's cells from the file
+    while they still hash the same.  Generated detections and the records of
+    a labeled cache carry no source, and these fields are ``None``.
     """
 
     image_id: np.ndarray
@@ -88,14 +100,17 @@ class Detections:
     confidence: np.ndarray
     patches: np.ndarray
     windows: Optional[np.ndarray] = None
+    source: Optional[str] = None
+    source_row: Optional[np.ndarray] = None
+    source_hash: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.u)
 
     def take(self, idx) -> "Detections":
-        """The rows at ``idx``, an index array or a boolean mask."""
-        cols = (getattr(self, f.name) for f in fields(self))
-        return Detections(*(None if col is None else col[idx] for col in cols))
+        """The rows at ``idx``, an index array or a boolean mask, with the same source."""
+        cols = {f.name: getattr(self, f.name) for f in fields(self)}
+        return replace(self, **{k: col[idx] for k, col in cols.items() if isinstance(col, np.ndarray)})
 
 
 @dataclass(frozen=True)
@@ -167,19 +182,19 @@ class SceneConfig:
     def __post_init__(self):
         for name in ("dropout_prob", "cluster_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
+                raise ValueError(f"scene.{name} must lie in [0, 1]")
         for name in ("wall_depth_jitter", "lateral_spread", "depth_noise_std"):
             if not 0.0 <= getattr(self, name) <= MAX_VALID_DEPTH:
-                raise ValueError(f"{name} must lie in [0, {MAX_VALID_DEPTH:g}] meters")
+                raise ValueError(f"scene.{name} must lie in [0, {MAX_VALID_DEPTH:g}] meters")
         if not 0.0 < self.wall_distance <= MAX_VALID_DEPTH:
-            raise ValueError(f"wall_distance must lie in (0, {MAX_VALID_DEPTH:g}] meters")
+            raise ValueError(f"scene.wall_distance must lie in (0, {MAX_VALID_DEPTH:g}] meters")
         if not (0 <= self.n_images <= _MAX_IMAGES and 0.0 <= self.apples_per_image <= _MAX_APPLES):
             raise ValueError(
-                f"n_images must lie in [0, {_MAX_IMAGES}] and "
-                f"apples_per_image in [0, {_MAX_APPLES:g}]"
+                f"scene.n_images must lie in [0, {_MAX_IMAGES}] and "
+                f"scene.apples_per_image in [0, {_MAX_APPLES:g}]"
             )
         if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+            raise ValueError("scene.seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -348,27 +363,70 @@ def generate_scene(cfg: SceneConfig, intr: CameraIntrinsics) -> Detections:
     return Detections(np.array(image_ids, dtype=object), *columns, patches=patches, windows=windows)
 
 
-def _detection_cells(det: Detections):
-    """Each row's cells in ``DETECTION_COLUMNS`` order, as Python floats
-    converted a chunk of rows at a time; ``write_table`` writes each as its
-    ``repr``."""
-    for start in range(0, len(det), _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        cols = (det.u, det.v, det.bbox_w, det.bbox_h, det.confidence, det.patches)
-        nums = np.column_stack([col[rows] for col in cols])
-        for image_id, cells in zip(det.image_id[rows].tolist(), nums.tolist()):
-            yield [image_id, *cells]
+def _detection_cells(det: Detections, rows: slice):
+    """Each cell of the rows at ``rows`` in ``DETECTION_COLUMNS`` order, a
+    list per row, with the numbers as Python floats; ``write_table`` writes
+    each as its ``repr``."""
+    cols = (det.u, det.v, det.bbox_w, det.bbox_h, det.confidence, det.patches)
+    nums = np.column_stack([col[rows] for col in cols])
+    for image_id, cells in zip(det.image_id[rows].tolist(), nums.tolist()):
+        yield [image_id, *cells]
 
 
 def write_detections(path, det: Detections) -> None:
     """Serialize detections in the detection-file format (depth cells in meters)."""
-    write_table(path, DETECTION_COLUMNS, _detection_cells(det))
+    chunks = (slice(start, start + _CHUNK) for start in range(0, len(det), _CHUNK))
+    write_table(path, DETECTION_COLUMNS, (cells for rows in chunks for cells in _detection_cells(det, rows)))
 
 
-def _from_cells(image_ids: list, cells: array) -> Detections:
+class _Cells:
+    """The float64 cells a reader appends, kept in an anonymous memory map
+    of their own and staged 8,192 at a time.  Grown by realloc on malloc's
+    heap, a column of many MB moved to wherever the heap had room, and the
+    peak RSS of labeling a 25k-row file varied by up to 8 MB from run to
+    run, with what the heap held before.  The map starts at ``bound``
+    bytes, at most 256 MB (a page is resident only once written), and
+    doubles when full; the old map is freed as soon as it is copied."""
+
+    def __init__(self, bound: int):
+        size = min(max(bound, mmap.PAGESIZE), 1 << 28)
+        self.map = mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
+        self.stage = array("d")
+
+    def extend(self, cells) -> None:
+        self.stage.extend(cells)
+        if len(self.stage) >= 8192:
+            self._flush()
+
+    def _flush(self) -> None:
+        end = self.map.tell()
+        if end + 8 * len(self.stage) > len(self.map):
+            bigger = mmap.mmap(-1, 2 * (end + 8 * len(self.stage)), access=mmap.ACCESS_COPY)
+            with memoryview(self.map) as old:
+                bigger.write(old[:end])
+            self.map.close()
+            self.map = bigger
+        self.map.write(self.stage)
+        del self.stage[:]
+
+    def array(self) -> np.ndarray:
+        """The cells appended, viewed, not copied."""
+        self._flush()
+        return np.frombuffer(self.map, count=self.map.tell() // 8)
+
+
+def _file_size(path) -> int:
+    """The size of the file at ``path`` in bytes, or 0 when it has none."""
+    try:
+        return os.path.getsize(path)
+    except OSError:
+        return 0
+
+
+def _from_cells(image_ids: list, cells: np.ndarray) -> Detections:
     """Detections from image ids and the numeric cells of each row
     (``DETECTION_COLUMNS[1:]``, row after row), viewed, not copied."""
-    nums = np.frombuffer(cells, dtype=float).reshape(len(image_ids), len(DETECTION_COLUMNS) - 1)
+    nums = cells.reshape(len(image_ids), len(DETECTION_COLUMNS) - 1)
     return Detections(np.array(image_ids, dtype=object), *nums[:, :5].T, patches=nums[:, 5:])
 
 
@@ -391,17 +449,30 @@ def ingest_detections(path, intr: CameraIntrinsics) -> Detections:
     A row is skipped when it has the wrong number of cells, a cell that is
     not a number, or breaks a detection rule (:func:`_bad_rows`, with the
     RGB frame of ``intr``).  A file that cannot be decoded or split into CSV
-    rows raises ``IngestionError`` naming the file and line.
+    rows raises ``IngestionError`` naming the file and line.  The records
+    carry their source (:class:`Detections`).
     """
-    image_ids, cells = [], array("d")
+    # A row of 30 numbers takes at least 60 bytes of the file and 240 of cells.
+    image_ids, cells, hashes, not_numbers = [], _Cells(4 * _file_size(path)), [], []
 
     def parse(row):
-        row_cells = list(map(float, row[1:]))
+        try:
+            row_cells = list(map(float, row[1:]))
+        except ValueError:
+            not_numbers.append(len(image_ids) + len(not_numbers))
+            raise
         image_ids.append(row[0])
         cells.extend(row_cells)
+        line = ",".join(row)
+        hashes.append(hash(line) if plain_line(line, len(row)) else -1)
 
     skipped = read_table(path, "detection file", DETECTION_COLUMNS, parse, skip_malformed=True)
-    det = _from_cells(image_ids, cells)
+    det = replace(
+        _from_cells(image_ids, cells.array()),
+        source=os.path.abspath(path),
+        source_row=np.delete(np.arange(len(image_ids) + len(not_numbers)), not_numbers),
+        source_hash=np.array(hashes, dtype=np.int64),
+    )
     bad = _bad_rows(det, intr)
     skipped += int(np.count_nonzero(bad))
     if skipped:
@@ -495,18 +566,80 @@ def make_splits(
     return PoolSplit(labeled=rest[:init_size], unlabeled=unlabeled, test=test)
 
 
-def _labeled_cells(result: LabelingResult):
-    """Each row's cells in ``LABELED_COLUMNS`` order."""
-    for cells, (features, label) in zip(_detection_cells(result.records), _rows(result.samples)):
-        cells += features
-        cells.insert(_LABEL, label)
-        yield cells
+def _open_source(records: Detections, out):
+    """The detection file ``records`` were ingested from, open for reading,
+    or ``nullcontext()`` when they have no source, it cannot be opened, or
+    it is the file at ``out``, which writing there would truncate."""
+    if records.source is None:
+        return nullcontext()
+    try:
+        if os.path.exists(out) and os.path.samefile(records.source, out):
+            return nullcontext()
+        return open(records.source, "r", newline="")
+    except OSError:
+        return nullcontext()
+
+
+def _source_lines(records: Detections, fh):
+    """Each record's detection cells as its source file ``fh`` holds them,
+    joined by commas, or None where the file no longer holds that row as it
+    was ingested, or the line would need quoting (its ``source_hash`` is -1,
+    which no ``hash`` equals).  The file is read once, to its end or its
+    first row that cannot be read, so a record whose row comes before the
+    previous record's gets None too."""
+    width = len(DETECTION_COLUMNS)
+    # Data rows numbered as ingest_detections numbers them.
+    rows = enumerate(row for row in islice(csv.reader(fh), 1, None) if len(row) == width)
+    at, row = -1, None
+    for start in range(0, len(records), _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        for want, image_id, hashed in zip(
+            records.source_row[chunk].tolist(),
+            records.image_id[chunk].tolist(),
+            records.source_hash[chunk].tolist(),
+        ):
+            try:
+                while at < want:
+                    at, row = next(rows, (math.inf, None))
+            except (csv.Error, OSError, ValueError):
+                at, row = math.inf, None
+            line = ",".join(row) if at == want and row[0] == image_id else None
+            yield line if line is not None and hash(line) == hashed else None
+
+
+def _labeled_rows(result: LabelingResult, source):
+    """Each row of the labeled cache: its detection cells copied from the
+    open detection file ``source`` with its features and label, as one line;
+    or, where they cannot be copied (:func:`_source_lines`) or ``source`` is
+    None, its cells in ``LABELED_COLUMNS`` order."""
+    records = result.records
+    copies = repeat(None) if source is None else _source_lines(records, source)
+    for start in range(0, len(records), _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        X, y = result.samples.X[rows].tolist(), result.samples.y[rows].tolist()
+        floats = None  # made for a chunk only once one of its rows is not copied
+        for i, (features, label, line) in enumerate(zip(X, y, copies)):
+            features.insert(_LABEL - len(DETECTION_COLUMNS), label)
+            if line is not None:
+                yield f"{line},{','.join(map(str, features))}"
+                continue
+            if floats is None:
+                floats = list(_detection_cells(records, rows))
+            yield floats[i] + features
 
 
 def write_labeled_cache(path, result: LabelingResult) -> None:
     """Write retained records with their features and label, and the
-    ``.meta`` sidecar that :func:`read_labeled_cache` reads back."""
-    write_table(path, LABELED_COLUMNS, _labeled_cells(result))
+    ``.meta`` sidecar that :func:`read_labeled_cache` reads back.
+
+    Records ingested from a detection file get their detection cells copied
+    from it as written (``1.50`` stays ``1.50``; it reads back as the same
+    float), except where the file has changed since, cannot be read, is
+    ``path`` itself, or the row would need quoting: those rows, and records
+    with no source, are written from their floats, each cell its ``repr``.
+    """
+    with _open_source(result.records, path) as source:
+        write_table(path, LABELED_COLUMNS, _labeled_rows(result, source))
     with open(f"{os.fspath(path)}.meta", "w") as fh:
         fh.write(f"n_input = {result.n_input}\n")
         fh.write(f"n_dropped = {result.n_dropped}\n")
@@ -562,7 +695,9 @@ def read_labeled_cache(path) -> LabelingResult:
     raises ``IngestionError`` naming the file and the line of the first such
     row.
     """
-    image_ids, cells, features, labels = [], array("d"), array("d"), array("q")
+    # A row of 40 numbers takes at least 80 bytes of the file, 240 of cells and 72 of features.
+    size = _file_size(path)
+    image_ids, cells, features, labels = [], _Cells(3 * size), _Cells(size), array("q")
     n_cells = len(DETECTION_COLUMNS) - 1
 
     def parse(row):
@@ -583,7 +718,7 @@ def read_labeled_cache(path) -> LabelingResult:
         read_table(path, "labeled cache", LABELED_COLUMNS, parse)
     except IngestionError as exc:
         error = exc
-    records = _from_cells(image_ids, cells)
+    records = _from_cells(image_ids, cells.array())
     bad = np.flatnonzero(_bad_rows(records))
     if bad.size:
         # A rule broken in a row before the malformed one is reported
@@ -600,7 +735,7 @@ def read_labeled_cache(path) -> LabelingResult:
     # Without a sidecar, d_local is taken to come from the 5x5 patch, as in
     # every cache that ``reach-al label`` writes from a detection file.
     n_dropped, source = _read_meta(path, len(records)) or (0, "patch5x5")
-    X = np.frombuffer(features, dtype=float).reshape(-1, len(FEATURE_NAMES))
+    X = features.array().reshape(-1, len(FEATURE_NAMES))
     return LabelingResult(
         samples=LabeledRows(X, np.frombuffer(labels, dtype=np.int64)),
         records=records,

@@ -77,17 +77,28 @@ def read_table(path, what: str, columns: tuple, parse, skip_malformed: bool = Fa
 _BLOCK = 64
 
 
+def plain_line(line: str, n_cells: int) -> bool:
+    """Whether ``line`` is ``n_cells`` cells joined by commas that
+    ``csv.writer`` would write as they are: it is not empty and holds exactly
+    ``n_cells - 1`` commas and no ``"``, ``\\r`` or ``\\n``."""
+    return bool(line) and line.count(",") == n_cells - 1 and not (
+        '"' in line or "\r" in line or "\n" in line
+    )
+
+
 def write_table(path, columns: tuple, rows) -> None:
     """Write a CSV file: the ``columns`` header, then each of ``rows``.
 
-    Each row is a list or tuple of str, int or float cells, and the file
-    holds the bytes ``csv.writer`` gives them.  For these types
+    Each row is a list or tuple of str, int or float cells, or a str that
+    holds a line's cells already joined by commas.  The file holds the bytes
+    ``csv.writer`` gives the cells.  For these types
     ``",".join(map(str, row))`` is ``csv.writer``'s line whenever no cell
     needs quoting (``str`` of a float is its ``repr``).  So a row of
-    ``len(columns)`` cells whose joined line is not empty and holds exactly
-    ``len(columns) - 1`` commas and no ``"``, ``\\r`` or ``\\n`` is written as
-    that line, ``_BLOCK`` lines to a write; ``csv.writer`` writes the
-    header and every other row.  (It writes a lone empty cell as ``""``.)
+    ``len(columns)`` cells whose joined line is a :func:`plain_line` is
+    written as that line, ``_BLOCK`` lines to a write; ``csv.writer`` writes
+    the header and every other row.  (It writes a lone empty cell as
+    ``""``.)  A pre-joined line must be a :func:`plain_line`, or
+    ``ValueError`` is raised: its cells cannot be told apart to quote them.
     """
     n = len(columns)
     with open(path, "w", newline="") as fh:
@@ -95,16 +106,19 @@ def write_table(path, columns: tuple, rows) -> None:
         writer.writerow(columns)
         block = []
         for row in rows:
-            line = ",".join(map(str, row))
-            if len(row) == n and line and line.count(",") == n - 1 and not (
-                '"' in line or "\r" in line or "\n" in line
-            ):
-                block.append(line)
-                if len(block) == _BLOCK:
-                    _write_lines(fh, block)
+            if isinstance(row, str):
+                if not plain_line(row, n):
+                    raise ValueError(f"a pre-joined line of {n} cells needs quoting: {row!r}")
+                line = row
             else:
+                line = ",".join(map(str, row))
+                if len(row) != n or not plain_line(line, n):
+                    _write_lines(fh, block)
+                    writer.writerow(row)
+                    continue
+            block.append(line)
+            if len(block) == _BLOCK:
                 _write_lines(fh, block)
-                writer.writerow(row)
         _write_lines(fh, block)
 
 

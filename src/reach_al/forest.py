@@ -79,9 +79,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.n_trees < 1:
-            raise ValueError("n_trees must be at least 1")
+            raise ValueError("forest.n_trees must be at least 1")
         if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+            raise ValueError("forest.seed must be nonnegative")
 
 
 @dataclass

@@ -52,18 +52,18 @@ class ManipulatorParams:
 
     def __post_init__(self):
         if not self.L1 > 0:
-            raise ValueError("L1 must be positive")
+            raise ValueError("arm.L1 must be positive")
         if self.Le < 0:
-            raise ValueError("Le must be nonnegative")
+            raise ValueError("arm.Le must be nonnegative")
         if self.collision_margin < 0:
-            raise ValueError("collision_margin must be nonnegative")
-        for name in ("d1_range", "d2_range", "theta1_range", "theta2_range"):
-            lo, hi = getattr(self, name)
+            raise ValueError("arm.collision_margin must be nonnegative")
+        for name in ("d1", "d2", "theta1", "theta2"):
+            lo, hi = getattr(self, f"{name}_range")
             if not lo <= hi:
-                raise ValueError(f"{name} must satisfy min <= max")
+                raise ValueError(f"arm.{name}_min must not exceed arm.{name}_max")
         t2_lo, t2_hi = self.theta2_range
         if not (-math.pi / 2.0 < t2_lo and t2_hi < math.pi / 2.0):
-            raise ValueError("theta2_range must lie strictly inside (-pi/2, pi/2)")
+            raise ValueError("arm.theta2_min and arm.theta2_max must lie strictly inside (-pi/2, pi/2)")
 
 
 @dataclass(frozen=True)

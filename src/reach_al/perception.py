@@ -32,13 +32,15 @@ class CameraIntrinsics:
     depth_height: int = 424
 
     def __post_init__(self):
-        if not (1.0 <= self.fx <= _MAX_PIXELS and 1.0 <= self.fy <= _MAX_PIXELS):
-            raise ValueError(f"focal lengths must lie in [1, {_MAX_PIXELS}] pixels")
-        if not (0 <= self.cx < self.depth_width and 0 <= self.cy < self.depth_height):
-            raise ValueError("principal point must lie inside the depth image")
+        for name in ("fx", "fy"):
+            if not 1.0 <= getattr(self, name) <= _MAX_PIXELS:
+                raise ValueError(f"cam.{name}: focal lengths must lie in [1, {_MAX_PIXELS}] pixels")
         for name in ("rgb_width", "rgb_height", "depth_width", "depth_height"):
             if not 1 <= getattr(self, name) <= _MAX_PIXELS:
-                raise ValueError(f"{name} must lie in [1, {_MAX_PIXELS}] pixels")
+                raise ValueError(f"cam.{name} must lie in [1, {_MAX_PIXELS}] pixels")
+        for name, size in (("cx", "depth_width"), ("cy", "depth_height")):
+            if not 0 <= getattr(self, name) < getattr(self, size):
+                raise ValueError(f"cam.{name}: the principal point must lie in [0, cam.{size})")
 
 
 class Extrinsics:

@@ -383,6 +383,35 @@ class TestFatalErrors:
             assert run_cli("gen-scene", "--config", str(bad), "--out", str(tmp_path)) == 2
             assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("forest.n_trees = 0", "forest.n_trees"),
+            ("forest.seed = -1", "forest.seed"),
+            ("arm.L1 = -2", "arm.L1"),
+            ("arm.Le = -1", "arm.Le"),
+            ("arm.collision_margin = -1", "arm.collision_margin"),
+            ("arm.theta2_min = 2", "arm.theta2_min"),
+            ("arm.theta2_max = 1.6", "arm.theta2_max"),
+            ("data.test_frac = 1", "data.test_frac"),
+            ("scene.dropout_prob = 2", "scene.dropout_prob"),
+            ("scene.wall_distance = 0", "scene.wall_distance"),
+            ("scene.depth_noise_std = -1", "scene.depth_noise_std"),
+            ("scene.n_images = -1", "scene.n_images"),
+            ("scene.seed = -1", "scene.seed"),
+            ("cam.fx = 0", "cam.fx"),
+            ("cam.cx = -5", "cam.cx"),
+            ("cam.depth_width = 0", "cam.depth_width"),
+        ],
+    )
+    def test_section_errors_name_their_key(self, tmp_path, capsys, line, key):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(line + "\n")
+        capsys.readouterr()
+        assert run_cli("gen-scene", "--config", str(bad), "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
+
     def test_scene_too_large_to_map_fatal(self, tmp_path, capsys, monkeypatch):
         def no_memory(*args, **kwargs):
             raise OSError(errno.ENOMEM, "Cannot allocate memory")

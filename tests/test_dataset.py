@@ -257,6 +257,24 @@ class TestDetectionFiles:
             with pytest.raises(IngestionError, match=rf"{name}\.csv, line {line}:"):
                 ingest_detections(path, INTR)
 
+    def test_growing_the_cell_maps_changes_nothing(self, monkeypatch, tmp_path):
+        # With no size to go by, each map starts at one page and doubles as
+        # each 8,192-cell stage is copied in; 1,000+ rows make 30,000+ cells.
+        records = generate_scene(SceneConfig(n_images=150, seed=3), INTR)
+        result = label_with_oracle(records, INTR, EXT, ARM)
+        assert len(result.records) > 1000
+        det_path, cache_path = tmp_path / "detections.csv", tmp_path / "labeled.csv"
+        write_detections(det_path, records)
+        write_labeled_cache(cache_path, result)
+        expected = ingest_detections(det_path, INTR), read_labeled_cache(cache_path)
+        monkeypatch.setattr(dataset, "_file_size", lambda path: 0)
+        grown = ingest_detections(det_path, INTR), read_labeled_cache(cache_path)
+        for a, b in zip(expected, grown):
+            records = (a, b) if isinstance(a, Detections) else (a.records, b.records)
+            assert same_rows(*records)
+        assert grown[1].samples.X.tobytes() == expected[1].samples.X.tobytes()
+        assert grown[1].samples.y.tobytes() == expected[1].samples.y.tobytes()
+
     @given(
         edits=st.lists(st.tuples(st.integers(0, 40), CACHE_CELLS), max_size=6),
         keep=st.integers(0, len(DETECTION_COLUMNS) + 3),

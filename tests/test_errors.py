@@ -3,10 +3,11 @@ import math
 import pathlib
 import tempfile
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reach_al.errors import _BLOCK, write_table
+from reach_al.errors import _BLOCK, plain_line, write_table
 
 # Cells that csv.writer quotes, that sit next to quoting, or that print
 # differently under str and repr in other types.
@@ -98,3 +99,22 @@ class TestWriteTable:
         if odd_last:
             rows[-1] = [odd, *PLAIN_ROW]
         assert_same_bytes_as_csv_writer(("id", "a", "b", "c", "d"), rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=tables(), joined=st.lists(st.booleans(), min_size=12, max_size=12))
+    def test_pre_joined_lines_same_bytes_as_their_cells(self, table, joined):
+        """A row given as its plain line writes what its cells write."""
+        columns, rows = table
+        lines = []
+        for row, pick in zip(rows, joined):
+            line = ",".join(map(str, row))
+            lines.append(line if pick and len(row) == len(columns) and plain_line(line, len(row)) else row)
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, theirs = pathlib.Path(tmp, "ours.csv"), pathlib.Path(tmp, "theirs.csv")
+            write_table(ours, columns, lines)
+            assert ours.read_bytes() == csv_writer_bytes(theirs, columns, rows)
+
+    @pytest.mark.parametrize("line", ["a,b", "a", "a,b,c,d", "", 'a,"b",c', "a,b\n,c", "a\r,b,c"])
+    def test_pre_joined_line_that_needs_quoting_raises(self, tmp_path, line):
+        with pytest.raises(ValueError, match="needs quoting"):
+            write_table(tmp_path / "t.csv", ("x", "y", "z"), [[1, 2, 3], line])

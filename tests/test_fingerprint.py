@@ -3,7 +3,9 @@
 The hashes pin ``results.csv`` and ``summary.csv`` of a five-strategy,
 two-seed sweep whose last query batch is short (4 + 4 + 2), at one and at
 two workers, and of one ``run --data`` cell on a labeled cache, and the
-detection file, labeled cache and sidecar that cell is run from.  A second
+detection file, labeled cache and sidecar that cell is run from; and the
+detection file, labeled cache and sidecar of a default-size scene at 95%
+depth dropout, where labeling drops 1,806 of 6,403 detections.  A second
 sweep adds budgets 6 and 8 next to 10: 8 is a multiple of the batch, so its
 rows are the leading rounds of the budget-10 run, while 6 is not and runs on
 its own.  Its hashes were taken from a sweep that ran every budget
@@ -40,6 +42,9 @@ DATA_SUMMARY = "b8b6a405c2f56ff2c7dba04ce05513f852c5ed5b4aa3262ec9320f91ca29fa92
 DETECTIONS = "c95be5514ece0a4068dad0783f3b2d8630c198c9a6d8329fdd3c35d27fee5472"
 LABELED = "01b957ff5a694d07ad2b2f16b4f6232a82706f14cc952c14865a5aee7b11719c"
 LABELED_META = "8288a78cb4fe3404da34079c8e59396dbb5330f30efdef6febfc6d4114da7eab"
+DROPOUT_DETECTIONS = "0a15a1b4298f780464bcc780c1bdd6c19bcc5123ff4922a5b7ef3d489f95d7de"
+DROPOUT_LABELED = "0e26ff782f214d4b290ba5d0d74efe7d242368a605857e132c42c77b2e4a967d"
+DROPOUT_META = "83d8d2fc52f33bffd12085f4aaf5ebfcce863962323087445f3b10c502122de2"
 
 
 def sha256(path):
@@ -86,3 +91,16 @@ def test_run_data_fingerprint(tmp_path, cfg_file):
     assert sha256(f"{data}.meta") == LABELED_META
     assert sha256(os.path.join(out, "results.csv")) == DATA_RESULTS
     assert sha256(os.path.join(out, "summary.csv")) == DATA_SUMMARY
+
+
+def test_high_dropout_label_fingerprint(tmp_path):
+    cfg = tmp_path / "dropout.cfg"
+    cfg.write_text("scene.seed = 7\nscene.dropout_prob = 0.95\n")
+    out = str(tmp_path)
+    assert main(["gen-scene", "--config", str(cfg), "--out", out]) == 0
+    det = os.path.join(out, "detections.csv")
+    assert main(["label", "--config", str(cfg), "--detections", det, "--out", out]) == 0
+    data = os.path.join(out, "labeled.csv")
+    assert sha256(det) == DROPOUT_DETECTIONS
+    assert sha256(data) == DROPOUT_LABELED
+    assert sha256(f"{data}.meta") == DROPOUT_META

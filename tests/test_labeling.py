@@ -117,7 +117,18 @@ def valid_values(patch):
 
 
 def concat(*parts):
-    return Detections(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(Detections)))
+    """The rows of ``parts`` in order.  A column that some part lacks is
+    ``None``, and the source is kept only when every part has the same one."""
+    cols = {}
+    for f in fields(Detections):
+        values = [getattr(p, f.name) for p in parts]
+        if f.name == "source":
+            cols[f.name] = values[0] if len(set(values)) == 1 else None
+        elif all(v is not None for v in values):
+            cols[f.name] = np.concatenate(values)
+    if cols.get("source") is None:
+        cols.update(source=None, source_row=None, source_hash=None)
+    return Detections(**cols)
 
 
 def assert_same_detections(a, b, windows=True):
