@@ -10,8 +10,11 @@
 #      at one and at two workers;
 #   5. the pinned sha256 of the default detections.csv, labeled.csv and
 #      labeled.csv.meta, of the copy of the detection file that
-#      ingest_detections and write_detections make, and of the copy of the
-#      cache that read_labeled_cache and write_labeled_cache make; of the
+#      ingest_detections and write_detections make, of the copy of the
+#      cache that read_labeled_cache and write_labeled_cache make, and of
+#      the cache labeled from that detection file read through a pipe (no
+#      file size to start the reader's map from, and no source to copy
+#      cells from, so each row is written from its floats); of the
 #      detections.csv of a scene that takes the generator's other branches
 #      (no dropout, every apple in a cluster, depth noise that the clip cuts);
 #      and of the detections.csv, labeled.csv and labeled.csv.meta of a scene
@@ -67,6 +70,11 @@ c5d4bd71ff8540fa3ac9a355690cf4b077804fd53af956505fd8ad08c50f7da9  $out/scene/lab
 f0db555bf533cbdd5773b2e85607f9c1e69d2f989c786eb76ecac6e012029de8  $out/scene/labeled.csv.meta
 c5d4bd71ff8540fa3ac9a355690cf4b077804fd53af956505fd8ad08c50f7da9  $out/scene/copy.csv
 f0db555bf533cbdd5773b2e85607f9c1e69d2f989c786eb76ecac6e012029de8  $out/scene/copy.csv.meta
+SUMS
+cat "$out/scene/detections.csv" | PYTHONPATH=src python -m reach_al.cli label --detections /dev/stdin --out "$out/pipe"
+sha256sum -c - <<SUMS
+c5d4bd71ff8540fa3ac9a355690cf4b077804fd53af956505fd8ad08c50f7da9  $out/pipe/labeled.csv
+f0db555bf533cbdd5773b2e85607f9c1e69d2f989c786eb76ecac6e012029de8  $out/pipe/labeled.csv.meta
 SUMS
 printf '%s\n' "scene.seed = 7" "scene.dropout_prob = 0" "scene.cluster_prob = 1" \
   "scene.depth_noise_std = 0.3" > "$out/branches.cfg"

@@ -256,26 +256,58 @@ _EDGE_DIST = np.array(
 ).T
 
 
-def _window_map(rows: int, full: Optional[mmap.mmap] = None) -> mmap.mmap:
-    """A private anonymous mapping with room for ``rows`` 11x11 windows that
-    starts with those of ``full``, and closes it.  A page is resident only
-    once written, and goes back to the OS when the mapping is freed."""
-    size = max(rows, 1) * _WINDOW**2 * 8
-    try:
-        windows = mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
-    except OSError as exc:
-        raise ConfigError(
-            f"scene.n_images x scene.apples_per_image is too large: "
-            f"its depth windows need {size} bytes ({exc.strerror})"
-        ) from exc
-    if full is not None:
-        windows.write(full)
-        full.close()
-    return windows
+class _Cells:
+    """Float64 cells in an anonymous memory map of their own, which the scene
+    generator fills in place and the file readers append to, staged 8,192
+    cells at a time.  On malloc's heap, columns of many MB made peak RSS vary
+    by up to 8 MB from run to run.  A page is resident only once written; a
+    full map doubles, the old one freed once copied.  A map that cannot be
+    made raises ``error("<what> need <size> bytes (<reason>)")``."""
+
+    def __init__(self, size: int, what: str, error=IngestionError):
+        self.what, self.error = what, error
+        self.map = self._new(size)
+        self.stage = array("d")
+
+    def _new(self, size: int) -> mmap.mmap:
+        try:
+            return mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
+        except OSError as exc:
+            raise self.error(f"{self.what} need {size} bytes ({exc.strerror})") from exc
+
+    def grow(self, end: int, size: int) -> None:
+        """Move the first ``end`` bytes to a new map of ``size`` bytes, and write on after them."""
+        bigger = self._new(size)
+        with memoryview(self.map) as old:
+            bigger.write(old[:end])
+        self.map.close()
+        self.map = bigger
+
+    def extend(self, cells) -> None:
+        self.stage.extend(cells)
+        if len(self.stage) >= 8192:
+            self._flush()
+
+    def _flush(self) -> None:
+        end = self.map.tell()
+        if end + 8 * len(self.stage) > len(self.map):
+            self.grow(end, 2 * (end + 8 * len(self.stage)))
+        self.map.write(self.stage)
+        del self.stage[:]
+
+    def array(self) -> np.ndarray:
+        """The cells appended, viewed, not copied."""
+        self._flush()
+        return np.frombuffer(self.map, count=self.map.tell() // 8)
 
 
 def generate_scene(cfg: SceneConfig, intr: CameraIntrinsics) -> Detections:
-    """Deterministic synthetic detections for ``cfg.n_images`` images."""
+    """Deterministic synthetic detections for ``cfg.n_images`` images.
+
+    Each window's normals go straight into its row of a ``_Cells`` map with
+    room for the mean row count plus 8 standard deviations, doubled when
+    full; blocks of ``_CHUNK`` rows become depths in place, and ``windows``
+    is a view of the map.  A map that cannot be made raises ``ConfigError``."""
     rng = np.random.default_rng(cfg.seed)
     rgb_sx = intr.rgb_width / intr.depth_width
     rgb_sy = intr.rgb_height / intr.depth_height
@@ -283,12 +315,10 @@ def generate_scene(cfg: SceneConfig, intr: CameraIntrinsics) -> Detections:
     fy_rgb = intr.fy * rgb_sy
 
     image_ids, cells = [], array("d")  # u, v, bbox_w, bbox_h, confidence per row
-    # 11x11 cells per row, in a mapping of their own rather than malloc's
-    # heap, whose fragmentation made peak RSS vary from run to run; then
-    # viewed, not copied, as the (n, 121) column.  The room covers the mean
-    # row count plus 8 standard deviations; past that the map doubles.
-    windows = _window_map(math.ceil(1.25 * cfg.n_images * cfg.apples_per_image) + 64)
-    win = np.frombuffer(windows).reshape(-1, _WINDOW**2)
+    row, rows = 8 * _WINDOW**2, math.ceil(1.25 * cfg.n_images * cfg.apples_per_image) + 64
+    too_large = "scene.n_images x scene.apples_per_image is too large: its depth windows"
+    window_map = _Cells(row * rows, too_large, ConfigError)
+    win = np.frombuffer(window_map.map).reshape(-1, _WINDOW**2)
     # Each pending row's apple depth, occluder depth, band side and width (0:
     # no band) and dropout mask; dropout and band draws go through ``noise``.
     depths, occluders, noise = np.empty(_CHUNK), np.empty(_CHUNK), np.empty(_WINDOW**2)
@@ -337,8 +367,8 @@ def generate_scene(cfg: SceneConfig, intr: CameraIntrinsics) -> Detections:
                     start = n
                 if n == len(win):
                     del win  # the map cannot close while a view of it is alive
-                    windows = _window_map(2 * n, windows)
-                    win = np.frombuffer(windows).reshape(-1, _WINDOW**2)
+                    window_map.grow(n * row, 2 * n * row)
+                    win = np.frombuffer(window_map.map).reshape(-1, _WINDOW**2)
                 i = n - start
                 rng.standard_normal(out=win[n])
                 depths[i], widths[i] = Zc, 0
@@ -379,42 +409,6 @@ def write_detections(path, det: Detections) -> None:
     write_table(path, DETECTION_COLUMNS, (cells for rows in chunks for cells in _detection_cells(det, rows)))
 
 
-class _Cells:
-    """The float64 cells a reader appends, kept in an anonymous memory map
-    of their own and staged 8,192 at a time.  Grown by realloc on malloc's
-    heap, a column of many MB moved to wherever the heap had room, and the
-    peak RSS of labeling a 25k-row file varied by up to 8 MB from run to
-    run, with what the heap held before.  The map starts at ``bound``
-    bytes, at most 256 MB (a page is resident only once written), and
-    doubles when full; the old map is freed as soon as it is copied."""
-
-    def __init__(self, bound: int):
-        size = min(max(bound, mmap.PAGESIZE), 1 << 28)
-        self.map = mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
-        self.stage = array("d")
-
-    def extend(self, cells) -> None:
-        self.stage.extend(cells)
-        if len(self.stage) >= 8192:
-            self._flush()
-
-    def _flush(self) -> None:
-        end = self.map.tell()
-        if end + 8 * len(self.stage) > len(self.map):
-            bigger = mmap.mmap(-1, 2 * (end + 8 * len(self.stage)), access=mmap.ACCESS_COPY)
-            with memoryview(self.map) as old:
-                bigger.write(old[:end])
-            self.map.close()
-            self.map = bigger
-        self.map.write(self.stage)
-        del self.stage[:]
-
-    def array(self) -> np.ndarray:
-        """The cells appended, viewed, not copied."""
-        self._flush()
-        return np.frombuffer(self.map, count=self.map.tell() // 8)
-
-
 def _file_size(path) -> int:
     """The size of the file at ``path`` in bytes, or 0 when it has none."""
     try:
@@ -423,11 +417,18 @@ def _file_size(path) -> int:
         return 0
 
 
-def _from_cells(image_ids: list, cells: np.ndarray) -> Detections:
-    """Detections from image ids and the numeric cells of each row
-    (``DETECTION_COLUMNS[1:]``, row after row), viewed, not copied."""
-    nums = cells.reshape(len(image_ids), len(DETECTION_COLUMNS) - 1)
-    return Detections(np.array(image_ids, dtype=object), *nums[:, :5].T, patches=nums[:, 5:])
+def _file_cells(path, what: str) -> _Cells:
+    """A ``_Cells`` for the ``what`` file at ``path``: a row of k numbers takes at least 2k
+    bytes of it and 8k of cells, so the map starts at 4 bytes a byte, from a page to 256 MB."""
+    size = min(max(4 * _file_size(path), mmap.PAGESIZE), 1 << 28)
+    return _Cells(size, f"cannot read {what} {path}: its cells")
+
+
+def _from_cells(image_ids: list, nums: np.ndarray) -> Detections:
+    """Detections from image ids and each row's numbers, an (n, k) array that
+    starts with its numeric cells (``DETECTION_COLUMNS[1:]``), viewed, not copied."""
+    patches = nums[:, 5 : len(DETECTION_COLUMNS) - 1]
+    return Detections(np.array(image_ids, dtype=object), *nums[:, :5].T, patches=patches)
 
 
 def _bad_rows(det: Detections, intr: Optional[CameraIntrinsics] = None) -> np.ndarray:
@@ -452,8 +453,7 @@ def ingest_detections(path, intr: CameraIntrinsics) -> Detections:
     rows raises ``IngestionError`` naming the file and line.  The records
     carry their source (:class:`Detections`).
     """
-    # A row of 30 numbers takes at least 60 bytes of the file and 240 of cells.
-    image_ids, cells, hashes, not_numbers = [], _Cells(4 * _file_size(path)), [], []
+    image_ids, cells, hashes, not_numbers = [], _file_cells(path, "detection file"), [], []
 
     def parse(row):
         try:
@@ -468,7 +468,7 @@ def ingest_detections(path, intr: CameraIntrinsics) -> Detections:
 
     skipped = read_table(path, "detection file", DETECTION_COLUMNS, parse, skip_malformed=True)
     det = replace(
-        _from_cells(image_ids, cells.array()),
+        _from_cells(image_ids, cells.array().reshape(-1, len(DETECTION_COLUMNS) - 1)),
         source=os.path.abspath(path),
         source_row=np.delete(np.arange(len(image_ids) + len(not_numbers)), not_numbers),
         source_hash=np.array(hashes, dtype=np.int64),
@@ -695,9 +695,8 @@ def read_labeled_cache(path) -> LabelingResult:
     raises ``IngestionError`` naming the file and the line of the first such
     row.
     """
-    # A row of 40 numbers takes at least 80 bytes of the file, 240 of cells and 72 of features.
-    size = _file_size(path)
-    image_ids, cells, features, labels = [], _Cells(3 * size), _Cells(size), array("q")
+    # Each row's 39 numbers, its detection cells then its features, in one map.
+    image_ids, cells, labels = [], _file_cells(path, "labeled cache"), array("q")
     n_cells = len(DETECTION_COLUMNS) - 1
 
     def parse(row):
@@ -709,8 +708,7 @@ def read_labeled_cache(path) -> LabelingResult:
             if not math.isfinite(value):
                 raise ValueError(f"feature {name} is not finite: {value}")
         image_ids.append(row[0])
-        cells.extend(nums[:n_cells])
-        features.extend(nums[n_cells:])
+        cells.extend(nums)
         labels.append(label)
 
     error = None
@@ -718,7 +716,8 @@ def read_labeled_cache(path) -> LabelingResult:
         read_table(path, "labeled cache", LABELED_COLUMNS, parse)
     except IngestionError as exc:
         error = exc
-    records = _from_cells(image_ids, cells.array())
+    nums = cells.array().reshape(-1, n_cells + len(FEATURE_NAMES))
+    records = _from_cells(image_ids, nums)
     bad = np.flatnonzero(_bad_rows(records))
     if bad.size:
         # A rule broken in a row before the malformed one is reported
@@ -735,9 +734,8 @@ def read_labeled_cache(path) -> LabelingResult:
     # Without a sidecar, d_local is taken to come from the 5x5 patch, as in
     # every cache that ``reach-al label`` writes from a detection file.
     n_dropped, source = _read_meta(path, len(records)) or (0, "patch5x5")
-    X = features.array().reshape(-1, len(FEATURE_NAMES))
     return LabelingResult(
-        samples=LabeledRows(X, np.frombuffer(labels, dtype=np.int64)),
+        samples=LabeledRows(nums[:, n_cells:], np.frombuffer(labels, dtype=np.int64)),
         records=records,
         n_dropped=n_dropped,
         n_input=len(records) + n_dropped,

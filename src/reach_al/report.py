@@ -103,6 +103,11 @@ def build_benchmark(cfg: AppConfig, data=None, pool=None) -> tuple[LabeledRows, 
     samples, rest = labeled.samples[:n_samples], labeled.samples[n_samples:]
     if pool:
         candidates = read_labeled_cache(pool)
+        if os.path.samefile(data, pool):
+            raise ConfigError(
+                f"--pool {pool} is the --data cache itself; its candidates would repeat "
+                "the samples, test rows included"
+            )
         if candidates.density_source != labeled.density_source:
             raise ConfigError(
                 f"--data {data} has d_local from {labeled.density_source} but --pool "
@@ -128,8 +133,13 @@ def _fmt_value(v):
 
 
 def _parse_optional(text: str) -> Optional[float]:
+    """A metric cell: ``nan`` (undefined) as None, else a number in [0, 1]."""
     v = float(text)
-    return None if np.isnan(v) else v
+    if np.isnan(v):
+        return None
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"metric {v} lies outside [0, 1]")
+    return v
 
 
 _FIELD_PARSERS = tuple(

@@ -10,6 +10,7 @@ the package does not share.
 """
 
 import math
+import mmap
 from array import array
 
 import numpy as np
@@ -22,9 +23,18 @@ from reach_al.dataset import (
     BACKGROUND_OFFSET,
     Detections,
     SceneConfig,
-    _window_map,
 )
 from reach_al.perception import MAX_VALID_DEPTH, CameraIntrinsics
+
+
+def _window_map(rows: int, full=None) -> mmap.mmap:
+    """An anonymous memory map with room for ``rows`` 11x11 windows that
+    starts with those of ``full``, and closes it."""
+    windows = mmap.mmap(-1, rows * _WINDOW**2 * 8, access=mmap.ACCESS_COPY)
+    if full is not None:
+        windows.write(full)
+        full.close()
+    return windows
 
 
 def _draw_apple_position(rng, cfg: SceneConfig, intr: CameraIntrinsics, base=None):

@@ -6,6 +6,7 @@ import os
 import pathlib
 import re
 import shlex
+import shutil
 import typing
 
 import numpy as np
@@ -48,6 +49,13 @@ def cfg_file(tmp_path):
 
 def run_cli(*args):
     return main(list(args))
+
+
+def copy_cache(data, dest) -> str:
+    """A copy of the labeled cache ``data`` and its sidecar at ``dest``: the same rows in another file."""
+    shutil.copyfile(data, dest)
+    shutil.copyfile(f"{data}.meta", f"{dest}.meta")
+    return str(dest)
 
 
 class TestGenLabelPipeline:
@@ -136,7 +144,7 @@ class TestRunAndSweep:
         # 10 of the 50 samples are test rows and the other 40 the initial
         # set, so the pool is the candidates alone, and a budget of 50 runs
         # its 20 rows dry, whichever cache they come from.
-        for pool in ((), ("--pool", data)):
+        for pool in ((), ("--pool", copy_cache(data, tmp_path / "pool.csv"))):
             run_out = str(tmp_path / f"run{len(pool)}")
             argv = ["run", "--config", str(small), "--data", data, *pool, "--budget", "50"]
             assert run_cli(*argv, "--init-size", "40", "--out", run_out) == 0
@@ -223,7 +231,24 @@ class TestFailedCells:
             assert run_cli(*argv, "--data", data_path, "--pool", pool_path) == 2
             assert "not comparable" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "r" / "results.csv")
-        assert run_cli(*argv, "--data", data, "--pool", data) == 0
+        assert run_cli(*argv, "--data", data, "--pool", copy_cache(data, tmp_path / "pool.csv")) == 0
+
+    def test_run_refuses_the_data_cache_as_pool(self, tmp_path, cfg_file, capsys):
+        # Candidates from the --data cache itself would repeat its samples,
+        # test rows included, under this path or any other.
+        out = str(tmp_path / "o")
+        assert run_cli("gen-scene", "--config", cfg_file, "--out", out) == 0
+        det = os.path.join(out, "detections.csv")
+        assert run_cli("label", "--config", cfg_file, "--detections", det, "--out", out) == 0
+        data = os.path.join(out, "labeled.csv")
+        os.link(data, tmp_path / "linked.csv")
+        argv = ["run", "--config", cfg_file, "--data", data, "--out", str(tmp_path / "r")]
+        for pool in (data, str(tmp_path / "linked.csv")):
+            capsys.readouterr()
+            assert run_cli(*argv, "--pool", pool) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1 and "--pool" in err, err
+        assert not os.path.exists(tmp_path / "r" / "results.csv")
 
     def test_short_benchmark_fatal(self, tmp_path, cfg_file, capsys):
         # A scene or cache with fewer rows than data.n_samples samples and
@@ -235,7 +260,8 @@ class TestFailedCells:
         data = os.path.join(out, "labeled.csv")
         n_rows = len(read_labeled_cache(data).samples)
         assert n_rows >= 600
-        run_data, run_pool = ("run", "--data", data), ("run", "--data", data, "--pool", data)
+        run_data = ("run", "--data", data)
+        run_pool = run_data + ("--pool", copy_cache(data, tmp_path / "pool.csv"))
         # The candidates are the rest of the --data cache, or the --pool cache.
         for key, value, commands in (
             ("scene.n_images", 20, (("run",), ("sweep",))),
@@ -423,6 +449,29 @@ class TestFatalErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "scene.n_images" in err and "scene.apples_per_image" in err
         assert f"need {(1_250_000_000 + 64) * 121 * 8} bytes" in err  # 1.25 x the mean rows, + 64
+
+    def test_cells_too_large_to_map_fatal(self, tmp_path, cfg_file, capsys, monkeypatch):
+        # Either reader's cells go in a map too; one that cannot be made
+        # names the file.
+        out = str(tmp_path / "o")
+        assert run_cli("gen-scene", "--config", cfg_file, "--out", out) == 0
+        det = os.path.join(out, "detections.csv")
+        assert run_cli("label", "--config", cfg_file, "--detections", det, "--out", out) == 0
+        data = os.path.join(out, "labeled.csv")
+
+        def no_memory(*args, **kwargs):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", no_memory)
+        run_out = str(tmp_path / "r")
+        for argv, path in (
+            (("label", "--config", cfg_file, "--detections", det, "--out", run_out), det),
+            (("run", "--config", cfg_file, "--data", data, "--out", run_out), data),
+        ):
+            capsys.readouterr()
+            assert run_cli(*argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1 and path in err, err
 
     def test_bad_run_sizes_and_strategy_fatal(self, tmp_path, cfg_file, capsys):
         out = str(tmp_path / "o")

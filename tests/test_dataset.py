@@ -119,10 +119,8 @@ class TestGenerateScene:
         # The first map has room for one window, so it doubles again and again.
         cfg = SceneConfig(n_images=30, seed=4)
         expected = generate_scene(cfg, INTR)
-        real = dataset._window_map
-        monkeypatch.setattr(
-            dataset, "_window_map", lambda rows, full=None: real(1 if full is None else rows, full)
-        )
+        real = dataset._Cells
+        monkeypatch.setattr(dataset, "_Cells", lambda size, *args: real(8 * dataset._WINDOW**2, *args))
         grown = generate_scene(cfg, INTR)
         assert len(grown) == len(expected) > 64
         assert grown.windows.tobytes() == expected.windows.tobytes()
@@ -166,10 +164,8 @@ class TestGenerateScene:
         expected = reference_scene(cfg, INTR)
         with pytest.MonkeyPatch.context() as mp:
             if one_row_map:
-                real = dataset._window_map
-                mp.setattr(
-                    dataset, "_window_map", lambda rows, full=None: real(1 if full is None else rows, full)
-                )
+                real = dataset._Cells
+                mp.setattr(dataset, "_Cells", lambda size, *args: real(8 * dataset._WINDOW**2, *args))
             got = generate_scene(cfg, INTR)
         assert got.image_id.tolist() == expected.image_id.tolist()
         for name in NUMERIC_COLUMNS + ("windows",):

@@ -322,6 +322,7 @@ class TestReadResults:
             ("short", VALID_RESULT_ROW[:-1]),
             ("long", VALID_RESULT_ROW + ["1"]),
             ("float", VALID_RESULT_ROW[:6] + ["high"] + VALID_RESULT_ROW[7:]),
+            ("range", VALID_RESULT_ROW[:6] + ["inf"] + VALID_RESULT_ROW[7:]),
         ):
             path = tmp_path / f"{name}.csv"
             write_result_rows(path, [VALID_RESULT_ROW, row])
