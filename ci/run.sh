@@ -18,7 +18,10 @@
 #      detections.csv of a scene that takes the generator's other branches
 #      (no dropout, every apple in a cluster, depth noise that the clip cuts);
 #      and of the detections.csv, labeled.csv and labeled.csv.meta of a scene
-#      at 95% depth dropout, where labeling drops 1,806 of 6,403 detections.
+#      at 95% depth dropout, where labeling drops 1,806 of 6,403 detections;
+#   6. the pinned sha256 of the results.csv and summary.csv of a one-seed
+#      sweep at two workers on that 95%-dropout scene, whose benchmark is
+#      labeled in 512-row blocks that each lose rows.
 #
 # It first prints the line count of the package source (src/reach_al/*.py).
 #
@@ -90,5 +93,13 @@ sha256sum -c - <<SUMS
 0a15a1b4298f780464bcc780c1bdd6c19bcc5123ff4922a5b7ef3d489f95d7de  $out/dropout/detections.csv
 0e26ff782f214d4b290ba5d0d74efe7d242368a605857e132c42c77b2e4a967d  $out/dropout/labeled.csv
 83d8d2fc52f33bffd12085f4aaf5ebfcce863962323087445f3b10c502122de2  $out/dropout/labeled.csv.meta
+SUMS
+
+echo "== sweep on the 95%-dropout scene at two workers"
+printf '%s\n' "grid.seeds = 0" "data.pool_size = 3000" | cat "$out/dropout.cfg" - > "$out/dropout-sweep.cfg"
+PYTHONPATH=src python -m reach_al.cli sweep --config "$out/dropout-sweep.cfg" --jobs 2 --out "$out/dropout-sweep"
+sha256sum -c - <<SUMS
+25d98b94a838047d260012e4daa69207504caf0d229b9193608c9db02bbb2d1e  $out/dropout-sweep/results.csv
+083f8104efa785acf3951d01a852c60ed5f790f4c98092f0ebf1ea99b1e150bc  $out/dropout-sweep/summary.csv
 SUMS
 echo "== all CI checks passed"

@@ -5,11 +5,14 @@ apples on a jittered fruit wall in front of the camera, including plenty of
 targets the arm cannot reach (too high or low for the shoulder pitch, too
 far, or too close to the carriage rail), projects them to pixel detections,
 and fabricates noisy depth patches.  Its random draws, in their order, are
-part of its output: reordering them is a re-baseline.  Each window's normals
-go straight into its row of the window map, and the steps that make them
-depths run as array passes over ``_CHUNK`` rows (``tests/scene_reference.py``
-keeps the per-window form).  Labeling runs every detection through the
-perception pipeline and asks the kinematic feasibility test for its class.
+part of its output: reordering them is a re-baseline.  One loop draws the
+scene in blocks of ``_CHUNK`` rows (``_scene_blocks``): each window's normals
+go straight into its row, and array passes over the block make them depths
+(``tests/scene_reference.py`` keeps the per-window form).  ``generate_scene``
+keeps every block's windows in one map; the benchmark build labels each
+block in one reused buffer before the next is drawn.  Labeling runs every
+detection through the perception pipeline and asks the kinematic
+feasibility test for its class.
 
 Detections are held as columns (:class:`Detections`) from generation or
 ingestion through labeling to the labeled cache, and labeled records as a
@@ -261,8 +264,9 @@ class _Cells:
     generator fills in place and the file readers append to, staged 8,192
     cells at a time.  On malloc's heap, columns of many MB made peak RSS vary
     by up to 8 MB from run to run.  A page is resident only once written; a
-    full map doubles, the old one freed once copied.  A map that cannot be
-    made raises ``error("<what> need <size> bytes (<reason>)")``."""
+    full map doubles, the old one unmapped once copied and no array views
+    it.  A map that cannot be made raises ``error("<what> need <size> bytes
+    (<reason>)")``."""
 
     def __init__(self, size: int, what: str, error=IngestionError):
         self.what, self.error = what, error
@@ -280,7 +284,6 @@ class _Cells:
         bigger = self._new(size)
         with memoryview(self.map) as old:
             bigger.write(old[:end])
-        self.map.close()
         self.map = bigger
 
     def extend(self, cells) -> None:
@@ -301,40 +304,56 @@ class _Cells:
         return np.frombuffer(self.map, count=self.map.tell() // 8)
 
 
-def generate_scene(cfg: SceneConfig, intr: CameraIntrinsics) -> Detections:
-    """Deterministic synthetic detections for ``cfg.n_images`` images.
+def _scene_detections(image_id: np.ndarray, columns, windows: np.ndarray) -> Detections:
+    """Generated detections: ``columns`` holds u, v, bbox_w, bbox_h and
+    confidence, and the patches are copies of the centers of the (n, 121)
+    ``windows``."""
+    lo, hi = _PATCH_OFFSET, _PATCH_OFFSET + 5
+    patches = windows.reshape(-1, _WINDOW, _WINDOW)[:, lo:hi, lo:hi].reshape(-1, 25)
+    return Detections(image_id, *columns, patches=patches, windows=windows)
 
-    Each window's normals go straight into its row of a ``_Cells`` map with
-    room for the mean row count plus 8 standard deviations, doubled when
-    full; blocks of ``_CHUNK`` rows become depths in place, and ``windows``
-    is a view of the map.  A map that cannot be made raises ``ConfigError``."""
+
+def _scene_blocks(cfg: SceneConfig, intr: CameraIntrinsics, window_map: Optional[_Cells] = None):
+    """The scene's detections, yielded in blocks of up to ``_CHUNK`` rows once
+    their windows are depths; only an empty scene yields an empty block.
+
+    Each window's normals go straight into its row: of ``window_map``, one
+    row after another, the map doubling when full (a block also ends there);
+    or, without a map, of one (``_CHUNK``, 121) buffer that every block
+    reuses, so a block's ``windows`` hold only until the next block is
+    drawn."""
     rng = np.random.default_rng(cfg.seed)
     rgb_sx = intr.rgb_width / intr.depth_width
     rgb_sy = intr.rgb_height / intr.depth_height
     fx_rgb = intr.fx * rgb_sx
     fy_rgb = intr.fy * rgb_sy
 
-    image_ids, cells = [], array("d")  # u, v, bbox_w, bbox_h, confidence per row
-    row, rows = 8 * _WINDOW**2, math.ceil(1.25 * cfg.n_images * cfg.apples_per_image) + 64
-    too_large = "scene.n_images x scene.apples_per_image is too large: its depth windows"
-    window_map = _Cells(row * rows, too_large, ConfigError)
-    win = np.frombuffer(window_map.map).reshape(-1, _WINDOW**2)
+    row = 8 * _WINDOW**2
+    if window_map is None:
+        win = np.empty((_CHUNK, _WINDOW**2))
+    else:
+        win = np.frombuffer(window_map.map).reshape(-1, _WINDOW**2)
+    # The pending block: its first row in ``win``, its row count, and each
+    # row's image id and u, v, bbox_w, bbox_h and confidence.
+    at, m, image_ids, cells = 0, 0, [], array("d")
     # Each pending row's apple depth, occluder depth, band side and width (0:
     # no band) and dropout mask; dropout and band draws go through ``noise``.
     depths, occluders, noise = np.empty(_CHUNK), np.empty(_CHUNK), np.empty(_WINDOW**2)
     sides, widths = np.zeros(_CHUNK, dtype=np.intp), np.zeros(_CHUNK, dtype=np.intp)
     drops = np.zeros((_CHUNK, _WINDOW**2), dtype=bool)
-    start = n = 0
 
-    def finish(w):
-        """Normals to depths; the additions touch disjoint cells and 0 is in range."""
-        m = len(w)
+    def finished():
+        """The pending block, its normals made depths; the additions touch
+        disjoint cells and 0 is in range."""
+        w = win[at : at + m]
         w *= cfg.depth_noise_std
         band = _EDGE_DIST[sides[:m]] < widths[:m, None]
         np.add(w, occluders[:m, None], out=w, where=band)
         np.add(w, depths[:m, None], out=w, where=~band)
         # Zero dropped cells and cells below 0, at or past MAX_VALID_DEPTH, or not finite.
         np.copyto(w, 0.0, where=~((w >= 0.0) & (w < MAX_VALID_DEPTH)) | drops[:m])
+        columns = np.array(cells).reshape(m, 5).T
+        return _scene_detections(np.array(image_ids, dtype=object), columns, w)
 
     for img in range(cfg.n_images):
         image_id = f"synth-{img:05d}"
@@ -362,35 +381,48 @@ def generate_scene(cfg: SceneConfig, intr: CameraIntrinsics) -> Detections:
                 placed += 1
                 # Members behind the cluster front are partially occluded.
                 occluder = max(0.05, Zc - _uniform(rng, 0.04, 0.09)) if k > 0 else None
-                if n == start + _CHUNK or n == len(win):
-                    finish(win[start:n])
-                    start = n
-                if n == len(win):
-                    del win  # the map cannot close while a view of it is alive
-                    window_map.grow(n * row, 2 * n * row)
+                if m == _CHUNK or at + m == len(win):
+                    yield finished()
+                    at = 0 if window_map is None else at + m
+                    m, image_ids, cells = 0, [], array("d")
+                if at == len(win):
+                    window_map.grow(at * row, 2 * at * row)
                     win = np.frombuffer(window_map.map).reshape(-1, _WINDOW**2)
-                i = n - start
-                rng.standard_normal(out=win[n])
-                depths[i], widths[i] = Zc, 0
+                rng.standard_normal(out=win[at + m])
+                depths[m], widths[m] = Zc, 0
                 if occluder is not None:
-                    widths[i] = max(1, int(round(_uniform(rng, 0.1, 0.45) * _WINDOW)))
-                    sides[i], occluders[i] = rng.integers(0, 4), occluder
-                    band = _EDGE_DIST[sides[i]] < widths[i]
-                    np.copyto(win[n], rng.standard_normal(out=noise), where=band)
+                    widths[m] = max(1, int(round(_uniform(rng, 0.1, 0.45) * _WINDOW)))
+                    sides[m], occluders[m] = rng.integers(0, 4), occluder
+                    band = _EDGE_DIST[sides[m]] < widths[m]
+                    np.copyto(win[at + m], rng.standard_normal(out=noise), where=band)
                 if cfg.dropout_prob > 0:
-                    np.less(rng.random(out=noise), cfg.dropout_prob, out=drops[i])
-                n += 1
+                    np.less(rng.random(out=noise), cfg.dropout_prob, out=drops[m])
+                m += 1
                 jitter = _uniform(rng, 0.9, 1.1)
                 bbox_w = APPLE_DIAMETER * fx_rgb / Zc * jitter
                 bbox_h = APPLE_DIAMETER * fy_rgb / Zc * jitter
                 image_ids.append(image_id)
                 cells.extend((ud * rgb_sx, vd * rgb_sy, bbox_w, bbox_h, _uniform(rng, 0.5, 1.0)))
-    finish(win[start:n])
-    windows = win[:n]
-    lo, hi = _PATCH_OFFSET, _PATCH_OFFSET + 5
-    patches = windows.reshape(n, _WINDOW, _WINDOW)[:, lo:hi, lo:hi].reshape(n, 25)
-    columns = np.array(cells, dtype=float).reshape(n, 5).T
-    return Detections(np.array(image_ids, dtype=object), *columns, patches=patches, windows=windows)
+    yield finished()
+
+
+def generate_scene(cfg: SceneConfig, intr: CameraIntrinsics) -> Detections:
+    """Deterministic synthetic detections for ``cfg.n_images`` images.
+
+    The whole scene at once: each window's normals go straight into its row
+    of a ``_Cells`` map with room for the mean row count plus 8 standard
+    deviations, doubled when full; each block of ``_CHUNK`` rows becomes
+    depths in place, and ``windows`` is a view of the map.  A map that
+    cannot be made raises ``ConfigError``."""
+    rows = math.ceil(1.25 * cfg.n_images * cfg.apples_per_image) + 64
+    too_large = "scene.n_images x scene.apples_per_image is too large: its depth windows"
+    window_map = _Cells(8 * _WINDOW**2 * rows, too_large, ConfigError)
+    per_row = DETECTION_COLUMNS[:6]  # the fields with one id or number per row
+    blocks = ([getattr(b, c) for c in per_row] for b in _scene_blocks(cfg, intr, window_map))
+    image_id, *columns = map(np.concatenate, zip(*blocks))
+    n = len(image_id)
+    windows = np.frombuffer(window_map.map, count=n * _WINDOW**2).reshape(n, _WINDOW**2)
+    return _scene_detections(image_id, columns, windows)
 
 
 def _detection_cells(det: Detections, rows: slice):
@@ -503,30 +535,40 @@ def label_with_oracle(
     with no valid depth or out-of-frame pixels are dropped, not errors; the
     kept rows are the result's ``records`` and the drop count is reported.
     """
-    windows = det.patches if det.windows is None else det.windows
-    kept = np.zeros(len(det), dtype=bool)
-    features, labels = [np.empty((0, len(FEATURE_NAMES)))], [np.empty(0, dtype=np.int64)]
-    for start in range(0, len(det), _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        patches = det.patches[rows]
-        keep, depth, x, y, z = locate_detections(det.u[rows], det.v[rows], patches, intr, ext)
-        bbox_w, bbox_h = det.bbox_w[rows][keep], det.bbox_h[rows][keep]
-        dims = (intr.rgb_width, intr.rgb_height)
-        features.append(
-            feature_rows(x, y, z, patches[keep], depth, bbox_w, bbox_h, dims, windows[rows][keep], density_band)
-        )
-        labels.append(solve_ik(x, y, z, params)[0].astype(np.int64))
-        kept[start + keep] = True
-    samples = LabeledRows(np.concatenate(features), np.concatenate(labels))
+    chunks = (det.take(slice(start, start + _CHUNK)) for start in range(0, len(det), _CHUNK))
+    samples, kept = _label_chunks(chunks, intr, ext, params, density_band)
     # Keeping every row copies none: a second copy of the windows would
     # raise peak RSS by their whole size.
     return LabelingResult(
         samples=samples,
-        records=det if kept.all() else det.take(kept),
+        records=det if len(kept) == len(det) else det.take(kept),
         n_dropped=len(det) - len(samples),
         n_input=len(det),
         density_source="patch5x5" if det.windows is None and samples else "window11x11",
     )
+
+
+def _label_chunks(chunks, intr, ext, params, density_band) -> tuple[LabeledRows, np.ndarray]:
+    """The samples of ``chunks``, detections of at most ``_CHUNK`` rows each
+    labeled before the next is taken (:func:`label_with_oracle`), and the
+    index of each kept row among all the chunks' rows.  Given the blocks of
+    ``_scene_blocks(cfg, intr)``, the samples are those of
+    ``label_with_oracle(generate_scene(cfg, intr), ...)``, bit for bit."""
+    features, labels = [np.empty((0, len(FEATURE_NAMES)))], [np.empty(0, dtype=np.int64)]
+    kept, n = [np.empty(0, dtype=np.intp)], 0
+    dims = (intr.rgb_width, intr.rgb_height)
+    for det in chunks:
+        patches = det.patches
+        windows = patches if det.windows is None else det.windows
+        keep, depth, x, y, z = locate_detections(det.u, det.v, patches, intr, ext)
+        bbox_w, bbox_h = det.bbox_w[keep], det.bbox_h[keep]
+        features.append(
+            feature_rows(x, y, z, patches[keep], depth, bbox_w, bbox_h, dims, windows[keep], density_band)
+        )
+        labels.append(solve_ik(x, y, z, params)[0].astype(np.int64))
+        kept.append(n + keep)
+        n += len(det)
+    return LabeledRows(np.concatenate(features), np.concatenate(labels)), np.concatenate(kept)
 
 
 def make_splits(

@@ -24,7 +24,7 @@ import numpy as np
 
 from .active import SCORERS, run_loop
 from .config import AppConfig
-from .dataset import LabeledRows, generate_scene, label_with_oracle, make_splits, read_labeled_cache
+from .dataset import LabeledRows, _label_chunks, _scene_blocks, make_splits, read_labeled_cache
 from .errors import ConfigError, read_table, write_table
 from .features import features_matrix, labels_array
 from .metrics import MetricSet
@@ -89,18 +89,25 @@ def build_benchmark(cfg: AppConfig, data=None, pool=None) -> tuple[LabeledRows, 
     ``data.n_samples`` labeled records of the synthetic scene, or of the
     ``data`` cache, and the next ``data.pool_size``, or the first of the
     ``pool`` cache, whose ``d_local`` must come from the same source.
-    Fewer rows than either size raises ``ConfigError``."""
+    Fewer rows than either size raises ``ConfigError``.
+
+    The scene is generated and labeled one block of 512 depth windows at a
+    time, keeping only each block's features and labels.  Both results are
+    contiguous copies of just their rows, so no cache's map, with all 39
+    numbers of its every row, stays resident behind them in the run or in
+    its forked workers."""
     if pool and not data:
         raise ConfigError("--pool needs --data")
     if data:
         labeled = read_labeled_cache(data)
+        rows = labeled.samples
         source, remedy = f"--data {data}", "label more records"
     else:
-        detections = generate_scene(cfg.scene, cfg.cam)
-        labeled = label_with_oracle(detections, cfg.cam, cfg.ext, cfg.arm, cfg.features.density_band)
+        blocks = _scene_blocks(cfg.scene, cfg.cam)
+        rows, _ = _label_chunks(blocks, cfg.cam, cfg.ext, cfg.arm, cfg.features.density_band)
         source, remedy = "the scene", "raise scene.n_images or scene.apples_per_image"
     n_samples, pool_size = cfg.data.n_samples, cfg.data.pool_size
-    samples, rest = labeled.samples[:n_samples], labeled.samples[n_samples:]
+    samples, rest = rows[:n_samples], rows[n_samples:]
     if pool:
         candidates = read_labeled_cache(pool)
         if os.path.samefile(data, pool):
@@ -123,7 +130,7 @@ def build_benchmark(cfg: AppConfig, data=None, pool=None) -> tuple[LabeledRows, 
                 f"{source} gives {len(rows)} {what}, fewer than {key} = {size}; "
                 f"lower {key} or {remedy}"
             )
-    return samples, rest[:pool_size]
+    return tuple(LabeledRows(part.X.copy(), part.y.copy()) for part in (samples, rest[:pool_size]))
 
 
 def _fmt_value(v):

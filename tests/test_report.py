@@ -1,26 +1,32 @@
 import csv
 import logging
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reach_al import report
+from reach_al import dataset, report
 from reach_al.active import STRATEGIES
 from reach_al.config import apply_overrides, default_config
 from reach_al.dataset import (
     DETECTION_COLUMNS,
     LABELED_COLUMNS,
     LabeledSample,
+    SceneConfig,
     generate_scene,
     ingest_detections,
     label_with_oracle,
     read_labeled_cache,
     write_labeled_cache,
 )
-from reach_al.errors import IngestionError, ReachALError
+from reach_al.errors import ConfigError, IngestionError, ReachALError
 from reach_al.report import (
     RESULT_COLUMNS,
     ResultRow,
@@ -131,6 +137,117 @@ class TestRunGrid:
         path = tmp_path / "copy.csv"
         write_results(path, rows)
         assert open(path, "rb").read() == open(tiny_results[0], "rb").read()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# The streamed build of a 3,200-image scene (about 25.5k rows), after one
+# tiny build has warmed numpy: what it adds to the peak RSS, and the bytes
+# of the scene's depth windows, measured after the peak was read.  The peak
+# is VmHWM, that of the process's own memory; ru_maxrss keeps the peak of
+# the process that started it, here the test run's, across exec.
+BUILD_PEAK = textwrap.dedent(
+    """
+    from reach_al.config import apply_overrides, default_config
+    from reach_al.dataset import generate_scene
+    from reach_al.report import build_benchmark
+
+    def peak():
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) * 1024
+
+    sizes = {"data.n_samples": "10", "data.pool_size": "10"}
+    build_benchmark(apply_overrides(default_config(), dict(sizes, **{"scene.n_images": "20"})))
+    cfg = apply_overrides(default_config(), {"scene.n_images": "3200"})
+    before = peak()
+    build_benchmark(cfg)
+    added = peak() - before
+    print(added, len(generate_scene(cfg.scene, cfg.cam)) * 8 * 11 * 11)
+    """
+)
+
+
+class TestBuildBenchmark:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        scene=st.builds(
+            SceneConfig,
+            n_images=st.integers(0, 40),
+            apples_per_image=st.floats(0.0, 30.0),
+            dropout_prob=st.sampled_from([0.0, 0.06, 1.0]),
+            cluster_prob=st.sampled_from([0.0, 0.35, 1.0]),
+            depth_noise_std=st.floats(0.0, 4.0),
+            wall_distance=st.one_of(st.floats(0.05, 0.1), st.floats(0.3, 1.2), st.floats(19.0, 20.0)),
+            wall_depth_jitter=st.sampled_from([0.0, 0.35]),
+            lateral_spread=st.sampled_from([0.55, 3.0]),
+            seed=st.integers(0, 2**32),
+        )
+    )
+    # 512 and 1,024 detections, the second with a block boundary between images.
+    @example(SceneConfig(n_images=40, apples_per_image=13.0, seed=0))
+    @example(SceneConfig(n_images=40, apples_per_image=25.6, seed=6))
+    # 773 detections, with the block boundary inside image 26.
+    @example(SceneConfig(n_images=40, apples_per_image=20.0, seed=0))
+    # 513 detections: the boundary falls inside the last image, and labeling
+    # drops the second block's one row.
+    @example(SceneConfig(n_images=40, apples_per_image=12.825, dropout_prob=0.95, seed=1101))
+    # 1,237 detections, and labeling drops every row of all three blocks.
+    @example(SceneConfig(n_images=40, apples_per_image=30.0, dropout_prob=1.0, seed=0))
+    def test_streamed_rows_equal_labeling_the_whole_scene(self, scene):
+        cfg = replace(default_config(), scene=scene)
+        whole = generate_scene(scene, cfg.cam)
+        expected = label_with_oracle(whole, cfg.cam, cfg.ext, cfg.arm, cfg.features.density_band).samples
+        n = len(expected)
+        n_samples = max(3, n // 2)
+        remedy = "raise scene.n_images or scene.apples_per_image"
+        if n < n_samples:
+            cfg.data = replace(cfg.data, n_samples=n_samples, pool_size=0)
+            message = f"the scene gives {n} samples, fewer than data.n_samples = {n_samples}; "
+            with pytest.raises(ConfigError, match=f"^{message}lower data.n_samples or {remedy}$"):
+                build_benchmark(cfg)
+            return
+        cfg.data = replace(cfg.data, n_samples=n_samples, pool_size=n - n_samples)
+        samples, candidates = build_benchmark(cfg)
+        assert np.concatenate([samples.X, candidates.X]).tobytes() == expected.X.tobytes()
+        assert np.concatenate([samples.y, candidates.y]).tobytes() == expected.y.tobytes()
+        pool_size = n - n_samples + 1
+        cfg.data = replace(cfg.data, pool_size=pool_size)
+        message = f"the scene gives {n - n_samples} candidates, fewer than data.pool_size = {pool_size}; "
+        with pytest.raises(ConfigError, match=f"^{message}lower data.pool_size or {remedy}$"):
+            build_benchmark(cfg)
+
+    def test_returned_rows_are_copies_not_cache_maps(self, tiny_cfg, tmp_path, monkeypatch):
+        maps = []
+
+        class Recorded(dataset._Cells):
+            def _new(self, size):
+                maps.append(super()._new(size))
+                return maps[-1]
+
+        monkeypatch.setattr(dataset, "_Cells", Recorded)
+        data, pool = tmp_path / "data.csv", tmp_path / "pool.csv"
+        for path, seed in ((data, 1), (pool, 2)):
+            det = generate_scene(replace(tiny_cfg.scene, seed=seed), tiny_cfg.cam)
+            write_labeled_cache(path, label_with_oracle(det, tiny_cfg.cam, tiny_cfg.ext, tiny_cfg.arm))
+        for caches in ((), (data,), (data, pool)):
+            maps.clear()
+            samples, candidates = build_benchmark(tiny_cfg, *caches)
+            assert (len(samples), len(candidates)) == (tiny_cfg.data.n_samples, tiny_cfg.data.pool_size)
+            assert maps or not caches
+            for arr in (samples.X, samples.y, candidates.X, candidates.y):
+                assert arr.flags.c_contiguous and arr.flags.owndata
+                assert not any(np.may_share_memory(arr, np.frombuffer(m, dtype=np.uint8)) for m in maps)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from Linux's /proc")
+    def test_streamed_build_adds_less_than_the_scene_windows(self):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", BUILD_PEAK], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        added, window_bytes = map(int, proc.stdout.split())
+        assert window_bytes > 24_000_000
+        assert added < window_bytes
 
 
 UNCERTAINTY = ("least_confidence", "margin", "entropy")
