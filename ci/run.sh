@@ -21,7 +21,11 @@
 #      at 95% depth dropout, where labeling drops 1,806 of 6,403 detections;
 #   6. the pinned sha256 of the results.csv and summary.csv of a one-seed
 #      sweep at two workers on that 95%-dropout scene, whose benchmark is
-#      labeled in 512-row blocks that each lose rows.
+#      labeled in 512-row blocks that each lose rows;
+#   7. the pinned sha256 of the detections.csv, labeled.csv and
+#      labeled.csv.meta of a 3,200-image scene (25,318 detections), the
+#      size of perfbench's label-scene input, which gen-scene writes one
+#      512-row block at a time.
 #
 # It first prints the line count of the package source (src/reach_al/*.py).
 #
@@ -101,5 +105,15 @@ PYTHONPATH=src python -m reach_al.cli sweep --config "$out/dropout-sweep.cfg" --
 sha256sum -c - <<SUMS
 25d98b94a838047d260012e4daa69207504caf0d229b9193608c9db02bbb2d1e  $out/dropout-sweep/results.csv
 083f8104efa785acf3951d01a852c60ed5f790f4c98092f0ebf1ea99b1e150bc  $out/dropout-sweep/summary.csv
+SUMS
+echo "== 3,200-image detection file and labeled cache"
+printf '%s\n' "scene.n_images = 3200" > "$out/large.cfg"
+PYTHONPATH=src python -m reach_al.cli gen-scene --config "$out/large.cfg" --out "$out/large"
+PYTHONPATH=src python -m reach_al.cli label --config "$out/large.cfg" \
+  --detections "$out/large/detections.csv" --out "$out/large"
+sha256sum -c - <<SUMS
+a5cdf4afe092026feb726aa3c45b7d4a6b0b89ad05a6afef201f5f4a69f20596  $out/large/detections.csv
+4b4b64399c3e66032b4f35b85bae93d320f2186a013a79a2811577315626917c  $out/large/labeled.csv
+b94f9debaa2641c4f957c91c17b149a868271db6e7a1ff6b4aa521481bd30749  $out/large/labeled.csv.meta
 SUMS
 echo "== all CI checks passed"

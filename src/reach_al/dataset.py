@@ -9,8 +9,9 @@ part of its output: reordering them is a re-baseline.  One loop draws the
 scene in blocks of ``_CHUNK`` rows (``_scene_blocks``): each window's normals
 go straight into its row, and array passes over the block make them depths
 (``tests/scene_reference.py`` keeps the per-window form).  ``generate_scene``
-keeps every block's windows in one map; the benchmark build labels each
-block in one reused buffer before the next is drawn.  Labeling runs every
+keeps every block's windows in one map, and each patch only as its window's
+center; ``gen-scene`` writes, and the benchmark build labels, each block in
+one reused buffer before the next is drawn.  Labeling runs every
 detection through the perception pipeline and asks the kinematic
 feasibility test for its class.
 
@@ -30,7 +31,7 @@ import mmap
 import os
 from array import array
 from contextlib import nullcontext
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import islice, repeat
 from typing import Optional
 
@@ -74,16 +75,35 @@ LABELED_COLUMNS = DETECTION_COLUMNS + FEATURE_NAMES[:3] + ("label",) + FEATURE_N
 _LABEL = LABELED_COLUMNS.index("label")
 
 
+class _Patches:
+    """``Detections.patches``: the array given or, where none was, the 5x5
+    centers of ``windows``, copied out each time it is read."""
+
+    def __get__(self, det, owner=None):
+        if det is None:
+            return None  # the field's default: no array given
+        patches = vars(det)["patches"]
+        if patches is None:
+            lo, hi = _PATCH_OFFSET, _PATCH_OFFSET + 5
+            patches = det.windows.reshape(-1, _WINDOW, _WINDOW)[:, lo:hi, lo:hi].reshape(-1, 25)
+        return patches
+
+    def __set__(self, det, patches):
+        vars(det)["patches"] = patches
+
+
 @dataclass(frozen=True, eq=False)
 class Detections:
     """Detected fruit as parallel columns, one row per detection.
 
     ``image_id`` holds strings; ``u`` and ``v`` (the RGB bounding-box
     center, pixels), ``bbox_w``, ``bbox_h`` and ``confidence`` are float64.
-    ``patches`` is (n, 25): each 5x5 depth patch in meters, row-major, with
-    0 or a non-finite cell marking an invalid reading.  ``windows`` is
+    ``patches`` reads as (n, 25): each 5x5 depth patch in meters, row-major,
+    with 0 or a non-finite cell marking an invalid reading.  ``windows`` is
     (n, 121), the 11x11 depth window around each detection that synthetic
     scenes carry for the density feature, or ``None`` for ingested files.
+    A generated scene holds each depth cell once, in its windows: it gives
+    ``patches=None``, so read them a block of rows at a time (:func:`_chunks`).
 
     Detections read by :func:`ingest_detections` also record where each row
     came from: ``source``, the file's absolute path; ``source_row``, the row's
@@ -101,7 +121,7 @@ class Detections:
     bbox_w: np.ndarray
     bbox_h: np.ndarray
     confidence: np.ndarray
-    patches: np.ndarray
+    patches: Optional[np.ndarray] = _Patches()
     windows: Optional[np.ndarray] = None
     source: Optional[str] = None
     source_row: Optional[np.ndarray] = None
@@ -111,9 +131,15 @@ class Detections:
         return len(self.u)
 
     def take(self, idx) -> "Detections":
-        """The rows at ``idx``, an index array or a boolean mask, with the same source."""
-        cols = {f.name: getattr(self, f.name) for f in fields(self)}
-        return replace(self, **{k: col[idx] for k, col in cols.items() if isinstance(col, np.ndarray)})
+        """The rows at ``idx``, an index array or a boolean mask, with the same
+        source; patches held in the windows stay there."""
+        given = vars(self)  # every field as given, ``patches`` None where the windows hold them
+        return Detections(**{k: col[idx] if isinstance(col, np.ndarray) else col for k, col in given.items()})
+
+
+def _chunks(det: Detections):
+    """The rows of ``det``, ``_CHUNK`` at a time."""
+    return (det.take(slice(start, start + _CHUNK)) for start in range(0, len(det), _CHUNK))
 
 
 @dataclass(frozen=True)
@@ -304,15 +330,6 @@ class _Cells:
         return np.frombuffer(self.map, count=self.map.tell() // 8)
 
 
-def _scene_detections(image_id: np.ndarray, columns, windows: np.ndarray) -> Detections:
-    """Generated detections: ``columns`` holds u, v, bbox_w, bbox_h and
-    confidence, and the patches are copies of the centers of the (n, 121)
-    ``windows``."""
-    lo, hi = _PATCH_OFFSET, _PATCH_OFFSET + 5
-    patches = windows.reshape(-1, _WINDOW, _WINDOW)[:, lo:hi, lo:hi].reshape(-1, 25)
-    return Detections(image_id, *columns, patches=patches, windows=windows)
-
-
 def _scene_blocks(cfg: SceneConfig, intr: CameraIntrinsics, window_map: Optional[_Cells] = None):
     """The scene's detections, yielded in blocks of up to ``_CHUNK`` rows once
     their windows are depths; only an empty scene yields an empty block.
@@ -320,8 +337,8 @@ def _scene_blocks(cfg: SceneConfig, intr: CameraIntrinsics, window_map: Optional
     Each window's normals go straight into its row: of ``window_map``, one
     row after another, the map doubling when full (a block also ends there);
     or, without a map, of one (``_CHUNK``, 121) buffer that every block
-    reuses, so a block's ``windows`` hold only until the next block is
-    drawn."""
+    reuses, so a block's ``windows``, and the ``patches`` read from them,
+    hold only until the next block is drawn."""
     rng = np.random.default_rng(cfg.seed)
     rgb_sx = intr.rgb_width / intr.depth_width
     rgb_sy = intr.rgb_height / intr.depth_height
@@ -353,7 +370,7 @@ def _scene_blocks(cfg: SceneConfig, intr: CameraIntrinsics, window_map: Optional
         # Zero dropped cells and cells below 0, at or past MAX_VALID_DEPTH, or not finite.
         np.copyto(w, 0.0, where=~((w >= 0.0) & (w < MAX_VALID_DEPTH)) | drops[:m])
         columns = np.array(cells).reshape(m, 5).T
-        return _scene_detections(np.array(image_ids, dtype=object), columns, w)
+        return Detections(np.array(image_ids, dtype=object), *columns, windows=w)
 
     for img in range(cfg.n_images):
         image_id = f"synth-{img:05d}"
@@ -406,39 +423,60 @@ def _scene_blocks(cfg: SceneConfig, intr: CameraIntrinsics, window_map: Optional
     yield finished()
 
 
+def _window_map(cfg: SceneConfig) -> _Cells:
+    """A ``_Cells`` map for the scene's windows, with room for the mean row
+    count plus 8 standard deviations; one that cannot be made raises
+    ``ConfigError``."""
+    rows = math.ceil(1.25 * cfg.n_images * cfg.apples_per_image) + 64
+    too_large = "scene.n_images x scene.apples_per_image is too large: its depth windows"
+    return _Cells(8 * _WINDOW**2 * rows, too_large, ConfigError)
+
+
 def generate_scene(cfg: SceneConfig, intr: CameraIntrinsics) -> Detections:
     """Deterministic synthetic detections for ``cfg.n_images`` images.
 
     The whole scene at once: each window's normals go straight into its row
-    of a ``_Cells`` map with room for the mean row count plus 8 standard
-    deviations, doubled when full; each block of ``_CHUNK`` rows becomes
-    depths in place, and ``windows`` is a view of the map.  A map that
-    cannot be made raises ``ConfigError``."""
-    rows = math.ceil(1.25 * cfg.n_images * cfg.apples_per_image) + 64
-    too_large = "scene.n_images x scene.apples_per_image is too large: its depth windows"
-    window_map = _Cells(8 * _WINDOW**2 * rows, too_large, ConfigError)
+    of a ``_window_map``, doubled when full; each block of ``_CHUNK`` rows
+    becomes depths in place, and ``windows`` is a view of the map.  It holds
+    each depth cell once, there: ``patches`` are read from the windows
+    (:class:`Detections`), and the other columns hold one id or number per
+    row."""
+    window_map = _window_map(cfg)
     per_row = DETECTION_COLUMNS[:6]  # the fields with one id or number per row
     blocks = ([getattr(b, c) for c in per_row] for b in _scene_blocks(cfg, intr, window_map))
     image_id, *columns = map(np.concatenate, zip(*blocks))
     n = len(image_id)
     windows = np.frombuffer(window_map.map, count=n * _WINDOW**2).reshape(n, _WINDOW**2)
-    return _scene_detections(image_id, columns, windows)
+    return Detections(image_id, *columns, windows=windows)
 
 
-def _detection_cells(det: Detections, rows: slice):
-    """Each cell of the rows at ``rows`` in ``DETECTION_COLUMNS`` order, a
-    list per row, with the numbers as Python floats; ``write_table`` writes
-    each as its ``repr``."""
-    cols = (det.u, det.v, det.bbox_w, det.bbox_h, det.confidence, det.patches)
-    nums = np.column_stack([col[rows] for col in cols])
-    for image_id, cells in zip(det.image_id[rows].tolist(), nums.tolist()):
+def _detection_cells(det: Detections):
+    """Each cell of the rows of ``det``, at most ``_CHUNK`` of them, in
+    ``DETECTION_COLUMNS`` order, a list per row, with the numbers as Python
+    floats; ``write_table`` writes each as its ``repr``."""
+    nums = np.column_stack((det.u, det.v, det.bbox_w, det.bbox_h, det.confidence, det.patches))
+    for image_id, cells in zip(det.image_id.tolist(), nums.tolist()):
         yield [image_id, *cells]
+
+
+def _write_blocks(path, blocks) -> int:
+    """Write ``blocks``, detections of at most ``_CHUNK`` rows each, written
+    before the next is taken, as one detection file; return the row count."""
+    n = 0
+
+    def rows():
+        nonlocal n
+        for det in blocks:
+            n += len(det)
+            yield from _detection_cells(det)
+
+    write_table(path, DETECTION_COLUMNS, rows())
+    return n
 
 
 def write_detections(path, det: Detections) -> None:
     """Serialize detections in the detection-file format (depth cells in meters)."""
-    chunks = (slice(start, start + _CHUNK) for start in range(0, len(det), _CHUNK))
-    write_table(path, DETECTION_COLUMNS, (cells for rows in chunks for cells in _detection_cells(det, rows)))
+    _write_blocks(path, _chunks(det))
 
 
 def _file_size(path) -> int:
@@ -484,8 +522,12 @@ def ingest_detections(path, intr: CameraIntrinsics) -> Detections:
     RGB frame of ``intr``).  A file that cannot be decoded or split into CSV
     rows raises ``IngestionError`` naming the file and line.  The records
     carry their source (:class:`Detections`).
+
+    The numbers are views of a ``_Cells`` map and the line hashes of an
+    ``array("q")`` (``hash`` never gives -1); a run of equal image ids, such
+    as every detection of one image, holds one ``str``.
     """
-    image_ids, cells, hashes, not_numbers = [], _file_cells(path, "detection file"), [], []
+    image_ids, cells, hashes, not_numbers = [], _file_cells(path, "detection file"), array("q"), []
 
     def parse(row):
         try:
@@ -493,7 +535,7 @@ def ingest_detections(path, intr: CameraIntrinsics) -> Detections:
         except ValueError:
             not_numbers.append(len(image_ids) + len(not_numbers))
             raise
-        image_ids.append(row[0])
+        image_ids.append(image_ids[-1] if image_ids and image_ids[-1] == row[0] else row[0])
         cells.extend(row_cells)
         line = ",".join(row)
         hashes.append(hash(line) if plain_line(line, len(row)) else -1)
@@ -503,7 +545,7 @@ def ingest_detections(path, intr: CameraIntrinsics) -> Detections:
         _from_cells(image_ids, cells.array().reshape(-1, len(DETECTION_COLUMNS) - 1)),
         source=os.path.abspath(path),
         source_row=np.delete(np.arange(len(image_ids) + len(not_numbers)), not_numbers),
-        source_hash=np.array(hashes, dtype=np.int64),
+        source_hash=np.frombuffer(hashes, dtype=np.int64),
     )
     bad = _bad_rows(det, intr)
     skipped += int(np.count_nonzero(bad))
@@ -535,8 +577,7 @@ def label_with_oracle(
     with no valid depth or out-of-frame pixels are dropped, not errors; the
     kept rows are the result's ``records`` and the drop count is reported.
     """
-    chunks = (det.take(slice(start, start + _CHUNK)) for start in range(0, len(det), _CHUNK))
-    samples, kept = _label_chunks(chunks, intr, ext, params, density_band)
+    samples, kept = _label_chunks(_chunks(det), intr, ext, params, density_band)
     # Keeping every row copies none: a second copy of the windows would
     # raise peak RSS by their whole size.
     return LabelingResult(
@@ -666,7 +707,7 @@ def _labeled_rows(result: LabelingResult, source):
                 yield f"{line},{','.join(map(str, features))}"
                 continue
             if floats is None:
-                floats = list(_detection_cells(records, rows))
+                floats = list(_detection_cells(records.take(rows)))
             yield floats[i] + features
 
 
@@ -736,6 +777,9 @@ def read_labeled_cache(path) -> LabelingResult:
     A malformed row, or one that breaks a detection rule (:func:`_bad_rows`),
     raises ``IngestionError`` naming the file and the line of the first such
     row.
+
+    The records' columns and the samples' ``X`` are views of one ``_Cells``
+    map, ``y`` of an ``array("q")``; a run of equal image ids holds one ``str``.
     """
     # Each row's 39 numbers, its detection cells then its features, in one map.
     image_ids, cells, labels = [], _file_cells(path, "labeled cache"), array("q")
@@ -749,7 +793,7 @@ def read_labeled_cache(path) -> LabelingResult:
         for name, value in zip(FEATURE_NAMES, nums[n_cells:]):
             if not math.isfinite(value):
                 raise ValueError(f"feature {name} is not finite: {value}")
-        image_ids.append(row[0])
+        image_ids.append(image_ids[-1] if image_ids and image_ids[-1] == row[0] else row[0])
         cells.extend(nums)
         labels.append(label)
 

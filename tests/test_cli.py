@@ -409,6 +409,17 @@ class TestFatalErrors:
             assert run_cli("gen-scene", "--config", str(bad), "--out", str(tmp_path)) == 2
             assert message in capsys.readouterr().err
 
+    def test_scene_without_detections_writes_no_file(self, tmp_path):
+        # gen-scene writes its blocks as they are drawn; it checks the first
+        # before the file is opened.  A scene of no images writes the header.
+        config, out = tmp_path / "scene.cfg", tmp_path / "out"
+        config.write_text("scene.n_images = 2\nscene.apples_per_image = 0\n")
+        assert run_cli("gen-scene", "--config", str(config), "--out", str(out)) == 2
+        assert not (out / "detections.csv").exists()
+        config.write_text("scene.n_images = 0\n")
+        assert run_cli("gen-scene", "--config", str(config), "--out", str(out)) == 0
+        assert (out / "detections.csv").read_text().splitlines() == [",".join(DETECTION_COLUMNS)]
+
     @pytest.mark.parametrize(
         "line, key",
         [

@@ -1,4 +1,5 @@
 import csv
+import io
 import logging
 import tracemalloc
 from dataclasses import replace
@@ -649,3 +650,68 @@ class TestLabeledCache:
         result = label_with_oracle(records, cfg.cam, cfg.ext, cfg.arm)
         rate = np.mean([s.label for s in result.samples])
         assert 0.2 <= rate <= 0.8
+
+
+# Runs of detection rows for the readers: each run's image id (QUOTED_IDS
+# included) and length, and each row's pixel, box, confidence and depth,
+# written as the float's repr or with two decimals.
+DETECTION_RUNS = st.lists(
+    st.tuples(st.sampled_from(["img0", "img1", "synth-00000", *QUOTED_IDS]), st.integers(1, 4)),
+    min_size=1,
+    max_size=8,
+)
+ROW_NUMBERS = st.tuples(
+    st.floats(0.0, 1900.0), st.floats(1.0, 200.0), st.floats(0.0, 1.0), st.floats(0.1, 19.0), st.booleans()
+)
+
+
+def csv_line(cells) -> str:
+    """The line ``csv.writer`` writes for ``cells``, without its terminator."""
+    out = io.StringIO()
+    csv.writer(out).writerow(cells)
+    return out.getvalue()[: -len("\r\n")]
+
+
+class TestOneCopyOfEachCell:
+    """A generated scene holds each depth cell once, in its windows; the
+    readers hold a repeated image id once and each line hash as an int64."""
+
+    def test_generated_detections_own_no_array_wider_than_a_column(self, small_records):
+        blocks = list(dataset._scene_blocks(SMALL_SCENE, INTR))
+        taken = [small_records.take(idx) for idx in (slice(3, 40), np.arange(0, 60, 7), small_records.u > 900)]
+        for det in (small_records, *blocks, *taken):
+            for name, col in vars(det).items():
+                if name != "windows" and isinstance(col, np.ndarray):
+                    assert col.nbytes <= 8 * len(det), name
+        # Each read of the patches copies them from the windows' centers.
+        for det in (small_records, *taken):
+            n = len(det)
+            centers = det.windows.reshape(n, 11, 11)[:, 3:8, 3:8].reshape(n, 25)
+            assert det.patches.shape == (n, 25) and np.array_equal(det.patches, centers)
+            assert not np.may_share_memory(det.patches, det.windows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(runs=DETECTION_RUNS, data=st.data())
+    def test_readers_share_repeated_ids_and_hash_each_line(self, tmp_path_factory, runs, data):
+        ids = [image_id for image_id, length in runs for _ in range(length)]
+        rows = []
+        for image_id in ids:
+            pixel, box, confidence, depth, decimals = data.draw(ROW_NUMBERS)
+            cells = [pixel, pixel / 2, box, box, confidence] + [depth] * 25
+            rows.append([image_id, *(f"{x:.2f}" if decimals else repr(x) for x in cells)])
+        path = tmp_path_factory.mktemp("runs") / "detections.csv"
+        cache = path.with_name("labeled.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([DETECTION_COLUMNS, *rows])
+        write_cache_rows(cache, [row + VALID_CACHE_ROW[len(row) :] for row in rows])
+        det = ingest_detections(path, INTR)
+        records = read_labeled_cache(cache).records
+        for read in (det, records):
+            assert read.image_id.tolist() == ids
+            for i in range(1, len(ids)):
+                if ids[i] == ids[i - 1]:
+                    assert read.image_id[i] is read.image_id[i - 1]
+        assert det.source_hash.dtype == np.int64
+        for row, hashed in zip(rows, det.source_hash.tolist()):
+            line = ",".join(row)
+            assert hashed == (hash(line) if csv_line(row) == line else -1)
