@@ -25,7 +25,10 @@
 #   7. the pinned sha256 of the detections.csv, labeled.csv and
 #      labeled.csv.meta of a 3,200-image scene (25,318 detections), the
 #      size of perfbench's label-scene input, which gen-scene writes one
-#      512-row block at a time.
+#      512-row block at a time;
+#   8. the pinned sha256 of the detection file that generate_scene and
+#      write_detections make (perfbench's label-scene set-up), at the default
+#      size and at 3,200 images: the same files as gen-scene's.
 #
 # It first prints the line count of the package source (src/reach_al/*.py).
 #
@@ -115,5 +118,19 @@ sha256sum -c - <<SUMS
 a5cdf4afe092026feb726aa3c45b7d4a6b0b89ad05a6afef201f5f4a69f20596  $out/large/detections.csv
 4b4b64399c3e66032b4f35b85bae93d320f2186a013a79a2811577315626917c  $out/large/labeled.csv
 b94f9debaa2641c4f957c91c17b149a868271db6e7a1ff6b4aa521481bd30749  $out/large/labeled.csv.meta
+SUMS
+echo "== generate_scene and write_detections at the default size and at 3,200 images"
+PYTHONPATH=src python -c '
+import sys
+from dataclasses import replace
+from reach_al.config import default_config
+from reach_al.dataset import generate_scene, write_detections
+cfg = default_config()
+for path, n_images in zip(sys.argv[1:], (cfg.scene.n_images, 3200)):
+    write_detections(path, generate_scene(replace(cfg.scene, n_images=n_images), cfg.cam))
+' "$out/scene/generated.csv" "$out/large/generated.csv"
+sha256sum -c - <<SUMS
+23c5f796d1eed3fb06683be4af65697e4b39f51e5b62ee3398f33594144e6474  $out/scene/generated.csv
+a5cdf4afe092026feb726aa3c45b7d4a6b0b89ad05a6afef201f5f4a69f20596  $out/large/generated.csv
 SUMS
 echo "== all CI checks passed"

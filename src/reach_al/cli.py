@@ -273,7 +273,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ReachALError as exc:
+    except (ReachALError, OSError) as exc:  # an OSError, such as an unopenable output, names its file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

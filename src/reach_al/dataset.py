@@ -7,12 +7,12 @@ far, or too close to the carriage rail), projects them to pixel detections,
 and fabricates noisy depth patches.  Its random draws, in their order, are
 part of its output: reordering them is a re-baseline.  One loop draws the
 scene in blocks of ``_CHUNK`` rows (``_scene_blocks``): each window's normals
-go straight into its row, and array passes over the block make them depths
-(``tests/scene_reference.py`` keeps the per-window form).  ``generate_scene``
-keeps every block's windows in one map, and each patch only as its window's
-center; ``gen-scene`` writes, and the benchmark build labels, each block in
-one reused buffer before the next is drawn.  Labeling runs every
-detection through the perception pipeline and asks the kinematic
+go straight into its row of one reused buffer, and array passes over the
+block make them depths (``tests/scene_reference.py`` keeps the per-window
+form).  ``gen-scene`` writes, and the benchmark build labels, each block
+before the next is drawn; ``generate_scene`` appends each block's windows to
+one map, and keeps each patch only as its window's center.  Labeling runs
+every detection through the perception pipeline and asks the kinematic
 feasibility test for its class.
 
 Detections are held as columns (:class:`Detections`) from generation or
@@ -286,13 +286,13 @@ _EDGE_DIST = np.array(
 
 
 class _Cells:
-    """Float64 cells in an anonymous memory map of their own, which the scene
-    generator fills in place and the file readers append to, staged 8,192
-    cells at a time.  On malloc's heap, columns of many MB made peak RSS vary
-    by up to 8 MB from run to run.  A page is resident only once written; a
-    full map doubles, the old one unmapped once copied and no array views
-    it.  A map that cannot be made raises ``error("<what> need <size> bytes
-    (<reason>)")``."""
+    """Float64 cells in an anonymous memory map of their own, which
+    ``generate_scene`` appends each block's windows to and the file readers
+    append to, staged 8,192 cells at a time.  On malloc's heap, columns of
+    many MB made peak RSS vary by up to 8 MB from run to run.  A page is
+    resident only once written; a full map doubles, the old one unmapped once
+    copied.  A map that cannot be made raises ``error("<what> need <size>
+    bytes (<reason>)")``."""
 
     def __init__(self, size: int, what: str, error=IngestionError):
         self.what, self.error = what, error
@@ -305,54 +305,48 @@ class _Cells:
         except OSError as exc:
             raise self.error(f"{self.what} need {size} bytes ({exc.strerror})") from exc
 
-    def grow(self, end: int, size: int) -> None:
-        """Move the first ``end`` bytes to a new map of ``size`` bytes, and write on after them."""
-        bigger = self._new(size)
-        with memoryview(self.map) as old:
-            bigger.write(old[:end])
-        self.map = bigger
-
     def extend(self, cells) -> None:
         self.stage.extend(cells)
         if len(self.stage) >= 8192:
-            self._flush()
+            self.append(self.stage)
+            del self.stage[:]
 
-    def _flush(self) -> None:
-        end = self.map.tell()
-        if end + 8 * len(self.stage) > len(self.map):
-            self.grow(end, 2 * (end + 8 * len(self.stage)))
-        self.map.write(self.stage)
-        del self.stage[:]
+    def append(self, cells) -> None:
+        """Write the float64 buffer ``cells`` after the cells appended, first
+        moving them to a map of twice the size both need when they do not fit."""
+        end, size = self.map.tell(), memoryview(cells).nbytes
+        if end + size > len(self.map):
+            bigger = self._new(2 * (end + size))
+            with memoryview(self.map) as old:
+                bigger.write(old[:end])
+            self.map = bigger
+        self.map.write(cells)
 
     def array(self) -> np.ndarray:
         """The cells appended, viewed, not copied."""
-        self._flush()
+        self.append(self.stage)
+        del self.stage[:]
         return np.frombuffer(self.map, count=self.map.tell() // 8)
 
 
-def _scene_blocks(cfg: SceneConfig, intr: CameraIntrinsics, window_map: Optional[_Cells] = None):
-    """The scene's detections, yielded in blocks of up to ``_CHUNK`` rows once
-    their windows are depths; only an empty scene yields an empty block.
+def _scene_blocks(cfg: SceneConfig, intr: CameraIntrinsics):
+    """The scene's detections, yielded in blocks of ``_CHUNK`` rows, the last
+    one shorter, once their windows are depths; only an empty scene yields an
+    empty block.
 
-    Each window's normals go straight into its row: of ``window_map``, one
-    row after another, the map doubling when full (a block also ends there);
-    or, without a map, of one (``_CHUNK``, 121) buffer that every block
-    reuses, so a block's ``windows``, and the ``patches`` read from them,
-    hold only until the next block is drawn."""
+    Each window's normals go straight into its row of one (``_CHUNK``, 121)
+    buffer that every block reuses, so a block's ``windows``, and the
+    ``patches`` read from them, hold only until the next block is drawn."""
     rng = np.random.default_rng(cfg.seed)
     rgb_sx = intr.rgb_width / intr.depth_width
     rgb_sy = intr.rgb_height / intr.depth_height
     fx_rgb = intr.fx * rgb_sx
     fy_rgb = intr.fy * rgb_sy
 
-    row = 8 * _WINDOW**2
-    if window_map is None:
-        win = np.empty((_CHUNK, _WINDOW**2))
-    else:
-        win = np.frombuffer(window_map.map).reshape(-1, _WINDOW**2)
-    # The pending block: its first row in ``win``, its row count, and each
-    # row's image id and u, v, bbox_w, bbox_h and confidence.
-    at, m, image_ids, cells = 0, 0, [], array("d")
+    win = np.empty((_CHUNK, _WINDOW**2))
+    # The pending block: its row count, and each row's image id and u, v,
+    # bbox_w, bbox_h and confidence.
+    m, image_ids, cells = 0, [], array("d")
     # Each pending row's apple depth, occluder depth, band side and width (0:
     # no band) and dropout mask; dropout and band draws go through ``noise``.
     depths, occluders, noise = np.empty(_CHUNK), np.empty(_CHUNK), np.empty(_WINDOW**2)
@@ -362,7 +356,7 @@ def _scene_blocks(cfg: SceneConfig, intr: CameraIntrinsics, window_map: Optional
     def finished():
         """The pending block, its normals made depths; the additions touch
         disjoint cells and 0 is in range."""
-        w = win[at : at + m]
+        w = win[:m]
         w *= cfg.depth_noise_std
         band = _EDGE_DIST[sides[:m]] < widths[:m, None]
         np.add(w, occluders[:m, None], out=w, where=band)
@@ -398,20 +392,16 @@ def _scene_blocks(cfg: SceneConfig, intr: CameraIntrinsics, window_map: Optional
                 placed += 1
                 # Members behind the cluster front are partially occluded.
                 occluder = max(0.05, Zc - _uniform(rng, 0.04, 0.09)) if k > 0 else None
-                if m == _CHUNK or at + m == len(win):
+                if m == _CHUNK:
                     yield finished()
-                    at = 0 if window_map is None else at + m
                     m, image_ids, cells = 0, [], array("d")
-                if at == len(win):
-                    window_map.grow(at * row, 2 * at * row)
-                    win = np.frombuffer(window_map.map).reshape(-1, _WINDOW**2)
-                rng.standard_normal(out=win[at + m])
+                rng.standard_normal(out=win[m])
                 depths[m], widths[m] = Zc, 0
                 if occluder is not None:
                     widths[m] = max(1, int(round(_uniform(rng, 0.1, 0.45) * _WINDOW)))
                     sides[m], occluders[m] = rng.integers(0, 4), occluder
                     band = _EDGE_DIST[sides[m]] < widths[m]
-                    np.copyto(win[at + m], rng.standard_normal(out=noise), where=band)
+                    np.copyto(win[m], rng.standard_normal(out=noise), where=band)
                 if cfg.dropout_prob > 0:
                     np.less(rng.random(out=noise), cfg.dropout_prob, out=drops[m])
                 m += 1
@@ -435,19 +425,17 @@ def _window_map(cfg: SceneConfig) -> _Cells:
 def generate_scene(cfg: SceneConfig, intr: CameraIntrinsics) -> Detections:
     """Deterministic synthetic detections for ``cfg.n_images`` images.
 
-    The whole scene at once: each window's normals go straight into its row
-    of a ``_window_map``, doubled when full; each block of ``_CHUNK`` rows
-    becomes depths in place, and ``windows`` is a view of the map.  It holds
-    each depth cell once, there: ``patches`` are read from the windows
-    (:class:`Detections`), and the other columns hold one id or number per
-    row."""
-    window_map = _window_map(cfg)
-    per_row = DETECTION_COLUMNS[:6]  # the fields with one id or number per row
-    blocks = ([getattr(b, c) for c in per_row] for b in _scene_blocks(cfg, intr, window_map))
-    image_id, *columns = map(np.concatenate, zip(*blocks))
-    n = len(image_id)
-    windows = np.frombuffer(window_map.map, count=n * _WINDOW**2).reshape(n, _WINDOW**2)
-    return Detections(image_id, *columns, windows=windows)
+    The whole scene at once: each block of ``_scene_blocks`` has its windows
+    appended to a ``_window_map`` before the next is drawn, and ``windows``
+    is a view of the map.  It holds each depth cell once, there: ``patches``
+    are read from the windows (:class:`Detections`), and the other columns
+    hold one id or number per row."""
+    window_map, columns = _window_map(cfg), []
+    for block in _scene_blocks(cfg, intr):
+        window_map.append(block.windows)
+        columns.append([getattr(block, c) for c in DETECTION_COLUMNS[:6]])
+    image_id, *columns = map(np.concatenate, zip(*columns))
+    return Detections(image_id, *columns, windows=window_map.array().reshape(-1, _WINDOW**2))
 
 
 def _detection_cells(det: Detections):

@@ -96,7 +96,8 @@ def feature_rows(
 
 
 def features_matrix(samples) -> np.ndarray:
-    """A ``dataset.LabeledRows`` view's own ``X``, or a list's ``.features`` stacked (n, 9)."""
+    """A ``dataset.LabeledRows`` view's own ``X``, or a list's ``.features`` stacked (n, 9).
+    Kept for perfbench; ROADMAP items 3 and 5 remove it."""
     if hasattr(samples, "X"):
         return samples.X
     n = len(samples)
@@ -104,6 +105,8 @@ def features_matrix(samples) -> np.ndarray:
 
 
 def labels_array(samples) -> np.ndarray:
+    """A ``dataset.LabeledRows`` view's own ``y``, or a list's ``.label`` as int64.
+    Kept for perfbench; ROADMAP items 3 and 5 remove it."""
     if hasattr(samples, "y"):
         return samples.y
     return np.array([s.label for s in samples], dtype=np.int64)

@@ -26,7 +26,6 @@ from .active import SCORERS, run_loop
 from .config import AppConfig
 from .dataset import LabeledRows, _label_chunks, _scene_blocks, make_splits, read_labeled_cache
 from .errors import ConfigError, read_table, write_table
-from .features import features_matrix, labels_array
 from .metrics import MetricSet
 from .svgplot import SvgPlot
 
@@ -163,8 +162,9 @@ def run_cell(
     budget: int,
     seed: int,
 ) -> list[ResultRow]:
-    X = np.concatenate([features_matrix(samples), features_matrix(candidates)])
-    y = np.concatenate([labels_array(samples), labels_array(candidates)])
+    X, y = samples.X, samples.y
+    if len(candidates):  # an empty pool may be given as []
+        X, y = np.concatenate([X, candidates.X]), np.concatenate([y, candidates.y])
     pools = make_splits(y, len(samples), cfg.data.test_frac, init_size, seed)
     logs = run_loop(X, y, pools, strategy, budget, seed, cfg.al, cfg.forest)
     return [

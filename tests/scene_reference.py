@@ -1,7 +1,8 @@
 """Reference for ``dataset.generate_scene``: the generator one window at a time.
 
-``generate_scene`` draws each window's normals straight into the window map
-and turns them into depths over blocks of rows.  This module keeps the
+``generate_scene`` draws each window's normals straight into a block buffer
+that every block reuses, turns them into depths a block of rows at a time,
+and appends each block's windows to the window map.  This module keeps the
 per-apple form it replaced, in which ``_fill_window`` builds each noisy
 11x11 window with its own numpy calls.  Both make the same random draws in
 the same order, and ``tests/test_dataset.py`` requires their detections and

@@ -537,6 +537,32 @@ class TestFatalErrors:
             assert err.startswith(f"error: cannot create output directory {out}: ")
             assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, output",
+        [
+            ("gen-scene --config {cfg}", "detections.csv"),
+            ("label --config {cfg} --detections {inputs}/detections.csv", "labeled.csv"),
+            ("label --config {cfg} --detections {inputs}/detections.csv", "labeled.csv.meta"),
+            ("run --config {cfg}", "results.csv"),
+            ("sweep --config {cfg}", "results.csv"),
+            ("envelope --steps 2", "envelope.xyz"),
+            ("plot --envelope {inputs}/envelope.xyz", "envelope_top.svg"),
+        ],
+        ids=lambda param: param.split()[0],
+    )
+    def test_output_file_that_cannot_be_opened_fatal(self, tmp_path, cfg_file, capsys, command, output):
+        inputs = tmp_path / "inputs"
+        assert run_cli("gen-scene", "--config", cfg_file, "--out", str(inputs)) == 0
+        assert run_cli("envelope", "--steps", "2", "--out", str(inputs)) == 0
+        out = tmp_path / "out"
+        (out / output).mkdir(parents=True)
+        capsys.readouterr()
+        argv = [arg.format(cfg=cfg_file, inputs=inputs) for arg in command.split()]
+        assert run_cli(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out / output) in err
+
     def test_label_missing_detections_fatal(self, tmp_path, capsys):
         code = run_cli(
             "label", "--detections", str(tmp_path / "missing.csv"), "--out", str(tmp_path)

@@ -715,3 +715,77 @@ class TestOneCopyOfEachCell:
         for row, hashed in zip(rows, det.source_hash.tolist()):
             line = ",".join(row)
             assert hashed == (hash(line) if csv_line(row) == line else -1)
+
+
+# The scene configs of test_equals_the_per_window_reference_byte_for_byte.
+SCENE_CONFIGS = st.builds(
+    SceneConfig,
+    n_images=st.integers(0, 40),
+    apples_per_image=st.floats(0.0, 30.0),
+    dropout_prob=st.sampled_from([0.0, 0.06, 1.0]),
+    cluster_prob=st.sampled_from([0.0, 0.35, 1.0]),
+    depth_noise_std=st.floats(0.0, 4.0),
+    wall_distance=st.one_of(st.floats(0.05, 0.1), st.floats(0.3, 1.2), st.floats(19.0, 20.0)),
+    wall_depth_jitter=st.sampled_from([0.0, 0.35]),
+    lateral_spread=st.sampled_from([0.55, 3.0]),
+    seed=st.integers(0, 2**32),
+)
+ROW = 8 * dataset._WINDOW**2
+
+
+class TestOneScenePath:
+    """Every block is drawn into the one reused buffer; ``generate_scene``
+    appends the blocks' windows to its map."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=SCENE_CONFIGS, one_row_map=st.booleans())
+    @example(SceneConfig(n_images=40, apples_per_image=30.0, cluster_prob=1.0, seed=5), True)
+    def test_generate_scene_joins_the_streamed_blocks(self, cfg, one_row_map):
+        # Each block copied as it is yielded: the next one reuses its buffer.
+        blocks = [
+            {name: np.copy(getattr(b, name)) for name in ("image_id",) + NUMERIC_COLUMNS + ("windows",)}
+            for b in dataset._scene_blocks(cfg, INTR)
+        ]
+        with pytest.MonkeyPatch.context() as mp:
+            if one_row_map:  # the map starts with room for one window
+                real = dataset._Cells
+                mp.setattr(dataset, "_Cells", lambda size, *args: real(ROW, *args))
+            got = generate_scene(cfg, INTR)
+        assert all(len(b["image_id"]) == dataset._CHUNK for b in blocks[:-1])
+        assert got.image_id.tolist() == [i for b in blocks for i in b["image_id"].tolist()]
+        for name in NUMERIC_COLUMNS + ("windows",):
+            joined = np.concatenate([b[name] for b in blocks])
+            assert getattr(got, name).tobytes() == joined.tobytes(), name
+
+    def test_every_block_but_the_last_has_512_rows(self):
+        cfg = SceneConfig(n_images=300, seed=11)
+        sizes = [len(b) for b in dataset._scene_blocks(cfg, INTR)]
+        assert len(sizes) >= 4 and sum(sizes) == len(generate_scene(cfg, INTR))
+        assert set(sizes[:-1]) == {dataset._CHUNK} and 1 <= sizes[-1] <= dataset._CHUNK
+        assert [len(b) for b in dataset._scene_blocks(SceneConfig(n_images=0), INTR)] == [0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        first=st.integers(1, 3 * ROW),
+        width=st.sampled_from([1, 30, 39, 121]),
+        counts=st.lists(st.integers(0, 700), max_size=6),
+        staged=st.booleans(),
+    )
+    # The map is full in the middle of the second block, and of the third staged write.
+    @example(ROW, 121, [1, 3], False)
+    @example(ROW, 121, [700, 700], True)
+    def test_cells_keep_every_byte_across_a_grow_mid_append(self, first, width, counts, staged):
+        rng = np.random.default_rng(first)
+        parts = [rng.standard_normal((n, width)) for n in counts]
+        cells = dataset._Cells(first, "cells")
+        first_map = cells.map
+        for part in parts:
+            if staged:  # a reader's rows, staged as Python floats
+                for row in part.tolist():
+                    cells.extend(row)
+            else:  # generate_scene's blocks, appended whole
+                cells.append(part)
+        expected = np.concatenate([np.empty(0), *(p.ravel() for p in parts)])
+        assert cells.array().tobytes() == expected.tobytes()
+        # The map grew when the cells outran it, and only then.
+        assert (cells.map is not first_map) == (expected.nbytes > first)
