@@ -25,12 +25,14 @@
 #   7. the pinned sha256 of the detections.csv, labeled.csv and
 #      labeled.csv.meta of a 3,200-image scene (25,318 detections), the
 #      size of perfbench's label-scene input, which gen-scene writes one
-#      512-row block at a time;
+#      512-row block at a time (dataset.write_scene, which first reserves,
+#      and never writes, the window map generate_scene would fill);
 #   8. the pinned sha256 of the detection file that generate_scene and
 #      write_detections make (perfbench's label-scene set-up), at the default
 #      size and at 3,200 images: the same files as gen-scene's.
 #
-# It first prints the line count of the package source (src/reach_al/*.py).
+# It first prints the line count of each module of the package source
+# (src/reach_al/*.py) and their total.
 #
 # The hashes were measured with numpy 2.4.6, scipy 1.17.1, hypothesis
 # 6.155.2 and pytest 9.0.3 on Python 3.11.  Run from any directory:
@@ -42,7 +44,8 @@ out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 src=src${PYTHONPATH:+:$PYTHONPATH}
 
-echo "== src/reach_al line count: $(cat src/reach_al/*.py | wc -l)"
+echo "== src/reach_al line counts"
+wc -l src/reach_al/*.py
 
 echo "== tier-1 tests"
 PYTHONPATH=$src python -m pytest -q --continue-on-collection-errors --durations=10

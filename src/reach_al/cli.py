@@ -11,7 +11,6 @@ envelope.xyz into --out, which defaults to $REACH_AL_OUT, then ./out.
 from __future__ import annotations
 
 import argparse
-import itertools
 import logging
 import os
 import sys
@@ -21,13 +20,11 @@ from . import report as report_mod
 from .active import STRATEGIES
 from .config import AppConfig, default_config, load_config, resolve_out_dir
 from .dataset import (
-    _scene_blocks,
-    _window_map,
-    _write_blocks,
     ingest_detections,
     label_with_oracle,
     read_labeled_cache,
     write_labeled_cache,
+    write_scene,
 )
 from .errors import ConfigError, IngestionError, ReachALError
 from .kinematics import read_envelope, sample_envelope, write_envelope
@@ -139,19 +136,8 @@ def _load(config) -> AppConfig:
 
 def _cmd_gen_scene(args) -> int:
     cfg = _load(args.config)
-    out_dir = _out_dir(args.out)
-    # Written a block at a time through one reused window buffer.  A scene too
-    # large for generate_scene's window map still exits 2: the map is made
-    # and closed, untouched.
-    _window_map(cfg.scene).map.close()
-    blocks = _scene_blocks(cfg.scene, cfg.cam)
-    first = next(blocks)  # empty only when the whole scene is
-    if cfg.scene.n_images > 0 and len(first) == 0:
-        raise ConfigError(
-            f"a scene of {cfg.scene.n_images} images yielded no detection; check scene.* and cam.*"
-        )
-    path = os.path.join(out_dir, "detections.csv")
-    n = _write_blocks(path, itertools.chain([first], blocks))
+    path = os.path.join(_out_dir(args.out), "detections.csv")
+    n = write_scene(path, cfg.scene, cfg.cam)
     print(f"wrote {n} detections to {path}")
     return 0
 

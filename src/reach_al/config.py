@@ -194,7 +194,10 @@ def load_config(path) -> AppConfig:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return apply_overrides(default_config(), parse_config_text(text))
+    try:
+        return apply_overrides(default_config(), parse_config_text(text))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def resolve_out_dir(cli_out=None) -> str:

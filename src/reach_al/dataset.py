@@ -9,11 +9,12 @@ part of its output: reordering them is a re-baseline.  One loop draws the
 scene in blocks of ``_CHUNK`` rows (``_scene_blocks``): each window's normals
 go straight into its row of one reused buffer, and array passes over the
 block make them depths (``tests/scene_reference.py`` keeps the per-window
-form).  ``gen-scene`` writes, and the benchmark build labels, each block
-before the next is drawn; ``generate_scene`` appends each block's windows to
-one map, and keeps each patch only as its window's center.  Labeling runs
-every detection through the perception pipeline and asks the kinematic
-feasibility test for its class.
+form); it first reserves the scene's window map, so every consumer refuses a
+scene too large to hold.  :func:`write_scene` writes, and :func:`label_scene`
+labels, each block before the next is drawn; :func:`generate_scene` appends
+each block's windows to one map, and keeps each patch only as its window's
+center.  Labeling runs every detection through the perception pipeline and
+asks the kinematic feasibility test for its class.
 
 Detections are held as columns (:class:`Detections`) from generation or
 ingestion through labeling to the labeled cache, and labeled records as a
@@ -32,7 +33,7 @@ import os
 from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from typing import Optional
 
 import numpy as np
@@ -56,7 +57,7 @@ _WINDOW = 11
 # intermediate arrays at a time.  Labeling 25.6k ingested records in a
 # single pass raised peak RSS from 107 to 128 MB; 512-record chunks add
 # under 2 MB there and when building the default benchmark (1,024: 2.4 MB).
-# The writers and ``LabeledRows`` iteration make Python floats in chunks of the same size.
+# The writers make Python floats in chunks of the same size.
 _CHUNK = 512
 _PATCH_OFFSET = (_WINDOW - 5) // 2
 
@@ -160,13 +161,6 @@ class LabeledSample:
         return ArmPoint(*self.features[:3])
 
 
-def _rows(labeled: LabeledRows):
-    """Each row's features (Python floats) and label (an int), ``_CHUNK`` rows at a time."""
-    for start in range(0, len(labeled), _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        yield from zip(labeled.X[rows].tolist(), labeled.y[rows].tolist())
-
-
 @dataclass(frozen=True, eq=False)
 class LabeledRows:
     """Labeled records as columns: (n, 9) float64 features ``X`` in ``FEATURE_NAMES``
@@ -191,7 +185,7 @@ class LabeledRows:
         return LabeledSample(tuple(self.X[i].tolist()), int(self.y[i]))
 
     def __iter__(self):
-        return (LabeledSample(tuple(f), label) for f, label in _rows(self))
+        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -334,9 +328,12 @@ def _scene_blocks(cfg: SceneConfig, intr: CameraIntrinsics):
     one shorter, once their windows are depths; only an empty scene yields an
     empty block.
 
+    It first makes ``generate_scene``'s ``_window_map`` and holds it, unwritten, to the
+    end, so every consumer raises one ``ConfigError`` on a scene too large to map.
     Each window's normals go straight into its row of one (``_CHUNK``, 121)
     buffer that every block reuses, so a block's ``windows``, and the
     ``patches`` read from them, hold only until the next block is drawn."""
+    reserved = _window_map(cfg)  # held, untouched, until the stream ends
     rng = np.random.default_rng(cfg.seed)
     rgb_sx = intr.rgb_width / intr.depth_width
     rgb_sy = intr.rgb_height / intr.depth_height
@@ -427,9 +424,10 @@ def generate_scene(cfg: SceneConfig, intr: CameraIntrinsics) -> Detections:
 
     The whole scene at once: each block of ``_scene_blocks`` has its windows
     appended to a ``_window_map`` before the next is drawn, and ``windows``
-    is a view of the map.  It holds each depth cell once, there: ``patches``
-    are read from the windows (:class:`Detections`), and the other columns
-    hold one id or number per row."""
+    is a view of the map; the stream reserves a second map of the same size,
+    never written.  The scene holds each depth cell once, in the windows:
+    ``patches`` are read from them (:class:`Detections`), and the other
+    columns hold one id or number per row."""
     window_map, columns = _window_map(cfg), []
     for block in _scene_blocks(cfg, intr):
         window_map.append(block.windows)
@@ -465,6 +463,19 @@ def _write_blocks(path, blocks) -> int:
 def write_detections(path, det: Detections) -> None:
     """Serialize detections in the detection-file format (depth cells in meters)."""
     _write_blocks(path, _chunks(det))
+
+
+def write_scene(path, cfg: SceneConfig, intr: CameraIntrinsics) -> int:
+    """``write_detections(path, generate_scene(cfg, intr))`` a block at a time; returns the
+    row count.  A scene too large to map, or of ``n_images > 0`` with no detection,
+    raises ``ConfigError`` before the file is opened."""
+    blocks = _scene_blocks(cfg, intr)
+    first = next(blocks)  # empty only when the whole scene is
+    if cfg.n_images > 0 and len(first) == 0:
+        raise ConfigError(
+            f"a scene of {cfg.n_images} images yielded no detection; check scene.* and cam.*"
+        )
+    return _write_blocks(path, chain([first], blocks))
 
 
 def _file_size(path) -> int:
@@ -577,12 +588,16 @@ def label_with_oracle(
     )
 
 
+def label_scene(cfg: SceneConfig, intr, ext, params, density_band=DENSITY_BAND) -> LabeledRows:
+    """``label_with_oracle(generate_scene(cfg, intr), ...).samples`` bit for bit, each
+    block labeled before the next is drawn and only its features and labels kept."""
+    return _label_chunks(_scene_blocks(cfg, intr), intr, ext, params, density_band)[0]
+
+
 def _label_chunks(chunks, intr, ext, params, density_band) -> tuple[LabeledRows, np.ndarray]:
     """The samples of ``chunks``, detections of at most ``_CHUNK`` rows each
     labeled before the next is taken (:func:`label_with_oracle`), and the
-    index of each kept row among all the chunks' rows.  Given the blocks of
-    ``_scene_blocks(cfg, intr)``, the samples are those of
-    ``label_with_oracle(generate_scene(cfg, intr), ...)``, bit for bit."""
+    index of each kept row among all the chunks' rows."""
     features, labels = [np.empty((0, len(FEATURE_NAMES)))], [np.empty(0, dtype=np.int64)]
     kept, n = [np.empty(0, dtype=np.intp)], 0
     dims = (intr.rgb_width, intr.rgb_height)

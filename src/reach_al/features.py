@@ -96,17 +96,12 @@ def feature_rows(
 
 
 def features_matrix(samples) -> np.ndarray:
-    """A ``dataset.LabeledRows`` view's own ``X``, or a list's ``.features`` stacked (n, 9).
-    Kept for perfbench; ROADMAP items 3 and 5 remove it."""
-    if hasattr(samples, "X"):
-        return samples.X
-    n = len(samples)
-    return np.array([s.features for s in samples], dtype=float).reshape(n, len(FEATURE_NAMES))
+    """The ``.features`` of a list of ``dataset.LabeledSample``, as perfbench passes,
+    stacked (n, 9).  Kept for perfbench; ROADMAP items 3 and 5 remove it."""
+    return np.array([s.features for s in samples], dtype=float).reshape(-1, len(FEATURE_NAMES))
 
 
 def labels_array(samples) -> np.ndarray:
-    """A ``dataset.LabeledRows`` view's own ``y``, or a list's ``.label`` as int64.
-    Kept for perfbench; ROADMAP items 3 and 5 remove it."""
-    if hasattr(samples, "y"):
-        return samples.y
+    """The ``.label`` of a list of ``dataset.LabeledSample``, as perfbench passes, as
+    int64.  Kept for perfbench; ROADMAP items 3 and 5 remove it."""
     return np.array([s.label for s in samples], dtype=np.int64)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .active import SCORERS, run_loop
 from .config import AppConfig
-from .dataset import LabeledRows, _label_chunks, _scene_blocks, make_splits, read_labeled_cache
+from .dataset import LabeledRows, label_scene, make_splits, read_labeled_cache
 from .errors import ConfigError, read_table, write_table
 from .metrics import MetricSet
 from .svgplot import SvgPlot
@@ -91,10 +91,10 @@ def build_benchmark(cfg: AppConfig, data=None, pool=None) -> tuple[LabeledRows, 
     Fewer rows than either size raises ``ConfigError``.
 
     The scene is generated and labeled one block of 512 depth windows at a
-    time, keeping only each block's features and labels.  Both results are
-    contiguous copies of just their rows, so no cache's map, with all 39
-    numbers of its every row, stays resident behind them in the run or in
-    its forked workers."""
+    time (``dataset.label_scene``), keeping only each block's features and
+    labels.  Both results are contiguous copies of just their rows, so no
+    cache's map, with all 39 numbers of its every row, stays resident behind
+    them in the run or in its forked workers."""
     if pool and not data:
         raise ConfigError("--pool needs --data")
     if data:
@@ -102,8 +102,7 @@ def build_benchmark(cfg: AppConfig, data=None, pool=None) -> tuple[LabeledRows, 
         rows = labeled.samples
         source, remedy = f"--data {data}", "label more records"
     else:
-        blocks = _scene_blocks(cfg.scene, cfg.cam)
-        rows, _ = _label_chunks(blocks, cfg.cam, cfg.ext, cfg.arm, cfg.features.density_band)
+        rows = label_scene(cfg.scene, cfg.cam, cfg.ext, cfg.arm, cfg.features.density_band)
         source, remedy = "the scene", "raise scene.n_images or scene.apples_per_image"
     n_samples, pool_size = cfg.data.n_samples, cfg.data.pool_size
     samples, rest = rows[:n_samples], rows[n_samples:]

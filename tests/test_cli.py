@@ -461,6 +461,42 @@ class TestFatalErrors:
         assert err.startswith("error: ") and "scene.n_images" in err and "scene.apples_per_image" in err
         assert f"need {(1_250_000_000 + 64) * 121 * 8} bytes" in err  # 1.25 x the mean rows, + 64
 
+    def test_scene_too_large_to_map_fatal_for_run_and_sweep(self, tmp_path, cfg_file, capsys, monkeypatch):
+        # Every command that draws the scene reserves generate_scene's window
+        # map first, so run and sweep refuse it with gen-scene's error line.
+        def no_memory(*args, **kwargs):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", no_memory)
+        lines = set()
+        for command in ("gen-scene", "run", "sweep"):
+            out = tmp_path / command
+            capsys.readouterr()
+            assert run_cli(command, "--config", cfg_file, "--out", str(out)) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: "), err
+            assert "scene.n_images" in err[0] and "scene.apples_per_image" in err[0]
+            assert not (out / "results.csv").exists() and not (out / "detections.csv").exists()
+            lines.add(err[0])
+        assert len(lines) == 1, lines
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("scene.n_images = 2\nfoo\n", "line 2: expected 'key = value', got 'foo'"),
+            ("scene.sed = 1\n", "unknown configuration key 'scene.sed'"),
+            ("scene.seed = x\n", "bad value for 'scene.seed': "),
+        ],
+        ids=["syntax", "unknown-key", "bad-value"],
+    )
+    def test_config_errors_name_the_file(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        capsys.readouterr()
+        assert run_cli("gen-scene", "--config", str(bad), "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: {message}"), err
+
     def test_cells_too_large_to_map_fatal(self, tmp_path, cfg_file, capsys, monkeypatch):
         # Either reader's cells go in a map too; one that cannot be made
         # names the file.

@@ -65,6 +65,29 @@ def unused_private_names(source: str) -> list[str]:
     return [f"line {line}: {name}" for line, name in unused]
 
 
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_imports(source: str) -> list[str]:
+    """The ``_private`` names a module imports from another module of the
+    package, or reads as attributes of a package module it imports."""
+    tree = ast.parse(source)
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "reach_al"):
+            for alias in node.names:
+                if is_private(alias.name):
+                    found.append((node.lineno, alias.name))
+                elif node.module in (None, "reach_al"):  # ``from . import <module>``
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules and is_private(node.attr):
+                found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
 def public_definitions(source: str) -> list[str]:
     """Names of the public top-level functions and classes of a module."""
     return [
@@ -109,6 +132,19 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_private_names(path):
     assert unused_private_names(path.read_text()) == []
+
+
+def test_detects_a_private_import():
+    source = (
+        "from . import report as r\nfrom .dataset import _CHUNK, generate_scene\n"
+        "from os import _exit\nr._fmt_value(1)\nr.run_cell\n"
+    )
+    assert private_imports(source) == ["line 2: _CHUNK", "line 4: r._fmt_value"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == []
 
 
 def test_detects_an_unreferenced_public_name():
