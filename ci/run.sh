@@ -11,7 +11,10 @@
 #   5. the pinned sha256 of the default detections.csv, labeled.csv and
 #      labeled.csv.meta, of the copy of the detection file that
 #      ingest_detections and write_detections make, of the copy of the
-#      cache that read_labeled_cache and write_labeled_cache make, and of
+#      cache that read_labeled_cache and write_labeled_cache make, of the
+#      detections.csv, labeled.csv and labeled.csv.meta that gen-scene and
+#      label write under the C locale (PYTHONUTF8=0 PYTHONCOERCECLOCALE=0
+#      LC_ALL=C; every file is UTF-8 whatever the locale), and of
 #      the cache labeled from that detection file read through a pipe (no
 #      file size to start the reader's map from, and no source to copy
 #      cells from, so each row is written from its floats); of the
@@ -83,6 +86,14 @@ c5d4bd71ff8540fa3ac9a355690cf4b077804fd53af956505fd8ad08c50f7da9  $out/scene/lab
 f0db555bf533cbdd5773b2e85607f9c1e69d2f989c786eb76ecac6e012029de8  $out/scene/labeled.csv.meta
 c5d4bd71ff8540fa3ac9a355690cf4b077804fd53af956505fd8ad08c50f7da9  $out/scene/copy.csv
 f0db555bf533cbdd5773b2e85607f9c1e69d2f989c786eb76ecac6e012029de8  $out/scene/copy.csv.meta
+SUMS
+c_locale=(env PYTHONUTF8=0 PYTHONCOERCECLOCALE=0 LC_ALL=C PYTHONPATH=src)
+"${c_locale[@]}" python -m reach_al.cli gen-scene --out "$out/c-locale"
+"${c_locale[@]}" python -m reach_al.cli label --detections "$out/c-locale/detections.csv" --out "$out/c-locale"
+sha256sum -c - <<SUMS
+23c5f796d1eed3fb06683be4af65697e4b39f51e5b62ee3398f33594144e6474  $out/c-locale/detections.csv
+c5d4bd71ff8540fa3ac9a355690cf4b077804fd53af956505fd8ad08c50f7da9  $out/c-locale/labeled.csv
+f0db555bf533cbdd5773b2e85607f9c1e69d2f989c786eb76ecac6e012029de8  $out/c-locale/labeled.csv.meta
 SUMS
 cat "$out/scene/detections.csv" | PYTHONPATH=src python -m reach_al.cli label --detections /dev/stdin --out "$out/pipe"
 sha256sum -c - <<SUMS

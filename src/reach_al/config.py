@@ -15,7 +15,7 @@ import numpy as np
 
 from .active import STRATEGIES, ALConfig
 from .dataset import SceneConfig
-from .errors import ConfigError
+from .errors import ConfigError, parse_config_text, read_text
 from .features import DENSITY_BAND
 from .forest import TrainConfig
 from .kinematics import ManipulatorParams
@@ -129,26 +129,6 @@ def _parser(current):
     return {int: int, float: _parse_float, str: str}[type(current)]
 
 
-def parse_config_text(text: str) -> dict[str, str]:
-    """Parse flat ``key = value`` lines; ``#`` starts a comment."""
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        value = value.strip()
-        if not key:
-            raise ConfigError(f"line {lineno}: empty key")
-        if key in out:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        out[key] = value
-    return out
-
-
 def apply_overrides(cfg: AppConfig, kv: dict[str, str]) -> AppConfig:
     """Apply parsed key/value overrides; unknown keys are fatal.
 
@@ -189,11 +169,7 @@ def apply_overrides(cfg: AppConfig, kv: dict[str, str]) -> AppConfig:
 
 
 def load_config(path) -> AppConfig:
-    try:
-        with open(path, "r") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    text = read_text(path, "config file", ConfigError)
     try:
         return apply_overrides(default_config(), parse_config_text(text))
     except ConfigError as exc:

@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, IngestionError, plain_line, read_table, write_table
+from .errors import ConfigError, IngestionError, parse_config_text, plain_line, read_table, read_text, write_table
 from .features import DENSITY_BAND, FEATURE_NAMES, feature_rows
 from .kinematics import ArmPoint, ManipulatorParams, solve_ik
 from .perception import (
@@ -661,7 +661,7 @@ def _open_source(records: Detections, out):
     try:
         if os.path.exists(out) and os.path.samefile(records.source, out):
             return nullcontext()
-        return open(records.source, "r", newline="")
+        return open(records.source, "r", newline="", encoding="utf-8")
     except OSError:
         return nullcontext()
 
@@ -726,7 +726,7 @@ def write_labeled_cache(path, result: LabelingResult) -> None:
     """
     with _open_source(result.records, path) as source:
         write_table(path, LABELED_COLUMNS, _labeled_rows(result, source))
-    with open(f"{os.fspath(path)}.meta", "w") as fh:
+    with open(f"{os.fspath(path)}.meta", "w", encoding="utf-8") as fh:
         fh.write(f"n_input = {result.n_input}\n")
         fh.write(f"n_dropped = {result.n_dropped}\n")
         fh.write(f"n_labeled = {len(result.samples)}\n")
@@ -741,30 +741,19 @@ def _read_meta(path, n_labeled: int) -> Optional[tuple[int, str]]:
     or None when it has none.  A sidecar that is malformed or counts other
     rows than the cache holds raises ``IngestionError``."""
     meta_path = f"{os.fspath(path)}.meta"
-    try:
-        with open(meta_path, "r") as fh:
-            lines = fh.read().splitlines()
-    except FileNotFoundError:
+    if not os.path.exists(meta_path):
         return None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IngestionError(f"cannot read labeled-cache sidecar {meta_path}: {exc}") from exc
-    pairs = [[part.strip() for part in line.split("=")] for line in lines]
-    meta = dict(pair for pair in pairs if len(pair) == 2)
-    if len(meta) != len(lines) or sorted(meta) != sorted(_META_KEYS):
-        raise IngestionError(
-            f"malformed labeled-cache sidecar {meta_path}: expected one 'key = value' "
-            f"line for each of {', '.join(_META_KEYS)}"
-        )
+    text = read_text(meta_path, "labeled-cache sidecar")
     try:
+        meta = parse_config_text(text, ValueError)
+        if sorted(meta) != sorted(_META_KEYS):
+            raise ValueError(f"expected one 'key = value' line for each of {', '.join(_META_KEYS)}")
         n_input, n_dropped, n_meta = (int(meta[k]) for k in _META_KEYS[:3])
+        source = meta["density_source"]
+        if min(n_input, n_dropped, n_meta) < 0 or source not in ("patch5x5", "window11x11"):
+            raise ValueError("counts must be nonnegative and density_source patch5x5 or window11x11")
     except ValueError as exc:
         raise IngestionError(f"malformed labeled-cache sidecar {meta_path}: {exc}") from exc
-    source = meta["density_source"]
-    if min(n_input, n_dropped, n_meta) < 0 or source not in ("patch5x5", "window11x11"):
-        raise IngestionError(
-            f"malformed labeled-cache sidecar {meta_path}: counts must be nonnegative "
-            "and density_source patch5x5 or window11x11"
-        )
     if n_meta != n_labeled or n_input != n_meta + n_dropped:
         raise IngestionError(
             f"labeled-cache sidecar {meta_path} does not match its cache: it counts "

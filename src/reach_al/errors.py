@@ -1,5 +1,9 @@
-"""Exception types shared across the pipeline, and the CSV table reader and
-writer behind every detection, labeled-cache and results file."""
+"""Exception types shared across the pipeline, and its one text-input layer.
+
+Every file is read and written as UTF-8: :func:`read_text` reads an input
+file whole, :func:`read_table` streams a CSV one.  Their errors name the file
+once: ``cannot open ...`` it, ``cannot read ..., line N`` (a byte that is not
+UTF-8) or ``malformed ...`` (text that breaks the file's format)."""
 
 import csv
 
@@ -16,37 +20,62 @@ class ConfigError(ReachALError):
     """A configuration file or parameter combination is invalid."""
 
 
-def csv_error_line(path, reader, exc: Exception) -> int:
-    """Line of a read error in a CSV file.
-
-    The reader's count is right for CSV and row errors.  Undecodable bytes
-    are found a whole block ahead of the reader, so their line is counted
-    in the raw file instead.
-    """
-    if isinstance(exc, UnicodeDecodeError):
+def read_text(path, what: str, error=IngestionError) -> str:
+    """The ``what`` file at ``path`` decoded as UTF-8.  Raises ``error("cannot
+    open {what} {path}: ...")``, or ``error("cannot read {what} {path}, line N:
+    ...")`` naming the line of the first byte that is not UTF-8."""
+    try:
         with open(path, "rb") as fh:
             data = fh.read()
-        try:
-            data.decode(exc.encoding)
-        except UnicodeDecodeError as first:
-            return data.count(b"\n", 0, first.start) + 1
-    return reader.line_num
+    except OSError as exc:
+        raise error(f"cannot open {what} {path}: {exc.strerror}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"cannot read {what} {path}, line {line}: not UTF-8 ({exc.reason})") from exc
+
+
+def content_lines(text: str):
+    """``(line number, content)`` of each line of ``text`` that holds more
+    than blanks and a ``#`` comment, the content stripped of both."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def parse_config_text(text: str, error=ConfigError) -> dict[str, str]:
+    """Parse flat ``key = value`` lines; ``#`` starts a comment.  A line
+    without ``=``, an empty key or a repeated one raises ``error("line N: ...")``."""
+    out: dict[str, str] = {}
+    for lineno, line in content_lines(text):
+        key, eq, value = line.partition("=")
+        key = key.strip()
+        if not eq:
+            raise error(f"line {lineno}: expected 'key = value', got {line!r}")
+        if not key:
+            raise error(f"line {lineno}: empty key")
+        if key in out:
+            raise error(f"line {lineno}: duplicate key {key!r}")
+        out[key] = value.strip()
+    return out
 
 
 def read_table(path, what: str, columns: tuple, parse, skip_malformed: bool = False) -> int:
-    """Call ``parse(row)`` on each row of a CSV file headed by ``columns``.
+    """Call ``parse(row)`` on each row of a UTF-8 CSV file headed by ``columns``.
 
     A row with the wrong number of cells, or one ``parse`` rejects with a
     ``ValueError``, is skipped and counted when ``skip_malformed`` is set.
-    Otherwise it, like a file that cannot be opened, decoded or split into
-    CSV rows, or whose header is missing or not ``columns``, raises
-    ``IngestionError`` naming the ``what`` file at ``path`` (and the line).
-    Returns the number of rows skipped.
+    Otherwise it, like a file whose header is missing or not ``columns``,
+    raises ``IngestionError`` naming the ``what`` file at ``path`` and the
+    line.  One that cannot be opened or decoded raises as in :func:`read_text`,
+    naming no line for a pipe.  Returns the number of rows skipped.
     """
     try:
-        fh = open(path, "r", newline="")
+        fh = open(path, "r", newline="", encoding="utf-8")
     except OSError as exc:
-        raise IngestionError(f"cannot open {what} {path}: {exc}") from exc
+        raise IngestionError(f"cannot open {what} {path}: {exc.strerror}") from exc
     skipped = 0
     with fh:
         reader = csv.reader(fh)
@@ -65,9 +94,13 @@ def read_table(path, what: str, columns: tuple, parse, skip_malformed: bool = Fa
                     if not skip_malformed:
                         raise
                     skipped += 1
+        except UnicodeDecodeError as exc:
+            # Found a block ahead of the reader: a re-read names the line.
+            if fh.seekable():
+                read_text(path, what)
+            raise IngestionError(f"cannot read {what} {path}: not UTF-8 ({exc.reason})") from exc
         except (csv.Error, ValueError) as exc:
-            line = csv_error_line(path, reader, exc)
-            raise IngestionError(f"malformed {what} {path}, line {line}: {exc}") from exc
+            raise IngestionError(f"malformed {what} {path}, line {reader.line_num}: {exc}") from exc
     return skipped
 
 
@@ -101,7 +134,7 @@ def write_table(path, columns: tuple, rows) -> None:
     ``ValueError`` is raised: its cells cannot be told apart to quote them.
     """
     n = len(columns)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         block = []

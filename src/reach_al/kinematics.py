@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import IngestionError
+from .errors import IngestionError, content_lines, read_text
 
 TWO_PI = 2.0 * math.pi
 
@@ -299,22 +299,10 @@ def read_envelope(path) -> np.ndarray:
     exactly three finite numbers, and at least one such line must exist.
     Anything else raises ``IngestionError`` naming the file and line.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        text = data.decode("utf-8")
-    except OSError as exc:
-        raise IngestionError(f"cannot open envelope file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise IngestionError(f"malformed envelope file {path}, line {line}: {exc}") from exc
     rows = []
-    for line, content in enumerate(text.split("\n"), 1):
-        cells = content.split("#", 1)[0].split()
-        if not cells:
-            continue
+    for line, content in content_lines(read_text(path, "envelope file")):
         try:
-            row = [float(c) for c in cells]
+            row = [float(c) for c in content.split()]
         except ValueError:
             row = []
         if len(row) != 3 or not all(map(math.isfinite, row)):

@@ -162,5 +162,5 @@ class SvgPlot:
         return "\n".join(parts)
 
     def write(self, path) -> None:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.render())

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from reach_al import dataset, report
 from reach_al.active import STRATEGIES
-from reach_al.config import apply_overrides, default_config
+from reach_al.config import apply_overrides, default_config, load_config
 from reach_al.dataset import (
     DETECTION_COLUMNS,
     LABELED_COLUMNS,
@@ -27,6 +27,7 @@ from reach_al.dataset import (
     write_labeled_cache,
 )
 from reach_al.errors import ConfigError, IngestionError, ReachALError
+from reach_al.kinematics import read_envelope
 from reach_al.report import (
     RESULT_COLUMNS,
     ResultRow,
@@ -39,7 +40,7 @@ from reach_al.report import (
     summarize,
     write_results,
 )
-from test_dataset import INTR, VALID_CACHE_ROW, VALID_DETECTION_ROW
+from test_dataset import INTR, VALID_CACHE_ROW, VALID_DETECTION_ROW, write_cache_rows
 
 TINY_OVERRIDES = {
     "scene.n_images": "120",
@@ -147,7 +148,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # the process that started it, here the test run's, across exec.
 BUILD_PEAK = textwrap.dedent(
     """
-    from reach_al.config import apply_overrides, default_config
+    from reach_al.config import apply_overrides, default_config, load_config
     from reach_al.dataset import generate_scene
     from reach_al.report import build_benchmark
 
@@ -430,6 +431,106 @@ def test_readers_share_one_contract(tmp_path, reader, case):
         path.write_bytes(data)
     with pytest.raises(IngestionError, match=message.format(case)):
         read(path)
+
+
+def read_sidecar(meta):
+    """Read a one-row labeled cache through its sidecar at ``meta``."""
+    cache = meta.with_suffix("")
+    write_cache_rows(cache, [VALID_CACHE_ROW])
+    return read_labeled_cache(cache)
+
+
+def csv_header(columns) -> bytes:
+    return ",".join(columns).encode() + b"\n"
+
+
+# Each text reader, the name of the file it reads, and a valid first line.
+TEXT_READERS = {
+    "detections": (lambda path: ingest_detections(path, INTR), "det.csv", csv_header(DETECTION_COLUMNS)),
+    "cache": (read_labeled_cache, "labeled.csv", csv_header(LABELED_COLUMNS)),
+    "results": (read_results, "results.csv", csv_header(RESULT_COLUMNS)),
+    "config": (load_config, "exp.cfg", b"scene.seed = 1\n"),
+    "envelope": (read_envelope, "env.xyz", b"0 0 0\n"),
+    "sidecar": (read_sidecar, "labeled.csv.meta", b"n_input = 1\n"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(TEXT_READERS))
+@pytest.mark.parametrize("case", ["unopenable", "bytes"])
+def test_every_reader_names_its_file_once(tmp_path, reader, case):
+    """A file that cannot be opened is named once; a byte that is not
+    UTF-8 is named with its file and line."""
+    read, name, first_line = TEXT_READERS[reader]
+    path = tmp_path / name
+    if case == "bytes":
+        path.write_bytes(first_line + b"x \xff\n")
+    elif reader == "sidecar":
+        path.mkdir()  # a missing sidecar means the cache has none
+    with pytest.raises(ReachALError) as info:
+        read(path)
+    message = str(info.value)
+    if case == "unopenable":
+        assert message.startswith("cannot open ") and message.count(str(path)) == 1, message
+    else:
+        assert message.startswith("cannot read ") and f"{path}, line 2: " in message, message
+
+
+def run_python(code, *args, stdin=None, **env):
+    path = os.pathsep.join(filter(None, [str(SRC), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=path, **env),
+        input=stdin,
+        capture_output=True,
+        timeout=120,
+    )
+
+
+LOCALE_ROUND_TRIP = r"""
+import sys
+from dataclasses import replace
+import numpy as np
+from reach_al.config import load_config
+from reach_al.dataset import generate_scene, ingest_detections, label_with_oracle
+from reach_al.dataset import read_labeled_cache, write_detections, write_labeled_cache
+from test_dataset import ARM, EXT, INTR, QUOTED_IDS, SMALL_SCENE
+
+out = sys.argv[1]
+kept = label_with_oracle(generate_scene(SMALL_SCENE, INTR), INTR, EXT, ARM).records
+det = replace(kept.take(np.arange(len(QUOTED_IDS))), image_id=np.array(QUOTED_IDS, dtype=object))
+write_detections(f"{out}/det.csv", det)
+write_labeled_cache(f"{out}/labeled.csv", label_with_oracle(ingest_detections(f"{out}/det.csv", INTR), INTR, EXT, ARM))
+assert read_labeled_cache(f"{out}/labeled.csv").records.image_id.tolist() == QUOTED_IDS
+with open(f"{out}/exp.cfg", "w", encoding="utf-8") as fh:
+    fh.write("# seed \u00e9\nscene.seed = 9\n")
+assert load_config(f"{out}/exp.cfg").scene.seed == 9
+"""
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    """Under the C locale, ids that need quoting (``é`` among them) go
+    through a detection file and a labeled cache, and a config comment
+    holds ``é``."""
+    proc = run_python(
+        LOCALE_ROUND_TRIP, str(tmp_path), PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C"
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin path")
+def test_undecodable_pipe_names_the_file_without_a_line():
+    """A pipe cannot be read again to find the line of its undecodable byte:
+    reading on would find the next one, many lines later."""
+    code = (
+        "from reach_al.dataset import read_labeled_cache\n"
+        "from reach_al.errors import IngestionError\n"
+        "try:\n    read_labeled_cache('/dev/stdin')\n"
+        "except IngestionError as exc:\n    print(exc)\n"
+    )
+    proc = run_python(code, stdin=csv_header(LABELED_COLUMNS) + b"x,\xff\xfe\n" + b"y\n" * 10_000 + b"\xff\n")
+    assert proc.returncode == 0, proc.stderr.decode()
+    message = proc.stdout.decode().strip()
+    assert message.startswith("cannot read labeled cache /dev/stdin: not UTF-8"), message
 
 
 class TestReadResults:
