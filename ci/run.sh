@@ -3,8 +3,8 @@
 #
 #   1. the tier-1 test suite, listing its ten slowest tests;
 #   2. the forest, fingerprint and demo tests again on one BLAS thread
-#      (forest predict goes through BLAS, and no output may depend on its
-#      thread count);
+#      (forest predict calls no matrix product, and the step guards that
+#      no output comes to depend on BLAS's thread count);
 #   3. the benchmark smoke test;
 #   4. the pinned sha256 of the default sweep's results.csv and summary.csv,
 #      at one and at two workers;

@@ -285,12 +285,13 @@ class _Cells:
     append to, staged 8,192 cells at a time.  On malloc's heap, columns of
     many MB made peak RSS vary by up to 8 MB from run to run.  A page is
     resident only once written; a full map doubles, the old one unmapped once
-    copied.  A map that cannot be made raises ``error("<what> need <size>
+    copied.  The first map is made at once, or with ``lazy`` on the first
+    append.  A map that cannot be made raises ``error("<what> need <size>
     bytes (<reason>)")``."""
 
-    def __init__(self, size: int, what: str, error=IngestionError):
-        self.what, self.error = what, error
-        self.map = self._new(size)
+    def __init__(self, size: int, what: str, error=IngestionError, lazy=False):
+        self.size, self.what, self.error = size, what, error
+        self.map = None if lazy else self._new(size)
         self.stage = array("d")
 
     def _new(self, size: int) -> mmap.mmap:
@@ -308,6 +309,8 @@ class _Cells:
     def append(self, cells) -> None:
         """Write the float64 buffer ``cells`` after the cells appended, first
         moving them to a map of twice the size both need when they do not fit."""
+        if self.map is None:
+            self.map = self._new(self.size)
         end, size = self.map.tell(), memoryview(cells).nbytes
         if end + size > len(self.map):
             bigger = self._new(2 * (end + size))
@@ -488,9 +491,10 @@ def _file_size(path) -> int:
 
 def _file_cells(path, what: str) -> _Cells:
     """A ``_Cells`` for the ``what`` file at ``path``: a row of k numbers takes at least 2k
-    bytes of it and 8k of cells, so the map starts at 4 bytes a byte, from a page to 256 MB."""
+    bytes of it and 8k of cells, so the map starts at 4 bytes a byte, from a page to 256 MB.
+    It is made on the first append, so ``read_table`` opens the file first."""
     size = min(max(4 * _file_size(path), mmap.PAGESIZE), 1 << 28)
-    return _Cells(size, f"cannot read {what} {path}: its cells")
+    return _Cells(size, f"the cells of {what} {path}", lazy=True)
 
 
 def _from_cells(image_ids: list, nums: np.ndarray) -> Detections:
@@ -793,6 +797,8 @@ def read_labeled_cache(path) -> LabelingResult:
     try:
         read_table(path, "labeled cache", LABELED_COLUMNS, parse)
     except IngestionError as exc:
+        if not image_ids:  # no row before it to check, and no cells to map
+            raise
         error = exc
     nums = cells.array().reshape(-1, n_cells + len(FEATURE_NAMES))
     records = _from_cells(image_ids, nums)

@@ -28,27 +28,27 @@ sends left exactly the rows its impurity counted.  Each level then allocates
 all its children at once, in their parents' order, and gathers the rows of
 the impure ones in one step.  A tree's nodes are numbered in level order.
 
-Prediction evaluates every tree at once as path-matrix products (the GEMM
-strategy of Hummingbird, Nakandala et al., OSDI 2020).  A forest is compiled
-once, when the model is built.  Its trees, sorted by internal-node count,
-fall into ``_SIZE_GROUPS`` groups, and each group is padded only to its own
-largest tree, so one deep tree no longer sets the cost of every other.  A
-group holds each internal node's feature and threshold, a path matrix whose
-entry for (leaf, node) is +1 if the leaf lies in the node's left subtree and
--1 if in its right one, each leaf's count of left turns, and each leaf's
-class frequencies.  For a chunk of rows, ``C = x[feature] <= threshold`` holds the
-decision at every node (a NaN compares false and goes right, as in a
-node-by-node walk).  A leaf's row of the path matrix times ``C`` adds one
-for each left turn on its path that the row takes and subtracts one for
-each right turn it does not take, so it equals the leaf's left-turn count
-only for the one leaf the row reaches.  The entries are small integers, so
-the float32 products are exact, and the frequencies times the 0/1 match
-matrix add a single nonzero term per tree; padded leaves add only +0.0.
-Every group writes its trees' votes into one buffer in tree order, and the
-votes are then summed along the tree axis, so the probabilities equal, bit
-for bit, those of adding one tree's leaf frequencies after another.  Rows go
-in chunks whose size keeps every intermediate within ``_CHUNK_ELEMENTS``
-elements.
+Prediction applies QuickScorer's exit-leaf rule (Lucchese et al., SIGIR
+2015) to every tree at once, through per-feature threshold bins.  A forest
+is compiled once, when the model is built.  Each tree's leaves are numbered
+left to right, so a node's left subtree holds a run of them, and a row's
+state in a tree is a mask of one bit per leaf, in the narrowest words (8 to
+64 bits) that hold every tree's leaves.  The forest's distinct thresholds on
+a feature cut its values into bins, and each bin's table row holds, for
+every tree, the AND of ~(leaves of the left subtree) over the tree's nodes
+on that feature that send the bin's values right.  So a node clears its
+left subtree from each row it sends right, whether or not the row passes
+it.  The leaf a row reaches survives, as each node above it that holds it on
+the left sends the row left, and every leaf left of it is cleared by the
+node on the row's path where their paths part: the lowest set bit of the AND
+of the row's nine table rows is the leaf.  One branch-free binary search
+finds a chunk's bins on all nine features at once.  A NaN is searched as
++inf, above every threshold (none is +inf), so it goes right at every node,
+as in a node-by-node walk.  The leaves' class frequencies are gathered in
+(tree, row) order and summed along the tree axis, so the probabilities
+equal, bit for bit, those of adding one tree's leaf frequencies after
+another.  Rows go in chunks of at most ``_CHUNK_ELEMENTS`` (row, tree, mask
+word) elements.
 """
 
 from __future__ import annotations
@@ -61,13 +61,9 @@ FEATURE_DIM = 9
 FEATURES_PER_SPLIT = 3
 _LEAF = -1
 _MIN_GAIN = 1e-12
-# Rows per predict chunk times trees times max(internal nodes, leaves) per
-# tree.  On the default benchmark 2**17 (about 3 MB of intermediates) was the
-# fastest; 2**19 was 40-60% slower and peaked at 11 MB.
-_CHUNK_ELEMENTS = 1 << 17
-# Predict pads each of this many groups of similar-sized trees to its own
-# largest tree, not the whole forest to its largest.
-_SIZE_GROUPS = 4
+# Rows per predict chunk times trees times mask words per tree.
+_CHUNK_ELEMENTS = 1 << 16
+_LOW = np.array([(1 << i) - 1 for i in range(65)], dtype=np.uint64)  # i low bits set
 
 
 @dataclass(frozen=True)
@@ -99,98 +95,63 @@ class DecisionTree:
 class ForestModel:
     trees: list
     config: TrainConfig
-    _paths: tuple = field(repr=False, compare=False)  # see _compile_paths
+    _bins: tuple = field(repr=False, compare=False)  # see _compile_bins
 
 
-def _compile_paths(feature, threshold, left, right, counts, sizes):
-    """Path-matrix form of a forest in size groups: ``((trees, F, TH, AT, B, P), ...)``.
+def _compile_bins(tree, feature, threshold, left, counts, level_sizes):
+    """Bin-table form of a forest: ``(cuts, shift, table, freq)``.
 
-    The arguments are the trees' node arrays laid end to end, ``sizes[t]``
-    nodes for tree t, with ``left`` and ``right`` indexing within a tree.
-    The trees, sorted by internal-node count, are cut into ``_SIZE_GROUPS``
-    groups of about equal count, and each group is padded to its own
-    largest tree; ``trees`` holds a group's tree indices.  For its i-th tree,
-    with k internal nodes and m leaves, ``F[i, :k]`` and ``TH[i, :k]`` are
-    the internal nodes' features and thresholds in node order;
-    ``AT[i, j, c]`` is +1 if leaf j lies in the left subtree of internal
-    node c, -1 if in the right one, else 0; ``B[i, j]`` counts the left
-    turns on leaf j's path; ``P[i, :, j]`` is leaf j's class frequencies.
-    Padded nodes get threshold +inf and zero path entries, padded leaves
-    ``B = NaN`` (never matched) and zero frequencies.
+    The arguments are the forest's nodes in level order, ``level_sizes[i]``
+    nodes at depth i, with ``left`` indexing that order and each right
+    child next to its left one.  A tree's leaves are numbered left to right,
+    and its leaf mask is W words of B bits: the narrowest of 8, 16, 32 and 64
+    that holds every tree's leaves, else 64.  Row f of ``cuts`` holds feature
+    f's distinct thresholds in increasing order, padded with +inf to the
+    width N = 2**k - 1 shared by all features.  ``table`` is a (bins, trees,
+    W) array of uint{B}, feature after feature; the bin of feature f whose
+    values are above b of its cuts is row ``shift[f] + f N + b``, and holds
+    the AND of ~(leaves of the left subtree) over the tree's f-nodes whose
+    threshold is one of those b.  ``freq[M t + j]`` holds the class
+    frequencies of leaf j of tree t, for M the most leaves in any tree (zero
+    past a tree's own).
     """
-    start = np.cumsum(sizes) - sizes
-    tree_of = np.repeat(np.arange(len(sizes)), sizes)
-    internal = feature >= 0
+    T = level_sizes[0]
+    split = np.flatnonzero(left >= 0)
+    by_level = np.split(split, np.searchsorted(split, np.cumsum(level_sizes)[:-1]))
+    below = np.ones(len(tree), dtype=np.int64)  # leaves under each node
+    first = np.zeros(len(tree), dtype=np.int64)  # the number of its first leaf
+    for nodes in by_level[::-1]:
+        below[nodes] = below[left[nodes]] + below[left[nodes] + 1]
+    for nodes in by_level:
+        first[left[nodes]] = first[nodes]
+        first[left[nodes] + 1] = first[nodes] + below[left[nodes]]
+    M = int(below[:T].max())
+    B = 8 << min(3, max(0, (M - 1).bit_length() - 3))
+    low = _LOW[: B + 1].astype(f"uint{B}")
+    # Each split node's mask: every leaf but the run of its left subtree's.
+    lo = first[split, None] - B * np.arange(-(-M // B))
+    keep = ~low[np.clip(lo + below[left[split], None], 0, B)] | low[np.clip(lo, 0, B)]
 
-    def ranks(mask):
-        """Position of each masked node among its tree's masked nodes."""
-        before = np.concatenate(([0], np.cumsum(mask)))
-        return before[:-1] - before[start][tree_of], before[start + sizes] - before[start]
-
-    k_rank, k = ranks(internal)
-    m_rank, m = ranks(~internal)
-    nodes = np.flatnonzero(internal)
-    parent = np.full(len(feature), -1)
-    side = np.zeros(len(feature), dtype=np.float32)
-    for child, turn in ((left, 1.0), (right, -1.0)):
-        ids = child[nodes] + start[tree_of[nodes]]
-        parent[ids] = nodes
-        side[ids] = turn
-
-    # Walk every leaf up to its root at once, one step per depth level,
-    # collecting each step's (leaf, internal node, turn).
-    leaves = np.flatnonzero(~internal)
-    steps = [(leaves[:0], nodes[:0], side[:0])]
-    sel, node = np.arange(len(leaves)), leaves
-    while True:
-        up = parent[node]
-        keep = up >= 0
-        sel, node, up = sel[keep], node[keep], up[keep]
-        if not len(sel):
-            break
-        steps.append((sel, up, side[node]))
-        node = up
-    step_leaf, step_node, step_turn = (np.concatenate(a) for a in zip(*steps))
-    left_turns = np.bincount(step_leaf, weights=step_turn > 0, minlength=len(leaves))
-    freq = counts[leaves].astype(float)
-    freq /= freq.sum(axis=1, keepdims=True)
-
-    T = len(sizes)
-    slot = np.empty(T, dtype=np.int64)  # a tree's position within its group
-    groups = []
-    for trees in np.array_split(np.argsort(k, kind="stable"), _SIZE_GROUPS):
-        if not len(trees):
-            continue
-        slot[trees] = np.arange(len(trees))
-        member = np.zeros(T, dtype=bool)
-        member[trees] = True
-        n, kmax, mmax = len(trees), int(k[trees].max()), int(m[trees].max())
-        g_nodes = nodes[member[tree_of[nodes]]]
-        F = np.zeros((n, kmax), dtype=np.int64)
-        TH = np.full((n, kmax), np.inf)
-        F[slot[tree_of[g_nodes]], k_rank[g_nodes]] = feature[g_nodes]
-        TH[slot[tree_of[g_nodes]], k_rank[g_nodes]] = threshold[g_nodes]
-        g_leaves = np.flatnonzero(member[tree_of[leaves]])
-        lt, lm = slot[tree_of[leaves[g_leaves]]], m_rank[leaves[g_leaves]]
-        B = np.full((n, mmax), np.nan, dtype=np.float32)
-        B[lt, lm] = left_turns[g_leaves]
-        P = np.zeros((n, 2, mmax))
-        P[lt, :, lm] = freq[g_leaves]
-        AT = np.zeros((n, mmax, kmax), dtype=np.float32)
-        g_steps = member[tree_of[leaves[step_leaf]]]
-        s_leaf = leaves[step_leaf[g_steps]]
-        AT[slot[tree_of[s_leaf]], m_rank[s_leaf], k_rank[step_node[g_steps]]] = step_turn[g_steps]
-        groups.append((trees, F, TH, AT, B, P))
-    return tuple(groups)
-
-
-def _chunk_rows(groups) -> int:
-    """Rows per predict chunk: as if every tree were padded to the widest
-    group's width, so that neither a group's intermediates nor the (trees,
-    2, rows) vote buffer exceeds ``_CHUNK_ELEMENTS``."""
-    n_trees = sum(len(g[0]) for g in groups)
-    width = max([2] + [max(AT.shape[1:]) for _, _, _, AT, _, _ in groups])
-    return max(1, _CHUNK_ELEMENTS // (n_trees * width))
+    f, thr = feature[split], threshold[split]
+    distinct = [np.unique(thr[f == j]) for j in range(FEATURE_DIM)]
+    n = np.array([len(c) for c in distinct])
+    start = np.cumsum(n + 1) - (n + 1)  # each feature's first table row
+    cuts = np.full((FEATURE_DIM, (1 << int(n.max()).bit_length()) - 1), np.inf)
+    row = np.empty(len(split), dtype=np.int64)
+    for j, values in enumerate(distinct):
+        cuts[j, : n[j]] = values
+        row[f == j] = start[j] + 1 + np.searchsorted(values, thr[f == j])
+    table = np.full((int((n + 1).sum()), T, keep.shape[1]), low[B])
+    np.bitwise_and.at(table, (row, tree[split]), keep)
+    for j in range(FEATURE_DIM):  # a node clears every bin above its cut
+        part = table[start[j] : start[j] + n[j] + 1]
+        np.bitwise_and.accumulate(part, axis=0, out=part)
+    leaves = np.flatnonzero(left < 0)
+    freq = np.zeros((T * M, 2))
+    c = counts[leaves].astype(float)
+    freq[M * tree[leaves] + first[leaves]] = c / c.sum(axis=1, keepdims=True)
+    shift = start - cuts.shape[1] * np.arange(FEATURE_DIM)
+    return cuts, shift, table, freq
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # a segment's last entry leaves no row right
@@ -336,6 +297,7 @@ def fit_arrays(X, y, cfg: TrainConfig) -> ForestModel:
 
     # Lay each tree's nodes end to end in level order and number them within it.
     tree, feature, threshold, left, counts = (np.concatenate(a) for a in zip(*levels))
+    bins = _compile_bins(tree, feature, threshold, left, counts, [len(a[0]) for a in levels])
     order = np.argsort(tree, kind="stable")
     sizes = np.bincount(tree, minlength=T)
     local = np.empty(len(tree), dtype=np.int64)
@@ -350,8 +312,7 @@ def fit_arrays(X, y, cfg: TrainConfig) -> ForestModel:
         DecisionTree(feature[i:j], threshold[i:j], left[i:j], right[i:j], counts[i:j])
         for i, j in zip((end - sizes).tolist(), end.tolist())
     ]
-    paths = _compile_paths(feature, threshold, left, right, counts, sizes)
-    return ForestModel(trees=trees, config=cfg, _paths=paths)
+    return ForestModel(trees=trees, config=cfg, _bins=bins)
 
 
 def predict_proba_matrix(model: ForestModel, X) -> np.ndarray:
@@ -359,17 +320,32 @@ def predict_proba_matrix(model: ForestModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != FEATURE_DIM:
         raise ValueError(f"feature matrix must be (n, {FEATURE_DIM})")
-    groups = model._paths
-    T = len(model.trees)
-    step = _chunk_rows(groups)
+    cuts, shift, table, freq = model._bins
+    T, W = table.shape[1:]
+    B = 8 * table.itemsize
+    step = max(1, _CHUNK_ELEMENTS // (T * W))
+    first = len(freq) // T * np.arange(T)
+    halves = [1 << i for i in range(cuts.shape[1].bit_length())][::-1]
     acc = np.empty((len(X), 2))
     for s in range(0, len(X), step):
-        Xc = np.ascontiguousarray(X[s : s + step].T)
-        votes = np.empty((T, 2, Xc.shape[1]))  # in tree order
-        for trees, F, TH, AT, B, P in groups:
-            C = (np.take(Xc, F, axis=0) <= TH[:, :, None]).astype(np.float32)
-            match = (AT @ C == B[:, :, None]).astype(float)
-            votes[trees] = P @ match
-        acc[s : s + step] = np.add.reduce(votes, axis=0).T
+        # One branch-free binary search over the flat ``cuts`` adds to each
+        # value's row start its count of cuts below it.  A NaN is searched as
+        # +inf (``fmin``), above every threshold.
+        x = np.fmin(X[s : s + step].T, np.inf, order="C")
+        at = np.repeat(cuts.shape[1] * np.arange(FEATURE_DIM)[:, None], x.shape[1], axis=1)
+        for half in halves:
+            at += half * (x > np.take(cuts, at + (half - 1)))
+        at += shift[:, None]  # each value's table row
+        mask = np.take(table, at[0], axis=0)
+        for f in range(1, FEATURE_DIM):
+            mask &= np.take(table, at[f], axis=0)
+        # The lowest set bit of each tree's mask is the leaf the row reaches:
+        # the trailing zeros of its first word, plus those of the next while
+        # every word so far is empty.
+        tz = np.bitwise_count(~mask & (mask - 1))
+        leaf = first + tz[:, :, 0]
+        for w in range(1, W):
+            leaf += tz[:, :, w] * (leaf == first + B * w)
+        np.add.reduce(np.take(freq, leaf.T, axis=0), axis=0, out=acc[s : s + step])
     acc /= T
     return acc

@@ -351,9 +351,17 @@ def with_missing_cells(X, rng, share=0.1):
     return X
 
 
-def group_width(model):
-    """The widest size group's larger dimension: internal nodes or leaves."""
-    return max(max(AT.shape[1:]) for _, _, _, AT, _, _ in model._paths)
+def mask_words(model):
+    """Words per tree in the compiled leaf masks."""
+    return model._bins[2].shape[2]
+
+
+def rows_per_chunk(model):
+    return max(1, forest._CHUNK_ELEMENTS // (len(model.trees) * mask_words(model)))
+
+
+def matches_reference(model, Xq):
+    return np.array_equal(predict_proba_matrix(model, Xq), reference_proba(tree_dicts(model), Xq))
 
 
 @st.composite
@@ -373,36 +381,144 @@ def mixed_forests(draw):
     return X, y, cfg, Xq, chunk
 
 
+@st.composite
+def wide_forests(draw):
+    """Noisy labels on a few hundred rows: trees of more than 64 leaves,
+    whose masks take two words or more."""
+    n = draw(st.integers(250, 500), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="data seed"))
+    X = with_missing_cells(rng.normal(size=(n, 9)), rng, share=draw(st.floats(0.0, 0.1)))
+    noise = draw(st.floats(0.2, 0.5), label="label noise")
+    y = ((X[:, 0] > 0) ^ (rng.random(n) < noise)).astype(np.int64)
+    cfg = TrainConfig(n_trees=draw(st.integers(1, 6), label="n_trees"), seed=draw(st.integers(0, 2**32 - 1)))
+    Xq = with_missing_cells(np.concatenate([X, rng.normal(size=(draw(st.integers(0, 200)), 9))]), rng)
+    return X, y, cfg, Xq, draw(st.integers(1, 40), label="rows per chunk")
+
+
+# A node whose rows hold -1e-323 and 5e-324 gets the threshold -0.0 (their
+# midpoint rounds to it), and one whose rows hold -1 and 1 gets 0.0.
+SIGNED_ZEROS = np.array([-1e-323, -5e-324, -0.0, 0.0, 5e-324, -1.0, 1.0])
+
+
+@st.composite
+def signed_zero_forests(draw):
+    """Values around both zeros; the queries add NaN and -inf cells."""
+    n = draw(st.integers(10, 80), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="data seed"))
+    X = rng.choice(SIGNED_ZEROS, size=(n, 9))
+    y = rng.integers(0, 2, size=n)
+    cfg = TrainConfig(n_trees=draw(st.integers(1, 30), label="n_trees"), seed=draw(st.integers(0, 2**32 - 1)))
+    Xq = rng.choice(np.append(SIGNED_ZEROS, [np.nan, -np.inf]), size=(draw(st.integers(0, 300)), 9))
+    return X, y, cfg, Xq
+
+
+def leaf_runs(k, repeats=20):
+    """k distinct rows with alternating labels, each repeated so that no
+    bootstrap misses one (odds about e**-20), and one value in every column:
+    every tree splits them into k leaves."""
+    X = np.repeat(np.arange(k, dtype=float), repeats)[:, None] * np.ones(9)
+    return X, np.repeat(np.arange(k) % 2, repeats)
+
+
 class TestCompiledPredict:
-    """The path-matrix predict against the node-by-node ``reference_proba``."""
+    """The bin-table predict against the node-by-node ``reference_proba``."""
 
     @settings(max_examples=60, deadline=None)
     @given(mixed_forests())
-    def test_size_groups_match_reference_bit_for_bit(self, problem):
+    def test_mixed_forests_match_reference_bit_for_bit(self, problem):
         X, y, cfg, Xq, chunk = problem
         model = fit_arrays(X, y, cfg)
         internal = [int((t.feature >= 0).sum()) for t in model.trees]
         assume(min(internal) == 0 and max(internal) >= 2)
         assume(len(Xq) % chunk != 0)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(forest, "_CHUNK_ELEMENTS", chunk * len(model.trees) * group_width(model))
-            assert forest._chunk_rows(model._paths) == chunk
-            assert np.array_equal(predict_proba_matrix(model, Xq), reference_proba(tree_dicts(model), Xq))
+            mp.setattr(forest, "_CHUNK_ELEMENTS", chunk * len(model.trees) * mask_words(model))
+            assert rows_per_chunk(model) == chunk
+            assert matches_reference(model, Xq)
+
+    @settings(max_examples=25, deadline=None)
+    @given(wide_forests())
+    def test_masks_of_several_words_match_reference(self, problem):
+        X, y, cfg, Xq, chunk = problem
+        model = fit_arrays(X, y, cfg)
+        leaves = max(int((t.feature < 0).sum()) for t in model.trees)
+        assume(leaves > 64)
+        assert model._bins[2].dtype == np.uint64
+        assert mask_words(model) == -(-leaves // 64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forest, "_CHUNK_ELEMENTS", chunk * len(model.trees) * mask_words(model))
+            assert matches_reference(model, Xq)
+
+    @pytest.mark.parametrize("k, words", [(64, 1), (65, 2)])
+    def test_trees_of_64_and_65_leaves(self, k, words):
+        X, y = leaf_runs(k)
+        model = fit_arrays(X, y, TrainConfig(n_trees=3, seed=20))
+        assert all(int((t.feature < 0).sum()) == k for t in model.trees)
+        assert model._bins[2].dtype == np.uint64 and mask_words(model) == words
+        # Every value, every midpoint, past both ends, and NaN.
+        values = np.concatenate([np.arange(-1.0, k + 0.5, 0.5), [np.nan, -np.inf, np.inf]])
+        Xq = np.repeat(values[:, None], 9, axis=1)
+        assert matches_reference(model, Xq)
+        assert predict_proba_matrix(model, Xq)[2 : 2 * k + 2 : 2, 1].tolist() == (np.arange(k) % 2).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(signed_zero_forests())
+    def test_signed_zeros_and_infinities_match_reference(self, problem):
+        X, y, cfg, Xq = problem
+        assert matches_reference(fit_arrays(X, y, cfg), Xq)
+
+    def test_thresholds_of_both_signed_zeros_on_one_feature(self):
+        rng = np.random.default_rng(0)
+        X = rng.choice(SIGNED_ZEROS[[0, 4, 5, 6, 2, 3]], size=(60, 9))
+        model = fit_arrays(X, rng.integers(0, 2, size=60), TrainConfig(n_trees=20, seed=0))
+        thr = np.concatenate([t.threshold[t.feature == 2] for t in model.trees])
+        assert (np.signbit(thr) & (thr == 0)).any() and (~np.signbit(thr) & (thr == 0)).any()
+        Xq = rng.choice(SIGNED_ZEROS, size=(400, 9))
+        Xq[::7, 2] = np.nan
+        assert matches_reference(model, Xq)
+
+    @settings(max_examples=30, deadline=None)
+    @given(forest_problems(), st.integers(0, 300), st.integers(1, 20))
+    def test_single_leaf_forests_have_no_cut(self, problem, n_query, chunk):
+        X, y, cfg = problem
+        model = fit_arrays(X, np.full(len(y), y[0]), cfg)
+        assert model._bins[0].shape == (9, 0) and model._bins[2].shape[0] == 9
+        rng = np.random.default_rng(n_query)
+        Xq = with_missing_cells(rng.normal(size=(n_query, 9)), rng)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forest, "_CHUNK_ELEMENTS", chunk * len(model.trees))
+            probs = predict_proba_matrix(model, Xq)
+        assert np.array_equal(probs, np.tile([1.0 - y[0], float(y[0])], (n_query, 1)))
+        assert matches_reference(model, Xq)
+
+    @settings(max_examples=40, deadline=None)
+    @given(forest_problems(), st.integers(1, 30), st.sampled_from([0, 1, "ragged"]))
+    def test_empty_single_row_and_ragged_queries(self, problem, chunk, n_query):
+        X, y, cfg = problem
+        model = fit_arrays(X, y, cfg)
+        if n_query == "ragged":
+            n_query = 3 * chunk + 1 if chunk > 1 else 4
+        rng = np.random.default_rng(chunk)
+        Xq = with_missing_cells(rng.normal(size=(n_query, 9)), rng)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forest, "_CHUNK_ELEMENTS", chunk * len(model.trees) * mask_words(model))
+            assert rows_per_chunk(model) == chunk
+            probs = predict_proba_matrix(model, Xq)
+        assert probs.shape == (n_query, 2)
+        assert np.array_equal(probs, reference_proba(tree_dicts(model), Xq))
 
     def test_many_chunks_with_a_ragged_last_one(self, monkeypatch):
         rng = np.random.default_rng(44)
         X, y = random_data(130, rng)
         model = fit_arrays(X, y, TrainConfig(seed=13))
         Xq = with_missing_cells(rng.normal(size=(2_500, 9)), rng)
-        assert len(model._paths) == forest._SIZE_GROUPS
-        assert len(Xq) % forest._chunk_rows(model._paths) != 0
-        assert np.array_equal(predict_proba_matrix(model, Xq), reference_proba(tree_dicts(model), Xq))
-        monkeypatch.setattr(forest, "_CHUNK_ELEMENTS", 7 * len(model.trees) * group_width(model))
-        assert forest._chunk_rows(model._paths) == 7
+        assert len(Xq) // rows_per_chunk(model) > 1
+        assert len(Xq) % rows_per_chunk(model) != 0
+        assert matches_reference(model, Xq)
+        monkeypatch.setattr(forest, "_CHUNK_ELEMENTS", 7 * len(model.trees) * mask_words(model))
+        assert rows_per_chunk(model) == 7
         for n in (6, 7, 8, 25):
-            assert np.array_equal(
-                predict_proba_matrix(model, Xq[:n]), reference_proba(tree_dicts(model), Xq[:n])
-            )
+            assert matches_reference(model, Xq[:n])
 
     def test_zero_and_one_row_queries(self):
         rng = np.random.default_rng(45)
@@ -421,17 +537,30 @@ class TestCompiledPredict:
         y = np.zeros(40, dtype=np.int64)
         y[:3] = 1
         model = fit_arrays(X, y, TrainConfig(n_trees=30, seed=15))
-        internal = [int((t.feature >= 0).sum()) for t in model.trees]
-        assert min(internal) == 0 and max(internal) >= 3
-        # Each size group is padded to its own largest tree only.
-        padded_to = [AT.shape[2] for _, _, _, AT, _, _ in model._paths]
-        assert padded_to == [max(internal[t] for t in g[0]) for g in model._paths]
-        assert min(padded_to) < max(padded_to)
+        leaves = np.array([int((t.feature < 0).sum()) for t in model.trees])
+        assert leaves.min() == 1 and leaves.max() >= 4
+        # Every tree's mask is padded to the narrowest word that holds the
+        # largest tree's leaves, and the cuts are each feature's distinct
+        # thresholds, padded with +inf to a common width of 2**k - 1.
+        cuts, shift, table, freq = model._bins
+        assert table.dtype == np.uint8 and mask_words(model) == 1
+        assert len(freq) == 30 * leaves.max()
+        width = cuts.shape[1]
+        distinct = [np.unique(np.concatenate([t.threshold[t.feature == f] for t in model.trees])) for f in range(9)]
+        assert width & (width + 1) == 0 and width // 2 < max(map(len, distinct)) <= width
+        for f in range(9):
+            assert cuts[f, : len(distinct[f])].tolist() == distinct[f].tolist()
+            assert np.isposinf(cuts[f, len(distinct[f]) :]).all()
+        # Leaves are numbered left to right: past every cut, a row goes
+        # right at every node and reaches each tree's last leaf.
+        past_every_cut = [table[shift[f] + f * width + len(distinct[f])] for f in range(9)]
+        reached = np.bitwise_and.reduce(past_every_cut)[:, 0]
+        assert np.array_equal(reached & -reached, (1 << (leaves - 1)).astype(np.uint8))
         Xq = with_missing_cells(np.concatenate([X, rng.normal(size=(200, 9))]), rng)
-        assert np.array_equal(predict_proba_matrix(model, Xq), reference_proba(tree_dicts(model), Xq))
-        # Every tree a single leaf: the path matrices have no columns.
+        assert matches_reference(model, Xq)
+        # Every tree a single leaf: no feature has a cut.
         leaves_only = fit_arrays(X, np.ones(40, dtype=np.int64), TrainConfig(n_trees=5, seed=16))
-        assert all(AT.shape[2] == 0 for _, _, _, AT, _, _ in leaves_only._paths)
+        assert leaves_only._bins[0].shape == (9, 0)
         assert np.array_equal(predict_proba_matrix(leaves_only, Xq), np.tile([0.0, 1.0], (len(Xq), 1)))
 
     def test_impure_leaves_sum_in_tree_order(self):
@@ -454,6 +583,21 @@ class TestCompiledPredict:
         rng = np.random.default_rng(48)
         X, y = random_data(130, rng)
         model = fit_arrays(X, y, TrainConfig(seed=18))
+        Xq = rng.normal(size=(20_000, 9))
+        tracemalloc.start()
+        try:
+            out = predict_proba_matrix(model, Xq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 4_000_000
+
+    def test_chunks_bound_the_memory_of_a_wide_forest_query(self):
+        # Trees of 129 to 192 leaves: masks of three 64-bit words.
+        rng = np.random.default_rng(48)
+        X, y = random_data(1_500, rng)
+        model = fit_arrays(X, y, TrainConfig(seed=18))
+        assert mask_words(model) == 3
         Xq = rng.normal(size=(20_000, 9))
         tracemalloc.start()
         try:

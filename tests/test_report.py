@@ -1,5 +1,7 @@
 import csv
+import errno
 import logging
+import mmap
 import os
 import subprocess
 import sys
@@ -431,6 +433,28 @@ def test_readers_share_one_contract(tmp_path, reader, case):
         path.write_bytes(data)
     with pytest.raises(IngestionError, match=message.format(case)):
         read(path)
+
+
+@pytest.mark.parametrize("reader, what", [("detections", "detection file"), ("cache", "labeled cache")])
+def test_a_reader_maps_its_cells_once_its_file_is_open(tmp_path, monkeypatch, reader, what):
+    """With no memory to map, a missing file still fails as ``cannot open``,
+    and a readable one names its cells' map, not in the ``cannot read``
+    wording of a byte that is not UTF-8."""
+    read, columns, row = READERS[reader]
+
+    def no_memory(*args, **kwargs):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    monkeypatch.setattr(mmap, "mmap", no_memory)
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(IngestionError) as info:
+        read(missing)
+    assert str(info.value) == f"cannot open {what} {missing}: No such file or directory"
+    present = tmp_path / "present.csv"
+    present.write_text(",".join(columns) + "\n" + ",".join(row) + "\n")
+    with pytest.raises(IngestionError) as info:
+        read(present)
+    assert str(info.value) == f"the cells of {what} {present} need {mmap.PAGESIZE} bytes (Cannot allocate memory)"
 
 
 def read_sidecar(meta):
