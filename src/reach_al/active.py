@@ -88,8 +88,7 @@ def select_batch(scores, b: int) -> list[int]:
     scores = np.asarray(scores, dtype=float)
     if b > len(scores):
         raise ValueError("batch larger than the candidate pool")
-    order = np.lexsort((np.arange(len(scores)), -scores))
-    return [int(i) for i in order[:b]]
+    return np.argsort(-scores, kind="stable")[:b].tolist()
 
 
 def run_loop(

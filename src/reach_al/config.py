@@ -84,23 +84,15 @@ class GridConfig:
 class AppConfig:
     arm: ManipulatorParams = field(default_factory=ManipulatorParams)
     cam: CameraIntrinsics = field(default_factory=CameraIntrinsics)
-    ext: Extrinsics = None  # set in __post_init__
+    # The default benchmark mounts the camera so detections span every
+    # reachability facet of the default arm.
+    ext: Extrinsics = field(default_factory=lambda: Extrinsics(np.eye(3), [0.9, 0.0, 0.1]))
     scene: SceneConfig = field(default_factory=SceneConfig)
     forest: TrainConfig = field(default_factory=TrainConfig)
     al: ALConfig = field(default_factory=ALConfig)
     data: DataConfig = field(default_factory=DataConfig)
     features: FeatureConfig = field(default_factory=FeatureConfig)
     grid: GridConfig = field(default_factory=GridConfig)
-
-    def __post_init__(self):
-        if self.ext is None:
-            # The default benchmark mounts the camera so detections span
-            # every reachability facet of the default arm.
-            self.ext = benchmark_extrinsics()
-
-
-def benchmark_extrinsics() -> Extrinsics:
-    return Extrinsics(np.eye(3), [0.9, 0.0, 0.1])
 
 
 def default_config() -> AppConfig:

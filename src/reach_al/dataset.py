@@ -12,12 +12,12 @@ block make them depths (``tests/scene_reference.py`` keeps the per-window
 form); it first reserves the scene's window map, so every consumer refuses a
 scene too large to hold.  :func:`write_scene` writes, and :func:`label_scene`
 labels, each block before the next is drawn; :func:`generate_scene` appends
-each block's windows to one map, and keeps each patch only as its window's
-center.  Labeling runs every detection through the perception pipeline and
-asks the kinematic feasibility test for its class.
+each block's windows to one map.  Labeling runs every detection through the
+perception pipeline and asks the kinematic feasibility test for its class.
 
 Detections are held as columns (:class:`Detections`) from generation or
-ingestion through labeling to the labeled cache, and labeled records as a
+ingestion through labeling to the labeled cache, each row's depth cells
+held once, as its 11x11 window or its 5x5 patch, and labeled records as a
 feature matrix and a label vector (:class:`LabeledRows`) from labeling to
 the AL cell; no step builds an object per record.  One mask (``_bad_rows``)
 holds the rules every detection must meet.
@@ -76,35 +76,18 @@ LABELED_COLUMNS = DETECTION_COLUMNS + FEATURE_NAMES[:3] + ("label",) + FEATURE_N
 _LABEL = LABELED_COLUMNS.index("label")
 
 
-class _Patches:
-    """``Detections.patches``: the array given or, where none was, the 5x5
-    centers of ``windows``, copied out each time it is read."""
-
-    def __get__(self, det, owner=None):
-        if det is None:
-            return None  # the field's default: no array given
-        patches = vars(det)["patches"]
-        if patches is None:
-            lo, hi = _PATCH_OFFSET, _PATCH_OFFSET + 5
-            patches = det.windows.reshape(-1, _WINDOW, _WINDOW)[:, lo:hi, lo:hi].reshape(-1, 25)
-        return patches
-
-    def __set__(self, det, patches):
-        vars(det)["patches"] = patches
-
-
 @dataclass(frozen=True, eq=False)
 class Detections:
     """Detected fruit as parallel columns, one row per detection.
 
     ``image_id`` holds strings; ``u`` and ``v`` (the RGB bounding-box
     center, pixels), ``bbox_w``, ``bbox_h`` and ``confidence`` are float64.
-    ``patches`` reads as (n, 25): each 5x5 depth patch in meters, row-major,
-    with 0 or a non-finite cell marking an invalid reading.  ``windows`` is
-    (n, 121), the 11x11 depth window around each detection that synthetic
-    scenes carry for the density feature, or ``None`` for ingested files.
-    A generated scene holds each depth cell once, in its windows: it gives
-    ``patches=None``, so read them a block of rows at a time (:func:`_chunks`).
+    ``depth_cells`` holds each detection's depth cells in meters, row-major,
+    with 0 or a non-finite cell marking an invalid reading: the (n, 121)
+    11x11 windows of a generated scene, or the (n, 25) 5x5 patches of a
+    detection file.  ``patches`` reads as (n, 25): the cells themselves when
+    they are 25 wide, else a copy of the windows' 5x5 centers, so read them
+    a block of rows at a time (:func:`_chunks`).
 
     Detections read by :func:`ingest_detections` also record where each row
     came from: ``source``, the file's absolute path; ``source_row``, the row's
@@ -122,8 +105,7 @@ class Detections:
     bbox_w: np.ndarray
     bbox_h: np.ndarray
     confidence: np.ndarray
-    patches: Optional[np.ndarray] = _Patches()
-    windows: Optional[np.ndarray] = None
+    depth_cells: np.ndarray
     source: Optional[str] = None
     source_row: Optional[np.ndarray] = None
     source_hash: Optional[np.ndarray] = None
@@ -131,11 +113,17 @@ class Detections:
     def __len__(self) -> int:
         return len(self.u)
 
+    @property
+    def patches(self) -> np.ndarray:
+        """The (n, 25) 5x5 depth patches (:class:`Detections`)."""
+        if self.depth_cells.shape[1] == 25:
+            return self.depth_cells
+        lo, hi = _PATCH_OFFSET, _PATCH_OFFSET + 5
+        return self.depth_cells.reshape(-1, _WINDOW, _WINDOW)[:, lo:hi, lo:hi].reshape(-1, 25)
+
     def take(self, idx) -> "Detections":
-        """The rows at ``idx``, an index array or a boolean mask, with the same
-        source; patches held in the windows stay there."""
-        given = vars(self)  # every field as given, ``patches`` None where the windows hold them
-        return Detections(**{k: col[idx] if isinstance(col, np.ndarray) else col for k, col in given.items()})
+        """The rows at ``idx``, an index array or a boolean mask, with the same source."""
+        return replace(self, **{k: col[idx] for k, col in vars(self).items() if isinstance(col, np.ndarray)})
 
 
 def _chunks(det: Detections):
@@ -281,8 +269,8 @@ _EDGE_DIST = np.array(
 
 class _Cells:
     """Float64 cells in an anonymous memory map of their own, which
-    ``generate_scene`` appends each block's windows to and the file readers
-    append to, staged 8,192 cells at a time.  On malloc's heap, columns of
+    ``generate_scene`` appends each block's windows or numbers to and the file
+    readers append to, staged 8,192 cells at a time.  On malloc's heap, columns of
     many MB made peak RSS vary by up to 8 MB from run to run.  A page is
     resident only once written; a full map doubles, the old one unmapped once
     copied.  The first map is made at once, or with ``lazy`` on the first
@@ -334,8 +322,8 @@ def _scene_blocks(cfg: SceneConfig, intr: CameraIntrinsics):
     It first makes ``generate_scene``'s ``_window_map`` and holds it, unwritten, to the
     end, so every consumer raises one ``ConfigError`` on a scene too large to map.
     Each window's normals go straight into its row of one (``_CHUNK``, 121)
-    buffer that every block reuses, so a block's ``windows``, and the
-    ``patches`` read from them, hold only until the next block is drawn."""
+    buffer that every block reuses, so a block's ``depth_cells`` hold only
+    until the next block is drawn."""
     reserved = _window_map(cfg)  # held, untouched, until the stream ends
     rng = np.random.default_rng(cfg.seed)
     rgb_sx = intr.rgb_width / intr.depth_width
@@ -348,23 +336,23 @@ def _scene_blocks(cfg: SceneConfig, intr: CameraIntrinsics):
     # bbox_w, bbox_h and confidence.
     m, image_ids, cells = 0, [], array("d")
     # Each pending row's apple depth, occluder depth, band side and width (0:
-    # no band) and dropout mask; dropout and band draws go through ``noise``.
+    # no band; int8 like ``_EDGE_DIST``: no cast); dropout and band draws go through ``noise``.
     depths, occluders, noise = np.empty(_CHUNK), np.empty(_CHUNK), np.empty(_WINDOW**2)
-    sides, widths = np.zeros(_CHUNK, dtype=np.intp), np.zeros(_CHUNK, dtype=np.intp)
-    drops = np.zeros((_CHUNK, _WINDOW**2), dtype=bool)
+    sides, widths = np.zeros(_CHUNK, dtype=np.intp), np.zeros(_CHUNK, dtype=np.int8)
 
     def finished():
         """The pending block, its normals made depths; the additions touch
-        disjoint cells and 0 is in range."""
+        disjoint cells, and the band's mask is inverted, then reused, in place."""
         w = win[:m]
         w *= cfg.depth_noise_std
         band = _EDGE_DIST[sides[:m]] < widths[:m, None]
         np.add(w, occluders[:m, None], out=w, where=band)
-        np.add(w, depths[:m, None], out=w, where=~band)
-        # Zero dropped cells and cells below 0, at or past MAX_VALID_DEPTH, or not finite.
-        np.copyto(w, 0.0, where=~((w >= 0.0) & (w < MAX_VALID_DEPTH)) | drops[:m])
+        np.add(w, depths[:m, None], out=w, where=np.logical_not(band, out=band))
+        # Zero cells below 0, at or past MAX_VALID_DEPTH, or not finite (NaN marks a dropped cell).
+        np.copyto(w, 0.0, where=~np.greater_equal(w, 0.0, out=band))
+        np.copyto(w, 0.0, where=~np.less(w, MAX_VALID_DEPTH, out=band))
         columns = np.array(cells).reshape(m, 5).T
-        return Detections(np.array(image_ids, dtype=object), *columns, windows=w)
+        return Detections(np.array(image_ids, dtype=object), *columns, depth_cells=w)
 
     for img in range(cfg.n_images):
         image_id = f"synth-{img:05d}"
@@ -403,7 +391,7 @@ def _scene_blocks(cfg: SceneConfig, intr: CameraIntrinsics):
                     band = _EDGE_DIST[sides[m]] < widths[m]
                     np.copyto(win[m], rng.standard_normal(out=noise), where=band)
                 if cfg.dropout_prob > 0:
-                    np.less(rng.random(out=noise), cfg.dropout_prob, out=drops[m])
+                    np.copyto(win[m], np.nan, where=rng.random(out=noise) < cfg.dropout_prob)
                 m += 1
                 jitter = _uniform(rng, 0.9, 1.1)
                 bbox_w = APPLE_DIAMETER * fx_rgb / Zc * jitter
@@ -425,18 +413,19 @@ def _window_map(cfg: SceneConfig) -> _Cells:
 def generate_scene(cfg: SceneConfig, intr: CameraIntrinsics) -> Detections:
     """Deterministic synthetic detections for ``cfg.n_images`` images.
 
-    The whole scene at once: each block of ``_scene_blocks`` has its windows
-    appended to a ``_window_map`` before the next is drawn, and ``windows``
-    is a view of the map; the stream reserves a second map of the same size,
-    never written.  The scene holds each depth cell once, in the windows:
-    ``patches`` are read from them (:class:`Detections`), and the other
-    columns hold one id or number per row."""
-    window_map, columns = _window_map(cfg), []
+    The whole scene at once: before the next block of ``_scene_blocks`` is
+    drawn, each block's windows are appended to a ``_window_map`` and its
+    five numbers a row to a second ``_Cells``; ``depth_cells`` and the
+    numeric columns view those maps, and the stream reserves a third map the
+    size of the first, never written.  The scene holds each depth cell once,
+    in the windows: ``patches`` are read from them (:class:`Detections`)."""
+    window_map, numbers, image_ids = _window_map(cfg), _Cells(mmap.PAGESIZE, "scene columns", ConfigError), []
     for block in _scene_blocks(cfg, intr):
-        window_map.append(block.windows)
-        columns.append([getattr(block, c) for c in DETECTION_COLUMNS[:6]])
-    image_id, *columns = map(np.concatenate, zip(*columns))
-    return Detections(image_id, *columns, windows=window_map.array().reshape(-1, _WINDOW**2))
+        window_map.append(block.depth_cells)
+        numbers.append(np.column_stack([getattr(block, c) for c in DETECTION_COLUMNS[1:6]]))
+        image_ids.append(block.image_id)
+    windows = window_map.array().reshape(-1, _WINDOW**2)
+    return Detections(np.concatenate(image_ids), *numbers.array().reshape(-1, 5).T, depth_cells=windows)
 
 
 def _detection_cells(det: Detections):
@@ -501,7 +490,7 @@ def _from_cells(image_ids: list, nums: np.ndarray) -> Detections:
     """Detections from image ids and each row's numbers, an (n, k) array that
     starts with its numeric cells (``DETECTION_COLUMNS[1:]``), viewed, not copied."""
     patches = nums[:, 5 : len(DETECTION_COLUMNS) - 1]
-    return Detections(np.array(image_ids, dtype=object), *nums[:, :5].T, patches=patches)
+    return Detections(np.array(image_ids, dtype=object), *nums[:, :5].T, depth_cells=patches)
 
 
 def _bad_rows(det: Detections, intr: Optional[CameraIntrinsics] = None) -> np.ndarray:
@@ -569,10 +558,10 @@ def label_with_oracle(
     The columns of ``det`` are sliced ``_CHUNK`` rows at a time and run as
     arrays: pixel mapping, robust depth, back-projection and the rigid
     transform (``perception.locate_detections``), the features
-    (``features.feature_rows``, with density from the 11x11 windows, or
-    from the patches when ``det.windows`` is ``None``) and the IK oracle's
-    mask (``kinematics.solve_ik``).  Elementwise arithmetic rounds the same
-    in numpy as in ``math``, and every ``asin``, ``acos``, ``cos``,
+    (``features.feature_rows``, with density over ``det.depth_cells``: the
+    11x11 windows, or the 5x5 patches) and the IK oracle's mask
+    (``kinematics.solve_ik``).  Elementwise arithmetic rounds the same in
+    numpy as in ``math``, and every ``asin``, ``acos``, ``cos``,
     ``sin``, ``atan2`` and ``hypot`` goes through ``math``, so each sample
     equals the one the per-record reference in ``tests/test_labeling.py``
     gives, bit for bit, a one-row last chunk too.  That reference labels
@@ -588,7 +577,7 @@ def label_with_oracle(
         records=det if len(kept) == len(det) else det.take(kept),
         n_dropped=len(det) - len(samples),
         n_input=len(det),
-        density_source="patch5x5" if det.windows is None and samples else "window11x11",
+        density_source="patch5x5" if det.depth_cells.shape[1] == 25 and samples else "window11x11",
     )
 
 
@@ -607,12 +596,10 @@ def _label_chunks(chunks, intr, ext, params, density_band) -> tuple[LabeledRows,
     dims = (intr.rgb_width, intr.rgb_height)
     for det in chunks:
         patches = det.patches
-        windows = patches if det.windows is None else det.windows
         keep, depth, x, y, z = locate_detections(det.u, det.v, patches, intr, ext)
         bbox_w, bbox_h = det.bbox_w[keep], det.bbox_h[keep]
-        features.append(
-            feature_rows(x, y, z, patches[keep], depth, bbox_w, bbox_h, dims, windows[keep], density_band)
-        )
+        cells = det.depth_cells[keep]  # d_local's cells: the windows, or the patches themselves
+        features.append(feature_rows(x, y, z, patches[keep], depth, bbox_w, bbox_h, dims, cells, density_band))
         labels.append(solve_ik(x, y, z, params)[0].astype(np.int64))
         kept.append(n + keep)
         n += len(det)

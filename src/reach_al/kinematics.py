@@ -95,12 +95,7 @@ class ArmPoint:
 
 def forward_kinematics(q: JointConfig, params: ManipulatorParams) -> ArmPoint:
     """Tool point of configuration ``q``.  Joint limits are not enforced."""
-    rho = params.L1 * math.cos(q.theta2) + params.Le
-    return ArmPoint(
-        x=q.d2 + rho * math.cos(q.theta1),
-        y=q.d1 + rho * math.sin(q.theta1),
-        z=params.h0 + params.L1 * math.sin(q.theta2),
-    )
+    return ArmPoint(*map(float, _fk_arrays(q.d1, q.d2, q.theta1, q.theta2, params)))
 
 
 def _fk_arrays(d1, d2, t1, t2, params: ManipulatorParams):

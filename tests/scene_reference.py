@@ -17,7 +17,6 @@ from array import array
 import numpy as np
 
 from reach_al.dataset import (
-    _PATCH_OFFSET,
     _WINDOW,
     APPLE_DIAMETER,
     BACKGROUND_FRAC,
@@ -138,7 +137,5 @@ def generate_scene(cfg: SceneConfig, intr: CameraIntrinsics) -> Detections:
                 cells.extend((ud * rgb_sx, vd * rgb_sy, bbox_w, bbox_h, rng.uniform(0.5, 1.0)))
     n = len(image_ids)
     windows = np.frombuffer(windows, dtype=float, count=n * _WINDOW**2).reshape(n, _WINDOW**2)
-    lo, hi = _PATCH_OFFSET, _PATCH_OFFSET + 5
-    patches = windows.reshape(n, _WINDOW, _WINDOW)[:, lo:hi, lo:hi].reshape(n, 25)
     columns = np.array(cells, dtype=float).reshape(n, 5).T
-    return Detections(np.array(image_ids, dtype=object), *columns, patches=patches, windows=windows)
+    return Detections(np.array(image_ids, dtype=object), *columns, depth_cells=windows)

@@ -134,12 +134,13 @@ class TestSelectBatch:
             select_batch([0.1], 2)
 
     def test_matches_argsort(self):
+        """The plain tie rule: higher score first, then lower index.  Scores
+        are drawn from a few values, 0.0 and -0.0 among them, so most tie."""
         rng = np.random.default_rng(60)
         for _ in range(100):
-            scores = rng.random(40)
-            batch = select_batch(scores, 5)
-            expected = list(np.argsort(-scores, kind="stable")[:5])
-            assert batch == expected
+            s = rng.choice([-0.0, 0.0, 0.25, 0.5, 1.0, *rng.random(3)], 40).tolist()
+            b = int(rng.integers(0, 41))
+            assert select_batch(s, b) == sorted(range(40), key=lambda i: (-s[i], i))[:b]
 
 
 class TestUncertaintyFamilyEquivalence:

@@ -49,12 +49,12 @@ def one_detection(u=100.0, v=100.0, bbox_w=30.0, bbox_h=30.0, confidence=0.8, pa
         np.array([bbox_w]),
         np.array([bbox_h]),
         np.array([confidence]),
-        patches=np.reshape(patch, (1, 25)).astype(float),
+        depth_cells=np.reshape(patch, (1, 25)).astype(float),
     )
 
 
 def same_rows(a, b):
-    """Equal image ids and numeric columns; windows are not compared."""
+    """Equal image ids and numeric columns; depth cells are compared as patches."""
     return a.image_id.tolist() == b.image_id.tolist() and all(
         np.array_equal(getattr(a, n), getattr(b, n), equal_nan=True) for n in NUMERIC_COLUMNS
     )
@@ -124,7 +124,7 @@ class TestGenerateScene:
         monkeypatch.setattr(dataset, "_Cells", lambda size, *args: real(8 * dataset._WINDOW**2, *args))
         grown = generate_scene(cfg, INTR)
         assert len(grown) == len(expected) > 64
-        assert grown.windows.tobytes() == expected.windows.tobytes()
+        assert grown.depth_cells.tobytes() == expected.depth_cells.tobytes()
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
         write_detections(pa, expected)
         write_detections(pb, grown)
@@ -169,7 +169,7 @@ class TestGenerateScene:
                 mp.setattr(dataset, "_Cells", lambda size, *args: real(8 * dataset._WINDOW**2, *args))
             got = generate_scene(cfg, INTR)
         assert got.image_id.tolist() == expected.image_id.tolist()
-        for name in NUMERIC_COLUMNS + ("windows",):
+        for name in NUMERIC_COLUMNS + ("depth_cells",):
             assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
 
     def test_traced_peak_within_256kb_of_the_reference(self):
@@ -182,8 +182,9 @@ class TestGenerateScene:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # The first pass of each warms numpy's caches; the windows live in
-        # the memory map, which tracemalloc does not see.
+        # The first pass of each warms numpy's caches; the windows, and
+        # generate_scene's numeric columns, live in memory maps, which
+        # tracemalloc does not see.
         assert peaks[3] <= peaks[2] + 256 * 1024
 
     def test_pixels_inside_rgb_frame(self, small_records):
@@ -192,9 +193,9 @@ class TestGenerateScene:
 
     def test_windows_materialized(self, small_records):
         n = len(small_records)
-        assert small_records.windows.shape == (n, 121)
+        assert small_records.depth_cells.shape == (n, 121)
         # The patch is the center of the window.
-        centers = small_records.windows.reshape(n, 11, 11)[:, 3:8, 3:8].reshape(n, 25)
+        centers = small_records.depth_cells.reshape(n, 11, 11)[:, 3:8, 3:8].reshape(n, 25)
         assert np.array_equal(centers, small_records.patches)
 
     def test_invalid_config_rejected(self):
@@ -209,7 +210,7 @@ class TestDetectionFiles:
         path = tmp_path / "detections.csv"
         write_detections(path, small_records)
         loaded = ingest_detections(path, INTR)
-        assert same_rows(loaded, small_records) and loaded.windows is None
+        assert same_rows(loaded, small_records) and loaded.depth_cells.shape == (len(loaded), 25)
 
     def test_round_trip_of_ids_that_need_quoting(self, tmp_path, small_records):
         det = small_records.take(np.arange(len(QUOTED_IDS)))
@@ -681,14 +682,14 @@ class TestOneCopyOfEachCell:
         taken = [small_records.take(idx) for idx in (slice(3, 40), np.arange(0, 60, 7), small_records.u > 900)]
         for det in (small_records, *blocks, *taken):
             for name, col in vars(det).items():
-                if name != "windows" and isinstance(col, np.ndarray):
+                if name != "depth_cells" and isinstance(col, np.ndarray):
                     assert col.nbytes <= 8 * len(det), name
         # Each read of the patches copies them from the windows' centers.
         for det in (small_records, *taken):
             n = len(det)
-            centers = det.windows.reshape(n, 11, 11)[:, 3:8, 3:8].reshape(n, 25)
+            centers = det.depth_cells.reshape(n, 11, 11)[:, 3:8, 3:8].reshape(n, 25)
             assert det.patches.shape == (n, 25) and np.array_equal(det.patches, centers)
-            assert not np.may_share_memory(det.patches, det.windows)
+            assert not np.may_share_memory(det.patches, det.depth_cells)
 
     @settings(max_examples=40, deadline=None)
     @given(runs=DETECTION_RUNS, data=st.data())
@@ -743,7 +744,7 @@ class TestOneScenePath:
     def test_generate_scene_joins_the_streamed_blocks(self, cfg, one_row_map):
         # Each block copied as it is yielded: the next one reuses its buffer.
         blocks = [
-            {name: np.copy(getattr(b, name)) for name in ("image_id",) + NUMERIC_COLUMNS + ("windows",)}
+            {name: np.copy(getattr(b, name)) for name in ("image_id",) + NUMERIC_COLUMNS + ("depth_cells",)}
             for b in dataset._scene_blocks(cfg, INTR)
         ]
         with pytest.MonkeyPatch.context() as mp:
@@ -753,7 +754,7 @@ class TestOneScenePath:
             got = generate_scene(cfg, INTR)
         assert all(len(b["image_id"]) == dataset._CHUNK for b in blocks[:-1])
         assert got.image_id.tolist() == [i for b in blocks for i in b["image_id"].tolist()]
-        for name in NUMERIC_COLUMNS + ("windows",):
+        for name in NUMERIC_COLUMNS + ("depth_cells",):
             joined = np.concatenate([b[name] for b in blocks])
             assert getattr(got, name).tobytes() == joined.tobytes(), name
 

@@ -106,7 +106,7 @@ def build(rows):
             u[k] = float(W)
         elif kind == "edge_of_frame":
             u[k] = W - 1e-9
-    return replace(det, image_id=np.array(ids, dtype=object), u=u, patches=patches, windows=None)
+    return replace(det, image_id=np.array(ids, dtype=object), u=u, depth_cells=patches)
 
 
 @settings(max_examples=60, deadline=None)

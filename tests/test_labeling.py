@@ -14,7 +14,6 @@ detection readers must accept exactly the rows the record checks accept.
 import csv
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Optional
 
 import numpy as np
 import pytest
@@ -78,7 +77,8 @@ class DetectionRecord:
     bbox_h: float
     confidence: float
     patch: np.ndarray
-    neighborhood: Optional[np.ndarray] = None
+    # The cells d_local is taken over: the 11x11 window, or the patch itself.
+    neighborhood: np.ndarray
 
     def __post_init__(self):
         if not 0.0 <= self.confidence <= 1.0:
@@ -95,10 +95,10 @@ class DetectionRecord:
 
 
 def records_of(det):
-    windows = [None] * len(det) if det.windows is None else det.windows
+    side = math.isqrt(det.depth_cells.shape[1])
     return [
-        DetectionRecord(*row, None if window is None else window.reshape(11, 11))
-        for *row, window in zip(
+        DetectionRecord(*row, cells.reshape(side, side))
+        for *row, cells in zip(
             det.image_id.tolist(),
             det.u.tolist(),
             det.v.tolist(),
@@ -106,7 +106,7 @@ def records_of(det):
             det.bbox_h.tolist(),
             det.confidence.tolist(),
             det.patches,
-            windows,
+            det.depth_cells,
         )
     ]
 
@@ -117,28 +117,16 @@ def valid_values(patch):
 
 
 def concat(*parts):
-    """The rows of ``parts`` in order.  A column that some part lacks is
-    ``None``, and the source is kept only when every part has the same one."""
-    cols = {}
-    for f in fields(Detections):
-        values = [getattr(p, f.name) for p in parts]
-        if f.name == "source":
-            cols[f.name] = values[0] if len(set(values)) == 1 else None
-        elif all(v is not None for v in values):
-            cols[f.name] = np.concatenate(values)
-    if cols.get("source") is None:
-        cols.update(source=None, source_row=None, source_hash=None)
-    return Detections(**cols)
+    """The rows of ``parts``, generated detections with no source, in order."""
+    assert all(p.source is None for p in parts)
+    names = [f.name for f in fields(Detections) if not f.name.startswith("source")]
+    return Detections(**{name: np.concatenate([getattr(p, name) for p in parts]) for name in names})
 
 
-def assert_same_detections(a, b, windows=True):
+def assert_same_detections(a, b):
     assert a.image_id.tolist() == b.image_id.tolist()
-    for name in ("u", "v", "bbox_w", "bbox_h", "confidence", "patches"):
+    for name in ("u", "v", "bbox_w", "bbox_h", "confidence", "patches", "depth_cells"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-    if windows:
-        assert (a.windows is None) == (b.windows is None)
-        if a.windows is not None:
-            assert a.windows.tobytes() == b.windows.tobytes()
 
 
 def ref_depth_pixel(u, v, intr):
@@ -170,7 +158,7 @@ def ref_features(p, patch, depth, bbox_w, bbox_h, image_dims, neighborhood, dens
     """One detection's features in ``FEATURE_NAMES`` order."""
     vals = valid_values(patch)
     depth_var = float(np.var(vals)) if vals.size > 0 else 0.0
-    window = np.asarray(neighborhood if neighborhood is not None else patch)
+    window = np.asarray(neighborhood)
     wvalid = np.isfinite(window) & (window != 0.0)
     in_band = wvalid & (np.abs(window - depth) <= density_band)
     local_density = float(np.count_nonzero(in_band)) / window.size
@@ -203,7 +191,7 @@ def reference_label_with_oracle(det, intr, ext, params, density_band=DENSITY_BAN
             arm = ref_camera_to_arm(ref_back_project(ud, vd, depth, intr), ext)
         except (OutOfFrame, NoDepth):
             continue
-        fallback = fallback or rec.neighborhood is None
+        fallback = fallback or rec.neighborhood.size == 25
         fv = ref_features(
             arm,
             rec.patch,
@@ -283,7 +271,7 @@ class TestMatchesReference:
         blank = Detections(
             np.array(["img"] * 3, dtype=object),
             *np.full((5, 3), [[100.0], [100.0], [30.0], [30.0], [0.8]]),
-            patches=np.zeros((3, 25)),
+            depth_cells=np.zeros((3, 25)),
         )
         result = label_with_oracle(blank, CFG.cam, CFG.ext, CFG.arm)
         assert (len(result.samples), len(result.records), result.n_dropped) == (0, 0, 3)
@@ -338,7 +326,7 @@ def test_patch_statistics_match_numpy_per_row(rows, depth_noise):
         np.full(n, 30.0), np.full(n, 30.0), (1920, 1080), values,
     )
     for i in range(n):
-        fv = ref_features(ArmPoint(1.0, 0.0, 0.0), values[i], band_depth[i], 30.0, 30.0, (1920, 1080), None, DENSITY_BAND)
+        fv = ref_features(ArmPoint(1.0, 0.0, 0.0), values[i], band_depth[i], 30.0, 30.0, (1920, 1080), values[i], DENSITY_BAND)
         assert features[i].tobytes() == np.array(fv).tobytes()
 
 
@@ -383,7 +371,8 @@ def edge_rows():
 
 def record_accepts(row):
     try:
-        DetectionRecord("img", row["u"], row["v"], row["bbox_w"], row["bbox_h"], row["confidence"], row["cells"])
+        cells = row["cells"]  # a file's patch is its own neighborhood
+        DetectionRecord("img", row["u"], row["v"], row["bbox_w"], row["bbox_h"], row["confidence"], cells, cells)
     except ValueError:
         return False
     return True

@@ -25,7 +25,7 @@ ROUND_TRIP_TOL = 64 * np.finfo(float).eps
 
 def default_extrinsics() -> Extrinsics:
     """Identity rotation with the field rig's measured camera offset; the
-    default config mounts the camera elsewhere (``config.benchmark_extrinsics``)."""
+    default config mounts the camera elsewhere (``AppConfig.ext``)."""
     return Extrinsics(np.eye(3), [0.76, 0.44, 0.485])
 
 
