@@ -169,7 +169,8 @@ def load_config(path) -> AppConfig:
 
 
 def resolve_out_dir(cli_out=None) -> str:
-    """Output directory precedence: --out flag, then $REACH_AL_OUT, then ./out."""
+    """Output directory precedence: --out flag, then $REACH_AL_OUT, then ./out;
+    an empty flag or variable counts as unset."""
     if cli_out:
         return str(cli_out)
-    return os.environ.get(ENV_OUT_DIR, "out")
+    return os.environ.get(ENV_OUT_DIR) or "out"

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .perception import valid_depth
+
 DENSITY_BAND = 0.05
 
 FEATURE_NAMES = (
@@ -34,7 +36,7 @@ def _depth_variances(patches: np.ndarray) -> np.ndarray:
     and rows with ``k`` valid cells share one ``np.var`` over their first
     ``k`` columns, which sums in the same order as ``np.var`` of one row.
     """
-    valid = np.isfinite(patches) & (patches != 0.0)
+    valid = valid_depth(patches)
     k = np.count_nonzero(valid, axis=1)
     cells = np.take_along_axis(patches, np.argsort(~valid, axis=1, kind="stable"), axis=1)
     out = np.zeros(len(patches))
@@ -46,7 +48,7 @@ def _depth_variances(patches: np.ndarray) -> np.ndarray:
 
 def _local_densities(windows: np.ndarray, depth: np.ndarray, density_band: float) -> np.ndarray:
     """Share of each window's cells that are valid and within the band of its depth."""
-    valid = np.isfinite(windows) & (windows != 0.0)
+    valid = valid_depth(windows)
     cells = windows - depth[:, None]
     in_band = valid & (np.abs(cells, out=cells) <= density_band)
     return np.count_nonzero(in_band, axis=1) / windows.shape[1]

@@ -258,9 +258,6 @@ class BruteForceOracle:
         for i, idx in enumerate(neighbor_lists):
             if not idx:
                 continue
-            if margin <= 0.0:
-                out[i] = 1
-                continue
             dx = pts[i, 0] - self._carriage_xy[idx, 0]
             dy = pts[i, 1] - self._carriage_xy[idx, 1]
             if np.any(dx * dx + dy * dy >= margin * margin):

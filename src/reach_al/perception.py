@@ -69,12 +69,16 @@ class Extrinsics:
         return f"Extrinsics(R={self.R.tolist()}, t={self.t.tolist()})"
 
 
+def valid_depth(cells: np.ndarray) -> np.ndarray:
+    """Mask of the valid readings among depth ``cells``: a cell equal to 0 or
+    non-finite is an invalid reading, not an error."""
+    return np.isfinite(cells) & (cells != 0.0)
+
+
 def bad_depth_rows(cells: np.ndarray) -> np.ndarray:
-    """Rows of an (n, k) array of depth cells that hold a valid cell outside
-    (0, ``MAX_VALID_DEPTH``) meters.  A cell equal to 0 or non-finite is an
-    invalid reading, not an error."""
-    valid = np.isfinite(cells) & (cells != 0.0)
-    return np.any(valid & ((cells <= 0.0) | (cells >= MAX_VALID_DEPTH)), axis=1)
+    """Rows of an (n, k) array of depth cells that hold a valid cell
+    (:func:`valid_depth`) outside (0, ``MAX_VALID_DEPTH``) meters."""
+    return np.any(valid_depth(cells) & ((cells <= 0.0) | (cells >= MAX_VALID_DEPTH)), axis=1)
 
 
 def _depth_pixels(u: np.ndarray, v: np.ndarray, intr: CameraIntrinsics):
@@ -92,7 +96,7 @@ def _robust_depths(patches: np.ndarray) -> np.ndarray:
     the mean of sorted cells ``(k - 1) // 2`` and ``k // 2``: the same two
     numbers, added and halved, that ``np.median`` uses.
     """
-    valid = np.isfinite(patches) & (patches != 0.0)
+    valid = valid_depth(patches)
     k = np.count_nonzero(valid, axis=1)
     cells = np.sort(np.where(valid, patches, np.inf), axis=1)
     rows = np.arange(len(patches))

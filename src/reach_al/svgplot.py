@@ -9,8 +9,7 @@ import math
 
 
 def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
+    """Round tick values over ``lo < hi`` (``SvgPlot`` widens a collapsed range)."""
     raw = (hi - lo) / max(n - 1, 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -26,23 +25,26 @@ def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return ticks
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6g}"
+def _attrs(**kw) -> str:
+    """`` name="value"`` per keyword, in keyword order: ``_`` is written as
+    ``-`` and a None value is left out."""
+    return "".join(f' {k.replace("_", "-")}="{v}"' for k, v in kw.items() if v is not None)
+
+
+def _tag(name: str, body=None, **kw) -> str:
+    """One element; with no ``body`` it closes itself."""
+    return f"<{name}{_attrs(**kw)}" + ("/>" if body is None else f">{body}</{name}>")
+
+
+def _text(body, size, x, y, anchor=None, transform=None) -> str:
+    return _tag("text", body, x=x, y=y, text_anchor=anchor, font_family="sans-serif",
+                font_size=size, transform=transform)
 
 
 class SvgPlot:
     """A single set of axes with data drawn in user coordinates."""
 
-    def __init__(
-        self,
-        x_range,
-        y_range,
-        width=640,
-        height=440,
-        title="",
-        xlabel="",
-        ylabel="",
-    ):
+    def __init__(self, x_range, y_range, width=640, height=440, title="", xlabel="", ylabel=""):
         self.x0, self.x1 = float(x_range[0]), float(x_range[1])
         self.y0, self.y1 = float(y_range[0]), float(y_range[1])
         if self.x1 <= self.x0:
@@ -66,98 +68,71 @@ class SvgPlot:
         h = self.height - self.margin["top"] - self.margin["bottom"]
         return self.height - self.margin["bottom"] - (y - self.y0) / (self.y1 - self.y0) * h
 
+    def _points(self, pairs) -> str:
+        return " ".join(f"{self._sx(float(x)):.2f},{self._sy(float(y)):.2f}" for x, y in pairs)
+
     def polyline(self, xs, ys, color="#1f77b4", width=1.8, dash=None):
-        pts = " ".join(
-            f"{self._sx(float(x)):.2f},{self._sy(float(y)):.2f}" for x, y in zip(xs, ys)
-        )
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        self._body.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="{width}"{dash_attr}/>'
-        )
+        self._body.append(_tag(
+            "polyline", points=self._points(zip(xs, ys)), fill="none", stroke=color,
+            stroke_width=width, stroke_dasharray=dash or None,
+        ))
 
     def band(self, xs, y_lo, y_hi, color="#1f77b4", opacity=0.18):
-        fwd = [f"{self._sx(float(x)):.2f},{self._sy(float(y)):.2f}" for x, y in zip(xs, y_hi)]
-        back = [
-            f"{self._sx(float(x)):.2f},{self._sy(float(y)):.2f}"
-            for x, y in zip(reversed(list(xs)), reversed(list(y_lo)))
-        ]
-        self._body.append(
-            f'<polygon points="{" ".join(fwd + back)}" fill="{color}" '
-            f'fill-opacity="{opacity}" stroke="none"/>'
-        )
+        xs, y_lo = list(xs), list(y_lo)
+        pairs = [*zip(xs, y_hi), *zip(xs[::-1], y_lo[::-1])]
+        self._body.append(_tag(
+            "polygon", points=self._points(pairs), fill=color, fill_opacity=opacity, stroke="none"
+        ))
 
     def markers(self, xs, ys, color="#ff7f0e", r=2.0, opacity=1.0):
-        for x, y in zip(xs, ys):
-            self._body.append(
-                f'<circle cx="{self._sx(float(x)):.2f}" cy="{self._sy(float(y)):.2f}" '
-                f'r="{r}" fill="{color}" fill-opacity="{opacity}"/>'
-            )
+        # Only the centre differs between circles, and an envelope view draws
+        # thousands of them, so the shared attributes are formatted once.
+        shared = _attrs(r=r, fill=color, fill_opacity=opacity)
+        self._body.extend(
+            f'<circle cx="{self._sx(float(x)):.2f}" cy="{self._sy(float(y)):.2f}"{shared}/>'
+            for x, y in zip(xs, ys)
+        )
 
     def legend_entry(self, label, color, dash=None):
         self._legend.append((label, color, dash))
 
     def render(self) -> str:
-        m = self.margin
-        plot_w = self.width - m["left"] - m["right"]
-        plot_h = self.height - m["top"] - m["bottom"]
+        m, w, h = self.margin, self.width, self.height
+        left, top = m["left"], m["top"]
+        plot_w, plot_h = w - left - m["right"], h - top - m["bottom"]
+        svg = _attrs(xmlns="http://www.w3.org/2000/svg", width=w, height=h, viewBox=f"0 0 {w} {h}")
         parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">',
-            f'<rect width="{self.width}" height="{self.height}" fill="white"/>',
-            f'<rect x="{m["left"]}" y="{m["top"]}" width="{plot_w}" height="{plot_h}" '
-            f'fill="none" stroke="#444" stroke-width="1"/>',
+            f"<svg{svg}>",
+            _tag("rect", width=w, height=h, fill="white"),
+            _tag("rect", x=left, y=top, width=plot_w, height=plot_h, fill="none", stroke="#444",
+                 stroke_width=1),
         ]
         if self.title:
-            parts.append(
-                f'<text x="{self.width / 2:.0f}" y="20" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="14">{self.title}</text>'
-            )
+            parts.append(_text(self.title, 14, f"{w / 2:.0f}", 20, "middle"))
+        base = self._sy(self.y0)
+        y1, y2, label_y = f"{base:.2f}", f"{base + 4:.2f}", f"{base + 18:.2f}"
         for tx in _nice_ticks(self.x0, self.x1):
-            sx = self._sx(tx)
-            parts.append(
-                f'<line x1="{sx:.2f}" y1="{self._sy(self.y0):.2f}" x2="{sx:.2f}" '
-                f'y2="{self._sy(self.y0) + 4:.2f}" stroke="#444"/>'
-            )
-            parts.append(
-                f'<text x="{sx:.2f}" y="{self._sy(self.y0) + 18:.2f}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="11">{_fmt(tx)}</text>'
-            )
+            sx = f"{self._sx(tx):.2f}"
+            parts.append(_tag("line", x1=sx, y1=y1, x2=sx, y2=y2, stroke="#444"))
+            parts.append(_text(f"{tx:.6g}", 11, sx, label_y, "middle"))
         for ty in _nice_ticks(self.y0, self.y1):
             sy = self._sy(ty)
-            parts.append(
-                f'<line x1="{m["left"] - 4}" y1="{sy:.2f}" x2="{m["left"]}" '
-                f'y2="{sy:.2f}" stroke="#444"/>'
-            )
-            parts.append(
-                f'<text x="{m["left"] - 7}" y="{sy + 4:.2f}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="11">{_fmt(ty)}</text>'
-            )
+            y = f"{sy:.2f}"
+            parts.append(_tag("line", x1=left - 4, y1=y, x2=left, y2=y, stroke="#444"))
+            parts.append(_text(f"{ty:.6g}", 11, left - 7, f"{sy + 4:.2f}", "end"))
         if self.xlabel:
-            parts.append(
-                f'<text x="{m["left"] + plot_w / 2:.0f}" y="{self.height - 8}" '
-                f'text-anchor="middle" font-family="sans-serif" font-size="12">{self.xlabel}</text>'
-            )
+            parts.append(_text(self.xlabel, 12, f"{left + plot_w / 2:.0f}", h - 8, "middle"))
         if self.ylabel:
-            cx, cy = 16, m["top"] + plot_h / 2
-            parts.append(
-                f'<text x="{cx}" y="{cy:.0f}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="12" '
-                f'transform="rotate(-90 {cx} {cy:.0f})">{self.ylabel}</text>'
-            )
+            cy = f"{top + plot_h / 2:.0f}"
+            parts.append(_text(self.ylabel, 12, 16, cy, "middle", f"rotate(-90 16 {cy})"))
         parts.extend(self._body)
         for i, (label, color, dash) in enumerate(self._legend):
-            ly = m["top"] + 14 + 16 * i
-            lx = m["left"] + 12
-            dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-            parts.append(
-                f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 24}" y2="{ly - 4}" '
-                f'stroke="{color}" stroke-width="2"{dash_attr}/>'
-            )
-            parts.append(
-                f'<text x="{lx + 30}" y="{ly}" font-family="sans-serif" '
-                f'font-size="11">{label}</text>'
-            )
+            ly, lx = top + 14 + 16 * i, left + 12
+            parts.append(_tag(
+                "line", x1=lx, y1=ly - 4, x2=lx + 24, y2=ly - 4, stroke=color, stroke_width=2,
+                stroke_dasharray=dash or None,
+            ))
+            parts.append(_text(label, 11, lx + 30, ly))
         parts.append("</svg>")
         return "\n".join(parts)
 

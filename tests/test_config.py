@@ -296,6 +296,13 @@ class TestOutDir:
         monkeypatch.delenv("REACH_AL_OUT", raising=False)
         assert resolve_out_dir(None) == "out"
 
+    def test_empty_flag_and_variable_count_as_unset(self, monkeypatch):
+        monkeypatch.setenv("REACH_AL_OUT", "/env/dir")
+        assert resolve_out_dir("") == "/env/dir"
+        monkeypatch.setenv("REACH_AL_OUT", "")
+        assert resolve_out_dir(None) == "out"
+        assert resolve_out_dir("") == "out"
+
 
 class TestDefaults:
     def test_default_config_is_valid(self):

@@ -11,6 +11,17 @@ rows are the leading rounds of the budget-10 run, while 6 is not and runs on
 its own.  Its hashes were taken from a sweep that ran every budget
 separately, so reuse must leave the files byte-identical.  A change
 that alters results on purpose updates them and says so in CHANGES.md.
+
+The plots are pinned the same way, with hashes taken before the SVG
+element templates were folded into one writer:
+
+- ``plot --results`` on the budget-prefix sweep's ``results.csv``:
+  ``curves_init10_budget6.svg`` 85521835…, ``curves_init10_budget8.svg``
+  4f779ef7… and ``curves_init10_budget10.svg`` 5c7ce33d…;
+- ``plot --envelope … --labeled`` on ``envelope --steps 6`` with the
+  ``run --data`` cell's labeled cache overlaid: ``envelope_top.svg``
+  b4c9536b…, ``envelope_side.svg`` 038db08d… and ``envelope_front.svg``
+  88a581ea….
 """
 
 import hashlib
@@ -45,6 +56,16 @@ LABELED_META = "8288a78cb4fe3404da34079c8e59396dbb5330f30efdef6febfc6d4114da7eab
 DROPOUT_DETECTIONS = "0a15a1b4298f780464bcc780c1bdd6c19bcc5123ff4922a5b7ef3d489f95d7de"
 DROPOUT_LABELED = "0e26ff782f214d4b290ba5d0d74efe7d242368a605857e132c42c77b2e4a967d"
 DROPOUT_META = "83d8d2fc52f33bffd12085f4aaf5ebfcce863962323087445f3b10c502122de2"
+PREFIX_CURVES = {
+    "curves_init10_budget6.svg": "85521835a6f3becd6832fbce9ab5fbdc2db55c1f86a08bb458e33ee4854805e8",
+    "curves_init10_budget8.svg": "4f779ef709b18fe3c90681845098c1fd3a633ef8d524af450efa3054f61b61cc",
+    "curves_init10_budget10.svg": "5c7ce33d2821ee1944de678368a20cd6d05c6547e5ee5cd3b23f7350b335c5cf",
+}
+LABELED_VIEWS = {
+    "envelope_top.svg": "b4c9536b7098ab45bd6b1038c16449a7c0df125d4a9a7b16877713dfb64594c3",
+    "envelope_side.svg": "038db08dfb794f2c028fc4fc301826ba55b01233fdbe231d0ceaccc954bca465",
+    "envelope_front.svg": "88a581eab5ffc52181d4032b94100c294ec15a0b496bb43c39c44d3edf3058e3",
+}
 
 
 def sha256(path):
@@ -77,6 +98,16 @@ def test_budget_prefix_fingerprint(tmp_path, jobs):
     assert sha256(os.path.join(out, "summary.csv")) == PREFIX_SUMMARY
 
 
+def test_curve_plot_fingerprint(tmp_path):
+    cfg = tmp_path / "prefix.cfg"
+    cfg.write_text(CFG_TEXT.replace("grid.budgets = 10", "grid.budgets = 6, 8, 10"))
+    out, plots = str(tmp_path / "out"), str(tmp_path / "plots")
+    assert main(["sweep", "--config", str(cfg), "--out", out]) == 0
+    assert main(["plot", "--results", os.path.join(out, "results.csv"), "--out", plots]) == 0
+    assert sorted(os.listdir(plots)) == sorted(PREFIX_CURVES)
+    assert {name: sha256(os.path.join(plots, name)) for name in PREFIX_CURVES} == PREFIX_CURVES
+
+
 def test_run_data_fingerprint(tmp_path, cfg_file):
     out = str(tmp_path)
     assert main(["gen-scene", "--config", cfg_file, "--out", out]) == 0
@@ -104,3 +135,16 @@ def test_high_dropout_label_fingerprint(tmp_path):
     assert sha256(det) == DROPOUT_DETECTIONS
     assert sha256(data) == DROPOUT_LABELED
     assert sha256(f"{data}.meta") == DROPOUT_META
+
+
+def test_labeled_envelope_plot_fingerprint(tmp_path, cfg_file):
+    out, plots = str(tmp_path / "out"), str(tmp_path / "plots")
+    assert main(["gen-scene", "--config", cfg_file, "--out", out]) == 0
+    det = os.path.join(out, "detections.csv")
+    assert main(["label", "--config", cfg_file, "--detections", det, "--out", out]) == 0
+    assert main(["envelope", "--config", cfg_file, "--steps", "6", "--out", out]) == 0
+    argv = ["plot", "--envelope", os.path.join(out, "envelope.xyz"),
+            "--labeled", os.path.join(out, "labeled.csv"), "--out", plots]
+    assert main(argv) == 0
+    assert sorted(os.listdir(plots)) == sorted(LABELED_VIEWS)
+    assert {name: sha256(os.path.join(plots, name)) for name in LABELED_VIEWS} == LABELED_VIEWS

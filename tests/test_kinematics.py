@@ -300,6 +300,18 @@ class TestBruteForceOracle:
     def test_far_point_unreachable(self):
         assert not BruteForceOracle(PARAMS, 15, 0.05).label_many(np.array([[10.0, 10.0, 10.0]]))[0]
 
+    def test_zero_margin_labels_every_point_near_the_grid_image(self):
+        # With no collision margin, every neighbour within ``tol`` counts.
+        params = ManipulatorParams(collision_margin=0.0)
+        oracle = BruteForceOracle(params, steps_per_joint=8, tol=0.05)
+        rng = np.random.default_rng(13)
+        near = oracle.points[rng.choice(len(oracle.points), 200)] + rng.normal(0, 0.03, (200, 3))
+        pts = np.vstack([near, rng.uniform(*envelope_box(), size=(200, 3))])
+        dist = np.linalg.norm(pts[:, None, :] - oracle.points[None, :, :], axis=2).min(axis=1)
+        expected = (dist <= oracle.tol).astype(int)
+        assert 0 < expected.sum() < len(pts)
+        assert np.array_equal(oracle.label_many(pts), expected)
+
     def test_agreement_with_analytic_outside_boundary_band(self):
         oracle = BruteForceOracle(PARAMS, steps_per_joint=25, tol=0.035)
         lo, hi = envelope_box()

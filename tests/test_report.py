@@ -1,11 +1,14 @@
 import csv
 import errno
 import logging
+import math
 import mmap
 import os
+import re
 import subprocess
 import sys
 import textwrap
+import xml.etree.ElementTree as ET
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -16,10 +19,12 @@ from hypothesis import strategies as st
 
 from reach_al import dataset, report
 from reach_al.active import STRATEGIES
+from reach_al.cli import main
 from reach_al.config import apply_overrides, default_config, load_config
 from reach_al.dataset import (
     DETECTION_COLUMNS,
     LABELED_COLUMNS,
+    LabeledRows,
     LabeledSample,
     SceneConfig,
     generate_scene,
@@ -619,6 +624,23 @@ class TestSummary:
         for cell in summarize(one_seed):
             assert cell["n_seeds"] == 1 and cell["accuracy_std"] == cell["auc_std"] == 0.0
 
+    def test_auc_undefined_for_every_seed(self, tiny_cfg, tiny_benchmark, tmp_path, capsys):
+        # One class only, so every seed's test split is single-class.
+        samples, candidates = (LabeledRows(rows.X, np.ones_like(rows.y)) for rows in tiny_benchmark)
+        results_path, summary_path, errors = run_grid(samples, candidates, tiny_cfg, tmp_path)
+        assert errors == []
+        summary = summarize(read_results(results_path))
+        assert len(summary) == 2 and all(s["n_seeds"] == 2 for s in summary)
+        assert all(s["auc_mean"] is None and s["auc_std"] is None for s in summary)
+        assert all(s["accuracy_mean"] is not None for s in summary)
+        with open(summary_path, newline="") as fh:
+            table = list(csv.DictReader(fh))
+        assert [(r["auc_mean"], r["auc_std"]) for r in table] == [("nan", "nan")] * 2
+        assert main(["report", "--results", str(results_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["budget", "init", "entropy", "random"]
+        assert lines[1].split()[:2] == ["20", "10"] and len(lines) == 2
+
     def test_table_formatting(self, tiny_results):
         rows = read_results(tiny_results[0])
         table = format_summary_table(summarize(rows))
@@ -651,6 +673,39 @@ class TestPlots:
         (written,) = emit_curve_plots(path, tmp_path / "plots")
         svg = open(written).read()
         assert "<polygon" in svg and "nan" not in svg
+
+    def test_degenerate_cells_draw_finite_coordinates(self, tmp_path):
+        # A budget-0 cell has one x value, so its x range collapses; a cell
+        # whose every round scores 1.0 draws a zero-width band at the top.
+        rows = [
+            ResultRow(strategy, seed, 10, 0, 0, 10, 0.8, *[0.5] * 5)
+            for strategy in ("random", "entropy")
+            for seed in (0, 1)
+        ] + [
+            ResultRow(strategy, seed, 10, 20, i, 10 + 10 * i, 1.0, *[None] * 5)
+            for strategy in ("random", "entropy")
+            for seed in (0, 1)
+            for i in range(3)
+        ]
+        path = tmp_path / "results.csv"
+        write_results(path, rows)
+        written = emit_curve_plots(path, tmp_path / "plots")
+        assert [os.path.basename(p) for p in written] == [
+            "curves_init10_budget0.svg",
+            "curves_init10_budget20.svg",
+        ]
+        for svg in written:
+            root = ET.parse(svg).getroot()
+            assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == 2
+            for element in root.iter():
+                for name, value in element.attrib.items():
+                    if name in ("points", "transform", "viewBox"):
+                        numbers = re.findall(r"[-+.\w]+", value.replace("rotate", ""))
+                    elif name in ("x", "y", "x1", "y1", "x2", "y2", "width", "height"):
+                        numbers = [value]
+                    else:
+                        continue
+                    assert numbers and all(math.isfinite(float(v)) for v in numbers), (svg, name)
 
     def test_envelope_plots_three_views(self, tmp_path):
         rng = np.random.default_rng(0)
