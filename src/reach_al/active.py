@@ -1,23 +1,26 @@
 """Pool-based active learning loop and its query strategies.
 
-Each round fits the forest on the labeled set, evaluates it on the
-held-out test set and logs the result; then, while budget and pool last,
-it scores every pool candidate with the configured strategy and queries
-the oracle for the top batch.  All randomness flows from the run seed,
-so a (strategy, budget, seed) cell is fully reproducible.
+Each round fits the forest on the labeled set and evaluates it on the
+held-out test set; then, while budget and pool last, it scores every pool
+candidate with the configured strategy and queries the oracle for the top
+batch.  :func:`rounds` yields every round whole; :func:`run_loop` keeps
+only their metrics.  All randomness flows from the run seed, so a
+(strategy, budget, seed) cell is fully reproducible.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from itertools import count
 
 import numpy as np
 
 from .dataset import PoolSplit
-from .forest import TrainConfig, fit_arrays, predict_proba_matrix
+from .forest import ForestModel, TrainConfig, fit_arrays, predict_proba_matrix
 from .metrics import MetricSet, evaluate
 
-# The scorer behind each strategy name.  ``run_loop`` sends the uncertainty
+# The scorer behind each strategy name.  ``rounds`` sends the uncertainty
 # names down one branch, so a sweep runs each distinct scorer once.
 SCORERS = {
     "random": "random",
@@ -49,12 +52,6 @@ class RoundLog:
     metrics: MetricSet
 
 
-def _entropy_bits(p: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, p * np.log2(p), 0.0)
-    return -terms.sum(axis=-1)
-
-
 def score_uncertainty(probs) -> np.ndarray:
     """Negated gap between the two class probabilities; larger is less certain.
 
@@ -77,10 +74,10 @@ def score_qbc(committee_probs) -> np.ndarray:
     k = cp.shape[0]
     if k < 2:
         raise ValueError("committee needs at least 2 members")
-    votes = (cp[:, :, 1] > 0.5).sum(axis=0)
-    f1 = votes / k
-    dist = np.stack([1.0 - f1, f1], axis=-1)
-    return _entropy_bits(dist)
+    f1 = (cp[:, :, 1] > 0.5).sum(axis=0) / k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t0, t1 = (np.where(p > 0.0, p * np.log2(p), 0.0) for p in (1.0 - f1, f1))
+    return -(t0 + t1)
 
 
 def select_batch(scores, b: int) -> list[int]:
@@ -91,25 +88,36 @@ def select_batch(scores, b: int) -> list[int]:
     return np.argsort(-scores, kind="stable")[:b].tolist()
 
 
-def run_loop(
-    X: np.ndarray,
-    y: np.ndarray,
-    pools: PoolSplit,
-    strategy: str,
-    n_queries: int,
-    seed: int,
-    cfg: ALConfig,
-    train_cfg: TrainConfig,
-) -> list[RoundLog]:
-    """Run the query loop with ``strategy`` until ``n_queries`` labels
-    have been acquired; ``seed`` drives the random and committee draws.
+@dataclass(frozen=True)
+class Round:
+    """One round of :func:`rounds`, with row indices into ``X``: the model
+    fitted on the ``labeled`` rows, its test probabilities and metrics and,
+    in a query round, the pool rows scored (``candidates``), their
+    ``scores`` and the ``batch`` queried; those three are None in the last."""
+
+    n_labeled: int
+    metrics: MetricSet
+    model: ForestModel
+    labeled: np.ndarray
+    p_test: np.ndarray
+    candidates: np.ndarray | None = None
+    scores: np.ndarray | None = None
+    batch: np.ndarray | None = None
+
+
+def rounds(
+    X: np.ndarray, y: np.ndarray, pools: PoolSplit, strategy: str,
+    n_queries: int, seed: int, cfg: ALConfig, train_cfg: TrainConfig,
+) -> Iterator[Round]:
+    """Yield each round of the query loop with ``strategy`` until ``n_queries``
+    labels have been acquired; ``seed`` drives every random draw.
 
     ``X`` (n, 9) and ``y`` (n,) are the stacked benchmark that ``pools``
     indexes; a pool label is read from ``y`` only when it is queried.
-    Round 0 logs the model trained on the initial labeled set alone; each
-    later round appends one queried batch of pool rows to the labeled set.
-    When the pool runs out, the final round is short and the loop ends
-    rather than failing.
+    Round 0 fits the initial labeled set alone; each later round adds the
+    batch queried in the round before.  When the pool runs out, the final
+    batch is short and the loop ends rather than failing.  No round is kept
+    past the next, so a caller that keeps none holds one round at a time.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -118,27 +126,21 @@ def run_loop(
     if seed < 0:
         raise ValueError("seed must be nonnegative")
 
-    X_pool, y_pool = X[pools.unlabeled], y[pools.unlabeled]
     X_test, y_test = X[pools.test], y[pools.test]
-    X_lab, y_lab = X[pools.labeled], y[pools.labeled]
-
     rng_random = np.random.default_rng([seed, 0x5EED])
-    unlabeled = np.ones(len(y_pool), dtype=bool)
-    logs: list[RoundLog] = []
-    acquired = 0
-    while True:
+    labeled, pool = pools.labeled, pools.unlabeled
+    for round_index in count(1):
+        X_lab, y_lab = X[labeled], y[labeled]
         model = fit_arrays(X_lab, y_lab, train_cfg)
         p_test = predict_proba_matrix(model, X_test)[:, 1]
-        logs.append(RoundLog(len(y_lab), evaluate(p_test, y_test)))
-        remaining = np.flatnonzero(unlabeled)
-        b = min(cfg.batch_size, n_queries - acquired, len(remaining))
+        done = Round(len(labeled), evaluate(p_test, y_test), model, labeled, p_test)
+        b = min(cfg.batch_size, n_queries - (len(labeled) - len(pools.labeled)), len(pool))
         if b == 0:
-            return logs
-        round_index = len(logs)
-        X_cand = X_pool[remaining]
-
+            yield done
+            return
+        X_cand = X[pool]
         if strategy == "random":
-            scores = rng_random.uniform(size=len(remaining))
+            scores = rng_random.uniform(size=len(pool))
         elif strategy == "qbc":
             committee = []
             for k in range(COMMITTEE_SIZE):
@@ -152,10 +154,23 @@ def run_loop(
             scores = score_qbc(np.stack(committee))
         else:
             scores = score_uncertainty(predict_proba_matrix(model, X_cand))
+        picked = select_batch(scores, b)
+        yield replace(done, candidates=pool, scores=scores, batch=pool[picked])
+        labeled = np.concatenate([labeled, pool[picked]])
+        pool = np.delete(pool, picked)
 
-        batch = remaining[select_batch(scores, b)]
 
-        X_lab = np.vstack([X_lab, X_pool[batch]])
-        y_lab = np.concatenate([y_lab, y_pool[batch]])
-        unlabeled[batch] = False
-        acquired += b
+def run_loop(
+    X: np.ndarray,
+    y: np.ndarray,
+    pools: PoolSplit,
+    strategy: str,
+    n_queries: int,
+    seed: int,
+    cfg: ALConfig,
+    train_cfg: TrainConfig,
+) -> list[RoundLog]:
+    """One ``RoundLog`` per round of :func:`rounds`, which takes the same
+    arguments; a cell's whole rounds would keep megabytes of models."""
+    cell = rounds(X, y, pools, strategy, n_queries, seed, cfg, train_cfg)
+    return [RoundLog(r.n_labeled, r.metrics) for r in cell]

@@ -25,15 +25,20 @@ def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return ticks
 
 
+def _xml(v) -> str:
+    # Not xml.sax.saxutils.escape: importing it pulls in urllib.request.
+    return f"{v}".replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+
+
 def _attrs(**kw) -> str:
     """`` name="value"`` per keyword, in keyword order: ``_`` is written as
-    ``-`` and a None value is left out."""
-    return "".join(f' {k.replace("_", "-")}="{v}"' for k, v in kw.items() if v is not None)
+    ``-``, a None value is left out and the value is escaped."""
+    return "".join(f' {k.replace("_", "-")}="{_xml(v)}"' for k, v in kw.items() if v is not None)
 
 
 def _tag(name: str, body=None, **kw) -> str:
     """One element; with no ``body`` it closes itself."""
-    return f"<{name}{_attrs(**kw)}" + ("/>" if body is None else f">{body}</{name}>")
+    return f"<{name}{_attrs(**kw)}" + ("/>" if body is None else f">{_xml(body)}</{name}>")
 
 
 def _text(body, size, x, y, anchor=None, transform=None) -> str:

@@ -1,12 +1,21 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reach_al import active
-from reach_al.active import SCORERS, ALConfig, run_loop, score_qbc, score_uncertainty, select_batch
+from reach_al.active import (
+    SCORERS,
+    ALConfig,
+    rounds,
+    run_loop,
+    score_qbc,
+    score_uncertainty,
+    select_batch,
+)
 from reach_al.dataset import PoolSplit
-from reach_al.forest import TrainConfig, fit_arrays
+from reach_al.forest import TrainConfig, predict_proba_matrix
 
 
 def make_pools(rng, n_labeled=10, n_pool=300, n_test=100):
@@ -27,24 +36,11 @@ def make_pools(rng, n_labeled=10, n_pool=300, n_test=100):
 SMALL_TRAIN = TrainConfig(n_trees=15, seed=0)
 
 
-def run_recorded(monkeypatch, *args):
-    """``run_loop(*args)``'s logs, and the rows of ``X`` each round queried
-    (none in round 0).  They are read through a wrapped
-    ``active.fit_arrays``: each fit of the round's model (on ``train_cfg``;
-    committee members use other settings) holds the rows of the one before
-    it plus the batch queried in between."""
-    X, train_cfg, fits = args[0], args[-1], []
-
-    def recording_fit(X_fit, y_fit, fit_cfg):
-        if fit_cfg == train_cfg:
-            fits.append(X_fit)
-        return fit_arrays(X_fit, y_fit, fit_cfg)
-
-    monkeypatch.setattr(active, "fit_arrays", recording_fit)
-    logs = run_loop(*args)
-    row_of = {x.tobytes(): i for i, x in enumerate(X)}
-    added = [later[len(earlier) :] for earlier, later in zip(fits, fits[1:])]
-    return logs, [[]] + [[row_of[x.tobytes()] for x in rows] for rows in added]
+def run_recorded(*args):
+    """``rounds(*args)``'s records, and the rows of ``X`` queried before
+    each round (none before round 0)."""
+    records = list(rounds(*args))
+    return records, [[]] + [r.batch.tolist() for r in records[:-1]]
 
 
 # Textbook uncertainty scores (Settles 2009, sec. 3.1), written out as the
@@ -172,7 +168,8 @@ class TestUncertaintyFamilyEquivalence:
 
 class TestRunLoop:
     def test_bad_cell_or_settings_rejected(self):
-        # The cell arrives as arguments, so run_loop checks it.
+        # The cell arrives as arguments, so run_loop and rounds check it,
+        # rounds on its first round.
         pools = make_pools(np.random.default_rng(61))
         for cell, message in (
             (("bogus", 10, 0), "unknown strategy 'bogus'"),
@@ -181,14 +178,16 @@ class TestRunLoop:
         ):
             with pytest.raises(ValueError, match=message):
                 run_loop(*pools, *cell, ALConfig(), SMALL_TRAIN)
+            with pytest.raises(ValueError, match=message):
+                next(rounds(*pools, *cell, ALConfig(), SMALL_TRAIN))
         with pytest.raises(ValueError, match="batch_size must be at least 1"):
             ALConfig(batch_size=0)
 
-    def test_round_arithmetic_single_round(self, monkeypatch):
+    def test_round_arithmetic_single_round(self):
         rng = np.random.default_rng(62)
         pools = make_pools(rng, n_labeled=10, n_pool=120)
         args = ("entropy", 50, 0, ALConfig(batch_size=50), SMALL_TRAIN)
-        logs, queried = run_recorded(monkeypatch, *pools, *args)
+        logs, queried = run_recorded(*pools, *args)
         assert [log.n_labeled for log in logs] == [10, 60]
         assert [len(batch) for batch in queried] == [0, 50]
 
@@ -210,38 +209,38 @@ class TestRunLoop:
         logs = run_loop(*pools, "random", 50, 0, ALConfig(batch_size=20), SMALL_TRAIN)
         assert logs[-1].n_labeled == 40
 
-    def test_determinism(self, monkeypatch):
+    def test_determinism(self):
         rng = np.random.default_rng(66)
         pools = make_pools(rng)
         rng2 = np.random.default_rng(66)
         pools2 = make_pools(rng2)
         args = ("random", 30, 5, ALConfig(batch_size=10), SMALL_TRAIN)
-        logs_a, queried_a = run_recorded(monkeypatch, *pools, *args)
-        logs_b, queried_b = run_recorded(monkeypatch, *pools2, *args)
+        logs_a, queried_a = run_recorded(*pools, *args)
+        logs_b, queried_b = run_recorded(*pools2, *args)
         assert queried_a == queried_b
         for a, b in zip(logs_a, logs_b):
             assert a.metrics == b.metrics
 
-    def test_names_sharing_a_scorer_log_alike(self, monkeypatch):
+    def test_names_sharing_a_scorer_log_alike(self):
         # A sweep runs each scorer in SCORERS once and writes its rows
         # under every name that maps to it.
         pools = make_pools(np.random.default_rng(68))
         by_scorer = {}
         for strategy, scorer in SCORERS.items():
             args = (strategy, 30, 3, ALConfig(batch_size=10), SMALL_TRAIN)
-            logs, queried = run_recorded(monkeypatch, *pools, *args)
+            logs, queried = run_recorded(*pools, *args)
             by_scorer.setdefault(scorer, set()).add(
                 tuple((tuple(batch), log.metrics) for batch, log in zip(queried, logs))
             )
         assert sorted(by_scorer) == ["qbc", "random", "uncertainty"]
         assert all(len(runs) == 1 for runs in by_scorer.values())
 
-    def test_queried_indices_never_repeat(self, monkeypatch):
+    def test_queried_indices_never_repeat(self):
         rng = np.random.default_rng(67)
         pools = make_pools(rng, n_pool=200)
         for strategy in ("random", "entropy", "qbc"):
             args = (strategy, 60, 1, ALConfig(batch_size=15), SMALL_TRAIN)
-            _, queried = run_recorded(monkeypatch, *pools, *args)
+            _, queried = run_recorded(*pools, *args)
             seen = [i for batch in queried for i in batch]
             assert len(seen) == len(set(seen)) == 60
             assert set(seen) <= set(pools[2].unlabeled)
@@ -255,15 +254,64 @@ class TestRunLoop:
         majority = np.mean(y[split.test] == 1)
         assert logs[-1].metrics.accuracy == pytest.approx(majority, abs=1e-9)
 
-    def test_pool_labels_read_only_when_queried(self, monkeypatch):
+    def test_pool_labels_read_only_when_queried(self):
         # Flipping the label of every pool row that no round queries must
         # leave every round unchanged.
         for strategy in ("random", "entropy", "qbc"):
             X, y, split = make_pools(np.random.default_rng(69), n_pool=200)
             args = (strategy, 30, 3, ALConfig(batch_size=10), SMALL_TRAIN)
-            logs, queried = run_recorded(monkeypatch, X, y, split, *args)
+            logs, queried = run_recorded(X, y, split, *args)
             hidden = np.setdiff1d(split.unlabeled, [i for batch in queried for i in batch])
             y[hidden] = 1 - y[hidden]
-            flipped, flipped_queried = run_recorded(monkeypatch, X, y, split, *args)
+            flipped, flipped_queried = run_recorded(X, y, split, *args)
             assert flipped_queried == queried
             assert [log.metrics for log in flipped] == [log.metrics for log in logs]
+
+    def test_duplicate_pool_rows_queried_once_each(self):
+        # Pool rows byte-identical in pairs are still told apart by index.
+        X, y, split = make_pools(np.random.default_rng(67), n_pool=200)
+        X[split.unlabeled[1::2]] = X[split.unlabeled[::2]]
+        y[split.unlabeled[1::2]] = y[split.unlabeled[::2]]
+        for strategy in ("random", "entropy", "qbc"):
+            args = (strategy, 60, 1, ALConfig(batch_size=15), SMALL_TRAIN)
+            _, queried = run_recorded(X, y, split, *args)
+            seen = [i for batch in queried for i in batch]
+            assert len(seen) == len(set(seen)) == 60, strategy
+
+    def test_rounds_agree_with_each_other(self):
+        X, y, split = make_pools(np.random.default_rng(70), n_pool=100)
+        for strategy in ("random", "entropy", "qbc"):
+            args = (strategy, 50, 0, ALConfig(batch_size=20), SMALL_TRAIN)
+            records = list(rounds(X, y, split, *args))
+            assert [r.n_labeled for r in records] == [10, 30, 50, 60]
+            for r in records:
+                assert r.n_labeled == len(r.labeled)
+                assert len(r.p_test) == len(split.test)
+            for r, later in zip(records, records[1:]):
+                assert len(r.scores) == len(r.candidates)
+                assert set(r.batch.tolist()) <= set(r.candidates.tolist())
+                assert not set(r.batch.tolist()) & set(r.labeled.tolist())
+                assert later.labeled.tolist() == r.labeled.tolist() + r.batch.tolist()
+            last = records[-1]
+            assert last.candidates is None and last.scores is None and last.batch is None
+
+    def test_kept_round_does_not_change(self):
+        X, y, split = make_pools(np.random.default_rng(71))
+        for strategy in ("random", "entropy", "qbc"):
+            stream = rounds(X, y, split, strategy, 30, 0, ALConfig(batch_size=10), SMALL_TRAIN)
+            first = next(stream)
+            names = ("labeled", "p_test", "candidates", "scores", "batch")
+            kept = {name: getattr(first, name).copy() for name in names}
+            assert len(list(stream)) == 3
+            for name, copy in kept.items():
+                assert np.array_equal(getattr(first, name), copy), (strategy, name)
+            p_test = predict_proba_matrix(first.model, X[split.test])[:, 1]
+            assert np.array_equal(p_test, first.p_test)
+
+    def test_one_round_held_at_a_time(self):
+        X, y, split = make_pools(np.random.default_rng(72))
+        for strategy in ("random", "entropy", "qbc"):
+            stream = rounds(X, y, split, strategy, 30, 0, ALConfig(batch_size=10), SMALL_TRAIN)
+            model = weakref.ref(next(stream).model)
+            next(stream)
+            assert model() is None, strategy

@@ -9,8 +9,13 @@ depth dropout, where labeling drops 1,806 of 6,403 detections.  A second
 sweep adds budgets 6 and 8 next to 10: 8 is a multiple of the batch, so its
 rows are the leading rounds of the budget-10 run, while 6 is not and runs on
 its own.  Its hashes were taken from a sweep that ran every budget
-separately, so reuse must leave the files byte-identical.  A change
-that alters results on purpose updates them and says so in CHANGES.md.
+separately, so reuse must leave the files byte-identical.  A third sweep
+runs the default config at batch 5 on random, entropy and qbc, init 10,
+budget 50 and seeds 0-2: the grid the paper's low-label claims read, where
+every cell runs ten query rounds.  Its hashes, ``results.csv`` 7e4b658f…
+and ``summary.csv`` 7dfe907c…, were taken before the query loop became a
+stream of rounds.  A change that alters results on purpose updates them
+and says so in CHANGES.md.
 
 The plots are pinned the same way, with hashes taken before the SVG
 element templates were folded into one writer:
@@ -44,10 +49,22 @@ grid.budgets = 10
 grid.seeds = 0, 1
 """
 
+# The default config at batch 5, on the three-scorer grid whose low-label
+# gaps the paper's claims are read from.
+BATCH5_CFG_TEXT = """
+al.batch_size = 5
+grid.strategies = random, entropy, qbc
+grid.init_sizes = 10
+grid.budgets = 50
+grid.seeds = 0, 1, 2
+"""
+
 SWEEP_RESULTS = "8ccc33ea19abf00b2e0308d0f4441864c0045cb06f0aefaefa92289d12ea1d01"
 SWEEP_SUMMARY = "f6544a58937220a1602eafa68f265767a31bb8b62ace843e15f83a8cdd2c63fe"
 PREFIX_RESULTS = "d23709b714608a1cca7292a4cb3178eceaa804e137ec748fb0fd1d1e2fd839c6"
 PREFIX_SUMMARY = "0887bbb05c993bc33d5286681ca6d843f7d377704cbb9e4bc02c95c4437e5500"
+BATCH5_RESULTS = "7e4b658fab3fb0b3417fba4f3cfdf301d38bac3ffe66107dfb07b9ddee3e768d"
+BATCH5_SUMMARY = "7dfe907c72c70904dcac73e5a2f3d9d6496edd40b4227e375c8fd7b2fce7a98c"
 DATA_RESULTS = "dd8f1417a1c0d5418373b085bf8d1d63f5f1d852c7c6c6f8d9a9bfa706f94d12"
 DATA_SUMMARY = "b8b6a405c2f56ff2c7dba04ce05513f852c5ed5b4aa3262ec9320f91ca29fa92"
 DETECTIONS = "c95be5514ece0a4068dad0783f3b2d8630c198c9a6d8329fdd3c35d27fee5472"
@@ -96,6 +113,16 @@ def test_budget_prefix_fingerprint(tmp_path, jobs):
     assert main(["sweep", "--config", str(cfg), "--jobs", jobs, "--out", out]) == 0
     assert sha256(os.path.join(out, "results.csv")) == PREFIX_RESULTS
     assert sha256(os.path.join(out, "summary.csv")) == PREFIX_SUMMARY
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch5_claims_fingerprint(tmp_path, jobs):
+    cfg = tmp_path / "batch5.cfg"
+    cfg.write_text(BATCH5_CFG_TEXT)
+    out = str(tmp_path / "out")
+    assert main(["sweep", "--config", str(cfg), "--jobs", jobs, "--out", out]) == 0
+    assert sha256(os.path.join(out, "results.csv")) == BATCH5_RESULTS
+    assert sha256(os.path.join(out, "summary.csv")) == BATCH5_SUMMARY
 
 
 def test_curve_plot_fingerprint(tmp_path):

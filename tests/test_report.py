@@ -707,6 +707,21 @@ class TestPlots:
                         continue
                     assert numbers and all(math.isfinite(float(v)) for v in numbers), (svg, name)
 
+    def test_markup_in_labels_is_escaped(self, tmp_path):
+        # Strategy names reach the legend as text: markup in them must be
+        # escaped, or the SVG is not well-formed XML.
+        names = ("a&b", '<c>"d"')
+        rows = [
+            ResultRow(strategy, 0, 10, 10, i, 10 + 5 * i, 0.8, *[0.5] * 5)
+            for strategy in names
+            for i in range(3)
+        ]
+        path = tmp_path / "results.csv"
+        write_results(path, rows)
+        (svg,) = emit_curve_plots(path, tmp_path / "plots")
+        texts = [t.text for t in ET.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}text")]
+        assert set(names) <= set(texts)
+
     def test_envelope_plots_three_views(self, tmp_path):
         rng = np.random.default_rng(0)
         env = rng.uniform(0, 1, size=(500, 3))
